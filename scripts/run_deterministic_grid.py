@@ -11,7 +11,7 @@ from resistor.instance import DETERMINISTIC
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budgets", type=int, nargs="+", default=[4, 9, 16, 25])
+    parser.add_argument("--budgets", type=int, nargs="+", default=[4, 9, 16, 25, 100, 400])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

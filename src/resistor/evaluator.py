@@ -174,21 +174,23 @@ def piece_values(instance: HardInstance, x: np.ndarray) -> PieceValues:
             f"{instance.params.d}-dimensional"
         )
     linear = np.array([np.dot(p.a, x) for p in instance.pieces])
-    shifted = np.array([lin + p.shift for lin, p in zip(linear, instance.pieces)])
-    return PieceValues(linear=linear, shifted=shifted)
+    return PieceValues(linear=linear, shifted=linear + instance.piece_shifts)
 
 
-def locally_affine_index(instance: HardInstance, x: np.ndarray) -> int | None:
+def locally_affine_index(
+    instance: HardInstance, x: np.ndarray, values: PieceValues | None = None
+) -> int | None:
     """Index (1-based) of the unique argmax piece if its margin over every
     other piece strictly exceeds 2*k*delta, else None.
 
     Each piece is 1-Lipschitz, so this margin keeps the argmax constant
     on the radius-(k*delta) ball the smoothing averages over; ties and
-    boundary (margin exactly 2*k*delta) go to Monte Carlo.
+    boundary (margin exactly 2*k*delta) go to Monte Carlo. values, if
+    given, must be piece_values(instance, x).
     """
     if instance.num_pieces == 0:
         return None
-    shifted = piece_values(instance, x).shifted
+    shifted = (piece_values(instance, x) if values is None else values).shifted
     j = int(np.argmax(shifted))
     if instance.num_pieces == 1:
         return 1
@@ -196,6 +198,14 @@ def locally_affine_index(instance: HardInstance, x: np.ndarray) -> int | None:
     margin = shifted[j] - others.max()
     threshold = 2.0 * instance.params.k * instance.params.delta
     return j + 1 if margin > threshold else None
+
+
+def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, int | None]:
+    """Piece values at x and locally_affine_index there, from one pass
+    over the pieces; the values are what exact_answer and the
+    certificate need."""
+    values = piece_values(instance, x)
+    return values, locally_affine_index(instance, x, values)
 
 
 def _ball_sum(r: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -316,34 +326,63 @@ def oracle_answer(
 ) -> OracleResponse:
     """Full derivative-oracle answer at x, normalized by norm_denom.
 
-    Exact-affine queries are answered in closed form (the smoothing of a
-    single affine piece is that piece, so higher orders vanish); others
-    fall back to Monte Carlo with the given budget (value uses
-    n_samples, gradient 2*n_samples, both on streams derived from the
-    budget seed).
+    Exact-affine queries are answered in closed form (exact_answer);
+    others fall back to Monte Carlo (monte_carlo_answer).
+    """
+    x = np.asarray(x, dtype=float)
+    norm = np.linalg.norm(x)
+    if not (norm <= 1.0 + QUERY_NORM_SLACK):
+        raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
+    values, idx = affine_regime(instance, x)
+    if idx is not None:
+        return exact_answer(instance, values, idx, order)
+    return monte_carlo_answer(instance, x, order, budget)
+
+
+def _check_order(instance: HardInstance, order: int | None) -> int:
+    k = instance.params.k if order is None else order
+    if not 1 <= k <= instance.params.k:
+        raise ValueError(f"order must lie in [1, {instance.params.k}]")
+    return k
+
+
+def exact_answer(
+    instance: HardInstance, values: PieceValues, idx: int, order: int | None = None
+) -> OracleResponse:
+    """Closed-form answer where piece idx wins by more than 2*k*delta.
+
+    The smoothing of a single affine piece is that piece, so the value
+    is values.shifted[idx - 1], the gradient a_idx and higher orders
+    vanish; values must be piece_values(instance, x) at the query x.
+    """
+    k = _check_order(instance, order)
+    denom = instance.params.norm_denom
+    return OracleResponse(
+        value=float(values.shifted[idx - 1] / denom),
+        gradient=instance.pieces[idx - 1].a / denom,
+        higher=tuple(HigherDerivative(j, is_zero=True) for j in range(2, k + 1)),
+        regime=EXACT_AFFINE,
+        affine_index=idx,
+        value_stderr=0.0,
+        gradient_error=0.0,
+    )
+
+
+def monte_carlo_answer(
+    instance: HardInstance,
+    x: np.ndarray,
+    order: int | None = None,
+    budget: MCBudget | None = None,
+) -> OracleResponse:
+    """Sampled answer for a query near a tie.
+
+    Value uses budget.n_samples, gradient 2*n_samples, both on streams
+    derived from the budget seed; orders >= 2 are finite differences of
+    the gradient estimator.
     """
     params = instance.params
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) > 1.0 + QUERY_NORM_SLACK:
-        raise ValueError(f"query outside the unit ball: ||x|| = {np.linalg.norm(x)}")
-    k = params.k if order is None else order
-    if not 1 <= k <= params.k:
-        raise ValueError(f"order must lie in [1, {params.k}]")
+    k = _check_order(instance, order)
     denom = params.norm_denom
-    idx = locally_affine_index(instance, x)
-    if idx is not None:
-        piece = instance.pieces[idx - 1]
-        value = (np.dot(piece.a, x) + piece.shift) / denom
-        higher = tuple(HigherDerivative(j, is_zero=True) for j in range(2, k + 1))
-        return OracleResponse(
-            value=float(value),
-            gradient=piece.a / denom,
-            higher=higher,
-            regime=EXACT_AFFINE,
-            affine_index=idx,
-            value_stderr=0.0,
-            gradient_error=0.0,
-        )
     budget = budget or MCBudget()
     value, stderr = smoothed_value_mc(
         instance, x, MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
@@ -383,7 +422,10 @@ def rescale_to_smoothness(L_target: float, k: int, T: int) -> float:
 
 
 def suboptimality_certificate(
-    instance: HardInstance, x: np.ndarray, allow_partial: bool = False
+    instance: HardInstance,
+    x: np.ndarray,
+    allow_partial: bool = False,
+    values: PieceValues | None = None,
 ) -> float:
     """Closed-form certified lower bound on the normalized gap between
     the smoothed value at x and its minimum over the unit ball:
@@ -393,7 +435,8 @@ def suboptimality_certificate(
     The smoothed value sits within k*delta of f_tilde, and the witness
     point -sum(a_i)/sqrt(r) caps the minimum at -1/sqrt(r)+gamma+k*delta,
     so no sampling enters the certificate. Requires the full T pieces
-    unless allow_partial (then r is the actual piece count).
+    unless allow_partial (then r is the actual piece count). values, if
+    given, must be piece_values(instance, x).
     """
     params = instance.params
     r = instance.num_pieces
@@ -403,6 +446,6 @@ def suboptimality_certificate(
         raise ValueError(
             f"certificate needs a completed instance (r = {r} < T = {params.T})"
         )
-    f_tilde = piece_values(instance, x).f_tilde
+    f_tilde = (piece_values(instance, x) if values is None else values).f_tilde
     raw = f_tilde + 1.0 / math.sqrt(r) - params.gamma - 2.0 * params.k * params.delta
     return raw / params.norm_denom

@@ -8,7 +8,7 @@ the caller's stream (see streams.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,23 +20,72 @@ ORTHONORMALITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a itself if neither a nor the array owning its memory is writable,
+    else a read-only copy of a."""
+    if a.flags.writeable or (isinstance(a.base, np.ndarray) and a.base.flags.writeable):
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+class _RowStore:
+    """Append-only rows shared by a chain of extended bases.
+
+    Each basis of the chain is a view of the first n rows. The rows are
+    read-only except while append() writes the row at `used`, so rows
+    below `used` never change.
+    """
+
+    def __init__(self, rows: np.ndarray, capacity: int):
+        self.rows = np.empty((capacity, rows.shape[1]))
+        self.rows[: len(rows)] = rows
+        self.rows.setflags(write=False)
+        self.used = len(rows)
+
+    def append(self, row: np.ndarray) -> np.ndarray:
+        """Write row at `used`; return a view of all rows written so far."""
+        self.rows.setflags(write=True)
+        self.rows[self.used] = row
+        self.rows.setflags(write=False)
+        self.used += 1
+        return self.rows[: self.used]
+
+
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Ordered orthonormal vectors, stored as the rows of an (n, d) matrix.
 
-    Immutable after construction; extension returns a new basis.
+    Immutable after construction; extension returns a new basis. The
+    matrix is copied unless it is already frozen (see frozen()), so
+    bases that share rows also share memory.
     """
 
     matrix: np.ndarray
     tol: float = ORTHONORMALITY_TOL
+    _store: _RowStore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("basis matrix must have shape (n, d)")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", frozen(m))
+
+    def extended(self, unit: Vector, capacity: int = 0) -> "OrthonormalBasis":
+        """This basis with `unit` appended as its last row.
+
+        The rows live in a store of at least `capacity` rows that further
+        extensions of the result fill in place: extending the newest basis
+        of a chain copies only `unit`. Extending any other basis copies its
+        rows into a new store, so no basis ever sees its rows change.
+        """
+        unit = np.asarray(unit, dtype=float)
+        _check_dim(unit, self)
+        n = len(self)
+        store = self._store
+        if store is None or store.used != n or n == len(store.rows):
+            store = _RowStore(self.matrix, max(capacity, n + 1))
+        return OrthonormalBasis(store.append(unit), self.tol, store)
 
     @classmethod
     def empty(cls, dim: int, tol: float = ORTHONORMALITY_TOL) -> "OrthonormalBasis":
@@ -61,7 +110,8 @@ class OrthonormalBasis:
         return self.matrix.T @ np.asarray(coords, dtype=float)
 
     def violations(self) -> list[str]:
-        """Orthonormality defects exceeding tol, as readable strings."""
+        """Orthonormality defects exceeding tol (or not a number), as
+        readable strings."""
         out: list[str] = []
         n = len(self)
         if n == 0:
@@ -69,11 +119,11 @@ class OrthonormalBasis:
         gram = self.matrix @ self.matrix.T
         for i in range(n):
             diag = abs(gram[i, i] - 1.0)
-            if diag > self.tol:
+            if not (diag <= self.tol):
                 out.append(f"| ||u_{i}|| - 1 | = {diag:.3e} > {self.tol:.1e}")
         off = gram - np.diag(np.diag(gram))
         worst = np.abs(off).max() if n > 1 else 0.0
-        if worst > self.tol:
+        if not (worst <= self.tol):
             i, j = np.unravel_index(np.abs(off).argmax(), off.shape)
             out.append(f"|<u_{i}, u_{j}>| = {worst:.3e} > {self.tol:.1e}")
         if n > self.dim:
@@ -98,27 +148,31 @@ def perp_component(x: Vector, basis: OrthonormalBasis) -> Vector:
 
 
 def orthonormal_extend(
-    basis: OrthonormalBasis, x: Vector, degeneracy_tol: float = DEGENERACY_TOL
+    basis: OrthonormalBasis,
+    x: Vector,
+    degeneracy_tol: float = DEGENERACY_TOL,
+    capacity: int = 0,
 ) -> tuple[OrthonormalBasis, Vector | None]:
     """Append the normalized perpendicular of x, or report degeneracy.
 
-    Returns (basis', unit); unit is None and the basis is unchanged when
-    the perpendicular norm is at most degeneracy_tol. The projection is
-    applied twice ("twice is enough") so the extended basis stays
-    orthonormal to tol even in very high dimension.
+    Returns (basis', unit), unit being the new last row of basis'; unit
+    is None and the basis is unchanged when the perpendicular norm is at
+    most degeneracy_tol (or not a number). The projection is applied
+    twice ("twice is enough") so the extended basis stays orthonormal to
+    tol even in very high dimension. capacity: rows to reserve for
+    further extensions (see OrthonormalBasis.extended).
     """
     if degeneracy_tol <= 0:
         raise ValueError("degeneracy_tol must be positive")
     p = perp_component(x, basis)
-    if np.linalg.norm(p) <= degeneracy_tol:
+    if not (np.linalg.norm(p) > degeneracy_tol):
         return basis, None
     p = perp_component(p, basis)
     norm = np.linalg.norm(p)
-    if norm <= degeneracy_tol:
+    if not (norm > degeneracy_tol):
         return basis, None
-    unit = p / norm
-    extended = OrthonormalBasis(np.vstack([basis.matrix, unit]), basis.tol)
-    return extended, unit
+    extended = basis.extended(p / norm, capacity)
+    return extended, extended.matrix[-1]
 
 
 def arbitrary_perp_unit(basis: OrthonormalBasis, rng: np.random.Generator) -> Vector:
@@ -181,6 +235,6 @@ def random_orthonormal_basis(
         raise ValueError(f"cannot fit {count} orthonormal vectors in dimension {d}")
     basis = OrthonormalBasis.empty(d, tol)
     while len(basis) < count:
-        basis, unit = orthonormal_extend(basis, rng.standard_normal(d))
+        basis, unit = orthonormal_extend(basis, rng.standard_normal(d), capacity=count)
         # a degenerate Gaussian draw has probability zero; just redraw
     return basis

@@ -20,6 +20,7 @@ from .geometry import (
     OrthonormalBasis,
     Vector,
     arbitrary_perp_unit,
+    frozen,
     orthonormal_extend,
 )
 
@@ -188,19 +189,30 @@ def validate(params: InstanceParams) -> list[str]:
 
 @dataclass(frozen=True)
 class AffinePiece:
-    """One affine piece a.x + shift of the max; a is a unit vector."""
+    """One affine piece a.x + shift of the max; a is a unit vector.
+
+    The direction is copied unless it is already frozen (a basis row,
+    for instance).
+    """
 
     index: int
     a: np.ndarray
     shift: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).copy()
-        a.setflags(write=False)
+        a = frozen(np.asarray(self.a, dtype=float))
         object.__setattr__(self, "a", a)
         norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > PIECE_UNIT_TOL:
+        if not (abs(norm - 1.0) <= PIECE_UNIT_TOL):
             raise ValueError(f"piece direction must be unit, ||a|| = {norm}")
+
+
+def _check_in_span(piece: AffinePiece, basis: OrthonormalBasis) -> None:
+    residual = np.linalg.norm(piece.a - basis.lift(basis.coords(piece.a)))
+    if not (residual <= PIECE_SPAN_TOL):
+        raise ValueError(
+            f"piece {piece.index} does not lie in the basis span (residual {residual:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -210,20 +222,15 @@ class HardInstance:
     The smoothing averages over the basis span, so its size (not the
     piece count) is the smoothing dimension. Standard instances built
     by append_piece or from_basis have pieces equal to the basis rows.
+
+    The constructors check what they are given once: from_basis that the
+    basis is orthonormal, custom and from_json that every piece lies in
+    the span, append_piece the one piece it adds.
     """
 
     params: InstanceParams
     pieces: tuple[AffinePiece, ...]
     basis: OrthonormalBasis
-
-    def __post_init__(self):
-        for piece in self.pieces:
-            residual = piece.a - self.basis.lift(self.basis.coords(piece.a))
-            if np.linalg.norm(residual) > PIECE_SPAN_TOL:
-                raise ValueError(
-                    f"piece {piece.index} does not lie in the basis span "
-                    f"(residual {np.linalg.norm(residual):.3e})"
-                )
 
     @property
     def num_pieces(self) -> int:
@@ -259,6 +266,9 @@ class HardInstance:
         """All pieces fixed up front from an orthonormal basis (one per row)."""
         if len(basis) > params.T:
             raise ValueError("basis has more vectors than the budget T")
+        problems = basis.violations()
+        if problems:
+            raise ValueError("basis is not orthonormal: " + "; ".join(problems))
         pieces = tuple(
             AffinePiece(index=i + 1, a=row, shift=shift_of(params, i + 1))
             for i, row in enumerate(basis.matrix)
@@ -289,6 +299,8 @@ class HardInstance:
             AffinePiece(index=i + 1, a=row, shift=float(s))
             for i, (row, s) in enumerate(zip(directions, shifts))
         )
+        for piece in pieces:
+            _check_in_span(piece, basis)
         return cls(params, pieces, basis)
 
 
@@ -305,16 +317,16 @@ def append_piece(
     if instance.num_pieces >= params.T:
         raise ValueError(f"piece budget exhausted (T = {params.T})")
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) > 1.0 + QUERY_NORM_SLACK:
-        raise ValueError(f"query outside the unit ball: ||x|| = {np.linalg.norm(x)}")
-    basis, unit = orthonormal_extend(instance.basis, x, DEGENERACY_TOL)
+    norm = np.linalg.norm(x)
+    if not (norm <= 1.0 + QUERY_NORM_SLACK):
+        raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
+    basis, unit = orthonormal_extend(instance.basis, x, DEGENERACY_TOL, params.T)
     if unit is None:
-        unit = arbitrary_perp_unit(instance.basis, rng)
-        basis = OrthonormalBasis(
-            np.vstack([instance.basis.matrix, unit]), instance.basis.tol
-        )
+        basis = instance.basis.extended(arbitrary_perp_unit(instance.basis, rng), params.T)
+        unit = basis.matrix[-1]
     idx = instance.num_pieces + 1
     piece = AffinePiece(index=idx, a=unit, shift=shift_of(params, idx))
+    _check_in_span(piece, basis)
     return HardInstance(params, instance.pieces + (piece,), basis)
 
 
@@ -361,4 +373,6 @@ def from_json(text: str) -> HardInstance:
         basis = OrthonormalBasis.empty(params.d)
         for row in rows:
             basis, _ = orthonormal_extend(basis, row)
+    for piece in pieces:
+        _check_in_span(piece, basis)
     return HardInstance(params, pieces, basis)

@@ -18,9 +18,14 @@ import numpy as np
 
 from .evaluator import (
     EXACT_AFFINE,
+    MONTE_CARLO,
     MCBudget,
     OracleResponse,
-    locally_affine_index,
+    PieceValues,
+    affine_regime,
+    exact_answer,
+    locally_affine_index,  # noqa: F401 - a name perfbench/tracer.py wraps
+    monte_carlo_answer,
     oracle_answer,
 )
 from .geometry import random_orthonormal_basis
@@ -93,11 +98,15 @@ class Transcript:
 
 @dataclass
 class ReplayEntry:
+    """One replayed record; values are the replay instance's piece values
+    at the recorded query, computed once and shared with its certificate."""
+
     index: int
     recorded_regime: str
     replay_regime: str
     exact_equal: bool
     reason: str = ""
+    values: PieceValues | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -155,15 +164,15 @@ def replay_consistency(
     """
     entries = []
     for rec in transcript.records:
-        idx = locally_affine_index(instance, rec.x)
-        replay_regime = EXACT_AFFINE if idx is not None else "monte_carlo"
+        values, idx = affine_regime(instance, rec.x)
+        replay_regime = EXACT_AFFINE if idx is not None else MONTE_CARLO
         recorded = rec.response
         if recorded.regime == EXACT_AFFINE and idx is not None:
-            replayed = oracle_answer(instance, rec.x).scaled(rescale)
+            replayed = exact_answer(instance, values, idx).scaled(rescale)
             reason = _responses_equal(recorded, replayed)
-        elif recorded.regime != EXACT_AFFINE and replay_monte_carlo:
+        elif recorded.regime == MONTE_CARLO and idx is None and replay_monte_carlo:
             budget = MCBudget(mc_samples, child_seed(seed, "mc", rec.index))
-            replayed = oracle_answer(instance, rec.x, budget=budget).scaled(rescale)
+            replayed = monte_carlo_answer(instance, rec.x, budget=budget).scaled(rescale)
             reason = _responses_equal(recorded, replayed)
         elif recorded.regime != replay_regime:
             reason = "regime_mismatch"
@@ -176,6 +185,7 @@ def replay_consistency(
                 replay_regime=replay_regime,
                 exact_equal=(reason == ""),
                 reason=reason,
+                values=values,
             )
         )
     partial = len(transcript) < transcript.params.T
@@ -354,23 +364,24 @@ def event_e_check(transcript: Transcript, params: InstanceParams) -> EventECheck
     """Did every recorded margin stay at or below 1/(20 T^1.5)?
 
     The event is non-strict (margins exactly at the threshold count as
-    held). Only meaningful for randomized-mode transcripts.
+    held); a margin that is not a number violates it, and max_margin is
+    then NaN. Only meaningful for randomized-mode transcripts.
     """
     if transcript.mode != RANDOMIZED:
         raise ValueError("event-E check applies to randomized-mode transcripts")
     threshold = 1.0 / (20.0 * params.T**1.5)
     first = None
-    max_margin = 0.0
+    margins = [0.0]
     for rec in transcript.records:
         margin = rec.event_e_margin
         if margin is None:
             raise ValueError(f"record {rec.index} is missing its event margin")
-        max_margin = max(max_margin, margin)
-        if margin > threshold and first is None:
+        margins.append(margin)
+        if not (margin <= threshold) and first is None:
             first = rec.index
     return EventECheck(
         held=first is None,
         first_violation=first,
         threshold=threshold,
-        max_margin=max_margin,
+        max_margin=float(np.max(margins)),
     )

@@ -19,7 +19,7 @@ from resistor.evaluator import piece_values
 
 from conftest import abs_instance, fd_gradient_crn, unit
 
-BUDGETS = (4, 9, 16, 25)
+BUDGETS = (4, 9, 16, 25, 100, 400)
 GRID = [
     (T, k, method)
     for k, methods in ((1, ("psg", "agd")), (2, ("psg", "agd", "cubic")))

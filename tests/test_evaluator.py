@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resistor.evaluator import (
     EXACT_AFFINE,
@@ -21,6 +23,7 @@ from resistor.instance import (
     DETERMINISTIC,
     HardInstance,
     InstanceParams,
+    append_piece,
     params_deterministic,
     pessimal_point,
 )
@@ -48,6 +51,27 @@ class TestPieceValues:
     def test_dimension_mismatch(self, plane_instance):
         with pytest.raises(ValueError, match="dimension"):
             piece_values(plane_instance, np.zeros(4))
+
+
+@given(st.integers(0, 2**31), st.integers(3, 30), st.integers(1, 400))
+@settings(max_examples=25, deadline=None)
+def test_piece_values_rows_ignore_later_pieces(seed, T, extra_d):
+    """Row i of piece_values is bit-identical on every instance of an
+    adaptive chain that has piece i, so replays against the completed
+    instance reproduce query-time answers exactly."""
+    p = params_deterministic(T, 1, d=T + extra_d)
+    rng = stream(seed, "queries")
+    chain = [HardInstance.empty(p)]
+    for t in range(1, T + 1):
+        x = rng.standard_normal(p.d)
+        chain.append(append_piece(chain[-1], x / np.linalg.norm(x), stream(seed, "piece", t)))
+    x = rng.standard_normal(p.d)
+    x /= np.linalg.norm(x)
+    full = piece_values(chain[-1], x)
+    for t, inst in enumerate(chain):
+        part = piece_values(inst, x)
+        assert part.linear.tobytes() == full.linear[:t].tobytes()
+        assert part.shifted.tobytes() == full.shifted[:t].tobytes()
 
 
 class TestLocallyAffineIndex:

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from resistor import cli
+from resistor import cli, harness
+from resistor.evaluator import piece_values
 from resistor.geometry import OrthonormalBasis
 from resistor.harness import (
     CSV_COLUMNS,
@@ -21,7 +23,16 @@ from resistor.harness import (
     verify_lipschitz,
     verify_locality,
 )
-from resistor.instance import DETERMINISTIC, RANDOMIZED, HardInstance, InstanceParams
+from resistor.instance import (
+    DETERMINISTIC,
+    RANDOMIZED,
+    HardInstance,
+    InstanceParams,
+    params_deterministic,
+    pessimal_point,
+)
+from resistor.optimizers import OptimizerConfig, run_method
+from resistor.oracles import AdaptiveOracle
 
 from conftest import unit
 
@@ -53,6 +64,28 @@ class TestRunExperiment:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             run_experiment(RunConfig(mode="hybrid"))
+
+    def test_witness_crosscheck_exact(self):
+        report = run_experiment(RunConfig(mode=DETERMINISTIC, T=9, k=2, method="psg", seed=3))
+        oracle = AdaptiveOracle(params_deterministic(9, 2), seed=3)
+        run_method(oracle, OptimizerConfig(method="psg", seed=3))
+        final, _ = oracle.finalize()
+        xhat, _ = pessimal_point(final)
+        check = report.min_crosscheck
+        assert (check.estimate, check.stderr) == (piece_values(final, xhat).f_tilde, 0.0)
+        assert check.passed and check.estimate <= check.bound
+
+    def test_witness_crosscheck_monte_carlo_under_broken_schedule(self, monkeypatch):
+        # 2*k*delta > gamma/m puts the witness point in the tie band
+        def broken(T, k):
+            p = params_deterministic(T, k)
+            return dataclasses.replace(p, delta=p.gamma / p.m)
+
+        monkeypatch.setattr(harness, "params_deterministic", broken)
+        report = run_experiment(
+            RunConfig(mode=DETERMINISTIC, T=4, k=1, method="psg", seed=0, mc_samples=5_000)
+        )
+        assert report.min_crosscheck.stderr > 0
 
 
 def _empty_report():

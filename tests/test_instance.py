@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resistor import instance as instance_module
 from resistor.geometry import OrthonormalBasis
 from resistor.instance import (
+    AffinePiece,
     HardInstance,
     append_piece,
     from_json,
@@ -145,6 +148,24 @@ class TestAppendPiece:
         with pytest.raises(ValueError, match="unit ball"):
             append_piece(HardInstance.empty(p), 2.0 * unit(p.d, 0), stream(0, "piece"))
 
+    def test_appending_twice_leaves_earlier_instances_unchanged(self):
+        p = params_deterministic(4, 1)
+        base = append_piece(HardInstance.empty(p), unit(p.d, 0), stream(0, "piece", 1))
+        first = append_piece(base, unit(p.d, 1), stream(0, "piece", 2))
+        seen = first.basis.matrix.copy()
+        second = append_piece(base, unit(p.d, 2), stream(0, "piece", 2))
+        third = append_piece(first, unit(p.d, 3), stream(0, "piece", 3))
+        np.testing.assert_array_equal(first.basis.matrix, seen)
+        np.testing.assert_array_equal(first.pieces[1].a, unit(p.d, 1))
+        np.testing.assert_array_equal(second.pieces[1].a, unit(p.d, 2))
+        np.testing.assert_array_equal(third.basis.matrix[:2], seen)
+        assert base.num_pieces == 1 and len(base.basis) == 1
+        np.testing.assert_array_equal(base.basis.matrix, unit(p.d, 0)[None, :])
+        # the newest instance of a chain is extended in place, others copy
+        assert np.shares_memory(third.basis.matrix, first.basis.matrix)
+        assert not np.shares_memory(second.basis.matrix, first.basis.matrix)
+        assert not first.pieces[1].a.flags.writeable
+
 
 class TestPessimalPoint:
     def test_four_orthonormal_pieces(self):
@@ -211,6 +232,39 @@ def test_appended_pieces_stay_orthonormal(seed, T):
     np.testing.assert_allclose(gram, np.eye(T), atol=1e-9)
     xhat, _ = pessimal_point(inst)
     assert abs(np.linalg.norm(xhat) - 1.0) < 1e-10
+
+
+class TestConstructorChecks:
+    def test_piece_direction_must_be_unit(self):
+        p = params_deterministic(4, 1)
+        for bad in (2.0 * unit(p.d, 0), np.full(p.d, np.nan), np.full(p.d, np.inf)):
+            with pytest.raises(ValueError, match="must be unit"):
+                AffinePiece(index=1, a=bad, shift=0.0)
+        assert AffinePiece(index=1, a=unit(p.d, 0), shift=0.0).a.flags.writeable is False
+
+    def test_from_basis_rejects_non_orthonormal_basis(self):
+        p = params_deterministic(4, 1)
+        skew = np.vstack([unit(p.d, 0), (unit(p.d, 0) + unit(p.d, 1)) / np.sqrt(2.0)])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            HardInstance.from_basis(p, OrthonormalBasis(skew))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            HardInstance.from_basis(p, OrthonormalBasis(np.full((1, p.d), np.nan)))
+
+    def test_custom_and_from_json_reject_piece_outside_span(self, monkeypatch):
+        p = params_deterministic(4, 1)
+        skew = np.vstack([unit(p.d, 0), (unit(p.d, 0) + unit(p.d, 1)) / np.sqrt(2.0)])
+        text = json.dumps({
+            "params": dataclasses.asdict(p),
+            "pieces": [{"index": i + 1, "shift": 0.0, "a": row.tolist()} for i, row in enumerate(skew)],
+        })
+        assert from_json(text).num_pieces == 2
+        # a Gram-Schmidt step that drops every direction leaves the pieces
+        # outside the basis span, which both constructors must notice
+        monkeypatch.setattr(instance_module, "orthonormal_extend", lambda basis, row: (basis, None))
+        with pytest.raises(ValueError, match="does not lie in the basis span"):
+            HardInstance.custom(p, skew, [0.0, 0.0])
+        with pytest.raises(ValueError, match="does not lie in the basis span"):
+            from_json(text)
 
 
 def test_json_round_trip():

@@ -1,12 +1,17 @@
 import dataclasses
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resistor.evaluator import EXACT_AFFINE, MCBudget, OracleResponse, oracle_answer
 from resistor.geometry import OrthonormalBasis, orthonormal_extend
 from resistor.instance import (
+    QUERY_NORM_SLACK,
     HardInstance,
     params_deterministic,
     params_randomized,
@@ -179,6 +184,69 @@ class TestRandomizedOracle:
             AdaptiveOracle(small_randomized_params(), seed=0)
 
 
+# (kind, position, seed, excess) -> a query that both oracles must refuse
+BAD_QUERIES = st.tuples(
+    st.sampled_from(["nan", "inf", "-inf", "short", "long", "matrix", "norm"]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**31),
+    st.floats(1e-8, 1e-3),
+)
+
+
+def _bad_query(d: int, spec) -> np.ndarray:
+    kind, position, seed, excess = spec
+    x = np.random.default_rng(seed).standard_normal(d)
+    x /= np.linalg.norm(x)
+    i = min(int(position * d), d - 1)
+    if kind == "nan":
+        x[i] = math.nan
+    elif kind in ("inf", "-inf"):
+        x[i] = float(kind)
+    elif kind == "short":
+        x = 0.5 * x[:-1]
+    elif kind == "long":
+        x = 0.5 * np.append(x, 0.0)
+    elif kind == "matrix":
+        x = 0.5 * x[None, :]
+    else:
+        x *= (1.0 + QUERY_NORM_SLACK) * (1.0 + excess)
+    return x
+
+
+def _assert_refused(oracle, x) -> None:
+    instance, answered = oracle.instance, len(oracle.transcript)
+    with pytest.raises(ValueError):
+        oracle.query(x)
+    assert oracle.instance is instance
+    assert len(oracle.transcript) == answered
+
+
+def test_adaptive_oracle_refuses_bad_queries():
+    p = params_deterministic(4, 1)
+    fresh = AdaptiveOracle(p, seed=0)
+    used = AdaptiveOracle(p, seed=0)
+    used.query(np.zeros(p.d))
+
+    @given(BAD_QUERIES)
+    @settings(max_examples=60, deadline=None)
+    def check(spec):
+        for oracle in (fresh, used):
+            _assert_refused(oracle, _bad_query(p.d, spec))
+
+    check()
+
+
+def test_randomized_oracle_refuses_bad_queries():
+    oracle = RandomizedOracle(small_randomized_params(), seed=0)
+
+    @given(BAD_QUERIES)
+    @settings(max_examples=30, deadline=None)
+    def check(spec):
+        _assert_refused(oracle, _bad_query(oracle.params.d, spec))
+
+    check()
+
+
 class TestEventECheck:
     def _transcript(self, params, margins):
         dummy = OracleResponse(
@@ -211,6 +279,12 @@ class TestEventECheck:
         thr = 1.0 / (20.0 * p.T**1.5)
         check = event_e_check(self._transcript(p, [0.0, 2 * thr, 3 * thr]), p)
         assert not check.held and check.first_violation == 2
+
+    def test_nan_margin_violates(self):
+        p = small_randomized_params()
+        check = event_e_check(self._transcript(p, [0.0, math.nan, 0.0]), p)
+        assert not check.held and check.first_violation == 2
+        assert math.isnan(check.max_margin)
 
     def test_wrong_mode_rejected(self):
         p = params_deterministic(4, 1)
