@@ -60,7 +60,6 @@ from .oracles import (
     RandomizedOracle,
     Transcript,
     event_e_check,
-    randomized_new,
     replay_consistency,
 )
 from .optimizers import (

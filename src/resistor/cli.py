@@ -3,6 +3,7 @@
     resistor run    --mode det|rand --T 16 --k 1 --method psg --seed 0 ...
     resistor verify --suite lipschitz|invariance|locality|all --T 9 --k 2 ...
     resistor sweep  --seeds 20 --mode rand --T 4 --k 1 ...
+    resistor grid   --budgets 4 9 16 25 100 400 --seed 0
 
 Exit code 0 iff every asserted property passed.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .harness import RunConfig, run_experiment, run_verification, sweep
 from .instance import DETERMINISTIC, RANDOMIZED
@@ -115,6 +117,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+# (k, methods) cells of the deterministic grid
+_GRID_CELLS = ((1, ("psg", "agd")), (2, ("psg", "agd", "cubic")))
+
+
+def _cmd_grid(args: argparse.Namespace) -> int:
+    print(f"{'method':>7} {'k':>2} {'T':>3} {'min gap':>10} {'floor':>10} {'replay':>7} {'time':>7}")
+    failures = 0
+    for k, methods in _GRID_CELLS:
+        for method in methods:
+            for T in args.budgets:
+                start = time.perf_counter()
+                report = run_experiment(
+                    RunConfig(mode=DETERMINISTIC, T=T, k=k, method=method, seed=args.seed)
+                )
+                elapsed = time.perf_counter() - start
+                failures += not report.passed
+                print(
+                    f"{method:>7} {k:>2} {T:>3} {report.min_gap:>10.6f} {report.floor:>10.6f} "
+                    f"{'exact' if report.consistency_ok else 'MISMATCH':>7} {elapsed:>6.2f}s"
+                    + ("" if report.passed else "   <-- FAIL")
+                )
+    print("grid:", "PASS" if failures == 0 else f"{failures} failures")
+    return 0 if failures == 0 else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="resistor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -136,6 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_args(p_sweep)
     p_sweep.add_argument("--seeds", type=int, required=True, help="number of seeds")
     p_sweep.set_defaults(func=_cmd_sweep)
+
+    p_grid = sub.add_parser("grid", help="every (T, k, method) cell of the deterministic grid")
+    p_grid.add_argument("--budgets", type=int, nargs="+", default=[4, 9, 16, 25, 100, 400])
+    p_grid.add_argument("--seed", type=int, default=0)
+    p_grid.set_defaults(func=_cmd_grid)
 
     return parser
 

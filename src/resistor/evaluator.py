@@ -10,17 +10,22 @@ the sum of the perturbations). Queries fall in one of two regimes:
   2*k*delta. Each piece is 1-Lipschitz, so every point the smoothing
   can touch sees the same single affine piece, and value, gradient and
   all higher derivatives are closed-form (higher orders are zero).
-* monte_carlo: near a tie, value and gradient are estimated by
-  sampling; the gradient uses the sphere identity
-      grad = (r/delta) E[ f(x + delta w) w ],  w uniform on the sphere,
-  applied to the outermost smoothing layer, with antithetic pairs for
-  variance reduction. Orders >= 2 are central finite differences of the
-  gradient estimator in subspace coordinates with common random numbers
-  (practical for order 2; the recursion cost grows fast beyond that).
+* monte_carlo: near a tie, value and derivatives are estimated by
+  sampling. The order-j derivative comes from the sphere identity
+  iterated through the outer j smoothing layers,
+      D^j f(x) = (r/delta)^j E[ f(x + delta (w_1 + ... + w_j) + delta v)
+                                 w_1 (x) ... (x) w_j ],
+  w_i uniform on the unit sphere of the span and v the sum of the k - j
+  inner ball layers (Flaxman, Kalai & McMahan 2005; Nesterov &
+  Spokoiny 2017). It is exact in expectation: no step size, no
+  truncation term. Sign flips of the sphere vectors cancel the
+  lower-order terms; for j = 1 they are the antithetic pairs of the
+  gradient estimator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,8 +38,6 @@ from .streams import child_seed, stream
 
 DEFAULT_VALUE_SAMPLES = 100_000
 DEFAULT_GRADIENT_SAMPLES = 200_000
-# Finite-difference step for higher orders, as a fraction of delta.
-FD_STEP_FRACTION = 0.1
 
 EXACT_AFFINE = "exact_affine"
 MONTE_CARLO = "monte_carlo"
@@ -55,7 +58,9 @@ class MCBudget:
 @dataclass(frozen=True)
 class HigherDerivative:
     """Derivative tensor of one order, in basis coordinates of the
-    invariant subspace; is_zero marks the closed-form zero tensor."""
+    invariant subspace; is_zero marks the closed-form zero tensor.
+    error_bound is the root-sum-square of the per-entry Monte-Carlo
+    standard errors (0 for the closed-form zero tensor)."""
 
     order: int
     is_zero: bool
@@ -240,37 +245,66 @@ def smoothed_value_mc(
     return est, stderr
 
 
-def _gradient_coords_mc(
-    instance: HardInstance, x: np.ndarray, budget: MCBudget
-) -> tuple[np.ndarray, float]:
-    """Sphere-formula gradient estimate in basis coordinates.
+def _flipped_max(base: np.ndarray, projs: list[np.ndarray], signs: tuple[int, ...]) -> np.ndarray:
+    """Per draw, the max over pieces of base + sum_i signs[i] * projs[i].
 
-    One sphere layer for the outermost smoothing, (k-1) summed ball
-    vectors for the inner layers; antithetic pairs (w, v) and (-w, -v)
-    cancel the constant term. n_samples counts function evaluations, so
-    n_samples // 2 pairs are drawn. Returns (coords, error bound), the
-    error bound being the root-sum-square of per-coordinate standard
-    errors.
+    A function of its own so that its (draws, pieces) temporaries are
+    freed before the estimator takes its moments (peak memory)."""
+    shifted = base[None, :]
+    for sign, proj in zip(signs, projs):
+        shifted = shifted + proj if sign > 0 else shifted - proj
+    return shifted.max(axis=1)
+
+
+def _tensor_coords_mc(
+    instance: HardInstance, x: np.ndarray, order: int, budget: MCBudget
+) -> tuple[np.ndarray, float]:
+    """Order-j derivative tensor of the smoothed function at x, in basis
+    coordinates, by the iterated sphere identity (see the module notes).
+
+    j sphere vectors drawn first, then the k - j inner ball layers. Each
+    draw is evaluated at all 2^j sign flips (s_1 w_1, ..., s_j w_j), the
+    ball layers flipping with s_1, and weighted by s_1 * ... * s_j: every
+    flipped tuple has the law of the drawn one, so the estimate stays
+    unbiased. n_samples counts function evaluations, so n_samples // 2^j
+    draws are made; for j = 1 these are the antithetic pairs (w, v),
+    (-w, -v). Returns (tensor symmetrised over its axes, error bound),
+    the error bound being the root-sum-square of the per-entry standard
+    errors. Second moments are contracted draw by draw, so no
+    (draws, r, r) array is built.
     """
     params = instance.params
+    if not 1 <= order <= params.k:
+        raise ValueError(f"order must lie in [1, {params.k}]")
     r = instance.smoothing_dim
     base = piece_values(instance, x).shifted
     rng = stream(budget.seed, "smooth-gradient")
-    n_pairs = max(1, budget.n_samples // 2)
-    w = sample_sphere(r, rng, size=n_pairs)
-    disp = w if params.k == 1 else w + _ball_sum(r, params.k - 1, rng, n_pairs)
-    proj = params.delta * (disp @ instance.piece_coords.T)
-    f_plus = (base[None, :] + proj).max(axis=1)
-    f_minus = (base[None, :] - proj).max(axis=1)
-    sym = 0.5 * (f_plus - f_minus)
-    g = (r / params.delta) * sym[:, None] * w
-    coords = g.mean(axis=0)
-    if n_pairs > 1:
-        stderrs = g.std(axis=0, ddof=1) / math.sqrt(n_pairs)
-        err = float(np.sqrt((stderrs**2).sum()))
+    n = max(1, budget.n_samples // 2**order)
+    spheres = [sample_sphere(r, rng, size=n) for _ in range(order)]
+    first = spheres[0]
+    if order < params.k:
+        first = first + _ball_sum(r, params.k - order, rng, n)
+    projs = [params.delta * (u @ instance.piece_coords.T) for u in [first, *spheres[1:]]]
+    combo = None
+    for signs in itertools.product((1, -1), repeat=order):
+        term = math.prod(signs) * _flipped_max(base, projs, signs)
+        combo = term if combo is None else combo + term
+    g = (r / params.delta) ** order * (combo / 2**order)[:, None] * spheres[0]
+    if order == 1:
+        # np.mean and np.var, not the moment contraction: the gradient's bits
+        # are pinned (replays compare them bit for bit)
+        tensor = g.mean(axis=0)
+        var = g.var(axis=0, ddof=1) if n > 1 else np.zeros(r)
     else:
-        err = 0.0
-    return coords, err
+        axes = "abcdefghijklm"[:order]
+        subscripts = ",".join("n" + a for a in axes) + "->" + axes
+        tensor = np.einsum(subscripts, g, *spheres[1:]) / n
+        second = np.einsum(subscripts, g * g, *(w * w for w in spheres[1:])) / n
+        var = np.maximum(second - tensor**2, 0.0) * (n / (n - 1)) if n > 1 else 0.0 * tensor
+    err = float(np.sqrt(((np.sqrt(var) / math.sqrt(n)) ** 2).sum()))
+    perms = list(itertools.permutations(range(order)))
+    tensor = sum((np.transpose(tensor, p) for p in perms[1:]), tensor) / len(perms)
+    return tensor, err
 
 
 def smoothed_gradient_mc(
@@ -279,43 +313,8 @@ def smoothed_gradient_mc(
     """Monte-Carlo gradient of the smoothed function at x, in ambient
     coordinates (lying in the piece span). Unnormalized."""
     budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
-    coords, err = _gradient_coords_mc(instance, x, budget)
+    coords, err = _tensor_coords_mc(instance, x, 1, budget)
     return instance.basis.lift(coords), err
-
-
-def _fd_tensor(
-    instance: HardInstance,
-    x: np.ndarray,
-    order: int,
-    budget: MCBudget,
-    h: float,
-) -> tuple[np.ndarray, float]:
-    """Order-j derivative tensor in basis coordinates by nested central
-    differences of the gradient estimator, sharing one stream seed so
-    all evaluations use common random numbers."""
-    params = instance.params
-    r = instance.smoothing_dim
-    if order == 1:
-        return _gradient_coords_mc(instance, x, budget)
-    slabs = []
-    sub_err = 0.0
-    for axis in range(r):
-        step = h * instance.basis.matrix[axis]
-        plus, e_plus = _fd_tensor(instance, x + step, order - 1, budget, h)
-        minus, e_minus = _fd_tensor(instance, x - step, order - 1, budget, h)
-        slabs.append((plus - minus) / (2.0 * h))
-        sub_err = max(sub_err, e_plus, e_minus)
-    tensor = np.stack(slabs, axis=0)
-    # symmetrize over axis permutations
-    if order == 2:
-        tensor = 0.5 * (tensor + tensor.T)
-    elif order > 2:
-        from itertools import permutations
-
-        perms = list(permutations(range(order)))
-        tensor = sum(np.transpose(tensor, p) for p in perms) / len(perms)
-    err = 2.0 * sub_err / h + (h * h / 6.0) * (r / params.delta) ** (order + 1)
-    return tensor, err
 
 
 def oracle_answer(
@@ -376,9 +375,9 @@ def monte_carlo_answer(
 ) -> OracleResponse:
     """Sampled answer for a query near a tie.
 
-    Value uses budget.n_samples, gradient 2*n_samples, both on streams
-    derived from the budget seed; orders >= 2 are finite differences of
-    the gradient estimator.
+    Value uses budget.n_samples, each derivative order 2*n_samples
+    function evaluations, all on streams derived from the budget seed;
+    every order comes from _tensor_coords_mc.
     """
     params = instance.params
     k = _check_order(instance, order)
@@ -388,12 +387,11 @@ def monte_carlo_answer(
         instance, x, MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
     )
     grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
-    coords, gerr = _gradient_coords_mc(instance, x, grad_budget)
+    coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget)
     higher = []
-    h = FD_STEP_FRACTION * params.delta
-    fd_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "fd"))
     for j in range(2, k + 1):
-        tensor, terr = _fd_tensor(instance, x, j, fd_budget, h)
+        tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
+        tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget)
         higher.append(
             HigherDerivative(j, is_zero=False, tensor=tensor / denom, error_bound=terr / denom)
         )

@@ -148,18 +148,22 @@ def shift_of(params: InstanceParams, i: int) -> float:
 
 
 def validate(params: InstanceParams) -> list[str]:
-    """Named inequality violations; empty iff the params are usable."""
+    """Named inequality violations; empty iff the params are usable.
+
+    Every test is written as `not (condition)`, so a NaN parameter fails
+    it instead of passing.
+    """
     v: list[str] = []
-    if params.gamma <= 0:
+    if not (params.gamma > 0):
         v.append("gamma > 0 violated")
-    if params.delta <= 0:
+    if not (params.delta > 0):
         v.append("delta > 0 violated")
     if params.m < 1 or params.T < 1 or params.k < 1:
         v.append("T, k, m must be positive")
         return v
     lhs = 2.0 * params.k * params.delta
     rhs = params.gamma / params.m
-    if lhs > rhs:
+    if not (lhs <= rhs):
         v.append(f"2k*delta <= gamma/m violated: {lhs:.6g} > {rhs:.6g}")
     if params.mode == DETERMINISTIC:
         if params.d <= params.T:
@@ -167,7 +171,7 @@ def validate(params: InstanceParams) -> list[str]:
     elif params.mode == RANDOMIZED:
         margin = lhs + 1.0 / (10.0 * params.T**1.5)
         cap = params.gamma / params.T
-        if margin >= cap:
+        if not (margin < cap):
             v.append(
                 f"2k*delta + 1/(10*T^1.5) < gamma/T violated: {margin:.6g} >= {cap:.6g}"
             )
@@ -179,7 +183,7 @@ def validate(params: InstanceParams) -> list[str]:
                 v.append(f"d >= {dmin} violated: d = {params.d}")
     else:
         v.append(f"unknown mode {params.mode!r}")
-    if not v and certified_floor_margin(params) < 0:
+    if not v and not (certified_floor_margin(params) >= 0):
         v.append(
             "floor 1/(2*sqrt(T)) not certifiable: worst-query margin "
             f"{certified_floor_margin(params):.6g} < 0"
@@ -246,6 +250,13 @@ class HardInstance:
 
     @cached_property
     def piece_matrix(self) -> np.ndarray:
+        """Piece directions as rows: the basis matrix itself when the
+        pieces are its rows (from_basis, append_piece), else a stack."""
+        rows = self.basis.matrix
+        if len(rows) == self.num_pieces and all(
+            np.array_equal(p.a, row) for p, row in zip(self.pieces, rows)
+        ):
+            return rows
         return np.array([p.a for p in self.pieces])
 
     @cached_property

@@ -60,7 +60,6 @@ class QueryRecord:
     x: np.ndarray
     response: OracleResponse
     event_e_margin: float | None
-    locality_ok: bool
 
 
 @dataclass
@@ -82,7 +81,7 @@ class Transcript:
                 "grad_norm": float(np.linalg.norm(rec.response.gradient)),
                 "regime": rec.response.regime,
                 "event_e_margin": rec.event_e_margin,
-                "locality_ok": rec.locality_ok,
+                "locality_ok": rec.response.regime == EXACT_AFFINE,
             }
             if dump_vectors:
                 row["x"] = rec.x.tolist()
@@ -246,7 +245,6 @@ class AdaptiveOracle:
                 x=x,
                 response=response,
                 event_e_margin=None,
-                locality_ok=response.regime == EXACT_AFFINE,
             )
         )
         return response
@@ -325,7 +323,6 @@ class RandomizedOracle:
                 x=x,
                 response=response,
                 event_e_margin=margin,
-                locality_ok=response.regime == EXACT_AFFINE,
             )
         )
         return response
@@ -345,11 +342,6 @@ class RandomizedOracle:
             replay_monte_carlo=True,
         )
         return self._instance, report
-
-
-def randomized_new(params: InstanceParams, seed: int, **kwargs) -> RandomizedOracle:
-    """Fresh randomized oracle (basis drawn from the seed's stream)."""
-    return RandomizedOracle(params, seed=seed, **kwargs)
 
 
 @dataclass(frozen=True)

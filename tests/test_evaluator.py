@@ -9,6 +9,7 @@ from resistor.evaluator import (
     EXACT_AFFINE,
     MONTE_CARLO,
     MCBudget,
+    _tensor_coords_mc,
     locally_affine_index,
     oracle_answer,
     piece_values,
@@ -26,7 +27,9 @@ from resistor.instance import (
     append_piece,
     params_deterministic,
     pessimal_point,
+    shift_of,
 )
+from resistor.oracles import AdaptiveOracle
 from resistor.streams import stream
 
 from conftest import abs_instance, fd_gradient_crn, unit
@@ -154,6 +157,101 @@ class TestSmoothedGradient:
         assert np.linalg.norm(g - fd) <= 3.0 * (gerr + fderr) + trunc
 
 
+# smoothed_gradient_mc on the two-piece plane instance (delta 0.005) at the
+# tie x = (0.3, 0.35, 0), MCBudget(1_000, 7): coordinates and error as
+# float.hex. The pieces are the coordinate axes, so the projections are
+# exact and the bits depend only on the draws and the estimator's
+# arithmetic.
+PINNED_GRADIENTS = {
+    1: (["0x1.edaba79bcec8bp-2", "0x1.087dd72b221a6p-1", "0x0.0p+0"], "0x1.0328a51e4fbcfp-5"),
+    2: (["0x1.f12df597c762fp-2", "0x1.11cb62e4e95e1p-1", "0x0.0p+0"], "0x1.73f7ed798034fp-5"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_GRADIENTS))
+def test_gradient_bits_pinned(k):
+    params = InstanceParams(T=2, k=k, m=2, d=3, gamma=0.1, delta=0.005, mode=DETERMINISTIC)
+    inst = HardInstance.from_basis(params, OrthonormalBasis(np.eye(3)[:2]))
+    g, err = smoothed_gradient_mc(inst, np.array([0.3, 0.35, 0.0]), MCBudget(1_000, 7))
+    coords, error = PINNED_GRADIENTS[k]
+    assert [float(v).hex() for v in g] == coords
+    assert float(err).hex() == error
+
+
+class TestDerivativeTensors:
+    def test_abs_hessian_closed_form(self):
+        # f = |x_1| smoothed twice: f'' = (2 delta - |x_1|) / (2 delta^2) inside
+        # |x_1| < 2 delta, 0 beyond. With r = 1 the sphere is {-1, 1}, so the
+        # sign flips of every draw visit the four points x + delta(+-1 +-1):
+        # the estimate is exact up to rounding, its reported error 0 up to
+        # the rounding of the second moments.
+        p = params_deterministic(4, 2)
+        inst = abs_instance(p)
+        delta = p.delta
+        for t, frac in enumerate((-1.7, -0.6, 0.0, 0.3, 1.2, 1.99, 2.5, -3.0)):
+            x = frac * delta * unit(p.d, 0)
+            exact = max(0.0, (2.0 * delta - abs(x[0])) / (2.0 * delta**2))
+            tensor, err = _tensor_coords_mc(inst, x, 2, MCBudget(400, t))
+            assert tensor.shape == (1, 1)
+            assert tensor[0, 0] == pytest.approx(exact, rel=1e-9, abs=1e-9 / delta)
+            assert err <= 1e-6 / delta
+            if abs(frac) < 2.0:
+                resp = oracle_answer(inst, x, budget=MCBudget(200, t))
+                assert resp.regime == MONTE_CARLO
+                hess = resp.hessian()
+                assert hess.tensor[0, 0] * p.norm_denom == pytest.approx(exact, rel=1e-9)
+
+    def test_order_outside_range(self):
+        inst = abs_instance(params_deterministic(4, 2))
+        for order in (0, 3):
+            with pytest.raises(ValueError, match="order"):
+                _tensor_coords_mc(inst, np.zeros(inst.params.d), order, MCBudget(100, 0))
+
+
+def _tie_hessian(r: int, delta: float) -> np.ndarray:
+    """Hessian of max(a_1.x + s_1, a_r.x + s_r), a_i the basis axes, smoothed
+    twice over radius-delta balls of R^r, at a point where the two tie.
+
+    The max is linear plus |c.x|/2 with c = e_1 - e_r, so the Hessian is
+    dens(0) c c^T, dens being the density of c.(delta (v_1 + v_2)). A unit
+    vector's coordinate on the uniform r-ball has density
+    q(s) = C (1 - s^2)^((r - 1)/2), and the integral of q^2 is
+    C^2 B(1/2, r).
+    """
+    const = math.gamma(r / 2 + 1) / (math.sqrt(math.pi) * math.gamma((r + 1) / 2))
+    q2 = const**2 * math.sqrt(math.pi) * math.gamma(r) / math.gamma(r + 0.5)
+    c = np.zeros(r)
+    c[0], c[-1] = 1.0, -1.0
+    return q2 / (math.sqrt(2.0) * delta) * np.outer(c, c)
+
+
+def test_tie_client_hessians_have_useful_honest_errors():
+    """Query t >= 2 of this client ties piece t with piece 1 exactly (the
+    pieces in between sit gamma/T below, beyond the smoothing's reach), so
+    every answer after the first is Monte Carlo with a closed-form Hessian.
+    Each reported error must be below a tenth of the Hessian's norm and
+    cover the distance to the closed form."""
+    p = params_deterministic(9, 2)
+    oracle = AdaptiveOracle(p, seed=0)
+    first = oracle.query(np.zeros(p.d))
+    known = [first.gradient * p.norm_denom]
+    rng = np.random.default_rng(0)
+    for t in range(2, p.T + 1):
+        e = rng.standard_normal(p.d)
+        for _ in range(2):
+            for u in known:
+                e -= (u @ e) * u
+        e /= np.linalg.norm(e)
+        known.append(e)
+        resp = oracle.query((shift_of(p, 1) - shift_of(p, t)) * e)
+        assert resp.regime == MONTE_CARLO
+        hess = resp.hessian()
+        norm = float(np.linalg.norm(hess.tensor))
+        assert hess.error_bound < 0.1 * norm
+        exact = _tie_hessian(t, p.delta) / p.norm_denom
+        assert np.linalg.norm(hess.tensor - exact) <= 3.0 * hess.error_bound
+
+
 class TestOracleAnswer:
     def test_fresh_instance_origin(self):
         p = params_deterministic(4, 2)
@@ -207,7 +305,9 @@ class TestOracleAnswer:
         )
         basis = OrthonormalBasis(np.vstack([unit(3, 0), unit(3, 1)]))
         inst = HardInstance.from_basis(params, basis)
-        resp = oracle_answer(inst, np.array([0.3, 0.35, 0.0]), budget=MCBudget(500, 4))
+        # one delta off the tie: inside the 2*k*delta band, third derivative non-zero
+        resp = oracle_answer(inst, np.array([0.3, 0.345, 0.0]), budget=MCBudget(500, 4))
+        assert resp.regime == MONTE_CARLO
         orders = {h.order: h for h in resp.higher}
         assert set(orders) == {2, 3}
         cubic = orders[3]
@@ -218,7 +318,11 @@ class TestOracleAnswer:
         for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
             np.testing.assert_allclose(cubic.tensor, np.transpose(cubic.tensor, perm), atol=1e-9)
         assert cubic.error_bound > orders[2].error_bound
-
+        # at the exact tie the smoothed function minus its tangent plane is
+        # even, so the third derivative vanishes and the sign flips of each
+        # draw cancel it
+        tie = oracle_answer(inst, np.array([0.3, 0.35, 0.0]), budget=MCBudget(500, 4))
+        assert np.abs(tie.higher[1].tensor).max() <= 1e-6
     def test_scaled_response(self, plane_instance):
         resp = oracle_answer(plane_instance, np.array([0.5, 0.0, 0.0]))
         scaled = resp.scaled(0.25)

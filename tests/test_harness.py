@@ -273,6 +273,24 @@ class TestCLI:
         assert code == 0
         assert json.loads(out.read_text())["n_seeds"] == 3
 
+    def test_grid(self, capsys):
+        code = cli.main(["grid", "--budgets", "4", "9", "--seed", "1"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(out) == 1 + 10 + 1  # header, 5 (k, method) cells x 2 budgets, verdict
+        assert out[-1] == "grid: PASS"
+        assert [line.split()[:3] for line in out[1:3]] == [["psg", "1", "4"], ["psg", "1", "9"]]
+
+    def test_grid_exit_code_reflects_failures(self, monkeypatch, capsys):
+        real = cli.run_experiment
+
+        def failing(config):
+            return dataclasses.replace(real(config), passed=config.method != "agd")
+
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        assert cli.main(["grid", "--budgets", "4"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "grid: 2 failures"
+
     def test_dump_vectors_transcript(self, tmp_path):
         out = tmp_path / "run.csv"
         cli.main(

@@ -215,6 +215,21 @@ class TestValidate:
         p = dataclasses.replace(params_randomized(4, 1, 0.2), d=100)
         assert any("violated: d = 100" in v for v in validate(p))
 
+    @pytest.mark.parametrize("field", ["gamma", "delta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scales_fail(self, field, bad):
+        for params in (params_deterministic(9, 1), params_randomized(4, 1, 0.2)):
+            assert validate(dataclasses.replace(params, **{field: bad})) != []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fail_prob_fails(self, bad):
+        p = dataclasses.replace(params_randomized(4, 1, 0.2), fail_prob=bad)
+        assert any("fail_prob" in v for v in validate(p))
+
+    def test_nan_norm_denom_fails_floor_check(self):
+        p = dataclasses.replace(params_deterministic(9, 1), norm_denom=math.nan)
+        assert any("not certifiable" in v for v in validate(p))
+
 
 @given(st.integers(0, 2**31), st.integers(3, 7))
 @settings(max_examples=25, deadline=None)
@@ -232,6 +247,24 @@ def test_appended_pieces_stay_orthonormal(seed, T):
     np.testing.assert_allclose(gram, np.eye(T), atol=1e-9)
     xhat, _ = pessimal_point(inst)
     assert abs(np.linalg.norm(xhat) - 1.0) < 1e-10
+
+
+class TestPieceMatrix:
+    def test_basis_rows_are_not_copied(self):
+        p = params_deterministic(4, 1)
+        from_basis = HardInstance.from_basis(p, OrthonormalBasis(np.eye(p.d)[:3]))
+        assert from_basis.piece_matrix is from_basis.basis.matrix
+        inst = HardInstance.empty(p)
+        for t in range(1, 4):
+            inst = append_piece(inst, np.zeros(p.d), stream(0, "piece", t))
+        assert inst.piece_matrix is inst.basis.matrix
+
+    def test_custom_pieces_are_stacked(self):
+        p = params_deterministic(4, 1)
+        a = unit(p.d, 0)
+        inst = HardInstance.custom(p, np.vstack([a, -a]), [0.0, 0.0])
+        assert inst.piece_matrix is not inst.basis.matrix
+        np.testing.assert_array_equal(inst.piece_matrix, np.vstack([a, -a]))
 
 
 class TestConstructorChecks:

@@ -43,7 +43,7 @@ class DirectOracle:
         i = len(self.transcript) + 1
         budget = MCBudget(10_000, child_seed(self.seed, "mc", i))
         resp = oracle_answer(self.instance, x, budget=budget).scaled(self.rescale)
-        self.transcript.records.append(QueryRecord(i, x, resp, None, True))
+        self.transcript.records.append(QueryRecord(i, x, resp, None))
         return resp
 
 

@@ -23,7 +23,6 @@ from resistor.oracles import (
     RandomizedOracle,
     Transcript,
     event_e_check,
-    randomized_new,
 )
 from resistor.optimizers import OptimizerConfig, run_method, run_projected_subgradient
 from resistor.streams import stream
@@ -127,14 +126,14 @@ class TestAdaptiveOracle:
 
 class TestRandomizedOracle:
     def test_pieces_orthonormal(self):
-        oracle = randomized_new(small_randomized_params(), seed=0)
+        oracle = RandomizedOracle(small_randomized_params(), seed=0)
         gram = oracle.instance.piece_matrix @ oracle.instance.piece_matrix.T
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-9)
 
     def test_same_seed_same_instance(self):
         p = small_randomized_params()
-        a = randomized_new(p, seed=9).instance.piece_matrix
-        b = randomized_new(p, seed=9).instance.piece_matrix
+        a = RandomizedOracle(p, seed=9).instance.piece_matrix
+        b = RandomizedOracle(p, seed=9).instance.piece_matrix
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_seeds_nearly_orthogonal_first_pieces(self):
@@ -142,20 +141,20 @@ class TestRandomizedOracle:
         p = small_randomized_params()
         close = 0
         for pair in range(25):
-            a = randomized_new(p, seed=1000 + 2 * pair).instance.pieces[0].a
-            b = randomized_new(p, seed=1001 + 2 * pair).instance.pieces[0].a
+            a = RandomizedOracle(p, seed=1000 + 2 * pair).instance.pieces[0].a
+            b = RandomizedOracle(p, seed=1001 + 2 * pair).instance.pieces[0].a
             if abs(np.dot(a, b)) < 0.1:
                 close += 1
         assert close == 25
 
     def test_zero_query_margin_zero(self):
-        oracle = randomized_new(small_randomized_params(), seed=3)
+        oracle = RandomizedOracle(small_randomized_params(), seed=3)
         oracle.query(np.zeros(oracle.params.d))
         assert oracle.transcript.records[0].event_e_margin == 0.0
 
     def test_cheating_query_violates_event(self):
         p = small_randomized_params()
-        oracle = randomized_new(p, seed=4)
+        oracle = RandomizedOracle(p, seed=4)
         hidden = oracle.instance.pieces[-1].a
         oracle.query(hidden)
         check = event_e_check(oracle.transcript, p)
@@ -164,7 +163,7 @@ class TestRandomizedOracle:
 
     def test_honest_subgradient_run_holds_event(self):
         p = small_randomized_params()
-        oracle = randomized_new(p, seed=5)
+        oracle = RandomizedOracle(p, seed=5)
         run_projected_subgradient(oracle)
         check = event_e_check(oracle.transcript, p)
         assert check.held
@@ -172,7 +171,7 @@ class TestRandomizedOracle:
 
     def test_finalize_full_replay_bitwise(self):
         p = small_randomized_params()
-        oracle = randomized_new(p, seed=6)
+        oracle = RandomizedOracle(p, seed=6)
         run_projected_subgradient(oracle)
         _, report = oracle.finalize()
         assert report.all_equal
@@ -260,7 +259,7 @@ class TestEventECheck:
         )
         t = Transcript("randomized", params)
         for i, m in enumerate(margins, start=1):
-            t.records.append(QueryRecord(i, np.zeros(3), dummy, m, True))
+            t.records.append(QueryRecord(i, np.zeros(3), dummy, m))
         return t
 
     def test_all_zero_held(self):
@@ -307,7 +306,7 @@ class TestTailResampling:
 
     def test_exact_affine_answer_bitwise_stable(self):
         p = small_randomized_params()
-        inst = randomized_new(p, seed=12).instance
+        inst = RandomizedOracle(p, seed=12).instance
         other = self._resampled_tail(inst, keep=2)
         x = 0.3 * inst.pieces[0].a
         r1 = oracle_answer(inst, x)
@@ -318,7 +317,7 @@ class TestTailResampling:
 
     def test_monte_carlo_answer_stable_to_tolerance(self):
         p = small_randomized_params()
-        inst = randomized_new(p, seed=13).instance
+        inst = RandomizedOracle(p, seed=13).instance
         other = self._resampled_tail(inst, keep=3)
         a1, a2 = inst.pieces[0].a, inst.pieces[1].a
         # tie pieces 1 and 2 while keeping |a_j . x| tiny for j >= 3
@@ -352,6 +351,9 @@ class TestTranscriptSerialization:
         row = json.loads(lines[0])
         assert set(row) == {"i", "x_norm", "value", "grad_norm", "regime", "event_e_margin", "locality_ok"}
         assert "x" not in row
+        for line in lines:
+            row = json.loads(line)
+            assert row["locality_ok"] == (row["regime"] == EXACT_AFFINE)
 
     def test_jsonl_with_vectors(self, tmp_path):
         p = params_deterministic(4, 1)
