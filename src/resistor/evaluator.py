@@ -168,9 +168,9 @@ class PieceValues(NamedTuple):
 def piece_values(instance: HardInstance, x: np.ndarray) -> PieceValues:
     """All piece evaluations a_i.x and a_i.x + shift_i at x.
 
-    Dots are taken piece by piece so the result for piece i is
-    bit-identical whether or not later pieces exist (replays depend on
-    this).
+    np.vecdot takes one dot product per row, so the result for piece i is
+    bit-identical to np.dot(a_i, x) whether or not later pieces exist
+    (replays depend on this); a matrix-vector product M @ x is not.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.params.d,):
@@ -178,7 +178,7 @@ def piece_values(instance: HardInstance, x: np.ndarray) -> PieceValues:
             f"dimension mismatch: query has shape {x.shape}, instance is "
             f"{instance.params.d}-dimensional"
         )
-    linear = np.array([np.dot(p.a, x) for p in instance.pieces])
+    linear = np.vecdot(instance.piece_matrix, x)
     return PieceValues(linear=linear, shifted=linear + instance.piece_shifts)
 
 
@@ -191,7 +191,8 @@ def locally_affine_index(
     Each piece is 1-Lipschitz, so this margin keeps the argmax constant
     on the radius-(k*delta) ball the smoothing averages over; ties and
     boundary (margin exactly 2*k*delta) go to Monte Carlo. values, if
-    given, must be piece_values(instance, x).
+    given, must be piece_values(instance, x). The runner-up is the max of
+    the two slices around the argmax, views rather than a copy.
     """
     if instance.num_pieces == 0:
         return None
@@ -199,8 +200,8 @@ def locally_affine_index(
     j = int(np.argmax(shifted))
     if instance.num_pieces == 1:
         return 1
-    others = np.delete(shifted, j)
-    margin = shifted[j] - others.max()
+    runner_up = max(shifted[:j].max(initial=-np.inf), shifted[j + 1:].max(initial=-np.inf))
+    margin = shifted[j] - runner_up
     threshold = 2.0 * instance.params.k * instance.params.delta
     return j + 1 if margin > threshold else None
 
@@ -229,19 +230,24 @@ def smoothed_value_mc(
     Averages the shifted max-affine function over x + delta * (v_1 + ...
     + v_k), v_j i.i.d. uniform in the unit ball of the piece span.
     Returns (estimate, standard error). Unnormalized (no norm_denom).
+    Needs n_samples >= 2: one sample has no standard error.
     """
     budget = budget or MCBudget()
     params = instance.params
     r = instance.smoothing_dim
     if r == 0:
         raise ValueError("instance has no pieces to evaluate")
+    if budget.n_samples < 2:
+        raise ValueError(
+            f"a Monte-Carlo value needs n_samples >= 2 for a standard error, got {budget.n_samples}"
+        )
     base = piece_values(instance, x).shifted
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
     c = _ball_sum(r, params.k, rng, n)
     vals = (base[None, :] + params.delta * (c @ instance.piece_coords.T)).max(axis=1)
     est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / math.sqrt(n))
     return est, stderr
 
 
@@ -271,15 +277,21 @@ def _tensor_coords_mc(
     (-w, -v). Returns (tensor symmetrised over its axes, error bound),
     the error bound being the root-sum-square of the per-entry standard
     errors. Second moments are contracted draw by draw, so no
-    (draws, r, r) array is built.
+    (draws, r, r) array is built. Needs two draws for a standard error,
+    so n_samples >= 2^(j+1).
     """
     params = instance.params
     if not 1 <= order <= params.k:
         raise ValueError(f"order must lie in [1, {params.k}]")
+    if budget.n_samples < 2 ** (order + 1):
+        raise ValueError(
+            f"an order-{order} Monte-Carlo estimate needs n_samples >= {2 ** (order + 1)} "
+            f"(two draws at {2 ** order} sign flips each), got {budget.n_samples}"
+        )
     r = instance.smoothing_dim
     base = piece_values(instance, x).shifted
     rng = stream(budget.seed, "smooth-gradient")
-    n = max(1, budget.n_samples // 2**order)
+    n = budget.n_samples // 2**order
     spheres = [sample_sphere(r, rng, size=n) for _ in range(order)]
     first = spheres[0]
     if order < params.k:
@@ -294,13 +306,13 @@ def _tensor_coords_mc(
         # np.mean and np.var, not the moment contraction: the gradient's bits
         # are pinned (replays compare them bit for bit)
         tensor = g.mean(axis=0)
-        var = g.var(axis=0, ddof=1) if n > 1 else np.zeros(r)
+        var = g.var(axis=0, ddof=1)
     else:
         axes = "abcdefghijklm"[:order]
         subscripts = ",".join("n" + a for a in axes) + "->" + axes
         tensor = np.einsum(subscripts, g, *spheres[1:]) / n
         second = np.einsum(subscripts, g * g, *(w * w for w in spheres[1:])) / n
-        var = np.maximum(second - tensor**2, 0.0) * (n / (n - 1)) if n > 1 else 0.0 * tensor
+        var = np.maximum(second - tensor**2, 0.0) * (n / (n - 1))
     err = float(np.sqrt(((np.sqrt(var) / math.sqrt(n)) ** 2).sum()))
     perms = list(itertools.permutations(range(order)))
     tensor = sum((np.transpose(tensor, p) for p in perms[1:]), tensor) / len(perms)
@@ -353,12 +365,14 @@ def exact_answer(
     The smoothing of a single affine piece is that piece, so the value
     is values.shifted[idx - 1], the gradient a_idx and higher orders
     vanish; values must be piece_values(instance, x) at the query x.
+    With norm_denom 1 the gradient is the read-only piece row itself.
     """
     k = _check_order(instance, order)
     denom = instance.params.norm_denom
+    a = instance.pieces[idx - 1].a
     return OracleResponse(
         value=float(values.shifted[idx - 1] / denom),
-        gradient=instance.pieces[idx - 1].a / denom,
+        gradient=a if denom == 1.0 else a / denom,
         higher=tuple(HigherDerivative(j, is_zero=True) for j in range(2, k + 1)),
         regime=EXACT_AFFINE,
         affine_index=idx,

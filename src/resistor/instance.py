@@ -250,14 +250,9 @@ class HardInstance:
 
     @cached_property
     def piece_matrix(self) -> np.ndarray:
-        """Piece directions as rows: the basis matrix itself when the
-        pieces are its rows (from_basis, append_piece), else a stack."""
-        rows = self.basis.matrix
-        if len(rows) == self.num_pieces and all(
-            np.array_equal(p.a, row) for p, row in zip(self.pieces, rows)
-        ):
-            return rows
-        return np.array([p.a for p in self.pieces])
+        """Piece directions as rows: the basis matrix itself for from_basis
+        and append_piece instances (set by _of_basis_rows), else a stack."""
+        return np.array([p.a for p in self.pieces]).reshape(self.num_pieces, self.params.d)
 
     @cached_property
     def piece_shifts(self) -> np.ndarray:
@@ -267,6 +262,21 @@ class HardInstance:
     def piece_coords(self) -> np.ndarray:
         """Piece directions in basis coordinates, shape (pieces, smoothing_dim)."""
         return np.array([self.basis.coords(p.a) for p in self.pieces])
+
+    @classmethod
+    def _of_basis_rows(
+        cls,
+        params: InstanceParams,
+        pieces: tuple[AffinePiece, ...],
+        basis: OrthonormalBasis,
+        shifts: np.ndarray,
+    ) -> "HardInstance":
+        """Instance whose pieces are the rows of basis, in order, with the
+        given shifts: piece_matrix and piece_shifts are set here instead of
+        being derived piece by piece."""
+        instance = cls(params, pieces, basis)
+        vars(instance).update(piece_matrix=basis.matrix, piece_shifts=shifts)
+        return instance
 
     @classmethod
     def empty(cls, params: InstanceParams) -> "HardInstance":
@@ -284,7 +294,7 @@ class HardInstance:
             AffinePiece(index=i + 1, a=row, shift=shift_of(params, i + 1))
             for i, row in enumerate(basis.matrix)
         )
-        return cls(params, pieces, basis)
+        return cls._of_basis_rows(params, pieces, basis, np.array([p.shift for p in pieces]))
 
     @classmethod
     def custom(
@@ -338,7 +348,12 @@ def append_piece(
     idx = instance.num_pieces + 1
     piece = AffinePiece(index=idx, a=unit, shift=shift_of(params, idx))
     _check_in_span(piece, basis)
-    return HardInstance(params, instance.pieces + (piece,), basis)
+    return HardInstance._of_basis_rows(
+        params,
+        instance.pieces + (piece,),
+        basis,
+        np.append(instance.piece_shifts, piece.shift),
+    )
 
 
 def pessimal_point(instance: HardInstance) -> tuple[Vector, float]:

@@ -10,6 +10,7 @@ from resistor.evaluator import (
     MONTE_CARLO,
     MCBudget,
     _tensor_coords_mc,
+    exact_answer,
     locally_affine_index,
     oracle_answer,
     piece_values,
@@ -22,14 +23,16 @@ from resistor.geometry import OrthonormalBasis, perp_component
 from resistor.harness import audit_instance
 from resistor.instance import (
     DETERMINISTIC,
+    RANDOMIZED,
     HardInstance,
     InstanceParams,
     append_piece,
     params_deterministic,
+    params_randomized,
     pessimal_point,
     shift_of,
 )
-from resistor.oracles import AdaptiveOracle
+from resistor.oracles import AdaptiveOracle, RandomizedOracle
 from resistor.streams import stream
 
 from conftest import abs_instance, fd_gradient_crn, unit
@@ -77,6 +80,41 @@ def test_piece_values_rows_ignore_later_pieces(seed, T, extra_d):
         assert part.shifted.tobytes() == full.shifted[:t].tobytes()
 
 
+def _kernel_instance(kind: str, seed: int, r: int, d: int) -> HardInstance:
+    """r <= 24 pieces in R^d, d > 24: an adaptive chain, a from_basis
+    instance, or a custom instance with unit directions that are not
+    orthogonal."""
+    p = params_deterministic(24, 1, d=d)
+    rng = stream(seed, "kernel")
+    if kind == "adaptive":
+        inst = HardInstance.empty(p)
+        for t in range(1, r + 1):
+            x = rng.standard_normal(d)
+            inst = append_piece(inst, x / np.linalg.norm(x), stream(seed, "piece", t))
+        return inst
+    rows = rng.standard_normal((r, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    if kind == "from_basis":
+        return HardInstance.from_basis(p, OrthonormalBasis(np.linalg.qr(rows.T)[0].T))
+    return HardInstance.custom(p, rows, rng.standard_normal(r))
+
+
+@given(
+    st.sampled_from(["adaptive", "from_basis", "custom"]),
+    st.integers(0, 2**31),
+    st.integers(1, 24),
+    st.integers(1, 1000),
+)
+@settings(max_examples=40, deadline=None)
+def test_piece_values_match_per_row_dot(kind, seed, r, extra_d):
+    """The one-call kernel gives each piece the bits of np.dot(a_i, x)."""
+    inst = _kernel_instance(kind, seed, r, 24 + extra_d)
+    x = stream(seed, "point").standard_normal(inst.params.d)
+    x /= np.linalg.norm(x)
+    linear = piece_values(inst, x).linear
+    assert linear.tobytes() == np.array([np.dot(a, x) for a in inst.piece_matrix]).tobytes()
+
+
 class TestLocallyAffineIndex:
     def test_clear_winner(self, plane_instance):
         # margin 0.55 over the 0.02 band
@@ -97,6 +135,32 @@ class TestLocallyAffineIndex:
         pv = piece_values(inst, x).shifted
         assert pv[0] - pv[1] == 2 * params.k * params.delta
         assert locally_affine_index(inst, x) is None
+
+    @pytest.mark.parametrize(
+        "target, expected",
+        [
+            ((0.5, 0.5, 0.0), None),  # exact ties, wherever the runner-up sits
+            ((0.0, 0.5, 0.5), None),
+            ((0.5, 0.0, 0.5), None),
+            ((0.5, 0.5, 0.5), None),
+            ((0.5, 0.5 - 1 / 32, 0.0), None),  # margin exactly 2*k*delta
+            ((0.5 - 1 / 32, 0.5, 0.25), None),
+            ((0.0, 0.5 - 1 / 32, 0.5), None),
+            ((0.5, 0.5 - 1 / 16, 0.0), 1),  # margin 2 * 2*k*delta
+            ((0.5 - 1 / 16, 0.5, 0.5 - 1 / 16), 2),
+            ((0.0, 0.5 - 1 / 16, 0.5), 3),
+        ],
+    )
+    def test_top_two_margin(self, target, expected):
+        # binary fractions throughout, so every shifted value is exactly
+        # the target and 2*k*delta is exactly 1/32
+        params = InstanceParams(
+            T=3, k=1, m=4, d=4, gamma=0.25, delta=1.0 / 64.0, mode=DETERMINISTIC
+        )
+        inst = HardInstance.from_basis(params, OrthonormalBasis(np.eye(4)[:3]))
+        x = np.append(np.array(target) - inst.piece_shifts, 0.0)
+        assert piece_values(inst, x).shifted.tolist() == list(target)
+        assert locally_affine_index(inst, x) == expected
 
     def test_single_piece_always_affine(self):
         p = params_deterministic(4, 1)
@@ -127,6 +191,13 @@ class TestSmoothedValue:
         closed = piece_values(plane_instance, x).shifted[idx - 1]
         est, se = smoothed_value_mc(plane_instance, x, MCBudget(30_000, 2))
         assert abs(est - closed) <= 3 * se
+
+    def test_one_sample_refused(self, plane_instance):
+        # one sample has no standard error; it must not report 0
+        x = np.array([0.3, 0.35, 0.0])
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            smoothed_value_mc(plane_instance, x, MCBudget(1, 0))
+        assert smoothed_value_mc(plane_instance, x, MCBudget(2, 0))[1] > 0
 
     def test_deterministic_given_budget(self, plane_instance):
         x = np.array([0.3, 0.35, 0.0])
@@ -200,6 +271,21 @@ class TestDerivativeTensors:
                 assert resp.regime == MONTE_CARLO
                 hess = resp.hessian()
                 assert hess.tensor[0, 0] * p.norm_denom == pytest.approx(exact, rel=1e-9)
+
+    def test_one_draw_refused(self, plane_instance):
+        # order j needs two draws of 2^j evaluations for a standard error
+        x = np.array([0.3, 0.35, 0.0])
+        with pytest.raises(ValueError, match="n_samples >= 4"):
+            smoothed_gradient_mc(plane_instance, x, MCBudget(3, 0))
+        assert smoothed_gradient_mc(plane_instance, x, MCBudget(4, 0))[1] > 0
+        params = InstanceParams(
+            T=2, k=3, m=2, d=3, gamma=0.1, delta=0.001, mode=DETERMINISTIC, norm_denom=1.0
+        )
+        inst = HardInstance.from_basis(params, plane_instance.basis)
+        for order, minimum in ((1, 4), (2, 8), (3, 16)):
+            with pytest.raises(ValueError, match=f"n_samples >= {minimum}"):
+                _tensor_coords_mc(inst, x, order, MCBudget(minimum - 1, 0))
+            assert np.isfinite(_tensor_coords_mc(inst, x, order, MCBudget(minimum, 0))[1])
 
     def test_order_outside_range(self):
         inst = abs_instance(params_deterministic(4, 2))
@@ -277,6 +363,31 @@ class TestOracleAnswer:
         resp = oracle_answer(plane_instance, np.array([0.25, 0.30, 0.0]), budget=MCBudget(4_000, 2))
         residual = perp_component(resp.gradient, plane_instance.basis)
         assert np.linalg.norm(residual) <= 1e-10
+
+    def test_one_sample_budget_refused_near_tie(self, plane_instance):
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            oracle_answer(plane_instance, np.array([0.3, 0.35, 0.0]), budget=MCBudget(1, 0))
+
+    def test_unnormalized_exact_gradient_is_the_piece_row(self):
+        # norm_denom 1 (randomized mode): the gradient is the frozen row,
+        # not a copy of it
+        p = params_randomized(4, 1, 0.2)
+        oracle = RandomizedOracle(p, seed=12)
+        row = oracle.instance.basis.matrix[0]
+        resp = oracle.query(0.3 * row)
+        assert resp.regime == EXACT_AFFINE and resp.affine_index == 1
+        assert not resp.gradient.flags.writeable
+        assert np.shares_memory(resp.gradient, row)
+        assert resp.gradient.tobytes() == row.tobytes()
+        # deterministic mode divides by norm_denom > 1, bits unchanged
+        det = AdaptiveOracle(params_deterministic(9, 1), seed=1)
+        resp = det.query(np.zeros(det.params.d))
+        a = det.instance.pieces[0].a
+        assert det.params.norm_denom > 1.0
+        assert resp.gradient.tobytes() == (a / det.params.norm_denom).tobytes()
+        assert not np.shares_memory(resp.gradient, a)
+        values = piece_values(det.instance, np.zeros(det.params.d))
+        assert exact_answer(det.instance, values, 1).gradient.tobytes() == resp.gradient.tobytes()
 
     def test_infeasible_query(self, plane_instance):
         with pytest.raises(ValueError, match="unit ball"):

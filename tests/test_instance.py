@@ -259,12 +259,32 @@ class TestPieceMatrix:
             inst = append_piece(inst, np.zeros(p.d), stream(0, "piece", t))
         assert inst.piece_matrix is inst.basis.matrix
 
+    def test_append_chain_shares_the_basis_matrix(self):
+        # every instance of the chain gets the basis matrix and the shifts
+        # from its constructor, equal to what the pieces themselves give
+        p = params_deterministic(400, 1)
+        rng = stream(3, "queries")
+        inst = HardInstance.empty(p)
+        assert inst.piece_matrix.shape == (0, p.d) and inst.piece_shifts.shape == (0,)
+        for t in range(1, p.T + 1):
+            x = rng.standard_normal(p.d)
+            inst = append_piece(inst, x / np.linalg.norm(x), stream(3, "piece", t))
+            assert inst.piece_matrix is inst.basis.matrix
+            assert inst.piece_shifts.tobytes() == np.array([pc.shift for pc in inst.pieces]).tobytes()
+        from_basis = HardInstance.from_basis(p, inst.basis)
+        assert from_basis.piece_matrix is inst.basis.matrix
+        assert from_basis.piece_shifts.tobytes() == inst.piece_shifts.tobytes()
+
     def test_custom_pieces_are_stacked(self):
         p = params_deterministic(4, 1)
         a = unit(p.d, 0)
         inst = HardInstance.custom(p, np.vstack([a, -a]), [0.0, 0.0])
         assert inst.piece_matrix is not inst.basis.matrix
         np.testing.assert_array_equal(inst.piece_matrix, np.vstack([a, -a]))
+        standard = HardInstance.from_basis(p, OrthonormalBasis(np.eye(p.d)[:3]))
+        back = from_json(to_json(standard))
+        assert back.piece_matrix is not back.basis.matrix
+        assert back.piece_matrix.tobytes() == standard.piece_matrix.tobytes()
 
 
 class TestConstructorChecks:
