@@ -218,7 +218,7 @@ def _ball_sum(r: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """Sum of k i.i.d. uniform ball samples, shape (n, r)."""
     total = sample_ball(r, rng, size=n)
     for _ in range(k - 1):
-        total = total + sample_ball(r, rng, size=n)
+        total += sample_ball(r, rng, size=n)
     return total
 
 

@@ -202,13 +202,14 @@ def sample_sphere(r: int, rng: np.random.Generator, size: int | None = None) -> 
         raise ValueError("r must be a positive integer")
     n = 1 if size is None else int(size)
     g = rng.standard_normal((n, r))
-    norms = np.linalg.norm(g, axis=1)
+    # np.linalg.norm(g, axis=1) without its conj() copy, bit for bit
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
     while np.any(norms == 0.0):  # probability-zero guard
         bad = norms == 0.0
         g[bad] = rng.standard_normal((int(bad.sum()), r))
-        norms = np.linalg.norm(g, axis=1)
-    v = g / norms[:, None]
-    return v[0] if size is None else v
+        norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    g /= norms[:, None]
+    return g[0] if size is None else g
 
 
 def sample_ball(r: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -222,7 +223,7 @@ def sample_ball(r: int, rng: np.random.Generator, size: int | None = None) -> np
     n = 1 if size is None else int(size)
     v = sample_sphere(r, rng, size=n)
     radii = rng.random(n) ** (1.0 / r)
-    v = v * radii[:, None]
+    v *= radii[:, None]
     return v[0] if size is None else v
 
 
@@ -230,11 +231,32 @@ def random_orthonormal_basis(
     d: int, count: int, rng: np.random.Generator, tol: float = ORTHONORMALITY_TOL
 ) -> OrthonormalBasis:
     """Gram-Schmidt on i.i.d. Gaussian vectors: a rotation-invariant
-    random orthonormal set of `count` vectors in R^d."""
+    random orthonormal set of `count` vectors in R^d.
+
+    Built in place in one (count, d) array plus one d-sized scratch
+    vector: row n is drawn into its slot, projected twice against the
+    rows above it and normalized, with the same operations on the same
+    operands as a chain of orthonormal_extend calls, so the result is
+    bit-identical to that chain on the same stream.
+    """
     if d < count:
         raise ValueError(f"cannot fit {count} orthonormal vectors in dimension {d}")
-    basis = OrthonormalBasis.empty(d, tol)
-    while len(basis) < count:
-        basis, unit = orthonormal_extend(basis, rng.standard_normal(d), capacity=count)
-        # a degenerate Gaussian draw has probability zero; just redraw
-    return basis
+    rows = np.empty((count, d))
+    scratch = np.empty(d)
+    n = 0
+    while n < count:
+        row, prev = rows[n], rows[:n]
+        rng.standard_normal(out=row)
+        for _ in range(2):
+            if n:
+                np.matmul(prev.T, prev @ row, out=scratch)
+                np.subtract(row, scratch, out=row)
+            norm = np.linalg.norm(row)
+            if not (norm > DEGENERACY_TOL):
+                # probability zero for a Gaussian draw: redraw into this row
+                break
+        else:
+            np.divide(row, norm, out=row)
+            n += 1
+    rows.setflags(write=False)
+    return OrthonormalBasis(rows, tol)

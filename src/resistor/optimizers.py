@@ -79,7 +79,14 @@ def run_projected_subgradient(oracle, config: OptimizerConfig | None = None):
     for t in range(1, budget + 1):
         response = oracle.query(x)
         eta = scale / math.sqrt(t)
-        x = project_ball(x - eta * response.gradient)
+        # project_ball(x - eta * g) in one fresh array: x was queried, and
+        # an oracle may keep it by reference, so x itself is never written
+        x_next = eta * response.gradient
+        np.subtract(x, x_next, out=x_next)
+        norm = np.linalg.norm(x_next)
+        if not (norm <= 1.0):
+            x_next /= norm
+        x = x_next
     return oracle.transcript
 
 

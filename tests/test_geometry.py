@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +138,74 @@ class TestSampleSphere:
         assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-12
 
 
+def reference_basis(d, count, rng):
+    """random_orthonormal_basis as a chain of orthonormal_extend calls,
+    a degenerate draw being redrawn."""
+    basis = OrthonormalBasis.empty(d)
+    while len(basis) < count:
+        basis, _ = orthonormal_extend(basis, rng.standard_normal(d), capacity=count)
+    return basis
+
+
+class SpanDraw:
+    """Generator whose second draw is twice the first, so it lies in the
+    span of the first row and must be redrawn."""
+
+    def __init__(self, seed):
+        self.rng = stream(seed, "span-draw")
+        self.draws = []
+
+    def standard_normal(self, size=None, out=None):
+        g = self.rng.standard_normal(size if out is None else out.shape)
+        if len(self.draws) == 1:
+            g = 2.0 * self.draws[0]
+        self.draws.append(g)
+        if out is None:
+            return g
+        out[...] = g
+        return out
+
+
+count_and_dim = st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 300)))
+
+
 class TestRandomOrthonormalBasis:
+    @given(st.integers(0, 2**32 - 1), count_and_dim)
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_extend_chain(self, seed, sizes):
+        count, d = sizes
+        basis = random_orthonormal_basis(d, count, stream(seed, "basis"))
+        reference = reference_basis(d, count, stream(seed, "basis"))
+        assert basis.matrix.tobytes() == reference.matrix.tobytes()
+
+    def test_bits_match_extend_chain_high_dim(self):
+        d, count = 200_000, 9
+        basis = random_orthonormal_basis(d, count, stream(5, "basis"))
+        reference = reference_basis(d, count, stream(5, "basis"))
+        assert basis.matrix.tobytes() == reference.matrix.tobytes()
+        assert basis.violations() == []
+
+    def test_draw_in_span_is_redrawn(self):
+        d, count = 50, 4
+        rng = SpanDraw(3)
+        basis = random_orthonormal_basis(d, count, rng)
+        reference = reference_basis(d, count, SpanDraw(3))
+        assert len(rng.draws) == count + 1
+        assert basis.matrix.tobytes() == reference.matrix.tobytes()
+        assert basis.violations() == []
+
+    def test_peak_memory_is_the_rows_and_one_scratch(self):
+        d, count = 200_000, 9
+        rng = stream(2, "basis")
+        tracemalloc.start()
+        try:
+            basis = random_orthonormal_basis(d, count, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == count
+        assert peak <= (count + 2) * d * 8
+
     def test_gram_identity(self):
         basis = random_orthonormal_basis(4, 2, stream(0, "b"))
         gram = basis.matrix @ basis.matrix.T

@@ -121,6 +121,37 @@ class TestProjectedSubgradient:
             run_projected_subgradient(AdaptiveOracle(p, seed=0), OptimizerConfig(budget=5))
 
 
+class RecordingOracle(QuadraticOracle):
+    """Keeps each query by reference (as QuadraticOracle does) and a copy
+    taken when it arrived."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.copies = []
+
+    def query(self, x):
+        self.copies.append(np.array(x, copy=True))
+        return super().query(x)
+
+
+class TestProjectedSubgradientStep:
+    def test_queries_unchanged_and_iterates_follow_the_recursion(self):
+        target = np.array([0.9, -0.6, 0.3, 0.4])
+        oracle = RecordingOracle(target)
+        run_projected_subgradient(oracle, OptimizerConfig(method="psg", budget=40, step_scale=0.5))
+        x = np.zeros(4)
+        projected = []
+        for t, (kept, copy) in enumerate(zip(oracle.transcript, oracle.copies, strict=True), start=1):
+            # a query kept by reference is never written by later steps
+            assert kept.tobytes() == copy.tobytes()
+            assert kept.tobytes() == x.tobytes()
+            step = x - 0.5 / math.sqrt(t) * (x - target)
+            projected.append(np.linalg.norm(step) > 1.0)
+            x = project_ball(step)
+        # both branches of the projection are exercised
+        assert any(projected) and not all(projected)
+
+
 class TestAcceleratedGradient:
     def test_quadratic_sanity_against_long_gd(self):
         target = np.array([0.3, -0.2, 0.1, 0.25])
