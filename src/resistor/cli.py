@@ -117,25 +117,41 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-# (k, methods) cells of the deterministic grid
-_GRID_CELLS = ((1, ("psg", "agd")), (2, ("psg", "agd", "cubic")))
+# (mode, k, methods) cells of the grid: the deterministic grid, plus
+# randomized psg at k = 1
+_GRID_CELLS = (
+    (DETERMINISTIC, 1, ("psg", "agd")),
+    (DETERMINISTIC, 2, ("psg", "agd", "cubic")),
+    (RANDOMIZED, 1, ("psg",)),
+)
+_GRID_MODES = {DETERMINISTIC: "det", RANDOMIZED: "rand"}
+
+
+def _event(report) -> str:
+    if report.event_e_held is None:
+        return "-"
+    return "held" if report.event_e_held else f"viol@{report.event_e_first_violation}"
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    print(f"{'method':>7} {'k':>2} {'T':>3} {'min gap':>10} {'floor':>10} {'replay':>7} {'time':>7}")
+    print(
+        f"{'mode':>4} {'method':>7} {'k':>2} {'T':>3} {'min gap':>10} {'floor':>10} "
+        f"{'replay':>7} {'event E':>7} {'time':>7}"
+    )
     failures = 0
-    for k, methods in _GRID_CELLS:
+    for mode, k, methods in _GRID_CELLS:
         for method in methods:
             for T in args.budgets:
                 start = time.perf_counter()
                 report = run_experiment(
-                    RunConfig(mode=DETERMINISTIC, T=T, k=k, method=method, seed=args.seed)
+                    RunConfig(mode=mode, T=T, k=k, method=method, seed=args.seed)
                 )
                 elapsed = time.perf_counter() - start
                 failures += not report.passed
                 print(
-                    f"{method:>7} {k:>2} {T:>3} {report.min_gap:>10.6f} {report.floor:>10.6f} "
-                    f"{'exact' if report.consistency_ok else 'MISMATCH':>7} {elapsed:>6.2f}s"
+                    f"{_GRID_MODES[mode]:>4} {method:>7} {k:>2} {T:>3} {report.min_gap:>10.6f} "
+                    f"{report.floor:>10.6f} {'exact' if report.consistency_ok else 'MISMATCH':>7} "
+                    f"{_event(report):>7} {elapsed:>6.2f}s"
                     + ("" if report.passed else "   <-- FAIL")
                 )
     print("grid:", "PASS" if failures == 0 else f"{failures} failures")
@@ -164,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, required=True, help="number of seeds")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_grid = sub.add_parser("grid", help="every (T, k, method) cell of the deterministic grid")
+    p_grid = sub.add_parser(
+        "grid", help="every (T, k, method) cell of the deterministic grid, plus randomized psg"
+    )
     p_grid.add_argument("--budgets", type=int, nargs="+", default=[4, 9, 16, 25, 100, 400])
     p_grid.add_argument("--seed", type=int, default=0)
     p_grid.set_defaults(func=_cmd_grid)

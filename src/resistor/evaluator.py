@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -173,10 +173,10 @@ def piece_values(instance: HardInstance, x: np.ndarray) -> PieceValues:
     (replays depend on this); a matrix-vector product M @ x is not.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (instance.params.d,):
+    if x.shape != (instance.basis.dim,):
         raise ValueError(
             f"dimension mismatch: query has shape {x.shape}, instance is "
-            f"{instance.params.d}-dimensional"
+            f"{instance.basis.dim}-dimensional"
         )
     linear = np.vecdot(instance.piece_matrix, x)
     return PieceValues(linear=linear, shifted=linear + instance.piece_shifts)
@@ -333,12 +333,13 @@ def oracle_answer(
     instance: HardInstance,
     x: np.ndarray,
     order: int | None = None,
-    budget: MCBudget | None = None,
+    budget: MCBudget | Callable[[], MCBudget] | None = None,
 ) -> OracleResponse:
     """Full derivative-oracle answer at x, normalized by norm_denom.
 
     Exact-affine queries are answered in closed form (exact_answer);
-    others fall back to Monte Carlo (monte_carlo_answer).
+    others fall back to Monte Carlo (monte_carlo_answer). A callable
+    budget is called only then, so an exact answer never derives one.
     """
     x = np.asarray(x, dtype=float)
     norm = np.linalg.norm(x)
@@ -347,7 +348,7 @@ def oracle_answer(
     values, idx = affine_regime(instance, x)
     if idx is not None:
         return exact_answer(instance, values, idx, order)
-    return monte_carlo_answer(instance, x, order, budget)
+    return monte_carlo_answer(instance, x, order, budget() if callable(budget) else budget)
 
 
 def _check_order(instance: HardInstance, order: int | None) -> int:

@@ -1,5 +1,5 @@
-"""Vector substrate: orthonormal bases, incremental Gram-Schmidt, and
-uniform sampling on balls and spheres.
+"""Vector substrate: orthonormal bases, incremental Gram-Schmidt, random
+orthonormal frames, and uniform sampling on balls and spheres.
 
 Vectors are plain 1-d numpy arrays. Every sampling function takes an
 explicit numpy Generator, so reproducibility is controlled entirely by
@@ -228,35 +228,38 @@ def sample_ball(r: int, rng: np.random.Generator, size: int | None = None) -> np
 
 
 def random_orthonormal_basis(
-    d: int, count: int, rng: np.random.Generator, tol: float = ORTHONORMALITY_TOL
+    d: int, count: int, rng: np.random.Generator, explicit: int
 ) -> OrthonormalBasis:
-    """Gram-Schmidt on i.i.d. Gaussian vectors: a rotation-invariant
-    random orthonormal set of `count` vectors in R^d.
+    """A Haar-random orthonormal set of `count` vectors in R^d, written in
+    the explicit + count coordinates of E + span, E being `explicit` fixed
+    directions of R^d.
 
-    Built in place in one (count, d) array plus one d-sized scratch
-    vector: row n is drawn into its slot, projected twice against the
-    rows above it and normalized, with the same operations on the same
-    operands as a chain of orthonormal_extend calls, so the result is
-    bit-identical to that chain on the same stream.
+    The first `explicit` coordinates of each row are its components along
+    E; they have exactly the law of the first `explicit` coordinates of
+    Gram-Schmidt on a d x count Gaussian. The last `count` coordinates
+    place the row in the frame's span beyond E, in an orthonormal basis of
+    that span drawn with the frame. A client whose vectors are fixed
+    vectors of E plus combinations of the rows can tell nothing more, so d
+    enters only as a degrees-of-freedom count and memory is
+    O((explicit + count) * count) at any d. With explicit = d - count the
+    working space is all of R^d.
+
+    Gram-Schmidt on the Gaussian [G_E; G_rest] depends on G_rest only
+    through its R factor, whose law is Bartlett's: chi with d - explicit - i
+    degrees of freedom on the diagonal, N(0, 1) above it. The rows are the
+    Q factor of [G_E; R], signed so that its own R has a positive diagonal:
+    [G_E L^-T; chol(I - U_E^T U_E)^T] with L = chol(G_E^T G_E + R^T R),
+    computed by one Householder QR that cannot break down.
     """
-    if d < count:
-        raise ValueError(f"cannot fit {count} orthonormal vectors in dimension {d}")
-    rows = np.empty((count, d))
-    scratch = np.empty(d)
-    n = 0
-    while n < count:
-        row, prev = rows[n], rows[:n]
-        rng.standard_normal(out=row)
-        for _ in range(2):
-            if n:
-                np.matmul(prev.T, prev @ row, out=scratch)
-                np.subtract(row, scratch, out=row)
-            norm = np.linalg.norm(row)
-            if not (norm > DEGENERACY_TOL):
-                # probability zero for a Gaussian draw: redraw into this row
-                break
-        else:
-            np.divide(row, norm, out=row)
-            n += 1
-    rows.setflags(write=False)
-    return OrthonormalBasis(rows, tol)
+    if explicit < 0 or explicit + count > d:
+        raise ValueError(
+            f"cannot fit {count} orthonormal vectors beside {explicit} explicit "
+            f"directions in dimension {d}"
+        )
+    gauss = rng.standard_normal((explicit, count))
+    bartlett = np.zeros((count, count))
+    bartlett[np.diag_indices(count)] = np.sqrt(rng.chisquare(d - explicit - np.arange(count)))
+    bartlett[np.triu_indices(count, 1)] = rng.standard_normal(count * (count - 1) // 2)
+    q, r = np.linalg.qr(np.vstack([gauss, bartlett]))
+    q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return OrthonormalBasis(q.T)

@@ -254,7 +254,7 @@ class UnsupportedOrderError(ValueError):
 def _separated_pairs(instance: HardInstance, n_pairs: int, rng) -> list[tuple[np.ndarray, np.ndarray, float]]:
     min_sep = 10.0 * instance.params.delta
     pairs = []
-    d = instance.params.d
+    d = instance.basis.dim
     while len(pairs) < n_pairs:
         x = sample_ball(d, rng)
         y = sample_ball(d, rng)
@@ -348,16 +348,16 @@ def verify_invariance(
     orthogonality tolerance), Monte-Carlo pairs to 6 combined standard
     errors.
     """
-    params = instance.params
-    if params.d <= instance.smoothing_dim:
+    d = instance.basis.dim
+    if d <= instance.smoothing_dim:
         raise ValueError("no orthogonal complement to test (d <= smoothing dimension)")
     rng = stream(seed, "invariance")
     n_exact = n_mc = 0
     max_exact_diff = 0.0
     ok = True
     for p in range(n_points):
-        x = sample_ball(params.d, rng)
-        raw = rng.standard_normal(params.d)
+        x = sample_ball(d, rng)
+        raw = rng.standard_normal(d)
         y = perp_component(perp_component(raw, instance.basis), instance.basis)
         norm = np.linalg.norm(y)
         if norm == 0.0:
@@ -416,9 +416,12 @@ def verify_locality(T: int, k: int, seed: int = 0) -> LocalityAudit:
 
 def audit_instance(T: int, k: int, seed: int = 0) -> HardInstance:
     """A completed deterministic-mode instance on a random orthonormal
-    basis, for standalone audits."""
+    basis, for standalone audits. Its d - T explicit directions make the
+    working space all of R^d."""
     params = params_deterministic(T, k)
-    basis = random_orthonormal_basis(params.d, params.T, stream(seed, "audit-basis"))
+    basis = random_orthonormal_basis(
+        params.d, params.T, stream(seed, "audit-basis"), params.d - params.T
+    )
     return HardInstance.from_basis(params, basis)
 
 

@@ -38,7 +38,11 @@ class InstanceParams:
     """Scalar configuration of one hard instance.
 
     T: query budget; k: derivative order; m: shift denominator (equal to
-    T in both standard modes); d: ambient dimension; gamma: shift scale;
+    T in both standard modes); d: law dimension, the dimension of the
+    space the pieces are drawn in (an instance's vectors have
+    basis.dim coordinates, which is d except for a hidden basis written
+    in the coordinates of its explicit subspace and span, see
+    geometry.random_orthonormal_basis); gamma: shift scale;
     delta: smoothing radius; norm_denom: divisor applied to all oracle
     outputs (the maximum of the shifted max-affine function over the
     unit ball in deterministic mode, 1 in randomized mode).
@@ -224,8 +228,10 @@ class HardInstance:
     """Pieces plus the orthonormal basis of the subspace they span.
 
     The smoothing averages over the basis span, so its size (not the
-    piece count) is the smoothing dimension. Standard instances built
-    by append_piece or from_basis have pieces equal to the basis rows.
+    piece count) is the smoothing dimension. Vectors, queries included,
+    have basis.dim coordinates: the working dimension. Standard instances
+    built by append_piece or from_basis have pieces equal to the basis
+    rows.
 
     The constructors check what they are given once: from_basis that the
     basis is orthonormal, custom and from_json that every piece lies in
@@ -252,7 +258,7 @@ class HardInstance:
     def piece_matrix(self) -> np.ndarray:
         """Piece directions as rows: the basis matrix itself for from_basis
         and append_piece instances (set by _of_basis_rows), else a stack."""
-        return np.array([p.a for p in self.pieces]).reshape(self.num_pieces, self.params.d)
+        return np.array([p.a for p in self.pieces]).reshape(self.num_pieces, self.basis.dim)
 
     @cached_property
     def piece_shifts(self) -> np.ndarray:
@@ -396,7 +402,7 @@ def from_json(text: str) -> HardInstance:
     if not candidate.violations():
         basis = candidate
     else:
-        basis = OrthonormalBasis.empty(params.d)
+        basis = OrthonormalBasis.empty(candidate.dim)
         for row in rows:
             basis, _ = orthonormal_extend(basis, row)
     for piece in pieces:

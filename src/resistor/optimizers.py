@@ -75,7 +75,7 @@ def run_projected_subgradient(oracle, config: OptimizerConfig | None = None):
     config = config or OptimizerConfig(method="psg")
     budget = _budget(oracle, config)
     scale = config.step_scale if config.step_scale is not None else PSG_STEP_SCALE
-    x = np.zeros(oracle.params.d)
+    x = np.zeros(oracle.dim)
     for t in range(1, budget + 1):
         response = oracle.query(x)
         eta = scale / math.sqrt(t)
@@ -99,8 +99,8 @@ def run_accelerated_gradient(oracle, config: OptimizerConfig | None = None):
     config = config or OptimizerConfig(method="agd")
     budget = _budget(oracle, config)
     scale = config.step_scale if config.step_scale is not None else AGD_STEP_SCALE
-    x_prev = np.zeros(oracle.params.d)
-    y = np.zeros(oracle.params.d)
+    x_prev = np.zeros(oracle.dim)
+    y = np.zeros(oracle.dim)
     for t in range(1, budget + 1):
         response = oracle.query(y)
         eta = config.step_size if config.step_size is not None else scale / math.sqrt(t)
@@ -171,7 +171,7 @@ def run_cubic_newton(oracle, config: OptimizerConfig | None = None):
         m_weight = config.cubic_m
     else:
         m_weight = oracle.rescale * (oracle.params.T / oracle.params.delta) ** 2
-    x = np.zeros(oracle.params.d)
+    x = np.zeros(oracle.dim)
     for _ in range(budget):
         response = oracle.query(x)
         hess = response.hessian_ambient()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,12 @@ from .instance import (
 from .streams import child_seed, stream
 
 DEFAULT_MC_SAMPLES = 100_000
+
+
+def _mc_budget(mc_samples: int, seed: int, index: int) -> MCBudget:
+    """Monte-Carlo budget of query `index`, the same at query time and in
+    replay."""
+    return MCBudget(mc_samples, child_seed(seed, "mc", index))
 
 
 class OracleExhaustedError(RuntimeError):
@@ -170,7 +177,7 @@ def replay_consistency(
             replayed = exact_answer(instance, values, idx).scaled(rescale)
             reason = _responses_equal(recorded, replayed)
         elif recorded.regime == MONTE_CARLO and idx is None and replay_monte_carlo:
-            budget = MCBudget(mc_samples, child_seed(seed, "mc", rec.index))
+            budget = _mc_budget(mc_samples, seed, rec.index)
             replayed = monte_carlo_answer(instance, rec.x, budget=budget).scaled(rescale)
             reason = _responses_equal(recorded, replayed)
         elif recorded.regime != replay_regime:
@@ -228,6 +235,11 @@ class AdaptiveOracle:
         return self._instance
 
     @property
+    def dim(self) -> int:
+        """Coordinates of a query: the law dimension d."""
+        return self.params.d
+
+    @property
     def queries_left(self) -> int:
         return self.params.T - len(self.transcript)
 
@@ -237,7 +249,7 @@ class AdaptiveOracle:
         x = np.array(x, dtype=float)
         t = len(self.transcript) + 1
         self._instance = append_piece(self._instance, x, stream(self.seed, "piece", t))
-        budget = MCBudget(self.mc_samples, child_seed(self.seed, "mc", t))
+        budget = partial(_mc_budget, self.mc_samples, self.seed, t)
         response = oracle_answer(self._instance, x, budget=budget).scaled(self.rescale)
         self.transcript.records.append(
             QueryRecord(
@@ -277,6 +289,12 @@ class AdaptiveOracle:
 class RandomizedOracle:
     """Fixed hidden-basis oracle: all T pieces drawn up front.
 
+    The pieces are a Haar-random orthonormal set in R^d (d = params.d),
+    written in the coordinates of E + span(pieces), E being T + 1 explicit
+    directions: as many as deterministic mode has dimensions. Queries are
+    vectors of those T + 1 + T coordinates (see
+    geometry.random_orthonormal_basis).
+
     Records, per query i, the correlation margin max_{j>=i} |a_j . x_i|
     that the low-correlation event bounds by 1/(20 T^1.5).
     """
@@ -297,13 +315,18 @@ class RandomizedOracle:
         self.seed = seed
         self.mc_samples = mc_samples
         self.rescale = rescale
-        basis = random_orthonormal_basis(params.d, params.T, stream(seed, "basis"))
+        basis = random_orthonormal_basis(params.d, params.T, stream(seed, "basis"), params.T + 1)
         self._instance = HardInstance.from_basis(params, basis)
         self.transcript = Transcript(RANDOMIZED, params)
 
     @property
     def instance(self) -> HardInstance:
         return self._instance
+
+    @property
+    def dim(self) -> int:
+        """Coordinates of a query: the working dimension T + 1 + T."""
+        return self._instance.basis.dim
 
     @property
     def queries_left(self) -> int:
@@ -314,9 +337,10 @@ class RandomizedOracle:
             raise OracleExhaustedError(f"query budget T = {self.params.T} exhausted")
         x = np.array(x, dtype=float)
         i = len(self.transcript) + 1
-        margin = float(np.abs(self._instance.piece_matrix[i - 1:] @ x).max())
-        budget = MCBudget(self.mc_samples, child_seed(self.seed, "mc", i))
+        budget = partial(_mc_budget, self.mc_samples, self.seed, i)
         response = oracle_answer(self._instance, x, budget=budget).scaled(self.rescale)
+        # after the answer, which refuses a malformed x
+        margin = float(np.abs(self._instance.piece_matrix[i - 1:] @ x).max())
         self.transcript.records.append(
             QueryRecord(
                 index=i,

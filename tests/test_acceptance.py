@@ -61,6 +61,28 @@ def test_criterion_1_deterministic_floor(det_grid):
     _line(1, "deterministic floor 1/(2*sqrt(T)) at every query", ok)
 
 
+def test_randomized_grid_rows():
+    # the randomized psg k = 1 row of `resistor grid` at every budget, under
+    # the deterministic cells' 10 s bound
+    ok = True
+    for T in BUDGETS:
+        start = time.perf_counter()
+        report = run_experiment(RunConfig(mode=RANDOMIZED, T=T, k=1, method="psg", seed=0))
+        elapsed = time.perf_counter() - start
+        floor = 1.0 / (2.0 * math.sqrt(T))
+        row_ok = (
+            report.passed
+            and report.event_e_held is True
+            and len(report.rows) == T
+            and all(row.certified_gap >= floor for row in report.rows)
+            and elapsed < 10.0
+        )
+        print(f"  randomized psg T={T}: event E held={report.event_e_held}, {elapsed:.2f}s")
+        ok = ok and row_ok
+    print(f"[criterion note] randomized psg rows at T in {BUDGETS}: {'PASS' if ok else 'FAIL'}")
+    assert ok
+
+
 def test_criterion_2_consistency_replay(det_grid):
     ok = all(
         report.consistency_ok and report.consistency_first_mismatch is None

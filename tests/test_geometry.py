@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resistor.geometry import (
+    DEGENERACY_TOL,
     OrthonormalBasis,
     arbitrary_perp_unit,
     orthonormal_extend,
@@ -139,12 +141,43 @@ class TestSampleSphere:
 
 
 def reference_basis(d, count, rng):
-    """random_orthonormal_basis as a chain of orthonormal_extend calls,
-    a degenerate draw being redrawn."""
+    """dense_basis as a chain of orthonormal_extend calls, a degenerate
+    draw being redrawn."""
     basis = OrthonormalBasis.empty(d)
     while len(basis) < count:
         basis, _ = orthonormal_extend(basis, rng.standard_normal(d), capacity=count)
     return basis
+
+
+def dense_basis(d, count, rng):
+    """Gram-Schmidt on i.i.d. Gaussian vectors of R^d: the small-d law
+    reference for random_orthonormal_basis.
+
+    Built in place in one (count, d) array plus one d-sized scratch
+    vector: row n is drawn into its slot, projected twice against the
+    rows above it and normalized, with the same operations on the same
+    operands as a chain of orthonormal_extend calls, so the result is
+    bit-identical to reference_basis on the same stream.
+    """
+    rows = np.empty((count, d))
+    scratch = np.empty(d)
+    n = 0
+    while n < count:
+        row, prev = rows[n], rows[:n]
+        rng.standard_normal(out=row)
+        for _ in range(2):
+            if n:
+                np.matmul(prev.T, prev @ row, out=scratch)
+                np.subtract(row, scratch, out=row)
+            norm = np.linalg.norm(row)
+            if not (norm > DEGENERACY_TOL):
+                # probability zero for a Gaussian draw: redraw into this row
+                break
+        else:
+            np.divide(row, norm, out=row)
+            n += 1
+    rows.setflags(write=False)
+    return OrthonormalBasis(rows)
 
 
 class SpanDraw:
@@ -166,7 +199,41 @@ class SpanDraw:
         return out
 
 
+def ks_pvalue(a, b):
+    """Asymptotic p-value of the two-sample Kolmogorov-Smirnov statistic."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    gap = np.abs(
+        np.searchsorted(a, grid, side="right") / len(a)
+        - np.searchsorted(b, grid, side="right") / len(b)
+    ).max()
+    n = len(a) * len(b) / (len(a) + len(b))
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * gap
+    terms = [(-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 101)]
+    return min(1.0, max(0.0, 2.0 * sum(terms)))
+
+
+def frame_statistics(rows, explicit):
+    """Per-frame statistics that the two constructions share in law: two
+    explicit-block entries, the explicit block's squared Frobenius norm,
+    and rotation-invariant statistics of the rest (two Gram entries)."""
+    block, rest = rows[:, :explicit], rows[:, explicit:]
+    gram = rest @ rest.T
+    return block[0, 0], block[-1, -1], float((block * block).sum()), gram[0, 1], gram[-1, -1]
+
+
 count_and_dim = st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 300)))
+
+
+@st.composite
+def frame_sizes(draw):
+    """(d, count, explicit) with count <= 400, explicit <= count + 1 and
+    explicit + count <= d <= 10^12, small d included."""
+    count = draw(st.integers(1, 400))
+    explicit = draw(st.integers(0, count + 1))
+    low = explicit + count
+    d = draw(st.one_of(st.integers(low, low + 10), st.integers(low, 10**12)))
+    return d, count, explicit
 
 
 class TestRandomOrthonormalBasis:
@@ -174,13 +241,13 @@ class TestRandomOrthonormalBasis:
     @settings(max_examples=60, deadline=None)
     def test_bits_match_extend_chain(self, seed, sizes):
         count, d = sizes
-        basis = random_orthonormal_basis(d, count, stream(seed, "basis"))
+        basis = dense_basis(d, count, stream(seed, "basis"))
         reference = reference_basis(d, count, stream(seed, "basis"))
         assert basis.matrix.tobytes() == reference.matrix.tobytes()
 
     def test_bits_match_extend_chain_high_dim(self):
         d, count = 200_000, 9
-        basis = random_orthonormal_basis(d, count, stream(5, "basis"))
+        basis = dense_basis(d, count, stream(5, "basis"))
         reference = reference_basis(d, count, stream(5, "basis"))
         assert basis.matrix.tobytes() == reference.matrix.tobytes()
         assert basis.violations() == []
@@ -188,48 +255,81 @@ class TestRandomOrthonormalBasis:
     def test_draw_in_span_is_redrawn(self):
         d, count = 50, 4
         rng = SpanDraw(3)
-        basis = random_orthonormal_basis(d, count, rng)
+        basis = dense_basis(d, count, rng)
         reference = reference_basis(d, count, SpanDraw(3))
         assert len(rng.draws) == count + 1
         assert basis.matrix.tobytes() == reference.matrix.tobytes()
         assert basis.violations() == []
 
-    def test_peak_memory_is_the_rows_and_one_scratch(self):
-        d, count = 200_000, 9
-        rng = stream(2, "basis")
-        tracemalloc.start()
-        try:
-            basis = random_orthonormal_basis(d, count, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(basis) == count
-        assert peak <= (count + 2) * d * 8
+    @given(st.integers(0, 2**32 - 1), frame_sizes())
+    @settings(max_examples=60, deadline=None)
+    def test_orthonormal_at_any_size(self, seed, sizes):
+        d, count, explicit = sizes
+        basis = random_orthonormal_basis(d, count, stream(seed, "basis"), explicit)
+        assert basis.matrix.shape == (count, explicit + count)
+        assert not basis.matrix.flags.writeable
+        assert basis.violations() == []
+
+    @pytest.mark.parametrize("d, count, explicit", [(10, 3, -1), (10, 3, 8), (2, 3, 0)])
+    def test_refuses_sizes_that_do_not_fit(self, d, count, explicit):
+        with pytest.raises(
+            ValueError,
+            match=f"cannot fit {count} orthonormal vectors beside {explicit} "
+            f"explicit directions in dimension {d}",
+        ):
+            random_orthonormal_basis(d, count, stream(0, "b"), explicit)
+
+    def test_law_matches_dense_reference(self):
+        # d = 40, 4 explicit directions, 3 vectors: 5000 frames each way
+        d, count, explicit, n = 40, 3, 4, 5000
+        dense_rng, rng = stream(1, "dense"), stream(1, "frame")
+        dense = np.array([frame_statistics(dense_basis(d, count, dense_rng).matrix, explicit) for _ in range(n)])
+        drawn = np.array([
+            frame_statistics(random_orthonormal_basis(d, count, rng, explicit).matrix, explicit)
+            for _ in range(n)
+        ])
+        pvalues = [ks_pvalue(dense[:, j], drawn[:, j]) for j in range(dense.shape[1])]
+        assert min(pvalues) > 1e-3, pvalues
+
+    def test_peak_memory_is_independent_of_d(self):
+        count, explicit = 9, 10
+        peaks = []
+        for d in (explicit + count, 10**12):
+            rng = stream(2, "basis")
+            tracemalloc.start()
+            try:
+                basis = random_orthonormal_basis(d, count, rng, explicit)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(basis) == count
+            peaks.append(peak)
+        assert max(peaks) <= 16 * (explicit + count) * count * 8, peaks
 
     def test_gram_identity(self):
-        basis = random_orthonormal_basis(4, 2, stream(0, "b"))
+        basis = random_orthonormal_basis(4, 2, stream(0, "b"), 2)
         gram = basis.matrix @ basis.matrix.T
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
 
     def test_inner_product_concentration(self):
-        # |<a_1, y>| for a random unit vector in d=1000 concentrates at
-        # scale 1/sqrt(d); 0.15 is 4.7 sigma out.
-        y = unit(1000, 0)
+        # |<a_1, e_1>| for a random unit vector in d=1000 concentrates at
+        # scale 1/sqrt(d); 0.15 is 4.7 sigma out. e_1 is the one explicit
+        # direction, the first coordinate.
         hits = 0
         for s in range(1000):
-            basis = random_orthonormal_basis(1000, 1, stream(s, "conc"))
-            if abs(np.dot(basis.matrix[0], y)) < 0.15:
+            basis = random_orthonormal_basis(1000, 1, stream(s, "conc"), 1)
+            if abs(basis.matrix[0, 0]) < 0.15:
                 hits += 1
         assert hits >= 990
 
     def test_determinism(self):
-        b1 = random_orthonormal_basis(8, 3, stream(9, "b"))
-        b2 = random_orthonormal_basis(8, 3, stream(9, "b"))
+        b1 = random_orthonormal_basis(8, 3, stream(9, "b"), 3)
+        b2 = random_orthonormal_basis(8, 3, stream(9, "b"), 3)
         np.testing.assert_array_equal(b1.matrix, b2.matrix)
 
     def test_d_smaller_than_count_errors(self):
         with pytest.raises(ValueError, match="dimension"):
-            random_orthonormal_basis(2, 3, stream(0, "b"))
+            random_orthonormal_basis(2, 3, stream(0, "b"), 0)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 4))
@@ -237,7 +337,7 @@ class TestRandomOrthonormalBasis:
 def test_perp_inner_products_tiny(seed, d, n):
     # Invariant: residual inner products stay within 10x the basis tol.
     rng = stream(seed, "prop")
-    basis = random_orthonormal_basis(d, min(n, d), rng)
+    basis = random_orthonormal_basis(d, min(n, d), rng, d - min(n, d))
     x = rng.standard_normal(d)
     p = perp_component(x, basis)
     if len(basis):

@@ -277,9 +277,15 @@ class TestCLI:
         code = cli.main(["grid", "--budgets", "4", "9", "--seed", "1"])
         out = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert len(out) == 1 + 10 + 1  # header, 5 (k, method) cells x 2 budgets, verdict
+        # header, 5 deterministic (k, method) cells and randomized psg x 2 budgets, verdict
+        assert len(out) == 1 + 12 + 1
         assert out[-1] == "grid: PASS"
-        assert [line.split()[:3] for line in out[1:3]] == [["psg", "1", "4"], ["psg", "1", "9"]]
+        assert [line.split()[:4] for line in out[1:3]] == [
+            ["det", "psg", "1", "4"], ["det", "psg", "1", "9"]
+        ]
+        rand = [line.split() for line in out[-3:-1]]
+        assert [row[:4] for row in rand] == [["rand", "psg", "1", "4"], ["rand", "psg", "1", "9"]]
+        assert all(row[6:8] == ["exact", "held"] for row in rand)
 
     def test_grid_exit_code_reflects_failures(self, monkeypatch, capsys):
         real = cli.run_experiment

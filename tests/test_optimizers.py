@@ -29,6 +29,7 @@ class DirectOracle:
     def __init__(self, instance, budget=10**9, seed=0, rescale=1.0):
         self.instance = instance
         self.params = instance.params
+        self.dim = instance.basis.dim
         self.rescale = rescale
         self.seed = seed
         self._budget = budget
@@ -53,6 +54,7 @@ class QuadraticOracle:
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
         self.params = SimpleNamespace(d=self.target.shape[0], T=10**9, delta=1.0)
+        self.dim = self.target.shape[0]
         self.rescale = 1.0
         self.transcript = []
         self.queries_left = 10**9

@@ -1,20 +1,29 @@
 import dataclasses
 import json
-
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resistor.evaluator import EXACT_AFFINE, MCBudget, OracleResponse, oracle_answer
+from resistor import oracles
+from resistor.evaluator import (
+    EXACT_AFFINE,
+    MONTE_CARLO,
+    MCBudget,
+    OracleResponse,
+    monte_carlo_answer,
+    oracle_answer,
+)
 from resistor.geometry import OrthonormalBasis, orthonormal_extend
 from resistor.instance import (
     QUERY_NORM_SLACK,
     HardInstance,
     params_deterministic,
     params_randomized,
+    shift_of,
 )
 from resistor.oracles import (
     AdaptiveOracle,
@@ -124,6 +133,41 @@ class TestAdaptiveOracle:
         assert entry.reason != ""
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+def test_monte_carlo_budget_derived_only_for_monte_carlo_answers(monkeypatch, mode):
+    # query 1 (the origin) is exact; query 2 ties pieces 1 and 2, so it
+    # is answered by Monte Carlo on the streams of child_seed(seed, "mc", 2)
+    derived = []
+    real = oracles.child_seed
+
+    def counting(seed, purpose, index=0):
+        derived.append((purpose, index))
+        return real(seed, purpose, index)
+
+    monkeypatch.setattr(oracles, "child_seed", counting)
+    if mode == "deterministic":
+        p = params_deterministic(4, 1)
+        oracle = AdaptiveOracle(p, seed=3, mc_samples=2_000)
+        first = oracle.query(np.zeros(oracle.dim))
+        # a unit vector orthogonal to a_1, the first answer's direction
+        e = np.zeros(oracle.dim)
+        e[np.argmin(np.abs(first.gradient))] = 1.0
+        e -= (e @ first.gradient) / (first.gradient @ first.gradient) * first.gradient
+        x = (shift_of(p, 1) - shift_of(p, 2)) * e / np.linalg.norm(e)
+    else:
+        p = small_randomized_params()
+        oracle = RandomizedOracle(p, seed=3, mc_samples=2_000)
+        first = oracle.query(np.zeros(oracle.dim))
+        a1, a2 = oracle.instance.pieces[0].a, oracle.instance.pieces[1].a
+        x = (0.2 - p.gamma / p.T) * a1 + 0.2 * a2
+    second = oracle.query(x)
+    assert first.regime == EXACT_AFFINE and second.regime == MONTE_CARLO
+    assert derived == [("mc", 2)]
+    expected = monte_carlo_answer(oracle.instance, x, budget=MCBudget(2_000, real(3, "mc", 2)))
+    assert second.value == expected.value
+    assert second.gradient.tobytes() == expected.gradient.tobytes()
+
+
 class TestRandomizedOracle:
     def test_pieces_orthonormal(self):
         oracle = RandomizedOracle(small_randomized_params(), seed=0)
@@ -136,20 +180,36 @@ class TestRandomizedOracle:
         b = RandomizedOracle(p, seed=9).instance.piece_matrix
         np.testing.assert_array_equal(a, b)
 
-    def test_distinct_seeds_nearly_orthogonal_first_pieces(self):
-        # at d ~ 2e5 two independent unit vectors have |<a, a'>| ~ 1/sqrt(d)
+    def test_pieces_nearly_orthogonal_to_explicit_directions(self):
+        # each piece's entries a . e_i along the T + 1 explicit directions
+        # are N(0, 1/d) up to O(1/d): none beyond 6/sqrt(d), and their
+        # root mean square over 25 seeds (500 entries) is 1/sqrt(d) to 20%
         p = small_randomized_params()
-        close = 0
-        for pair in range(25):
-            a = RandomizedOracle(p, seed=1000 + 2 * pair).instance.pieces[0].a
-            b = RandomizedOracle(p, seed=1001 + 2 * pair).instance.pieces[0].a
-            if abs(np.dot(a, b)) < 0.1:
-                close += 1
-        assert close == 25
+        entries = []
+        for seed in range(1000, 1025):
+            oracle = RandomizedOracle(p, seed=seed)
+            assert oracle.dim == 2 * p.T + 1
+            entries.append(oracle.instance.piece_matrix[:, : p.T + 1])
+        scaled = np.abs(np.array(entries)) * math.sqrt(p.d)
+        assert scaled.max() <= 6.0
+        assert 0.8 <= math.sqrt((scaled**2).mean()) <= 1.2
+
+    def test_setup_peak_memory_below_1mb(self):
+        # d = 3.5e6 at T = 9; the basis lives in 2T + 1 = 19 coordinates
+        p = params_randomized(9, 1, 0.2)
+        RandomizedOracle(p, seed=1)  # a first construction imports modules lazily
+        tracemalloc.start()
+        try:
+            oracle = RandomizedOracle(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert oracle.dim == 19 and oracle.instance.basis.violations() == []
+        assert peak < 2**20
 
     def test_zero_query_margin_zero(self):
         oracle = RandomizedOracle(small_randomized_params(), seed=3)
-        oracle.query(np.zeros(oracle.params.d))
+        oracle.query(np.zeros(oracle.dim))
         assert oracle.transcript.records[0].event_e_margin == 0.0
 
     def test_cheating_query_violates_event(self):
@@ -241,7 +301,7 @@ def test_randomized_oracle_refuses_bad_queries():
     @given(BAD_QUERIES)
     @settings(max_examples=30, deadline=None)
     def check(spec):
-        _assert_refused(oracle, _bad_query(oracle.params.d, spec))
+        _assert_refused(oracle, _bad_query(oracle.dim, spec))
 
     check()
 
@@ -301,7 +361,7 @@ class TestTailResampling:
         basis = OrthonormalBasis(instance.basis.matrix[:keep])
         rng = stream(999, "resample")
         while len(basis) < instance.params.T:
-            basis, _ = orthonormal_extend(basis, rng.standard_normal(instance.params.d))
+            basis, _ = orthonormal_extend(basis, rng.standard_normal(instance.basis.dim))
         return HardInstance.from_basis(instance.params, basis)
 
     def test_exact_affine_answer_bitwise_stable(self):
