@@ -21,6 +21,17 @@ the sum of the perturbations). Queries fall in one of two regimes:
   truncation term. Sign flips of the sphere vectors cancel the
   lower-order terms; for j = 1 they are the antithetic pairs of the
   gradient estimator.
+
+  Only the contenders, the pieces within 2*k*delta of the top at x, can
+  win anywhere the smoothing reaches, so the max is taken over them
+  alone. Let Q (r x q, q = min(contenders, r)) be the orthonormal QR
+  factor of their coordinates. The function sees each sphere or ball
+  draw w only through Q^T w, and E[w | Q^T w] = Q Q^T w. So Q^T w is
+  drawn exactly, in q coordinates (the coords form of
+  geometry.sample_sphere and sample_ball), each estimate is formed there
+  and lifted with Q: it is the conditional expectation of the estimate
+  from a full r-dimensional draw (Rao-Blackwell), so it is unbiased and
+  its variance is never larger. The factor (r/delta)^j keeps r.
 """
 
 from __future__ import annotations
@@ -214,12 +225,56 @@ def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, i
     return values, locally_affine_index(instance, x, values)
 
 
-def _ball_sum(r: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Sum of k i.i.d. uniform ball samples, shape (n, r)."""
-    total = sample_ball(r, rng, size=n)
+def contenders(instance: HardInstance, values: PieceValues) -> np.ndarray:
+    """Indices (0-based) of the pieces that can win the max somewhere the
+    smoothing reaches: those not more than 2*k*delta below the top.
+
+    Every smoothing perturbation has norm at most k*delta and each piece
+    is 1-Lipschitz, so a piece further below never attains the max. The
+    comparison is locally_affine_index's: an exact-affine point has
+    exactly one contender, and a NaN keeps every piece. values must be
+    piece_values(instance, x).
+    """
+    shifted = values.shifted
+    band = 2.0 * instance.params.k * instance.params.delta
+    return np.flatnonzero(~(shifted.max() - shifted > band))
+
+
+def _contender_frame(
+    instance: HardInstance, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contenders at x: their shifted values, their coordinates in the
+    frame Q, and Q itself (r x q, orthonormal columns), the reduced QR
+    factor of their coordinates, so q = min(contenders, r)."""
+    values = piece_values(instance, x)
+    keep = contenders(instance, values)
+    coords = instance.piece_coords[keep]
+    frame, _ = np.linalg.qr(coords.T)
+    return values.shifted[keep], coords @ frame, frame
+
+
+def _ball_sum(r: int, k: int, rng: np.random.Generator, n: int, coords: int) -> np.ndarray:
+    """First `coords` coordinates of the sum of k i.i.d. uniform samples
+    of the unit r-ball, shape (n, coords)."""
+    total = sample_ball(r, rng, size=n, coords=coords)
     for _ in range(k - 1):
-        total += sample_ball(r, rng, size=n)
+        total += sample_ball(r, rng, size=n, coords=coords)
     return total
+
+
+def _flipped_max(base: np.ndarray, projs: list[np.ndarray], signs: tuple[int, ...]) -> np.ndarray:
+    """Per draw, the max over contenders i of base[i] + sum_j signs[j] *
+    projs[j][i], each projs[j] being (contenders, draws).
+
+    Taken row by row, one elementwise maximum per contender, rather than
+    as a max over a short axis of a (draws, contenders) array."""
+    out = None
+    for i, b in enumerate(base):
+        row = projs[0][i] + b if signs[0] > 0 else b - projs[0][i]
+        for sign, proj in zip(signs[1:], projs[1:]):
+            (np.add if sign > 0 else np.subtract)(row, proj[i], out=row)
+        out = row if out is None else np.maximum(out, row, out=out)
+    return out
 
 
 def smoothed_value_mc(
@@ -228,7 +283,8 @@ def smoothed_value_mc(
     """Unbiased Monte-Carlo estimate of the smoothed value at x.
 
     Averages the shifted max-affine function over x + delta * (v_1 + ...
-    + v_k), v_j i.i.d. uniform in the unit ball of the piece span.
+    + v_k), v_j i.i.d. uniform in the unit ball of the piece span, drawn
+    in the q frame coordinates of the contenders (see the module notes).
     Returns (estimate, standard error). Unnormalized (no norm_denom).
     Needs n_samples >= 2: one sample has no standard error.
     """
@@ -241,25 +297,14 @@ def smoothed_value_mc(
         raise ValueError(
             f"a Monte-Carlo value needs n_samples >= 2 for a standard error, got {budget.n_samples}"
         )
-    base = piece_values(instance, x).shifted
+    base, coeffs, frame = _contender_frame(instance, x)
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
-    c = _ball_sum(r, params.k, rng, n)
-    vals = (base[None, :] + params.delta * (c @ instance.piece_coords.T)).max(axis=1)
+    c = _ball_sum(r, params.k, rng, n, frame.shape[1])
+    vals = _flipped_max(base, [params.delta * (coeffs @ c.T)], (1,))
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     return est, stderr
-
-
-def _flipped_max(base: np.ndarray, projs: list[np.ndarray], signs: tuple[int, ...]) -> np.ndarray:
-    """Per draw, the max over pieces of base + sum_i signs[i] * projs[i].
-
-    A function of its own so that its (draws, pieces) temporaries are
-    freed before the estimator takes its moments (peak memory)."""
-    shifted = base[None, :]
-    for sign, proj in zip(signs, projs):
-        shifted = shifted + proj if sign > 0 else shifted - proj
-    return shifted.max(axis=1)
 
 
 def _tensor_coords_mc(
@@ -268,17 +313,20 @@ def _tensor_coords_mc(
     """Order-j derivative tensor of the smoothed function at x, in basis
     coordinates, by the iterated sphere identity (see the module notes).
 
-    j sphere vectors drawn first, then the k - j inner ball layers. Each
-    draw is evaluated at all 2^j sign flips (s_1 w_1, ..., s_j w_j), the
-    ball layers flipping with s_1, and weighted by s_1 * ... * s_j: every
-    flipped tuple has the law of the drawn one, so the estimate stays
-    unbiased. n_samples counts function evaluations, so n_samples // 2^j
-    draws are made; for j = 1 these are the antithetic pairs (w, v),
-    (-w, -v). Returns (tensor symmetrised over its axes, error bound),
-    the error bound being the root-sum-square of the per-entry standard
-    errors. Second moments are contracted draw by draw, so no
-    (draws, r, r) array is built. Needs two draws for a standard error,
-    so n_samples >= 2^(j+1).
+    j sphere vectors drawn first, then the k - j inner ball layers, all
+    in the q frame coordinates of the contenders; the tensor is estimated
+    there and lifted to the r basis coordinates. Each draw is evaluated
+    at all 2^j sign flips (s_1 w_1, ..., s_j w_j), the ball layers
+    flipping with s_1, and weighted by s_1 * ... * s_j: every flipped
+    tuple has the law of the drawn one, so the estimate stays unbiased.
+    n_samples counts function evaluations, so n_samples // 2^j draws are
+    made; for j = 1 these are the antithetic pairs (w, v), (-w, -v).
+    Returns (tensor symmetrised over its axes, error bound), the error
+    bound being the root-sum-square of the per-entry standard errors in
+    frame coordinates, which the lift (an isometry) leaves unchanged.
+    Second moments are contracted draw by draw, so no (draws, q, q)
+    array is built. Needs two draws for a standard error, so n_samples
+    >= 2^(j+1).
     """
     params = instance.params
     if not 1 <= order <= params.k:
@@ -289,33 +337,30 @@ def _tensor_coords_mc(
             f"(two draws at {2 ** order} sign flips each), got {budget.n_samples}"
         )
     r = instance.smoothing_dim
-    base = piece_values(instance, x).shifted
+    base, coeffs, frame = _contender_frame(instance, x)
+    q = frame.shape[1]
     rng = stream(budget.seed, "smooth-gradient")
     n = budget.n_samples // 2**order
-    spheres = [sample_sphere(r, rng, size=n) for _ in range(order)]
+    spheres = [sample_sphere(r, rng, size=n, coords=q) for _ in range(order)]
     first = spheres[0]
     if order < params.k:
-        first = first + _ball_sum(r, params.k - order, rng, n)
-    projs = [params.delta * (u @ instance.piece_coords.T) for u in [first, *spheres[1:]]]
+        first = first + _ball_sum(r, params.k - order, rng, n, q)
+    projs = [params.delta * (coeffs @ u.T) for u in [first, *spheres[1:]]]
     combo = None
     for signs in itertools.product((1, -1), repeat=order):
         term = math.prod(signs) * _flipped_max(base, projs, signs)
         combo = term if combo is None else combo + term
     g = (r / params.delta) ** order * (combo / 2**order)[:, None] * spheres[0]
-    if order == 1:
-        # np.mean and np.var, not the moment contraction: the gradient's bits
-        # are pinned (replays compare them bit for bit)
-        tensor = g.mean(axis=0)
-        var = g.var(axis=0, ddof=1)
-    else:
-        axes = "abcdefghijklm"[:order]
-        subscripts = ",".join("n" + a for a in axes) + "->" + axes
-        tensor = np.einsum(subscripts, g, *spheres[1:]) / n
-        second = np.einsum(subscripts, g * g, *(w * w for w in spheres[1:])) / n
-        var = np.maximum(second - tensor**2, 0.0) * (n / (n - 1))
+    axes = "abcdefghijklm"[:order]
+    subscripts = ",".join("n" + a for a in axes) + "->" + axes
+    tensor = np.einsum(subscripts, g, *spheres[1:]) / n
+    second = np.einsum(subscripts, g * g, *(w * w for w in spheres[1:])) / n
+    var = np.maximum(second - tensor**2, 0.0) * (n / (n - 1))
     err = float(np.sqrt(((np.sqrt(var) / math.sqrt(n)) ** 2).sum()))
     perms = list(itertools.permutations(range(order)))
     tensor = sum((np.transpose(tensor, p) for p in perms[1:]), tensor) / len(perms)
+    for _ in range(order):  # lift each axis in turn: Q T Q^T for order 2
+        tensor = np.tensordot(tensor, frame, axes=(0, 1))
     return tensor, err
 
 

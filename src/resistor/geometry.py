@@ -192,36 +192,59 @@ def arbitrary_perp_unit(basis: OrthonormalBasis, rng: np.random.Generator) -> Ve
     raise RuntimeError("could not draw a perpendicular direction")
 
 
-def sample_sphere(r: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Uniform sample(s) on the unit sphere of R^r.
+def sample_sphere(
+    r: int, rng: np.random.Generator, size: int | None = None, coords: int | None = None
+) -> np.ndarray:
+    """Uniform sample(s) on the unit sphere of R^r, or their first `coords`
+    coordinates.
 
-    Returns shape (r,) for size=None, else (size, r). Outputs are
-    normalized exactly, so | ||v|| - 1 | is at roundoff level.
+    A uniform point is g / |g| with g ~ N(0, I_r), so its first q
+    coordinates are z / sqrt(|z|^2 + chi^2_{r-q}) with z ~ N(0, I_q): q
+    normals and one chi-square draw instead of r normals. coords = r
+    (the default) draws the whole point; its outputs are normalized
+    exactly, so | ||v|| - 1 | is at roundoff level. Returns shape
+    (coords,) for size=None, else (size, coords).
     """
+    q = r if coords is None else coords
     if r < 1:
         raise ValueError("r must be a positive integer")
+    if not 1 <= q <= r:
+        raise ValueError(f"coords must lie in [1, r = {r}], got {q}")
     n = 1 if size is None else int(size)
-    g = rng.standard_normal((n, r))
-    # np.linalg.norm(g, axis=1) without its conj() copy, bit for bit
-    norms = np.sqrt(np.add.reduce(g * g, axis=1))
+
+    def norms_of(g: np.ndarray) -> np.ndarray:
+        if q == r:
+            # np.linalg.norm(g, axis=1) without its conj() copy, bit for bit
+            return np.sqrt(np.add.reduce(g * g, axis=1))
+        # the chi-square mass of the r - q coordinates not drawn, plus the
+        # drawn ones column by column (faster than a reduce over a short axis)
+        squares = rng.chisquare(r - q, len(g))
+        for column in g.T:
+            squares += column * column
+        return np.sqrt(squares)
+
+    g = rng.standard_normal((n, q))
+    norms = norms_of(g)
     while np.any(norms == 0.0):  # probability-zero guard
         bad = norms == 0.0
-        g[bad] = rng.standard_normal((int(bad.sum()), r))
-        norms = np.sqrt(np.add.reduce(g * g, axis=1))
+        g[bad] = rng.standard_normal((int(bad.sum()), q))
+        norms[bad] = norms_of(g[bad])
     g /= norms[:, None]
     return g[0] if size is None else g
 
 
-def sample_ball(r: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Uniform sample(s) in the closed unit ball of R^r.
+def sample_ball(
+    r: int, rng: np.random.Generator, size: int | None = None, coords: int | None = None
+) -> np.ndarray:
+    """Uniform sample(s) in the closed unit ball of R^r, or their first
+    `coords` coordinates (see sample_sphere).
 
     Gaussian direction times a U^(1/r) radius, which works at any r
-    (no rejection). Returns shape (r,) for size=None, else (size, r).
+    (no rejection); the radius keeps the exponent 1/r whatever coords
+    is. Returns shape (coords,) for size=None, else (size, coords).
     """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
     n = 1 if size is None else int(size)
-    v = sample_sphere(r, rng, size=n)
+    v = sample_sphere(r, rng, size=n, coords=coords)
     radii = rng.random(n) ** (1.0 / r)
     v *= radii[:, None]
     return v[0] if size is None else v

@@ -280,7 +280,8 @@ def verify_lipschitz(
     combined reported errors. Orders 0 and 1 use the value and gradient
     estimators; order 2 compares H(x) u and H(y) u for the basis row
     u = p mod r, both Hessians estimated on one common-random-numbers
-    seed. Orders above 2 raise UnsupportedOrderError.
+    seed. A NaN ratio or error makes max_ratio or max_excess NaN and
+    fails the audit. Orders above 2 raise UnsupportedOrderError.
     """
     params = instance.params
     if order > 2:
@@ -293,8 +294,7 @@ def verify_lipschitz(
     bound = rescale * (r / params.delta) ** order
     rng = stream(seed, "lipschitz-pairs", order)
     pairs = _separated_pairs(instance, n_pairs, rng)
-    max_ratio = 0.0
-    max_excess = -math.inf
+    ratios, excesses = [], []
     for p, (x, y, dist) in enumerate(pairs):
         if order == 0:
             vx, ex = smoothed_value_mc(instance, x, MCBudget(samples, child_seed(seed, "lip0x", p)))
@@ -313,12 +313,14 @@ def verify_lipschitz(
             column = p % r
             ratio = rescale * float(np.linalg.norm(hx[:, column] - hy[:, column])) / dist
             slack = rescale * 3.0 * (ex + ey) / dist
-        max_ratio = max(max_ratio, ratio)
-        max_excess = max(max_excess, ratio - slack)
+        ratios.append(ratio)
+        excesses.append(ratio - slack)
+    # np.max, unlike Python's max, keeps a NaN, which then fails the audit
+    max_excess = float(np.max(excesses, initial=-math.inf))
     return LipschitzAudit(
         order=order,
         bound=bound,
-        max_ratio=max_ratio,
+        max_ratio=float(np.max(ratios, initial=0.0)),
         max_excess=max_excess,
         n_pairs=len(pairs),
         passed=max_excess <= bound,

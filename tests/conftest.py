@@ -1,8 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from resistor.evaluator import piece_values
 from resistor.geometry import OrthonormalBasis
 from resistor.instance import DETERMINISTIC, HardInstance, InstanceParams
+from resistor.streams import stream
 
 
 def unit(d: int, i: int) -> np.ndarray:
@@ -63,3 +68,74 @@ def fd_gradient_crn(
         grad[axis] = quot.mean()
         errs[axis] = quot.std(ddof=1) / np.sqrt(n)
     return basis.T @ grad, float(np.sqrt((errs**2).sum()))
+
+
+def full_sphere(r: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Uniform points on the unit sphere of R^r, shape (n, r), all r
+    coordinates drawn: the reference for sample_sphere's coords = r form
+    (same stream use, same arithmetic)."""
+    g = rng.standard_normal((n, r))
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        g[bad] = rng.standard_normal((int(bad.sum()), r))
+        norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    return g / norms[:, None]
+
+
+def full_ball(r: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Uniform points in the unit ball of R^r, shape (n, r): full_sphere
+    times a U^(1/r) radius."""
+    v = full_sphere(r, rng, n)
+    return v * (rng.random(n) ** (1.0 / r))[:, None]
+
+
+def _full_ball_sum(r: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    total = full_ball(r, rng, n)
+    for _ in range(k - 1):
+        total += full_ball(r, rng, n)
+    return total
+
+
+def dense_value_mc(instance: HardInstance, x: np.ndarray, budget) -> tuple[float, float]:
+    """Reference smoothed value: the full-span estimator, every draw in all
+    r coordinates and the max over every piece, on the library's stream."""
+    params = instance.params
+    base = piece_values(instance, x).shifted
+    rng = stream(budget.seed, "smooth-value")
+    n = budget.n_samples
+    c = _full_ball_sum(instance.smoothing_dim, params.k, rng, n)
+    vals = (base[None, :] + params.delta * (c @ instance.piece_coords.T)).max(axis=1)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+
+
+def dense_tensor_coords_mc(
+    instance: HardInstance, x: np.ndarray, order: int, budget
+) -> tuple[np.ndarray, float]:
+    """Reference order-j derivative tensor in basis coordinates: the
+    full-span sphere-identity estimator with its 2^j sign flips, every draw
+    in all r coordinates and the max over every piece."""
+    params = instance.params
+    r = instance.smoothing_dim
+    base = piece_values(instance, x).shifted
+    rng = stream(budget.seed, "smooth-gradient")
+    n = budget.n_samples // 2**order
+    spheres = [full_sphere(r, rng, n) for _ in range(order)]
+    first = spheres[0]
+    if order < params.k:
+        first = first + _full_ball_sum(r, params.k - order, rng, n)
+    projs = [params.delta * (u @ instance.piece_coords.T) for u in [first, *spheres[1:]]]
+    combo = 0.0
+    for signs in itertools.product((1, -1), repeat=order):
+        shifted = base[None, :] + sum(s * p for s, p in zip(signs, projs))
+        combo = combo + math.prod(signs) * shifted.max(axis=1)
+    g = (r / params.delta) ** order * (combo / 2**order)[:, None] * spheres[0]
+    axes = "abcdefghijklm"[:order]
+    subscripts = ",".join("n" + a for a in axes) + "->" + axes
+    tensor = np.einsum(subscripts, g, *spheres[1:]) / n
+    second = np.einsum(subscripts, g * g, *(w * w for w in spheres[1:])) / n
+    var = np.maximum(second - tensor**2, 0.0) * (n / (n - 1))
+    err = float(np.sqrt((var / n).sum()))
+    perms = list(itertools.permutations(range(order)))
+    tensor = sum((np.transpose(tensor, p) for p in perms[1:]), tensor) / len(perms)
+    return tensor, err

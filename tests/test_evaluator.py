@@ -10,6 +10,7 @@ from resistor.evaluator import (
     MONTE_CARLO,
     MCBudget,
     _tensor_coords_mc,
+    contenders,
     exact_answer,
     locally_affine_index,
     oracle_answer,
@@ -35,7 +36,7 @@ from resistor.instance import (
 from resistor.oracles import AdaptiveOracle, RandomizedOracle
 from resistor.streams import stream
 
-from conftest import abs_instance, fd_gradient_crn, unit
+from conftest import abs_instance, dense_tensor_coords_mc, dense_value_mc, fd_gradient_crn, unit
 
 
 class TestPieceValues:
@@ -168,6 +169,162 @@ class TestLocallyAffineIndex:
         assert locally_affine_index(inst, np.zeros(p.d)) == 1
 
 
+def _lattice_instance(k: int) -> HardInstance:
+    """Three axis pieces in R^4 with binary-fraction shifts and delta = 1/64,
+    so shifted values at lattice points are exact and 2*k*delta is k/32."""
+    params = InstanceParams(T=3, k=k, m=4, d=4, gamma=0.25, delta=1.0 / 64.0, mode=DETERMINISTIC)
+    return HardInstance.from_basis(params, OrthonormalBasis(np.eye(4)[:3]))
+
+
+class TestContenders:
+    @given(st.sampled_from([1, 2]), st.lists(st.integers(0, 24), min_size=3, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_affine_iff_one_contender(self, k, steps):
+        # shifted values on a 1/64 lattice: exact ties and margins of exactly
+        # 2*k*delta are drawn often
+        inst = _lattice_instance(k)
+        x = np.append(np.array(steps) / 64.0 - inst.piece_shifts, 0.0)
+        values = piece_values(inst, x)
+        near = contenders(inst, values)
+        idx = locally_affine_index(inst, x)
+        assert (idx is not None) == (len(near) == 1)
+        if idx is not None:
+            assert near.tolist() == [idx - 1]
+        top = values.shifted.max()
+        band = 2 * k * inst.params.delta
+        assert near.tolist() == [i for i, v in enumerate(values.shifted) if top - v <= band]
+
+    @given(st.integers(0, 2**31), st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_affine_iff_one_contender_generic(self, seed, r):
+        inst = _kernel_instance("custom", seed, r, 40)
+        rng = stream(seed, "point")
+        for scale in (1.0, 1e-2, 1e-3):
+            x = rng.standard_normal(inst.params.d)
+            x *= scale / np.linalg.norm(x)
+            near = contenders(inst, piece_values(inst, x))
+            assert (locally_affine_index(inst, x) is not None) == (len(near) == 1)
+
+    def test_nan_keeps_every_piece(self):
+        inst = _lattice_instance(1)
+        values = piece_values(inst, np.array([np.nan, 0.0, 0.0, 0.0]))
+        assert contenders(inst, values).tolist() == [0, 1, 2]
+
+    @given(st.integers(0, 2**31), st.integers(1, 12), st.floats(1e-9, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_piece_out_of_reach_leaves_contenders(self, seed, r, gap):
+        # r unit pieces with zero shifts and x a few tie bands from the
+        # origin, so some pieces contend and some do not; then one more piece in their
+        # span, more than 2*k*delta below the top at x
+        params = params_deterministic(24, 1, d=40)
+        band = 2 * params.k * params.delta
+        rng = stream(seed, "far")
+        rows = rng.standard_normal((r, params.d))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        inst = HardInstance.custom(params, rows, np.zeros(r))
+        x = rng.standard_normal(params.d)
+        x *= 8 * band / np.linalg.norm(x)
+        values = piece_values(inst, x)
+        a = inst.basis.lift(rng.standard_normal(inst.smoothing_dim))
+        a /= np.linalg.norm(a)
+        shift = values.shifted.max() - a @ x - band - gap
+        bigger = HardInstance.custom(params, np.vstack([rows, a]), np.append(np.zeros(r), shift))
+        assert bigger.smoothing_dim == inst.smoothing_dim
+        before = contenders(inst, values)
+        assert contenders(bigger, piece_values(bigger, x)).tolist() == before.tolist()
+        # the sampled answers do not see it either, bit for bit
+        budget = MCBudget(64, seed)
+        assert smoothed_value_mc(bigger, x, budget) == smoothed_value_mc(inst, x, budget)
+        g_big, e_big = smoothed_gradient_mc(bigger, x, budget)
+        g, e = smoothed_gradient_mc(inst, x, budget)
+        assert g_big.tobytes() == g.tobytes() and e_big == e
+
+
+def _tie_client() -> tuple[AdaptiveOracle, list[np.ndarray], list]:
+    """The oracle (T = 9, k = 2) after the tie client, its queries and its
+    answers. Query 1 is the origin; query t >= 2 ties piece t with piece 1
+    exactly, pieces 2..t-1 sitting gamma/T or more below, out of the
+    smoothing's reach, so every answer after the first is Monte Carlo."""
+    p = params_deterministic(9, 2)
+    oracle = AdaptiveOracle(p, seed=0)
+    xs = [np.zeros(p.d)]
+    answers = [oracle.query(xs[0])]
+    known = [answers[0].gradient * p.norm_denom]
+    rng = np.random.default_rng(0)
+    for t in range(2, p.T + 1):
+        e = rng.standard_normal(p.d)
+        for _ in range(2):
+            for u in known:
+                e -= (u @ e) * u
+        e /= np.linalg.norm(e)
+        known.append(e)
+        xs.append((shift_of(p, 1) - shift_of(p, t)) * e)
+        answers.append(oracle.query(xs[-1]))
+    return oracle, xs, answers
+
+
+@pytest.mark.parametrize("t", [5, 9])
+def test_contender_estimates_match_full_span_reference(t):
+    # Two contenders out of r = 9 pieces. Over fixed seeds the estimates
+    # agree with the full-span estimator within 4 combined errors, and the
+    # gradient and Hessian errors are no larger (Rao-Blackwell). The value
+    # estimator has the same law either way, so its standard error agrees
+    # only up to sampling noise.
+    oracle, xs, _ = _tie_client()
+    inst, x = oracle.instance, xs[t - 1]
+    assert len(contenders(inst, piece_values(inst, x))) == 2 and inst.smoothing_dim == 9
+    for seed in range(4):
+        budget = MCBudget(20_000, seed)
+        value, verr = smoothed_value_mc(inst, x, budget)
+        ref, ref_err = dense_value_mc(inst, x, budget)
+        assert abs(value - ref) <= 4 * math.hypot(verr, ref_err)
+        assert verr <= 1.05 * ref_err
+        for order in (1, 2):
+            tensor, err = _tensor_coords_mc(inst, x, order, budget)
+            ref, ref_err = dense_tensor_coords_mc(inst, x, order, budget)
+            assert np.linalg.norm(tensor - ref) <= 4 * math.hypot(err, ref_err)
+            assert err <= ref_err
+
+
+# oracle_answer on the lattice instance (k = 2) at x = (1/4, 5/16, 0, 0),
+# where pieces 1 and 2 tie and piece 3 sits 3/8 below, out of reach:
+# MCBudget(1_000, 7), every field as float.hex.
+PINNED_ANSWER = {
+    "value": "0x1.c5aca11fe10b6p-2",
+    "value_stderr": "0x1.0756ba24c4419p-12",
+    "gradient": ["0x1.fe31b246207bap-2", "0x1.ff89609d983d7p-2", "0x0.0p+0", "0x0.0p+0"],
+    "gradient_error": "0x1.2e363dbe8231cp-5",
+    "hessian": [
+        "0x1.75ebbd549fc51p+4", "-0x1.906dfcee6e4eap+4", "0x0.0p+0",
+        "-0x1.906dfcee6e4eap+4", "0x1.8870c77daf9f5p+4", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ],
+    "hessian_error": "0x1.32c7a1a7699e8p+2",
+}
+
+
+def test_pruned_answer_bits_pinned():
+    inst = _lattice_instance(2)
+    x = np.array([0.25, 0.3125, 0.0, 0.0])
+    values = piece_values(inst, x)
+    assert values.shifted.tolist() == [0.4375, 0.4375, 0.0625]
+    assert contenders(inst, values).tolist() == [0, 1]
+    resp = oracle_answer(inst, x, budget=MCBudget(1_000, 7))
+    hess = resp.hessian()
+    got = {
+        "value": float(resp.value).hex(),
+        "value_stderr": float(resp.value_stderr).hex(),
+        "gradient": [float(v).hex() for v in resp.gradient],
+        "gradient_error": float(resp.gradient_error).hex(),
+        "hessian": [float(v).hex() for v in hess.tensor.ravel()],
+        "hessian_error": float(hess.error_bound).hex(),
+    }
+    assert got == PINNED_ANSWER
+    # the estimates lie in the contenders' span: nothing along piece 3
+    assert resp.gradient[2] == 0.0 and resp.gradient[3] == 0.0
+    assert np.all(hess.tensor[2] == 0.0) and np.all(hess.tensor[:, 2] == 0.0)
+
+
 class TestSmoothedValue:
     def test_one_piece_unbiased(self):
         p = params_deterministic(4, 1)
@@ -234,8 +391,8 @@ class TestSmoothedGradient:
 # exact and the bits depend only on the draws and the estimator's
 # arithmetic.
 PINNED_GRADIENTS = {
-    1: (["0x1.edaba79bcec8bp-2", "0x1.087dd72b221a6p-1", "0x0.0p+0"], "0x1.0328a51e4fbcfp-5"),
-    2: (["0x1.f12df597c762fp-2", "0x1.11cb62e4e95e1p-1", "0x0.0p+0"], "0x1.73f7ed798034fp-5"),
+    1: (["0x1.edaba79bcec8bp-2", "0x1.087dd72b221a6p-1", "0x0.0p+0"], "0x1.0328a51e4fbcep-5"),
+    2: (["0x1.f12df597c762fp-2", "0x1.11cb62e4e95e1p-1", "0x0.0p+0"], "0x1.73f7ed798034dp-5"),
 }
 
 
@@ -312,24 +469,12 @@ def _tie_hessian(r: int, delta: float) -> np.ndarray:
 
 
 def test_tie_client_hessians_have_useful_honest_errors():
-    """Query t >= 2 of this client ties piece t with piece 1 exactly (the
-    pieces in between sit gamma/T below, beyond the smoothing's reach), so
-    every answer after the first is Monte Carlo with a closed-form Hessian.
-    Each reported error must be below a tenth of the Hessian's norm and
-    cover the distance to the closed form."""
-    p = params_deterministic(9, 2)
-    oracle = AdaptiveOracle(p, seed=0)
-    first = oracle.query(np.zeros(p.d))
-    known = [first.gradient * p.norm_denom]
-    rng = np.random.default_rng(0)
-    for t in range(2, p.T + 1):
-        e = rng.standard_normal(p.d)
-        for _ in range(2):
-            for u in known:
-                e -= (u @ e) * u
-        e /= np.linalg.norm(e)
-        known.append(e)
-        resp = oracle.query((shift_of(p, 1) - shift_of(p, t)) * e)
+    """Every answer after the first is Monte Carlo with a closed-form
+    Hessian (see _tie_client). Each reported error must be below a tenth
+    of the Hessian's norm and cover the distance to the closed form."""
+    oracle, _, answers = _tie_client()
+    p = oracle.params
+    for t, resp in enumerate(answers[1:], start=2):
         assert resp.regime == MONTE_CARLO
         hess = resp.hessian()
         norm = float(np.linalg.norm(hess.tensor))

@@ -18,7 +18,7 @@ from resistor.geometry import (
 )
 from resistor.streams import stream
 
-from conftest import unit
+from conftest import full_ball, full_sphere, unit
 
 
 def basis_of(*rows):
@@ -138,6 +138,52 @@ class TestSampleSphere:
     def test_unit_norm(self):
         v = sample_sphere(6, stream(2, "sph"), size=500)
         assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-12
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_full_coords_is_the_full_sampler_bit_for_bit(seed, r, n):
+    # coords = r (or left out) draws all r coordinates, exactly as the
+    # reference samplers do, consuming the stream the same way
+    ref_rng, rng, default_rng = (stream(seed, "full") for _ in range(3))
+    sphere = full_sphere(r, ref_rng, n)
+    assert sample_sphere(r, rng, size=n, coords=r).tobytes() == sphere.tobytes()
+    assert sample_sphere(r, default_rng, size=n).tobytes() == sphere.tobytes()
+    ball = full_ball(r, ref_rng, n)
+    assert sample_ball(r, rng, size=n, coords=r).tobytes() == ball.tobytes()
+    assert sample_ball(r, default_rng, size=n).tobytes() == ball.tobytes()
+    assert rng.random() == ref_rng.random() == default_rng.random()
+
+
+@pytest.mark.parametrize("r, q", [(9, 2), (3, 2), (6, 1)])
+def test_projected_law_matches_full_sampler(r, q):
+    # 5000 draws each way: the coords = q form against the first q
+    # coordinates of full r-dimensional draws, two-sample KS on every
+    # coordinate and on the squared norm, for the sphere and the ball (the
+    # ball's squared norm carries its U^(1/r) radius)
+    n = 5000
+    full_rng, rng = stream(1, "full", 10 * r + q), stream(1, "projected", 10 * r + q)
+    pairs = [
+        (full_sphere(r, full_rng, n)[:, :q], sample_sphere(r, rng, size=n, coords=q)),
+        (full_ball(r, full_rng, n)[:, :q], sample_ball(r, rng, size=n, coords=q)),
+    ]
+    pvalues = []
+    for full, projected in pairs:
+        assert projected.shape == (n, q)
+        for j in range(q):
+            pvalues.append(ks_pvalue(full[:, j], projected[:, j]))
+        pvalues.append(ks_pvalue((full * full).sum(axis=1), (projected * projected).sum(axis=1)))
+    assert min(pvalues) > 1e-3, pvalues
+
+
+def test_projected_shapes_and_support():
+    assert sample_sphere(5, stream(0, "s"), coords=2).shape == (2,)
+    assert sample_ball(5, stream(0, "b"), coords=3).shape == (3,)
+    v = sample_sphere(5, stream(1, "s"), size=2000, coords=2)
+    assert np.all(np.linalg.norm(v, axis=1) <= 1.0)
+    for coords in (0, 6):
+        with pytest.raises(ValueError, match="coords must lie in"):
+            sample_sphere(5, stream(0, "s"), coords=coords)
 
 
 def reference_basis(d, count, rng):

@@ -178,6 +178,56 @@ class TestVerifyLipschitz:
             verify_lipschitz(audit_instance(4, 1), 2)
 
 
+def _nan_value(instance, x, budget):
+    return math.nan, 0.01
+
+
+def _nan_gradient_error(instance, x, budget):
+    return np.zeros(instance.basis.dim), math.nan
+
+
+def _nan_hessian(instance, x, order, budget):
+    r = instance.smoothing_dim
+    return np.full((r, r), math.nan), 1.0
+
+
+# (audited order, estimator the audit calls, a stand-in answering NaN)
+NAN_ESTIMATES = [
+    (0, "smoothed_value_mc", _nan_value),
+    (1, "smoothed_gradient_mc", _nan_gradient_error),
+    (2, "_tensor_coords_mc", _nan_hessian),
+]
+
+
+class TestLipschitzAuditFailsClosed:
+    @pytest.mark.parametrize("order, name, fake", NAN_ESTIMATES)
+    def test_nan_estimate_fails_the_audit(self, monkeypatch, order, name, fake):
+        monkeypatch.setattr(harness, name, fake)
+        audit = verify_lipschitz(audit_instance(4, 2), order, n_pairs=3, samples=64, seed=0)
+        assert math.isnan(audit.max_excess)
+        assert not audit.passed
+
+    def test_nan_value_sticks_in_max_ratio(self, monkeypatch):
+        monkeypatch.setattr(harness, "smoothed_value_mc", _nan_value)
+        audit = verify_lipschitz(audit_instance(4, 1), 0, n_pairs=3, samples=64, seed=0)
+        assert math.isnan(audit.max_ratio)
+
+    def test_no_pairs_keeps_the_empty_fold(self):
+        audit = verify_lipschitz(audit_instance(4, 1), 0, n_pairs=0)
+        assert (audit.max_ratio, audit.max_excess, audit.passed) == (0.0, -math.inf, True)
+
+    @pytest.mark.parametrize("order, name, fake", NAN_ESTIMATES)
+    def test_verify_exits_1(self, monkeypatch, capsys, order, name, fake):
+        monkeypatch.setattr(harness, name, fake)
+        code = cli.main(
+            ["verify", "--suite", "lipschitz", "--T", "4", "--k", "2", "--pairs", "3",
+             "--mc-samples", "64"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"lipschitz order {order}: max ratio" in out and "suite lipschitz: FAIL" in out
+
+
 class TestVerifyInvariance:
     def test_standard_instance(self):
         audit = verify_invariance(audit_instance(4, 1), n_points=15, samples=4_000, seed=0)
