@@ -114,9 +114,6 @@ class OracleResponse:
     gradient_error: float
     basis_matrix: np.ndarray | None = None
 
-    def order(self) -> int:
-        return 1 + len(self.higher)
-
     def hessian(self) -> HigherDerivative | None:
         for h in self.higher:
             if h.order == 2:
@@ -415,7 +412,7 @@ def exact_answer(
     """
     k = _check_order(instance, order)
     denom = instance.params.norm_denom
-    a = instance.pieces[idx - 1].a
+    a = instance.piece_matrix[idx - 1]
     return OracleResponse(
         value=float(values.shifted[idx - 1] / denom),
         gradient=a if denom == 1.0 else a / denom,

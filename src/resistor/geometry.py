@@ -62,7 +62,6 @@ class OrthonormalBasis:
     """
 
     matrix: np.ndarray
-    tol: float = ORTHONORMALITY_TOL
     _store: _RowStore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,11 +84,11 @@ class OrthonormalBasis:
         store = self._store
         if store is None or store.used != n or n == len(store.rows):
             store = _RowStore(self.matrix, max(capacity, n + 1))
-        return OrthonormalBasis(store.append(unit), self.tol, store)
+        return OrthonormalBasis(store.append(unit), store)
 
     @classmethod
-    def empty(cls, dim: int, tol: float = ORTHONORMALITY_TOL) -> "OrthonormalBasis":
-        return cls(np.zeros((0, dim)), tol)
+    def empty(cls, dim: int) -> "OrthonormalBasis":
+        return cls(np.zeros((0, dim)))
 
     @property
     def dim(self) -> int:
@@ -97,9 +96,6 @@ class OrthonormalBasis:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
-
-    def __iter__(self):
-        return iter(self.matrix)
 
     def coords(self, x: Vector) -> Vector:
         """Coordinates of x against this basis (projection onto the span)."""
@@ -110,8 +106,8 @@ class OrthonormalBasis:
         return self.matrix.T @ np.asarray(coords, dtype=float)
 
     def violations(self) -> list[str]:
-        """Orthonormality defects exceeding tol (or not a number), as
-        readable strings."""
+        """Orthonormality defects exceeding ORTHONORMALITY_TOL (or not a
+        number), as readable strings."""
         out: list[str] = []
         n = len(self)
         if n == 0:
@@ -119,13 +115,13 @@ class OrthonormalBasis:
         gram = self.matrix @ self.matrix.T
         for i in range(n):
             diag = abs(gram[i, i] - 1.0)
-            if not (diag <= self.tol):
-                out.append(f"| ||u_{i}|| - 1 | = {diag:.3e} > {self.tol:.1e}")
+            if not (diag <= ORTHONORMALITY_TOL):
+                out.append(f"| ||u_{i}|| - 1 | = {diag:.3e} > {ORTHONORMALITY_TOL:.1e}")
         off = gram - np.diag(np.diag(gram))
         worst = np.abs(off).max() if n > 1 else 0.0
-        if not (worst <= self.tol):
+        if not (worst <= ORTHONORMALITY_TOL):
             i, j = np.unravel_index(np.abs(off).argmax(), off.shape)
-            out.append(f"|<u_{i}, u_{j}>| = {worst:.3e} > {self.tol:.1e}")
+            out.append(f"|<u_{i}, u_{j}>| = {worst:.3e} > {ORTHONORMALITY_TOL:.1e}")
         if n > self.dim:
             out.append(f"count {n} exceeds dimension {self.dim}")
         return out
@@ -150,26 +146,23 @@ def perp_component(x: Vector, basis: OrthonormalBasis) -> Vector:
 def orthonormal_extend(
     basis: OrthonormalBasis,
     x: Vector,
-    degeneracy_tol: float = DEGENERACY_TOL,
     capacity: int = 0,
 ) -> tuple[OrthonormalBasis, Vector | None]:
     """Append the normalized perpendicular of x, or report degeneracy.
 
     Returns (basis', unit), unit being the new last row of basis'; unit
     is None and the basis is unchanged when the perpendicular norm is at
-    most degeneracy_tol (or not a number). The projection is applied
+    most DEGENERACY_TOL (or not a number). The projection is applied
     twice ("twice is enough") so the extended basis stays orthonormal to
-    tol even in very high dimension. capacity: rows to reserve for
-    further extensions (see OrthonormalBasis.extended).
+    ORTHONORMALITY_TOL even in very high dimension. capacity: rows to
+    reserve for further extensions (see OrthonormalBasis.extended).
     """
-    if degeneracy_tol <= 0:
-        raise ValueError("degeneracy_tol must be positive")
     p = perp_component(x, basis)
-    if not (np.linalg.norm(p) > degeneracy_tol):
+    if not (np.linalg.norm(p) > DEGENERACY_TOL):
         return basis, None
     p = perp_component(p, basis)
     norm = np.linalg.norm(p)
-    if not (norm > degeneracy_tol):
+    if not (norm > DEGENERACY_TOL):
         return basis, None
     extended = basis.extended(p / norm, capacity)
     return extended, extended.matrix[-1]

@@ -1,9 +1,9 @@
 """Hard-instance description: parameter schedules, affine pieces with
 decreasing shifts, and the closed-form bounds used as certificates.
 
-An instance is a set of unit directions a_i with shifts (1 - i/m)*gamma
-defining the shifted max-affine function, plus the orthonormal basis of
-the subspace the smoothing averages over.
+An instance is a matrix whose rows are unit directions a_i, a vector of
+shifts (1 - i/m)*gamma defining the shifted max-affine function, and the
+orthonormal basis of the subspace the smoothing averages over.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
-    DEGENERACY_TOL,
     OrthonormalBasis,
     Vector,
     arbitrary_perp_unit,
@@ -31,6 +31,8 @@ RANDOMIZED = "randomized"
 QUERY_NORM_SLACK = 1e-9
 PIECE_UNIT_TOL = 1e-10
 PIECE_SPAN_TOL = 1e-8
+# Shifts of an instance with no pieces: read-only, so one array serves all.
+_NO_SHIFTS = frozen(np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -195,56 +197,42 @@ def validate(params: InstanceParams) -> list[str]:
     return v
 
 
-@dataclass(frozen=True)
-class AffinePiece:
-    """One affine piece a.x + shift of the max; a is a unit vector.
-
-    The direction is copied unless it is already frozen (a basis row,
-    for instance).
-    """
+class AffinePiece(NamedTuple):
+    """One affine piece a.x + shift of the max, read from an instance:
+    a is row index - 1 of its piece matrix, a read-only view."""
 
     index: int
     a: np.ndarray
     shift: float
 
-    def __post_init__(self):
-        a = frozen(np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "a", a)
-        norm = np.linalg.norm(a)
-        if not (abs(norm - 1.0) <= PIECE_UNIT_TOL):
-            raise ValueError(f"piece direction must be unit, ||a|| = {norm}")
-
-
-def _check_in_span(piece: AffinePiece, basis: OrthonormalBasis) -> None:
-    residual = np.linalg.norm(piece.a - basis.lift(basis.coords(piece.a)))
-    if not (residual <= PIECE_SPAN_TOL):
-        raise ValueError(
-            f"piece {piece.index} does not lie in the basis span (residual {residual:.3e})"
-        )
-
 
 @dataclass(frozen=True)
 class HardInstance:
-    """Pieces plus the orthonormal basis of the subspace they span.
+    """The shifted max-affine function max_i(a_i.x + shift_i), smoothed
+    over the span of the a_i: a matrix, a shift vector and a basis.
 
-    The smoothing averages over the basis span, so its size (not the
-    piece count) is the smoothing dimension. Vectors, queries included,
-    have basis.dim coordinates: the working dimension. Standard instances
-    built by append_piece or from_basis have pieces equal to the basis
-    rows.
+    piece_matrix holds the directions a_i as read-only rows, piece_shifts
+    the shifts, and basis an orthonormal basis of their span. The
+    smoothing averages over the basis span, so its size (not the piece
+    count) is the smoothing dimension. Vectors, queries included, have
+    basis.dim coordinates: the working dimension. Standard instances,
+    built by append_piece or from_basis, have the basis matrix itself as
+    piece_matrix.
 
-    The constructors check what they are given once: from_basis that the
-    basis is orthonormal, custom and from_json that every piece lies in
-    the span, append_piece the one piece it adds.
+    Pieces are checked once, where they enter: from_basis checks that
+    the basis is orthonormal, custom and from_json that every direction
+    is unit and lies in the span. append_piece checks nothing, its new
+    row being orthonormal by construction.
     """
 
     params: InstanceParams
-    pieces: tuple[AffinePiece, ...]
+    piece_matrix: np.ndarray
+    piece_shifts: np.ndarray
     basis: OrthonormalBasis
 
     @property
     def num_pieces(self) -> int:
-        return len(self.pieces)
+        return len(self.piece_matrix)
 
     @property
     def smoothing_dim(self) -> int:
@@ -255,38 +243,22 @@ class HardInstance:
         return self.num_pieces == self.params.T
 
     @cached_property
-    def piece_matrix(self) -> np.ndarray:
-        """Piece directions as rows: the basis matrix itself for from_basis
-        and append_piece instances (set by _of_basis_rows), else a stack."""
-        return np.array([p.a for p in self.pieces]).reshape(self.num_pieces, self.basis.dim)
-
-    @cached_property
-    def piece_shifts(self) -> np.ndarray:
-        return np.array([p.shift for p in self.pieces])
+    def pieces(self) -> tuple[AffinePiece, ...]:
+        """The pieces one by one, as views of the matrix and shifts."""
+        return tuple(
+            AffinePiece(i + 1, a, float(shift))
+            for i, (a, shift) in enumerate(zip(self.piece_matrix, self.piece_shifts))
+        )
 
     @cached_property
     def piece_coords(self) -> np.ndarray:
         """Piece directions in basis coordinates, shape (pieces, smoothing_dim)."""
-        return np.array([self.basis.coords(p.a) for p in self.pieces])
-
-    @classmethod
-    def _of_basis_rows(
-        cls,
-        params: InstanceParams,
-        pieces: tuple[AffinePiece, ...],
-        basis: OrthonormalBasis,
-        shifts: np.ndarray,
-    ) -> "HardInstance":
-        """Instance whose pieces are the rows of basis, in order, with the
-        given shifts: piece_matrix and piece_shifts are set here instead of
-        being derived piece by piece."""
-        instance = cls(params, pieces, basis)
-        vars(instance).update(piece_matrix=basis.matrix, piece_shifts=shifts)
-        return instance
+        return np.array([self.basis.coords(a) for a in self.piece_matrix])
 
     @classmethod
     def empty(cls, params: InstanceParams) -> "HardInstance":
-        return cls(params, (), OrthonormalBasis.empty(params.d))
+        basis = OrthonormalBasis.empty(params.d)
+        return cls(params, basis.matrix, _NO_SHIFTS, basis)
 
     @classmethod
     def from_basis(cls, params: InstanceParams, basis: OrthonormalBasis) -> "HardInstance":
@@ -296,11 +268,8 @@ class HardInstance:
         problems = basis.violations()
         if problems:
             raise ValueError("basis is not orthonormal: " + "; ".join(problems))
-        pieces = tuple(
-            AffinePiece(index=i + 1, a=row, shift=shift_of(params, i + 1))
-            for i, row in enumerate(basis.matrix)
-        )
-        return cls._of_basis_rows(params, pieces, basis, np.array([p.shift for p in pieces]))
+        shifts = np.array([shift_of(params, i) for i in range(1, len(basis) + 1)])
+        return cls(params, basis.matrix, frozen(shifts), basis)
 
     @classmethod
     def custom(
@@ -315,20 +284,43 @@ class HardInstance:
         Used for analytic test cases such as the two-piece |a.x| function;
         adversarial instances never go through here.
         """
-        directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        shifts = np.asarray(shifts, dtype=float)
-        if directions.shape[0] != shifts.shape[0]:
-            raise ValueError("one shift per direction required")
-        basis = OrthonormalBasis.empty(params.d)
-        for row in directions:
+        return _checked_instance(params, directions, shifts, rows_as_basis=False)
+
+
+def _checked_instance(
+    params: InstanceParams, directions, shifts, rows_as_basis: bool
+) -> HardInstance:
+    """Instance of the pieces (directions[i], shifts[i]), each checked
+    once, the error naming the first piece that fails: its direction
+    must be unit (NaN and inf fail; tested before any Gram-Schmidt step
+    sees the row) and lie in the basis span.
+
+    The basis is the Gram-Schmidt span of the directions, or the
+    directions themselves if rows_as_basis and they are orthonormal.
+    """
+    matrix = frozen(np.atleast_2d(np.asarray(directions, dtype=float)))
+    shifts = frozen(np.asarray(shifts, dtype=float))
+    if shifts.shape != (len(matrix),):
+        raise ValueError("one shift per direction required")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and fails
+        norms = np.linalg.norm(matrix, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= PIECE_UNIT_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"piece {i + 1} direction must be unit, ||a|| = {norms[i]}")
+    basis = OrthonormalBasis(matrix)
+    if not rows_as_basis or basis.violations():
+        basis = OrthonormalBasis.empty(matrix.shape[1])
+        for row in matrix:
             basis, _ = orthonormal_extend(basis, row)
-        pieces = tuple(
-            AffinePiece(index=i + 1, a=row, shift=float(s))
-            for i, (row, s) in enumerate(zip(directions, shifts))
+    residuals = np.linalg.norm(matrix - (matrix @ basis.matrix.T) @ basis.matrix, axis=1)
+    bad = ~(residuals <= PIECE_SPAN_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            f"piece {i + 1} does not lie in the basis span (residual {residuals[i]:.3e})"
         )
-        for piece in pieces:
-            _check_in_span(piece, basis)
-        return cls(params, pieces, basis)
+    return HardInstance(params, matrix, shifts, basis)
 
 
 def append_piece(
@@ -338,7 +330,8 @@ def append_piece(
 
     The direction is the normalized component of x perpendicular to the
     current basis; a degenerate x (already in the span) gets a random
-    perpendicular unit vector from rng instead.
+    perpendicular unit vector from rng instead. The new row is
+    orthonormal to the others by construction, so nothing is re-checked.
     """
     params = instance.params
     if instance.num_pieces >= params.T:
@@ -347,18 +340,12 @@ def append_piece(
     norm = np.linalg.norm(x)
     if not (norm <= 1.0 + QUERY_NORM_SLACK):
         raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
-    basis, unit = orthonormal_extend(instance.basis, x, DEGENERACY_TOL, params.T)
+    basis, unit = orthonormal_extend(instance.basis, x, params.T)
     if unit is None:
         basis = instance.basis.extended(arbitrary_perp_unit(instance.basis, rng), params.T)
-        unit = basis.matrix[-1]
-    idx = instance.num_pieces + 1
-    piece = AffinePiece(index=idx, a=unit, shift=shift_of(params, idx))
-    _check_in_span(piece, basis)
-    return HardInstance._of_basis_rows(
-        params,
-        instance.pieces + (piece,),
-        basis,
-        np.append(instance.piece_shifts, piece.shift),
+    shift = shift_of(params, instance.num_pieces + 1)
+    return HardInstance(
+        params, basis.matrix, frozen(np.append(instance.piece_shifts, shift)), basis
     )
 
 
@@ -391,20 +378,15 @@ def to_json(instance: HardInstance) -> str:
 
 
 def from_json(text: str) -> HardInstance:
+    """Instance of a to_json document. Piece indices must be 1..r; the
+    basis is the directions themselves when they are orthonormal (as for
+    every standard instance), else their Gram-Schmidt span."""
     doc = json.loads(text)
     params = InstanceParams(**doc["params"])
-    pieces = tuple(
-        AffinePiece(index=p["index"], a=np.array(p["a"], dtype=float), shift=p["shift"])
-        for p in sorted(doc["pieces"], key=lambda p: p["index"])
-    )
-    rows = np.array([p.a for p in pieces])
-    candidate = OrthonormalBasis(rows) if len(pieces) else OrthonormalBasis.empty(params.d)
-    if not candidate.violations():
-        basis = candidate
-    else:
-        basis = OrthonormalBasis.empty(candidate.dim)
-        for row in rows:
-            basis, _ = orthonormal_extend(basis, row)
-    for piece in pieces:
-        _check_in_span(piece, basis)
-    return HardInstance(params, pieces, basis)
+    pieces = sorted(doc["pieces"], key=lambda p: p["index"])
+    indices = [p["index"] for p in pieces]
+    if indices != list(range(1, len(pieces) + 1)):
+        raise ValueError(f"piece indices must be 1..{len(pieces)}, got {indices}")
+    directions = [p["a"] for p in pieces] or np.zeros((0, params.d))
+    shifts = [p["shift"] for p in pieces]
+    return _checked_instance(params, directions, shifts, rows_as_basis=True)

@@ -108,11 +108,13 @@ class ReplayEntry:
     at the recorded query, computed once and shared with its certificate."""
 
     index: int
-    recorded_regime: str
     replay_regime: str
-    exact_equal: bool
     reason: str = ""
     values: PieceValues | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def exact_equal(self) -> bool:
+        return self.reason == ""
 
 
 @dataclass
@@ -157,17 +159,16 @@ def replay_consistency(
     rescale: float = 1.0,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
-    replay_monte_carlo: bool = False,
 ) -> ConsistencyReport:
     """Replay every recorded query against `instance` and compare.
 
     Exact-affine pairs must match bit for bit. A recorded Monte-Carlo
-    response is re-run (same streams) only when replay_monte_carlo is
-    set, which is sound only if `instance` is the instance the record
-    was produced from; under the adaptive protocol the partial and
-    final instances smooth over different subspace sizes, so MC records
-    are flagged instead.
+    response is re-run (same streams) only for a randomized-mode
+    transcript, whose records were all answered by `instance` itself;
+    under the adaptive protocol the partial and final instances smooth
+    over different subspace sizes, so MC records are flagged instead.
     """
+    replay_monte_carlo = transcript.mode == RANDOMIZED
     entries = []
     for rec in transcript.records:
         values, idx = affine_regime(instance, rec.x)
@@ -186,12 +187,7 @@ def replay_consistency(
             reason = "monte_carlo_regime"
         entries.append(
             ReplayEntry(
-                index=rec.index,
-                recorded_regime=recorded.regime,
-                replay_regime=replay_regime,
-                exact_equal=(reason == ""),
-                reason=reason,
-                values=values,
+                index=rec.index, replay_regime=replay_regime, reason=reason, values=values
             )
         )
     partial = len(transcript) < transcript.params.T
@@ -248,9 +244,12 @@ class AdaptiveOracle:
             raise OracleExhaustedError(f"query budget T = {self.params.T} exhausted")
         x = np.array(x, dtype=float)
         t = len(self.transcript) + 1
-        self._instance = append_piece(self._instance, x, stream(self.seed, "piece", t))
+        instance = append_piece(self._instance, x, stream(self.seed, "piece", t))
         budget = partial(_mc_budget, self.mc_samples, self.seed, t)
-        response = oracle_answer(self._instance, x, budget=budget).scaled(self.rescale)
+        response = oracle_answer(instance, x, budget=budget).scaled(self.rescale)
+        # the piece is revealed only with an answer, so a query that
+        # raises leaves the instance as it was
+        self._instance = instance
         self.transcript.records.append(
             QueryRecord(
                 index=t,
@@ -281,7 +280,6 @@ class AdaptiveOracle:
             rescale=self.rescale,
             mc_samples=self.mc_samples,
             seed=self.seed,
-            replay_monte_carlo=False,
         )
         return final, report
 
@@ -363,7 +361,6 @@ class RandomizedOracle:
             rescale=self.rescale,
             mc_samples=self.mc_samples,
             seed=self.seed,
-            replay_monte_carlo=True,
         )
         return self._instance, report
 

@@ -1,0 +1,48 @@
+"""The library names the benchmark under perfbench/ looks up.
+
+perfbench/patch.py swaps a name through vars(owner)[name], the owner's
+own namespace. A refactor that renames such a name, or moves it into a
+base class or another module, would crash an untraced benchmark run or
+silently drop a traced layer; these tests, which only import the
+benchmark's tables, fail instead.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+from resistor import evaluator  # noqa: E402
+
+
+@pytest.mark.parametrize("wrap", tracer.WRAPS, ids=lambda w: f"{w.module}.{w.attr}")
+def test_traced_names_are_their_owners_own(wrap):
+    owner, name = tracer._resolve(wrap.module, wrap.attr)
+    assert name in vars(owner)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_timed_names_are_their_owners_own(workload):
+    for owner, name, _ in workloads.WORKLOADS[workload].hooks():
+        assert name in vars(owner), f"{owner.__name__}.{name}"
+
+
+def test_tie_client_reads_pieces_and_replay_flags():
+    # the near_tie_k2 checks read final.pieces[i].a and the replay's
+    # reasons, the tracer its exact_equal flags
+    oracle = workloads._tie_oracle(4, 0, tiny=True)
+    workloads.tie_client(oracle, np.random.default_rng(0))
+    final, replay = oracle.finalize()
+    for i, piece in enumerate(final.pieces):
+        assert piece.index == i + 1
+        assert piece.a.tobytes() == final.piece_matrix[i].tobytes()
+    assert [e.exact_equal for e in replay.entries] == [e.reason == "" for e in replay.entries]
+    gaps = [evaluator.suboptimality_certificate(final, rec.x) for rec in oracle.transcript.records]
+    flags, info = workloads.tie_failures(final, oracle.transcript, replay, gaps)
+    assert not any(flags) and info["mc_answers"] == 3

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from resistor.geometry import (
     DEGENERACY_TOL,
+    ORTHONORMALITY_TOL,
     OrthonormalBasis,
     arbitrary_perp_unit,
     orthonormal_extend,
@@ -68,7 +69,7 @@ class TestOrthonormalExtend:
         # Extended only above the tolerance, Degenerate only below twice it.
         basis = basis_of(unit(3, 0))
         x = along * unit(3, 0) + eps * unit(3, 1)
-        _, u = orthonormal_extend(basis, x, degeneracy_tol=1e-10)
+        _, u = orthonormal_extend(basis, x)
         if u is not None:
             assert eps > 1e-10
         else:
@@ -381,13 +382,13 @@ class TestRandomOrthonormalBasis:
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 4))
 @settings(max_examples=40)
 def test_perp_inner_products_tiny(seed, d, n):
-    # Invariant: residual inner products stay within 10x the basis tol.
+    # Invariant: residual inner products stay within 10x ORTHONORMALITY_TOL.
     rng = stream(seed, "prop")
     basis = random_orthonormal_basis(d, min(n, d), rng, d - min(n, d))
     x = rng.standard_normal(d)
     p = perp_component(x, basis)
     if len(basis):
-        assert np.max(np.abs(basis.matrix @ p)) <= 10 * basis.tol * max(1.0, np.linalg.norm(x))
+        assert np.max(np.abs(basis.matrix @ p)) <= 10 * ORTHONORMALITY_TOL * max(1.0, np.linalg.norm(x))
 
 
 @given(st.integers(0, 2**32 - 1))

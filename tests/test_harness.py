@@ -237,10 +237,8 @@ class TestVerifyInvariance:
     def test_wide_tie_band_exercises_monte_carlo(self, plane_instance):
         import dataclasses
 
-        wide = HardInstance(
-            dataclasses.replace(plane_instance.params, delta=0.05),
-            plane_instance.pieces,
-            plane_instance.basis,
+        wide = dataclasses.replace(
+            plane_instance, params=dataclasses.replace(plane_instance.params, delta=0.05)
         )
         audit = verify_invariance(wide, n_points=40, samples=4_000, seed=1)
         assert audit.passed

@@ -1,16 +1,17 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resistor import geometry
 from resistor import instance as instance_module
 from resistor.geometry import OrthonormalBasis
 from resistor.instance import (
-    AffinePiece,
     HardInstance,
     append_piece,
     from_json,
@@ -283,17 +284,49 @@ class TestPieceMatrix:
         np.testing.assert_array_equal(inst.piece_matrix, np.vstack([a, -a]))
         standard = HardInstance.from_basis(p, OrthonormalBasis(np.eye(p.d)[:3]))
         back = from_json(to_json(standard))
-        assert back.piece_matrix is not back.basis.matrix
+        # orthonormal rows read back are their own basis, as in a standard instance
+        assert back.piece_matrix is back.basis.matrix
         assert back.piece_matrix.tobytes() == standard.piece_matrix.tobytes()
 
 
+def _json_of(p, rows, indices=None) -> str:
+    indices = range(1, len(rows) + 1) if indices is None else indices
+    return json.dumps({
+        "params": dataclasses.asdict(p),
+        "pieces": [{"index": i, "shift": 0.0, "a": list(row)} for i, row in zip(indices, rows)],
+    })
+
+
 class TestConstructorChecks:
-    def test_piece_direction_must_be_unit(self):
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 1e200, 0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_custom_and_from_json_reject_non_unit_direction(self, scale, position):
+        # the piece is named, and the row is refused before any arithmetic
+        # on it can warn (inf - inf inside the Gram-Schmidt, or an overflow)
         p = params_deterministic(4, 1)
-        for bad in (2.0 * unit(p.d, 0), np.full(p.d, np.nan), np.full(p.d, np.inf)):
-            with pytest.raises(ValueError, match="must be unit"):
-                AffinePiece(index=1, a=bad, shift=0.0)
-        assert AffinePiece(index=1, a=unit(p.d, 0), shift=0.0).a.flags.writeable is False
+        rows = np.eye(p.d)[:3]
+        rows[position, position] = scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"piece {position + 1} direction must be unit"):
+                HardInstance.custom(p, rows, np.zeros(3))
+            with pytest.raises(ValueError, match=f"piece {position + 1} direction must be unit"):
+                from_json(_json_of(p, rows.tolist()))
+
+    @pytest.mark.parametrize("indices", [[2, 3], [1, 1], [0, 1], [1, 3]])
+    def test_from_json_needs_indices_one_to_r(self, indices):
+        p = params_deterministic(4, 1)
+        with pytest.raises(ValueError, match="piece indices must be 1..2"):
+            from_json(_json_of(p, np.eye(p.d)[:2].tolist(), indices))
+        assert from_json(_json_of(p, np.eye(p.d)[:2].tolist(), [2, 1])).num_pieces == 2
+
+    def test_custom_copies_writable_directions(self):
+        p = params_deterministic(4, 1)
+        rows, shifts = np.eye(p.d)[:2], np.array([0.1, 0.0])
+        inst = HardInstance.custom(p, rows, shifts)
+        rows[0, 0], shifts[0] = 5.0, 5.0
+        assert inst.piece_matrix[0, 0] == 1.0 and inst.piece_shifts[0] == 0.1
+        assert not inst.piece_matrix.flags.writeable and not inst.piece_shifts.flags.writeable
 
     def test_from_basis_rejects_non_orthonormal_basis(self):
         p = params_deterministic(4, 1)
@@ -306,18 +339,86 @@ class TestConstructorChecks:
     def test_custom_and_from_json_reject_piece_outside_span(self, monkeypatch):
         p = params_deterministic(4, 1)
         skew = np.vstack([unit(p.d, 0), (unit(p.d, 0) + unit(p.d, 1)) / np.sqrt(2.0)])
-        text = json.dumps({
-            "params": dataclasses.asdict(p),
-            "pieces": [{"index": i + 1, "shift": 0.0, "a": row.tolist()} for i, row in enumerate(skew)],
-        })
+        text = _json_of(p, skew.tolist())
         assert from_json(text).num_pieces == 2
         # a Gram-Schmidt step that drops every direction leaves the pieces
         # outside the basis span, which both constructors must notice
         monkeypatch.setattr(instance_module, "orthonormal_extend", lambda basis, row: (basis, None))
-        with pytest.raises(ValueError, match="does not lie in the basis span"):
+        with pytest.raises(ValueError, match="piece 1 does not lie in the basis span"):
             HardInstance.custom(p, skew, [0.0, 0.0])
-        with pytest.raises(ValueError, match="does not lie in the basis span"):
+        with pytest.raises(ValueError, match="piece 1 does not lie in the basis span"):
             from_json(text)
+        # one that keeps only the first direction: the second piece is named
+        extend = geometry.orthonormal_extend
+        monkeypatch.setattr(
+            instance_module,
+            "orthonormal_extend",
+            lambda basis, row: (basis, None) if len(basis) else extend(basis, row),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="piece 2 does not lie in the basis span"):
+                HardInstance.custom(p, skew, [0.0, 0.0])
+            with pytest.raises(ValueError, match="piece 2 does not lie in the basis span"):
+                from_json(text)
+
+
+def _representation_instance(kind: str, seed: int, r: int) -> HardInstance:
+    """r pieces: an adaptive chain (degenerate queries included), a
+    from_basis instance, a custom instance with unit directions that are
+    not orthogonal, or the JSON round trip of one of those three."""
+    p = params_deterministic(12, 1, d=20)
+    rng = stream(seed, "representation")
+    if kind.endswith("json"):
+        return from_json(to_json(_representation_instance(kind[:-5], seed, r)))
+    if kind == "adaptive":
+        inst = HardInstance.empty(p)
+        for t in range(1, r + 1):
+            x = rng.standard_normal(p.d) if rng.random() < 0.7 else np.zeros(p.d)
+            inst = append_piece(inst, x / max(1.0, np.linalg.norm(x)), stream(seed, "piece", t))
+        return inst
+    rows = rng.standard_normal((r, p.d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    if kind == "from_basis":
+        return HardInstance.from_basis(p, OrthonormalBasis(np.linalg.qr(rows.T)[0].T))
+    return HardInstance.custom(p, rows, rng.standard_normal(r))
+
+
+def test_four_fields():
+    names = [f.name for f in dataclasses.fields(HardInstance)]
+    assert names == ["params", "piece_matrix", "piece_shifts", "basis"]
+
+
+@given(
+    st.sampled_from(
+        ["adaptive", "from_basis", "custom", "adaptive_json", "from_basis_json", "custom_json"]
+    ),
+    st.integers(0, 2**31),
+    st.integers(0, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_pieces_are_views_of_the_matrix_and_shifts(kind, seed, r):
+    if r == 0 and kind.startswith("custom"):
+        r = 1  # a custom instance needs a direction
+    inst = _representation_instance(kind, seed, r)
+    assert inst.num_pieces == len(inst.pieces) == len(inst.piece_shifts) == r
+    assert inst.piece_matrix.shape == (r, inst.basis.dim)
+    assert not inst.piece_matrix.flags.writeable and not inst.piece_shifts.flags.writeable
+    for i, piece in enumerate(inst.pieces):
+        index, a, shift = piece
+        assert index == i + 1
+        assert np.shares_memory(a, inst.piece_matrix)
+        assert a.tobytes() == inst.piece_matrix[i].tobytes() and not a.flags.writeable
+        assert np.float64(shift).tobytes() == inst.piece_shifts[i].tobytes()
+    standard = not kind.startswith("custom")
+    if standard:
+        assert inst.piece_matrix is inst.basis.matrix
+    if not kind.endswith("json"):
+        back = from_json(to_json(inst))
+        assert back.piece_matrix.tobytes() == inst.piece_matrix.tobytes()
+        assert back.piece_shifts.tobytes() == inst.piece_shifts.tobytes()
+        # a custom basis is rebuilt from the rows, which need not give its bits
+        assert not standard or back.basis.matrix.tobytes() == inst.basis.matrix.tobytes()
 
 
 def test_json_round_trip():

@@ -37,6 +37,14 @@ from resistor.optimizers import OptimizerConfig, run_method, run_projected_subgr
 from resistor.streams import stream
 
 
+def unit_perp(a: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the unit vector a."""
+    e = np.zeros(len(a))
+    e[np.argmin(np.abs(a))] = 1.0
+    e -= (e @ a) * a
+    return e / np.linalg.norm(e)
+
+
 def small_randomized_params():
     return params_randomized(4, 1, 0.2)
 
@@ -119,6 +127,29 @@ class TestAdaptiveOracle:
         final, report = oracle.finalize()
         assert final.num_pieces == 1
         assert report.partial
+
+    def test_raising_query_reveals_no_piece(self):
+        # a tie query with one Monte-Carlo sample raises (no standard
+        # error); the piece it would have added must not stay behind
+        p = params_deterministic(9, 2)
+        oracle = AdaptiveOracle(p, seed=4, mc_samples=1)
+        a1 = oracle.query(np.zeros(p.d)).gradient * p.norm_denom
+        e = unit_perp(a1)
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            oracle.query((shift_of(p, 1) - shift_of(p, 2)) * e)
+        assert oracle.instance.num_pieces == len(oracle.transcript) == 1
+        # the next query is answered as by an oracle that never saw it
+        fresh = AdaptiveOracle(p, seed=4, mc_samples=1)
+        fresh.query(np.zeros(p.d))
+        y = 0.5 * e
+        got, expected = oracle.query(y), fresh.query(y)
+        assert (got.regime, got.affine_index, got.value) == (
+            expected.regime, expected.affine_index, expected.value
+        )
+        assert got.gradient.tobytes() == expected.gradient.tobytes()
+        assert oracle.instance.piece_matrix.tobytes() == fresh.instance.piece_matrix.tobytes()
+        assert oracle.instance.num_pieces == len(oracle.transcript) == 2
+        assert oracle.finalize()[1].all_equal
 
     def test_broken_smoothing_radius_names_failing_index(self):
         # deliberately violate 2*k*delta <= gamma/m: locality collapses
