@@ -66,34 +66,28 @@ class MCBudget:
             raise ValueError("n_samples must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HigherDerivative:
     """Derivative tensor of one order, in basis coordinates of the
-    invariant subspace; is_zero marks the closed-form zero tensor.
+    invariant subspace; no tensor means the closed-form zero tensor.
     error_bound is the root-sum-square of the per-entry Monte-Carlo
     standard errors (0 for the closed-form zero tensor)."""
 
     order: int
-    is_zero: bool
     tensor: np.ndarray | None = None
     error_bound: float = 0.0
+
+    @property
+    def is_zero(self) -> bool:
+        return self.tensor is None
 
     def scaled(self, s: float) -> "HigherDerivative":
         if s == 1.0 or self.is_zero:
             return self
-        return HigherDerivative(
-            self.order, False, self.tensor * s, self.error_bound * abs(s)
-        )
-
-    def to_dict(self) -> dict:
-        doc: dict = {"order": self.order, "zero": self.is_zero}
-        if not self.is_zero:
-            doc["tensor"] = self.tensor.tolist()
-            doc["error_bound"] = self.error_bound
-        return doc
+        return HigherDerivative(self.order, self.tensor * s, self.error_bound * abs(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResponse:
     """Value and derivatives at one query, with regime and error bounds.
 
@@ -101,18 +95,23 @@ class OracleResponse:
     directions; tensors of order >= 2 are in basis coordinates, and
     basis_matrix (rows spanning the invariant subspace) is attached
     whenever a non-zero tensor is present so callers can apply them.
-    In the exact_affine regime value_stderr and all error bounds are 0
-    and the gradient norm is 1/norm_denom exactly.
+    The regime is exact_affine when affine_index names the winning
+    piece, monte_carlo when it is None; in the exact_affine regime
+    value_stderr and all error bounds are 0 and the gradient norm is
+    1/norm_denom exactly.
     """
 
     value: float
     gradient: np.ndarray
     higher: tuple[HigherDerivative, ...]
-    regime: str
     affine_index: int | None
     value_stderr: float
     gradient_error: float
     basis_matrix: np.ndarray | None = None
+
+    @property
+    def regime(self) -> str:
+        return MONTE_CARLO if self.affine_index is None else EXACT_AFFINE
 
     def hessian(self) -> HigherDerivative | None:
         for h in self.higher:
@@ -139,23 +138,11 @@ class OracleResponse:
             value=self.value * s,
             gradient=self.gradient * s,
             higher=tuple(h.scaled(s) for h in self.higher),
-            regime=self.regime,
             affine_index=self.affine_index,
             value_stderr=self.value_stderr * abs(s),
             gradient_error=self.gradient_error * abs(s),
             basis_matrix=self.basis_matrix,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "gradient": self.gradient.tolist(),
-            "higher": [h.to_dict() for h in self.higher],
-            "regime": self.regime,
-            "affine_index": self.affine_index,
-            "value_stderr": self.value_stderr,
-            "gradient_error": self.gradient_error,
-        }
 
 
 class PieceValues(NamedTuple):
@@ -416,8 +403,7 @@ def exact_answer(
     return OracleResponse(
         value=float(values.shifted[idx - 1] / denom),
         gradient=a if denom == 1.0 else a / denom,
-        higher=tuple(HigherDerivative(j, is_zero=True) for j in range(2, k + 1)),
-        regime=EXACT_AFFINE,
+        higher=tuple(HigherDerivative(j) for j in range(2, k + 1)),
         affine_index=idx,
         value_stderr=0.0,
         gradient_error=0.0,
@@ -449,14 +435,11 @@ def monte_carlo_answer(
     for j in range(2, k + 1):
         tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
         tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget)
-        higher.append(
-            HigherDerivative(j, is_zero=False, tensor=tensor / denom, error_bound=terr / denom)
-        )
+        higher.append(HigherDerivative(j, tensor / denom, terr / denom))
     return OracleResponse(
         value=value / denom,
         gradient=instance.basis.lift(coords) / denom,
         higher=tuple(higher),
-        regime=MONTE_CARLO,
         affine_index=None,
         value_stderr=stderr / denom,
         gradient_error=gerr / denom,

@@ -52,7 +52,7 @@ class _RowStore:
         return self.rows[: self.used]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Ordered orthonormal vectors, stored as the rows of an (n, d) matrix.
 
@@ -62,7 +62,7 @@ class OrthonormalBasis:
     """
 
     matrix: np.ndarray
-    _store: _RowStore | None = field(default=None, repr=False, compare=False)
+    _store: _RowStore | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)

@@ -206,7 +206,7 @@ class AffinePiece(NamedTuple):
     shift: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HardInstance:
     """The shifted max-affine function max_i(a_i.x + shift_i), smoothed
     over the span of the a_i: a matrix, a shift vector and a basis.

@@ -31,8 +31,6 @@ class OptimizerConfig:
     step_size: fixed step for accelerated gradient, overriding the
         schedule.
     momentum: None for the Nesterov schedule (t-1)/(t+2), else constant.
-    cubic_m: cubic regularization weight (None: the order-2 smoothness
-        audit bound rescale * (T/delta)^2).
     """
 
     method: str = "psg"
@@ -40,9 +38,7 @@ class OptimizerConfig:
     step_scale: float | None = None
     step_size: float | None = None
     momentum: float | None = None
-    cubic_m: float | None = None
     inner_steps: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.budget is not None and self.budget < 1:
@@ -51,8 +47,6 @@ class OptimizerConfig:
             raise ValueError("step_scale must be positive")
         if self.step_size is not None and self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        if self.cubic_m is not None and self.cubic_m <= 0:
-            raise ValueError("cubic_m must be positive")
 
 
 def project_ball(x: np.ndarray) -> np.ndarray:
@@ -167,10 +161,8 @@ def run_cubic_newton(oracle, config: OptimizerConfig | None = None):
     if oracle.params.k < 2:
         raise ValueError("cubic-regularized steps need an oracle with k >= 2")
     budget = _budget(oracle, config)
-    if config.cubic_m is not None:
-        m_weight = config.cubic_m
-    else:
-        m_weight = oracle.rescale * (oracle.params.T / oracle.params.delta) ** 2
+    # cubic regularization weight: the order-2 smoothness audit bound
+    m_weight = oracle.rescale * (oracle.params.T / oracle.params.delta) ** 2
     x = np.zeros(oracle.dim)
     for _ in range(budget):
         response = oracle.query(x)

@@ -1,12 +1,18 @@
 """Stateful adversarial query protocols.
 
-The adaptive oracle reveals one affine piece per query and answers with
-respect to the pieces revealed so far; locality of the ball smoothing
-makes those answers coincide with the completed instance's answers at
-the same points, and finalize() re-checks that coincidence as a runtime
-assertion instead of trusting it. The randomized oracle fixes a hidden
-random basis up front and tracks how strongly each query correlates
-with the not-yet-relevant directions.
+Both modes share one query protocol: a query within the budget T is
+answered against an instance, recorded with its event margin, and
+finalize() replays the whole transcript against the final instance. The
+modes differ only in where a query's instance comes from and when its
+event margin is recorded. The adaptive oracle appends one affine piece
+per query and answers with respect to the pieces revealed so far;
+locality of the ball smoothing makes those answers coincide with the
+completed instance's answers at the same points, and finalize() backfills
+the margins and re-checks that coincidence as a runtime assertion
+instead of trusting it. The randomized oracle fixes a hidden random
+basis up front and records, at query time, how strongly each query
+correlates with the not-yet-relevant directions. A response's regime
+follows from its affine_index.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from functools import partial
 import numpy as np
 
 from .evaluator import (
-    EXACT_AFFINE,
-    MONTE_CARLO,
     MCBudget,
     OracleResponse,
     PieceValues,
@@ -53,7 +57,7 @@ class OracleExhaustedError(RuntimeError):
     """The query budget T has been spent."""
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryRecord:
     """One query/response pair with its per-query flags.
 
@@ -71,9 +75,12 @@ class QueryRecord:
 
 @dataclass
 class Transcript:
-    mode: str
     params: InstanceParams
     records: list[QueryRecord] = field(default_factory=list)
+
+    @property
+    def mode(self) -> str:
+        return self.params.mode
 
     def __len__(self) -> int:
         return len(self.records)
@@ -88,7 +95,7 @@ class Transcript:
                 "grad_norm": float(np.linalg.norm(rec.response.gradient)),
                 "regime": rec.response.regime,
                 "event_e_margin": rec.event_e_margin,
-                "locality_ok": rec.response.regime == EXACT_AFFINE,
+                "locality_ok": rec.response.affine_index is not None,
             }
             if dump_vectors:
                 row["x"] = rec.x.tolist()
@@ -108,7 +115,6 @@ class ReplayEntry:
     at the recorded query, computed once and shared with its certificate."""
 
     index: int
-    replay_regime: str
     reason: str = ""
     values: PieceValues | None = field(default=None, repr=False, compare=False)
 
@@ -135,8 +141,6 @@ class ConsistencyReport:
 
 def _responses_equal(a: OracleResponse, b: OracleResponse) -> str:
     """Empty string if bit-identical, else the first differing field."""
-    if a.regime != b.regime:
-        return "regime_mismatch"
     if a.affine_index != b.affine_index:
         return "affine_index_changed"
     if a.value != b.value or a.value_stderr != b.value_stderr:
@@ -172,37 +176,97 @@ def replay_consistency(
     entries = []
     for rec in transcript.records:
         values, idx = affine_regime(instance, rec.x)
-        replay_regime = EXACT_AFFINE if idx is not None else MONTE_CARLO
         recorded = rec.response
-        if recorded.regime == EXACT_AFFINE and idx is not None:
+        if (recorded.affine_index is None) != (idx is None):
+            reason = "regime_mismatch"
+        elif idx is not None:
             replayed = exact_answer(instance, values, idx).scaled(rescale)
             reason = _responses_equal(recorded, replayed)
-        elif recorded.regime == MONTE_CARLO and idx is None and replay_monte_carlo:
+        elif replay_monte_carlo:
             budget = _mc_budget(mc_samples, seed, rec.index)
             replayed = monte_carlo_answer(instance, rec.x, budget=budget).scaled(rescale)
             reason = _responses_equal(recorded, replayed)
-        elif recorded.regime != replay_regime:
-            reason = "regime_mismatch"
         else:
             reason = "monte_carlo_regime"
-        entries.append(
-            ReplayEntry(
-                index=rec.index, replay_regime=replay_regime, reason=reason, values=values
-            )
-        )
+        entries.append(ReplayEntry(index=rec.index, reason=reason, values=values))
     partial = len(transcript) < transcript.params.T
     return ConsistencyReport(
         all_equal=all(e.exact_equal for e in entries), partial=partial, entries=entries
     )
 
 
-class AdaptiveOracle:
+class _ResistingOracle:
+    """The query protocol both modes share.
+
+    A query is checked against the budget T, copied, answered against the
+    instance its mode serves it from (normalized by norm_denom, then
+    scaled by rescale) and recorded; finalize replays the transcript
+    against the final instance. The Monte-Carlo budget of query t is
+    derived only when its answer needs one.
+    """
+
+    def __init__(
+        self,
+        params: InstanceParams,
+        seed: int,
+        mc_samples: int,
+        rescale: float,
+        instance: HardInstance,
+    ):
+        self.params = params
+        self.seed = seed
+        self.mc_samples = mc_samples
+        self.rescale = rescale
+        self.transcript = Transcript(params)
+        self._instance = instance
+
+    @property
+    def instance(self) -> HardInstance:
+        return self._instance
+
+    @property
+    def dim(self) -> int:
+        """Coordinates of a query: the working dimension of the instance."""
+        return self._instance.basis.dim
+
+    @property
+    def queries_left(self) -> int:
+        return self.params.T - len(self.transcript)
+
+    def _next(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """A fresh float copy of the query and its 1-based index."""
+        if self.queries_left <= 0:
+            raise OracleExhaustedError(f"query budget T = {self.params.T} exhausted")
+        return np.array(x, dtype=float), len(self.transcript) + 1
+
+    def _answer(self, instance: HardInstance, x: np.ndarray, t: int) -> OracleResponse:
+        budget = partial(_mc_budget, self.mc_samples, self.seed, t)
+        return oracle_answer(instance, x, budget=budget).scaled(self.rescale)
+
+    def _record(
+        self, t: int, x: np.ndarray, response: OracleResponse, margin: float | None
+    ) -> OracleResponse:
+        self.transcript.records.append(QueryRecord(t, x, response, margin))
+        return response
+
+    def _replay(self) -> tuple[HardInstance, ConsistencyReport]:
+        report = replay_consistency(
+            self._instance,
+            self.transcript,
+            rescale=self.rescale,
+            mc_samples=self.mc_samples,
+            seed=self.seed,
+        )
+        return self._instance, report
+
+
+class AdaptiveOracle(_ResistingOracle):
     """Deterministic-mode resisting oracle: builds pieces as queries land.
 
     Each query appends one piece (from the query's perpendicular
     component, or a seeded random perpendicular direction when the query
     is already in the revealed span) and is answered against the current
-    partial instance, normalized by norm_denom.
+    partial instance. Queries have the law dimension d as coordinates.
 
     Parameter validity is the caller's concern (the harness validates);
     deliberately broken schedules, e.g. a smoothing radius violating
@@ -219,46 +283,16 @@ class AdaptiveOracle:
     ):
         if params.mode != DETERMINISTIC:
             raise ValueError("AdaptiveOracle requires deterministic-mode params")
-        self.params = params
-        self.seed = seed
-        self.mc_samples = mc_samples
-        self.rescale = rescale
-        self.transcript = Transcript(DETERMINISTIC, params)
-        self._instance = HardInstance.empty(params)
-
-    @property
-    def instance(self) -> HardInstance:
-        return self._instance
-
-    @property
-    def dim(self) -> int:
-        """Coordinates of a query: the law dimension d."""
-        return self.params.d
-
-    @property
-    def queries_left(self) -> int:
-        return self.params.T - len(self.transcript)
+        super().__init__(params, seed, mc_samples, rescale, HardInstance.empty(params))
 
     def query(self, x: np.ndarray) -> OracleResponse:
-        if self.queries_left <= 0:
-            raise OracleExhaustedError(f"query budget T = {self.params.T} exhausted")
-        x = np.array(x, dtype=float)
-        t = len(self.transcript) + 1
+        x, t = self._next(x)
         instance = append_piece(self._instance, x, stream(self.seed, "piece", t))
-        budget = partial(_mc_budget, self.mc_samples, self.seed, t)
-        response = oracle_answer(instance, x, budget=budget).scaled(self.rescale)
+        response = self._answer(instance, x, t)
         # the piece is revealed only with an answer, so a query that
         # raises leaves the instance as it was
         self._instance = instance
-        self.transcript.records.append(
-            QueryRecord(
-                index=t,
-                x=x,
-                response=response,
-                event_e_margin=None,
-            )
-        )
-        return response
+        return self._record(t, x, response, None)
 
     def finalize(self) -> tuple[HardInstance, ConsistencyReport]:
         """Final instance plus the recorded-vs-replayed comparison.
@@ -267,24 +301,16 @@ class AdaptiveOracle:
         carries partial=True. Also backfills the deterministic-mode
         event margins max_{j>i} |a_j . x_i|.
         """
-        final = self._instance
-        matrix = final.piece_matrix
+        matrix = self._instance.piece_matrix
         for rec in self.transcript.records:
             later = matrix[rec.index:]
             rec.event_e_margin = (
                 float(np.abs(later @ rec.x).max()) if len(later) else 0.0
             )
-        report = replay_consistency(
-            final,
-            self.transcript,
-            rescale=self.rescale,
-            mc_samples=self.mc_samples,
-            seed=self.seed,
-        )
-        return final, report
+        return self._replay()
 
 
-class RandomizedOracle:
+class RandomizedOracle(_ResistingOracle):
     """Fixed hidden-basis oracle: all T pieces drawn up front.
 
     The pieces are a Haar-random orthonormal set in R^d (d = params.d),
@@ -309,45 +335,16 @@ class RandomizedOracle:
         problems = validate(params)
         if problems:
             raise ValueError("invalid params: " + "; ".join(problems))
-        self.params = params
-        self.seed = seed
-        self.mc_samples = mc_samples
-        self.rescale = rescale
         basis = random_orthonormal_basis(params.d, params.T, stream(seed, "basis"), params.T + 1)
-        self._instance = HardInstance.from_basis(params, basis)
-        self.transcript = Transcript(RANDOMIZED, params)
-
-    @property
-    def instance(self) -> HardInstance:
-        return self._instance
-
-    @property
-    def dim(self) -> int:
-        """Coordinates of a query: the working dimension T + 1 + T."""
-        return self._instance.basis.dim
-
-    @property
-    def queries_left(self) -> int:
-        return self.params.T - len(self.transcript)
+        instance = HardInstance.from_basis(params, basis)
+        super().__init__(params, seed, mc_samples, rescale, instance)
 
     def query(self, x: np.ndarray) -> OracleResponse:
-        if self.queries_left <= 0:
-            raise OracleExhaustedError(f"query budget T = {self.params.T} exhausted")
-        x = np.array(x, dtype=float)
-        i = len(self.transcript) + 1
-        budget = partial(_mc_budget, self.mc_samples, self.seed, i)
-        response = oracle_answer(self._instance, x, budget=budget).scaled(self.rescale)
+        x, i = self._next(x)
+        response = self._answer(self._instance, x, i)
         # after the answer, which refuses a malformed x
         margin = float(np.abs(self._instance.piece_matrix[i - 1:] @ x).max())
-        self.transcript.records.append(
-            QueryRecord(
-                index=i,
-                x=x,
-                response=response,
-                event_e_margin=margin,
-            )
-        )
-        return response
+        return self._record(i, x, response, margin)
 
     def finalize(self) -> tuple[HardInstance, ConsistencyReport]:
         """The (fixed) instance plus a full replay, Monte-Carlo included.
@@ -355,14 +352,7 @@ class RandomizedOracle:
         The instance never changes here, so replays rerun the exact same
         streams and must match bit for bit in both regimes.
         """
-        report = replay_consistency(
-            self._instance,
-            self.transcript,
-            rescale=self.rescale,
-            mc_samples=self.mc_samples,
-            seed=self.seed,
-        )
-        return self._instance, report
+        return self._replay()
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ benchmark's tables, fail instead.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 from resistor import evaluator  # noqa: E402
+from resistor.harness import RunConfig, run_experiment  # noqa: E402
 
 
 @pytest.mark.parametrize("wrap", tracer.WRAPS, ids=lambda w: f"{w.module}.{w.attr}")
@@ -46,3 +48,21 @@ def test_tie_client_reads_pieces_and_replay_flags():
     gaps = [evaluator.suboptimality_certificate(final, rec.x) for rec in oracle.transcript.records]
     flags, info = workloads.tie_failures(final, oracle.transcript, replay, gaps)
     assert not any(flags) and info["mc_answers"] == 3
+
+
+def test_traced_layers_fire_in_both_modes():
+    # the names exist (above) and are looked up at call time: an oracle
+    # that bound oracle_answer at import would drop evaluator.answer
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        for mode in ("deterministic", "randomized"):
+            run_experiment(RunConfig(mode=mode, T=4, k=1, method="psg", seed=0))
+    finally:
+        trace.uninstall()
+    spans = Counter(span[0] for span in trace.spans)
+    assert trace.missing == []
+    assert spans["oracles.query"] == spans["evaluator.answer_exact"] == 8
+    assert spans["instance.append_piece"] == 4
+    assert spans["oracles.finalize"] == spans["oracles.replay"] == 2
+    assert spans["geometry.random_basis"] == 1

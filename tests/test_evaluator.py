@@ -588,15 +588,14 @@ class TestOracleAnswer:
         assert resp.scaled(1.0) is resp
 
     def test_json_serialization_carries_regime_and_errors(self, plane_instance):
-        import json
-
+        # what a transcript row is written from: the regime, which follows
+        # from affine_index, and the reported errors
         resp = oracle_answer(plane_instance, np.array([0.3, 0.35, 0.0]), budget=MCBudget(2_000, 9))
-        doc = json.loads(json.dumps(resp.to_dict()))
-        assert doc["regime"] == MONTE_CARLO
-        assert doc["value_stderr"] > 0 and doc["gradient_error"] > 0
-        assert len(doc["gradient"]) == 3
-        exact = oracle_answer(plane_instance, np.array([0.5, 0.0, 0.0])).to_dict()
-        assert exact["regime"] == EXACT_AFFINE and exact["affine_index"] == 1
+        assert resp.regime == MONTE_CARLO and resp.affine_index is None
+        assert resp.value_stderr > 0 and resp.gradient_error > 0
+        assert resp.gradient.shape == (3,)
+        exact = oracle_answer(plane_instance, np.array([0.5, 0.0, 0.0]))
+        assert exact.regime == EXACT_AFFINE and exact.affine_index == 1
 
 
 class TestRescale:

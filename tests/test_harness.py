@@ -68,7 +68,7 @@ class TestRunExperiment:
     def test_witness_crosscheck_exact(self):
         report = run_experiment(RunConfig(mode=DETERMINISTIC, T=9, k=2, method="psg", seed=3))
         oracle = AdaptiveOracle(params_deterministic(9, 2), seed=3)
-        run_method(oracle, OptimizerConfig(method="psg", seed=3))
+        run_method(oracle, OptimizerConfig(method="psg"))
         final, _ = oracle.finalize()
         xhat, _ = pessimal_point(final)
         check = report.min_crosscheck
@@ -262,6 +262,34 @@ class TestVerifyInvariance:
 def test_verify_locality_suite():
     audit = verify_locality(9, 1, seed=0)
     assert audit.consistency_ok and audit.regimes_consistent and audit.passed
+
+
+def _broken_radius(monkeypatch):
+    # delta = 0.02 violates 2*k*delta <= gamma/m: the final instance
+    # contradicts 8 of the 9 recorded exact-affine flags
+    real = harness.params_deterministic
+    monkeypatch.setattr(
+        harness, "params_deterministic", lambda T, k: dataclasses.replace(real(T, k), delta=0.02)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_locality_fails_on_regime_mismatch(monkeypatch, seed):
+    _broken_radius(monkeypatch)
+    audit = verify_locality(9, 1, seed=seed)
+    assert not audit.regimes_consistent and not audit.consistency_ok and not audit.passed
+    oracle = AdaptiveOracle(harness.params_deterministic(9, 1), seed=seed)
+    run_method(oracle, OptimizerConfig(method="psg"))
+    _, replay = oracle.finalize()
+    assert [e.reason for e in replay.entries].count("regime_mismatch") == 8
+
+
+def test_verify_locality_mismatch_exits_1(monkeypatch, capsys):
+    _broken_radius(monkeypatch)
+    code = cli.main(["verify", "--suite", "locality", "--T", "9", "--k", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "regimes MISMATCH" in out and "suite locality: FAIL" in out
 
 
 def test_run_verification_all():

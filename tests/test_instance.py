@@ -389,6 +389,16 @@ def test_four_fields():
     assert names == ["params", "piece_matrix", "piece_shifts", "basis"]
 
 
+def test_instances_and_bases_compare_and_hash_by_identity():
+    p = params_deterministic(4, 1)
+    a, b = HardInstance.empty(p), HardInstance.empty(p)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    full = append_piece(a, unit(p.d, 0), stream(0, "piece", 1))
+    assert full.basis == full.basis and full.basis != b.basis
+    assert len({a.basis, b.basis, full.basis}) == 3
+
+
 @given(
     st.sampled_from(
         ["adaptive", "from_basis", "custom", "adaptive_json", "from_basis_json", "custom_json"]

@@ -33,7 +33,7 @@ class DirectOracle:
         self.rescale = rescale
         self.seed = seed
         self._budget = budget
-        self.transcript = Transcript(instance.params.mode, instance.params)
+        self.transcript = Transcript(instance.params)
 
     @property
     def queries_left(self):
@@ -66,7 +66,6 @@ class QuadraticOracle:
             value=0.5 * float(np.sum((x - self.target) ** 2)),
             gradient=x - self.target,
             higher=(),
-            regime="exact_affine",
             affine_index=None,
             value_stderr=0.0,
             gradient_error=0.0,

@@ -49,6 +49,18 @@ def small_randomized_params():
     return params_randomized(4, 1, 0.2)
 
 
+def _tie_after_first(oracle) -> np.ndarray:
+    """After one query, a point where pieces 1 and 2 tie exactly, so that
+    the next answer is Monte Carlo."""
+    p = oracle.params
+    a1 = oracle.instance.pieces[0].a
+    if isinstance(oracle, AdaptiveOracle):
+        # piece 2 is built along the query, perpendicular to a_1
+        return (shift_of(p, 1) - shift_of(p, 2)) * unit_perp(a1)
+    a2 = oracle.instance.pieces[1].a
+    return (0.2 - p.gamma / p.T) * a1 + 0.2 * a2
+
+
 class TestAdaptiveOracle:
     def test_origin_first_query(self):
         p = params_deterministic(4, 1)
@@ -76,14 +88,6 @@ class TestAdaptiveOracle:
         oracle = AdaptiveOracle(p, seed=7)
         run_method(oracle, OptimizerConfig(method="agd"))
         assert all(r.response.regime == EXACT_AFFINE for r in oracle.transcript.records)
-
-    def test_budget_exhaustion(self):
-        p = params_deterministic(4, 1)
-        oracle = AdaptiveOracle(p, seed=0)
-        for _ in range(4):
-            oracle.query(np.zeros(p.d))
-        with pytest.raises(OracleExhaustedError):
-            oracle.query(np.zeros(p.d))
 
     def test_infeasible_query_rejected(self):
         p = params_deterministic(4, 1)
@@ -119,14 +123,6 @@ class TestAdaptiveOracle:
             i = rec.index
             lower = ((1.0 - i / p.T) * p.gamma - p.k * p.delta) / p.norm_denom
             assert rec.response.value >= lower
-
-    def test_early_finalize_flagged_partial(self):
-        p = params_deterministic(4, 1)
-        oracle = AdaptiveOracle(p, seed=0)
-        oracle.query(np.zeros(p.d))
-        final, report = oracle.finalize()
-        assert final.num_pieces == 1
-        assert report.partial
 
     def test_raising_query_reveals_no_piece(self):
         # a tie query with one Monte-Carlo sample raises (no standard
@@ -177,20 +173,11 @@ def test_monte_carlo_budget_derived_only_for_monte_carlo_answers(monkeypatch, mo
 
     monkeypatch.setattr(oracles, "child_seed", counting)
     if mode == "deterministic":
-        p = params_deterministic(4, 1)
-        oracle = AdaptiveOracle(p, seed=3, mc_samples=2_000)
-        first = oracle.query(np.zeros(oracle.dim))
-        # a unit vector orthogonal to a_1, the first answer's direction
-        e = np.zeros(oracle.dim)
-        e[np.argmin(np.abs(first.gradient))] = 1.0
-        e -= (e @ first.gradient) / (first.gradient @ first.gradient) * first.gradient
-        x = (shift_of(p, 1) - shift_of(p, 2)) * e / np.linalg.norm(e)
+        oracle = AdaptiveOracle(params_deterministic(4, 1), seed=3, mc_samples=2_000)
     else:
-        p = small_randomized_params()
-        oracle = RandomizedOracle(p, seed=3, mc_samples=2_000)
-        first = oracle.query(np.zeros(oracle.dim))
-        a1, a2 = oracle.instance.pieces[0].a, oracle.instance.pieces[1].a
-        x = (0.2 - p.gamma / p.T) * a1 + 0.2 * a2
+        oracle = RandomizedOracle(small_randomized_params(), seed=3, mc_samples=2_000)
+    first = oracle.query(np.zeros(oracle.dim))
+    x = _tie_after_first(oracle)
     second = oracle.query(x)
     assert first.regime == EXACT_AFFINE and second.regime == MONTE_CARLO
     assert derived == [("mc", 2)]
@@ -274,6 +261,65 @@ class TestRandomizedOracle:
             AdaptiveOracle(small_randomized_params(), seed=0)
 
 
+def _protocol_oracle(cls):
+    """A k = 2 oracle at T = 4, so Monte-Carlo answers carry a Hessian."""
+    if cls is AdaptiveOracle:
+        return AdaptiveOracle(params_deterministic(4, 2), seed=0, mc_samples=2_000)
+    return RandomizedOracle(params_randomized(4, 2, 0.2), seed=0, mc_samples=2_000)
+
+
+@pytest.mark.parametrize("cls", [AdaptiveOracle, RandomizedOracle], ids=lambda c: c.__name__)
+class TestSharedProtocol:
+    """What both oracle classes get from their one query protocol."""
+
+    def test_exhaustion_leaves_transcript_and_instance(self, cls):
+        oracle = _protocol_oracle(cls)
+        run_projected_subgradient(oracle)
+        instance, records = oracle.instance, list(oracle.transcript.records)
+        with pytest.raises(OracleExhaustedError):
+            oracle.query(np.zeros(oracle.dim))
+        assert oracle.instance is instance
+        assert oracle.transcript.records == records  # the same record objects
+        assert oracle.queries_left == 0
+
+    def test_early_finalize_is_partial(self, cls):
+        oracle = _protocol_oracle(cls)
+        oracle.query(np.zeros(oracle.dim))
+        final, report = oracle.finalize()
+        assert final is oracle.instance
+        assert report.partial and report.all_equal and len(report.entries) == 1
+
+    def test_dim_is_the_instance_working_dimension(self, cls):
+        oracle = _protocol_oracle(cls)
+        assert oracle.dim == oracle.instance.basis.dim
+        run_projected_subgradient(oracle)
+        assert oracle.dim == oracle.instance.basis.dim
+
+    def test_regime_follows_affine_index(self, cls):
+        oracle = _protocol_oracle(cls)
+        oracle.query(np.zeros(oracle.dim))
+        oracle.query(_tie_after_first(oracle))
+        run_projected_subgradient(oracle)
+        regimes = [rec.response.regime for rec in oracle.transcript.records]
+        assert regimes[:2] == [EXACT_AFFINE, MONTE_CARLO]
+        for rec in oracle.transcript.records:
+            index = rec.response.affine_index
+            assert rec.response.regime == (MONTE_CARLO if index is None else EXACT_AFFINE)
+
+    def test_responses_and_records_compare_by_identity(self, cls):
+        # numpy fields would make a generated __eq__ raise
+        a, b = _protocol_oracle(cls), _protocol_oracle(cls)
+        for oracle in (a, b):
+            oracle.query(np.zeros(oracle.dim))
+            oracle.query(_tie_after_first(oracle))
+        for ra, rb in zip(a.transcript.records, b.transcript.records):
+            assert ra.response != rb.response and ra.response == ra.response
+            assert ra != rb and len({ra.response, rb.response}) == 2
+            (ha,), (hb,) = ra.response.higher, rb.response.higher
+            assert ha != hb and len({ha, hb}) == 2
+        assert not a.transcript.records[1].response.higher[0].is_zero
+
+
 # (kind, position, seed, excess) -> a query that both oracles must refuse
 BAD_QUERIES = st.tuples(
     st.sampled_from(["nan", "inf", "-inf", "short", "long", "matrix", "norm"]),
@@ -343,12 +389,11 @@ class TestEventECheck:
             value=0.0,
             gradient=np.zeros(3),
             higher=(),
-            regime=EXACT_AFFINE,
             affine_index=1,
             value_stderr=0.0,
             gradient_error=0.0,
         )
-        t = Transcript("randomized", params)
+        t = Transcript(params)
         for i, m in enumerate(margins, start=1):
             t.records.append(QueryRecord(i, np.zeros(3), dummy, m))
         return t
@@ -378,7 +423,7 @@ class TestEventECheck:
 
     def test_wrong_mode_rejected(self):
         p = params_deterministic(4, 1)
-        t = Transcript("deterministic", p)
+        t = Transcript(p)
         with pytest.raises(ValueError, match="randomized"):
             event_e_check(t, p)
 
