@@ -32,12 +32,23 @@ the sum of the perturbations). Queries fall in one of two regimes:
   and lifted with Q: it is the conditional expectation of the estimate
   from a full r-dimensional draw (Rao-Blackwell), so it is unbiased and
   its variance is never larger. The factor (r/delta)^j keeps r.
+
+  A Monte-Carlo answer estimates its value on one helper thread while
+  the calling thread estimates the gradient and higher orders. Each
+  estimate draws from its own stream (child seeds "value", "gradient",
+  ("tensor", j)) and writes only arrays of its own, so the answer is bit
+  for bit what the estimates give one after the other. A single helper,
+  started per answer, and not a pool: each concurrent estimate holds its
+  own draws, so more workers buy little time for much peak memory.
+  Exact answers start no thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -56,14 +67,24 @@ MONTE_CARLO = "monte_carlo"
 
 @dataclass(frozen=True)
 class MCBudget:
-    """Sample count and stream seed for one Monte-Carlo evaluation."""
+    """Sample count and stream seed for one Monte-Carlo evaluation; the
+    count must be an integer (see sample_count) of at least 1."""
 
     n_samples: int = DEFAULT_VALUE_SAMPLES
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_samples", sample_count(self.n_samples))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+
+
+def sample_count(n) -> int:
+    """n as an int: an integer (numpy's included) passes, a bool, a NaN or
+    any other float is refused with a TypeError."""
+    if isinstance(n, bool):
+        raise TypeError("a sample count must be an integer, not a bool")
+    return operator.index(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +267,14 @@ def _ball_sum(r: int, k: int, rng: np.random.Generator, n: int, coords: int) -> 
     return total
 
 
+def _projection(coeffs: np.ndarray, draws: np.ndarray, delta: float) -> np.ndarray:
+    """delta * (coeffs @ draws.T), shape (contenders, draws), scaled in
+    place."""
+    proj = coeffs @ draws.T
+    proj *= delta
+    return proj
+
+
 def _flipped_max(base: np.ndarray, projs: list[np.ndarray], signs: tuple[int, ...]) -> np.ndarray:
     """Per draw, the max over contenders i of base[i] + sum_j signs[j] *
     projs[j][i], each projs[j] being (contenders, draws).
@@ -284,8 +313,8 @@ def smoothed_value_mc(
     base, coeffs, frame = _contender_frame(instance, x)
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
-    c = _ball_sum(r, params.k, rng, n, frame.shape[1])
-    vals = _flipped_max(base, [params.delta * (coeffs @ c.T)], (1,))
+    proj = _projection(coeffs, _ball_sum(r, params.k, rng, n, frame.shape[1]), params.delta)
+    vals = _flipped_max(base, [proj], (1,))
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     return est, stderr
@@ -309,8 +338,10 @@ def _tensor_coords_mc(
     bound being the root-sum-square of the per-entry standard errors in
     frame coordinates, which the lift (an isometry) leaves unchanged.
     Second moments are contracted draw by draw, so no (draws, q, q)
-    array is built. Needs two draws for a standard error, so n_samples
-    >= 2^(j+1).
+    array is built. Arrays are scaled and squared in place and dropped
+    once used, with the bits of the allocating arithmetic: a Monte-Carlo
+    answer runs this beside the value estimate, so their peaks add.
+    Needs two draws for a standard error, so n_samples >= 2^(j+1).
     """
     params = instance.params
     if not 1 <= order <= params.k:
@@ -328,17 +359,31 @@ def _tensor_coords_mc(
     spheres = [sample_sphere(r, rng, size=n, coords=q) for _ in range(order)]
     first = spheres[0]
     if order < params.k:
-        first = first + _ball_sum(r, params.k - order, rng, n, q)
-    projs = [params.delta * (coeffs @ u.T) for u in [first, *spheres[1:]]]
+        first = _ball_sum(r, params.k - order, rng, n, q)
+        first += spheres[0]
+    projs = [_projection(coeffs, u, params.delta) for u in (first, *spheres[1:])]
+    del first
     combo = None
+    # the first sign tuple is all +1; each flip's max is a fresh array
     for signs in itertools.product((1, -1), repeat=order):
-        term = math.prod(signs) * _flipped_max(base, projs, signs)
-        combo = term if combo is None else combo + term
-    g = (r / params.delta) ** order * (combo / 2**order)[:, None] * spheres[0]
+        flipped = _flipped_max(base, projs, signs)
+        if combo is None:
+            combo = flipped
+        elif math.prod(signs) > 0:
+            combo += flipped
+        else:
+            combo -= flipped
+    del projs, flipped
+    combo /= 2**order
+    combo *= (r / params.delta) ** order
+    g = combo[:, None] * spheres.pop(0)
+    del combo
     axes = "abcdefghijklm"[:order]
     subscripts = ",".join("n" + a for a in axes) + "->" + axes
-    tensor = np.einsum(subscripts, g, *spheres[1:]) / n
-    second = np.einsum(subscripts, g * g, *(w * w for w in spheres[1:])) / n
+    tensor = np.einsum(subscripts, g, *spheres) / n
+    for w in [g, *spheres]:  # second moments: square in place
+        w *= w
+    second = np.einsum(subscripts, g, *spheres) / n
     var = np.maximum(second - tensor**2, 0.0) * (n / (n - 1))
     err = float(np.sqrt(((np.sqrt(var) / math.sqrt(n)) ** 2).sum()))
     perms = list(itertools.permutations(range(order)))
@@ -410,6 +455,32 @@ def exact_answer(
     )
 
 
+def _on_helper(fn: Callable, *args) -> Callable[[], object]:
+    """Start fn(*args) on a new thread. The returned function joins it and
+    returns fn's result, or raises what fn raised. A plain thread, not a
+    concurrent.futures executor, whose import (logging with it) adds
+    about 0.6 MB to every process that imports this module."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, fn(*args)))
+        except BaseException as error:  # raised again in the caller
+            outcome.append((False, error))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def result():
+        thread.join()
+        ok, value = outcome[0]
+        if not ok:
+            raise value
+        return value
+
+    return result
+
+
 def monte_carlo_answer(
     instance: HardInstance,
     x: np.ndarray,
@@ -421,21 +492,32 @@ def monte_carlo_answer(
     Value uses budget.n_samples, each derivative order 2*n_samples
     function evaluations, all on streams derived from the budget seed;
     every order comes from _tensor_coords_mc.
+
+    The value is estimated on one helper thread while this thread
+    estimates the derivatives; numpy's random fills and large array
+    operations release the GIL, so the two overlap. The estimates share
+    no stream and no mutable state, so each has the bits it would have
+    alone. One helper, not a pool: every concurrent estimate holds its
+    own draws, and more of them cost more peak memory than they save
+    time. An error raised on the helper is raised here, and wins over a
+    derivative error, as it would had the value been estimated first.
     """
     params = instance.params
     k = _check_order(instance, order)
     denom = params.norm_denom
     budget = budget or MCBudget()
-    value, stderr = smoothed_value_mc(
-        instance, x, MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
-    )
-    grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
-    coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget)
-    higher = []
-    for j in range(2, k + 1):
-        tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
-        tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget)
-        higher.append(HigherDerivative(j, tensor / denom, terr / denom))
+    value_budget = MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
+    value_result = _on_helper(smoothed_value_mc, instance, x, value_budget)
+    try:
+        grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
+        coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget)
+        higher = []
+        for j in range(2, k + 1):
+            tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
+            tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget)
+            higher.append(HigherDerivative(j, tensor / denom, terr / denom))
+    finally:
+        value, stderr = value_result()
     return OracleResponse(
         value=value / denom,
         gradient=instance.basis.lift(coords) / denom,

@@ -208,13 +208,16 @@ def sample_sphere(
     def norms_of(g: np.ndarray) -> np.ndarray:
         if q == r:
             # np.linalg.norm(g, axis=1) without its conj() copy, bit for bit
-            return np.sqrt(np.add.reduce(g * g, axis=1))
-        # the chi-square mass of the r - q coordinates not drawn, plus the
-        # drawn ones column by column (faster than a reduce over a short axis)
-        squares = rng.chisquare(r - q, len(g))
-        for column in g.T:
-            squares += column * column
-        return np.sqrt(squares)
+            squares = np.add.reduce(g * g, axis=1)
+        else:
+            # the chi-square mass of the r - q coordinates not drawn, plus the
+            # drawn ones column by column (faster than a reduce over a short
+            # axis), each column squared into one reused buffer
+            squares = rng.chisquare(r - q, len(g))
+            buf = np.empty(len(g))
+            for column in g.T:
+                squares += np.multiply(column, column, out=buf)
+        return np.sqrt(squares, out=squares)
 
     g = rng.standard_normal((n, q))
     norms = norms_of(g)
@@ -238,7 +241,8 @@ def sample_ball(
     """
     n = 1 if size is None else int(size)
     v = sample_sphere(r, rng, size=n, coords=coords)
-    radii = rng.random(n) ** (1.0 / r)
+    radii = rng.random(n)
+    radii **= 1.0 / r
     v *= radii[:, None]
     return v[0] if size is None else v
 

@@ -217,7 +217,8 @@ class HardInstance:
     count) is the smoothing dimension. Vectors, queries included, have
     basis.dim coordinates: the working dimension. Standard instances,
     built by append_piece or from_basis, have the basis matrix itself as
-    piece_matrix.
+    piece_matrix, as do custom and from_json instances of orthonormal
+    rows.
 
     Pieces are checked once, where they enter: from_basis checks that
     the basis is orthonormal, custom and from_json that every direction
@@ -280,23 +281,23 @@ class HardInstance:
     ) -> "HardInstance":
         """Hand-built fixture (directions need not be orthonormal).
 
-        The smoothing basis is the Gram-Schmidt span of the directions.
-        Used for analytic test cases such as the two-piece |a.x| function;
+        The smoothing basis is the directions themselves when they are
+        orthonormal, else their Gram-Schmidt span, as from_json builds it,
+        so a custom instance reads back from to_json bit for bit. Used for
+        analytic test cases such as the two-piece |a.x| function;
         adversarial instances never go through here.
         """
-        return _checked_instance(params, directions, shifts, rows_as_basis=False)
+        return _checked_instance(params, directions, shifts)
 
 
-def _checked_instance(
-    params: InstanceParams, directions, shifts, rows_as_basis: bool
-) -> HardInstance:
+def _checked_instance(params: InstanceParams, directions, shifts) -> HardInstance:
     """Instance of the pieces (directions[i], shifts[i]), each checked
     once, the error naming the first piece that fails: its direction
     must be unit (NaN and inf fail; tested before any Gram-Schmidt step
     sees the row) and lie in the basis span.
 
-    The basis is the Gram-Schmidt span of the directions, or the
-    directions themselves if rows_as_basis and they are orthonormal.
+    The basis is the directions themselves if they are orthonormal, else
+    their Gram-Schmidt span.
     """
     matrix = frozen(np.atleast_2d(np.asarray(directions, dtype=float)))
     shifts = frozen(np.asarray(shifts, dtype=float))
@@ -309,7 +310,7 @@ def _checked_instance(
         i = int(bad.argmax())
         raise ValueError(f"piece {i + 1} direction must be unit, ||a|| = {norms[i]}")
     basis = OrthonormalBasis(matrix)
-    if not rows_as_basis or basis.violations():
+    if basis.violations():
         basis = OrthonormalBasis.empty(matrix.shape[1])
         for row in matrix:
             basis, _ = orthonormal_extend(basis, row)
@@ -389,4 +390,4 @@ def from_json(text: str) -> HardInstance:
         raise ValueError(f"piece indices must be 1..{len(pieces)}, got {indices}")
     directions = [p["a"] for p in pieces] or np.zeros((0, params.d))
     shifts = [p["shift"] for p in pieces]
-    return _checked_instance(params, directions, shifts, rows_as_basis=True)
+    return _checked_instance(params, directions, shifts)

@@ -32,6 +32,7 @@ from .evaluator import (
     locally_affine_index,  # noqa: F401 - a name perfbench/tracer.py wraps
     monte_carlo_answer,
     oracle_answer,
+    sample_count,
 )
 from .geometry import random_orthonormal_basis
 from .instance import (
@@ -202,7 +203,10 @@ class _ResistingOracle:
     instance its mode serves it from (normalized by norm_denom, then
     scaled by rescale) and recorded; finalize replays the transcript
     against the final instance. The Monte-Carlo budget of query t is
-    derived only when its answer needs one.
+    derived only when its answer needs one; mc_samples is checked here,
+    once, against the fewest samples such an answer takes: 2 for a value
+    with a standard error, 2^k for the order-k tensor's two draws at 2^k
+    sign flips each, out of its 2 * mc_samples evaluations.
     """
 
     def __init__(
@@ -213,6 +217,13 @@ class _ResistingOracle:
         rescale: float,
         instance: HardInstance,
     ):
+        mc_samples = sample_count(mc_samples)
+        minimum = max(2, 2**params.k)
+        if mc_samples < minimum:
+            raise ValueError(
+                f"a Monte-Carlo answer of order {params.k} needs mc_samples >= {minimum}, "
+                f"got {mc_samples}"
+            )
         self.params = params
         self.seed = seed
         self.mc_samples = mc_samples

@@ -66,3 +66,21 @@ def test_traced_layers_fire_in_both_modes():
     assert spans["instance.append_piece"] == 4
     assert spans["oracles.finalize"] == spans["oracles.replay"] == 2
     assert spans["geometry.random_basis"] == 1
+
+
+def test_tie_run_under_the_tracer_balances_its_stack():
+    # a Monte-Carlo answer estimates its value on a helper thread, and the
+    # tracer keeps one span stack for all threads: every push is still
+    # popped, and each value span opens under some span of the answer
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        oracle = workloads._tie_oracle(4, 0, tiny=True)
+        workloads.tie_client(oracle, np.random.default_rng(0))
+        oracle.finalize()
+    finally:
+        trace.uninstall()
+    assert trace._stack == []
+    values = [span for span in trace.spans if span[0] == "evaluator.value_mc"]
+    assert len(values) == 3
+    assert all(span[3] is not None for span in values)

@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resistor import evaluator
 from resistor.evaluator import (
     EXACT_AFFINE,
     MONTE_CARLO,
@@ -13,6 +15,7 @@ from resistor.evaluator import (
     contenders,
     exact_answer,
     locally_affine_index,
+    monte_carlo_answer,
     oracle_answer,
     piece_values,
     rescale_to_smoothness,
@@ -21,7 +24,7 @@ from resistor.evaluator import (
     suboptimality_certificate,
 )
 from resistor.geometry import OrthonormalBasis, perp_component
-from resistor.harness import audit_instance
+from resistor.harness import RunConfig, audit_instance, run_experiment
 from resistor.instance import (
     DETERMINISTIC,
     RANDOMIZED,
@@ -34,7 +37,7 @@ from resistor.instance import (
     shift_of,
 )
 from resistor.oracles import AdaptiveOracle, RandomizedOracle
-from resistor.streams import stream
+from resistor.streams import child_seed, stream
 
 from conftest import abs_instance, dense_tensor_coords_mc, dense_value_mc, fd_gradient_crn, unit
 
@@ -232,7 +235,12 @@ class TestContenders:
         assert bigger.smoothing_dim == inst.smoothing_dim
         before = contenders(inst, values)
         assert contenders(bigger, piece_values(bigger, x)).tolist() == before.tolist()
-        # the sampled answers do not see it either, bit for bit
+        # the sampled answers do not see it either, bit for bit, on one
+        # basis of the span: a single direction is its own basis, while
+        # with the extra piece it goes through Gram-Schmidt
+        if r > 1:  # both Gram-Schmidt the same rows
+            assert inst.basis.matrix.tobytes() == bigger.basis.matrix.tobytes()
+        inst = HardInstance(params, inst.piece_matrix, inst.piece_shifts, bigger.basis)
         budget = MCBudget(64, seed)
         assert smoothed_value_mc(bigger, x, budget) == smoothed_value_mc(inst, x, budget)
         g_big, e_big = smoothed_gradient_mc(bigger, x, budget)
@@ -323,6 +331,20 @@ def test_pruned_answer_bits_pinned():
     # the estimates lie in the contenders' span: nothing along piece 3
     assert resp.gradient[2] == 0.0 and resp.gradient[3] == 0.0
     assert np.all(hess.tensor[2] == 0.0) and np.all(hess.tensor[:, 2] == 0.0)
+
+
+@pytest.mark.parametrize("n", [math.nan, 2.5, 4.0, True, False, "100"])
+def test_mc_budget_refuses_a_count_that_is_not_an_integer(n):
+    with pytest.raises(TypeError):
+        MCBudget(n)
+
+
+def test_mc_budget_count_is_a_positive_int():
+    budget = MCBudget(np.int64(7), 3)
+    assert type(budget.n_samples) is int and budget.n_samples == 7
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            MCBudget(n)
 
 
 class TestSmoothedValue:
@@ -481,6 +503,59 @@ def test_tie_client_hessians_have_useful_honest_errors():
         assert hess.error_bound < 0.1 * norm
         exact = _tie_hessian(t, p.delta) / p.norm_denom
         assert np.linalg.norm(hess.tensor - exact) <= 3.0 * hess.error_bound
+
+
+class TestMonteCarloAnswerThreads:
+    """The value estimate runs on a helper thread beside the derivatives."""
+
+    def test_answer_is_the_estimators_one_by_one(self):
+        # the t = 9 tie of the tie client, answered with 100k samples on
+        # the oracle's own budget: the same bits as the three estimators
+        # called in turn on the answer's child seeds
+        oracle, xs, answers = _tie_client()
+        inst, x, denom = oracle.instance, xs[8], oracle.params.norm_denom
+        budget = MCBudget(100_000, child_seed(0, "mc", 9))
+        seed, n = budget.seed, budget.n_samples
+        value, stderr = smoothed_value_mc(inst, x, MCBudget(n, child_seed(seed, "value")))
+        grad, gerr = _tensor_coords_mc(inst, x, 1, MCBudget(2 * n, child_seed(seed, "gradient")))
+        hess, herr = _tensor_coords_mc(inst, x, 2, MCBudget(2 * n, child_seed(seed, "tensor", 2)))
+        for resp in (monte_carlo_answer(inst, x, budget=budget), answers[8]):
+            assert resp.regime == MONTE_CARLO
+            assert np.float64(resp.value).tobytes() == np.float64(value / denom).tobytes()
+            assert np.float64(resp.value_stderr).tobytes() == np.float64(stderr / denom).tobytes()
+            assert resp.gradient.tobytes() == (inst.basis.lift(grad) / denom).tobytes()
+            assert np.float64(resp.gradient_error).tobytes() == np.float64(gerr / denom).tobytes()
+            assert resp.hessian().tensor.tobytes() == (hess / denom).tobytes()
+            assert np.float64(resp.hessian().error_bound).tobytes() == np.float64(herr / denom).tobytes()
+
+    def test_helper_error_raised_in_caller(self, monkeypatch, plane_instance):
+        baseline = threading.active_count()
+        caller = threading.get_ident()
+        raised_on = []
+
+        def failing(*args):
+            raised_on.append(threading.get_ident())
+            raise RuntimeError("value estimate failed")
+
+        monkeypatch.setattr(evaluator, "smoothed_value_mc", failing)
+        with pytest.raises(RuntimeError, match="^value estimate failed$"):
+            oracle_answer(plane_instance, np.array([0.3, 0.35, 0.0]), budget=MCBudget(400, 0))
+        assert len(raised_on) == 1 and raised_on[0] != caller
+        assert threading.active_count() == baseline
+
+    def test_exact_answers_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        report = run_experiment(RunConfig(mode=DETERMINISTIC, T=25, k=1, method="psg", seed=0))
+        assert report.passed and len(report.rows) == 25
+        assert {row.regime for row in report.rows} == {EXACT_AFFINE}
+        assert started == []
 
 
 class TestOracleAnswer:

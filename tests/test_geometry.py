@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resistor.geometry import (
@@ -154,6 +154,64 @@ def test_full_coords_is_the_full_sampler_bit_for_bit(seed, r, n):
     assert sample_ball(r, rng, size=n, coords=r).tobytes() == ball.tobytes()
     assert sample_ball(r, default_rng, size=n).tobytes() == ball.tobytes()
     assert rng.random() == ref_rng.random() == default_rng.random()
+
+
+def reference_sphere(r, rng, size=None, coords=None):
+    """sample_sphere with its allocating arithmetic: a fresh array for
+    each column square and for the square root."""
+    q = r if coords is None else coords
+    n = 1 if size is None else int(size)
+
+    def norms_of(g):
+        if q == r:
+            return np.sqrt(np.add.reduce(g * g, axis=1))
+        squares = rng.chisquare(r - q, len(g))
+        for column in g.T:
+            squares += column * column
+        return np.sqrt(squares)
+
+    g = rng.standard_normal((n, q))
+    norms = norms_of(g)
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        g[bad] = rng.standard_normal((int(bad.sum()), q))
+        norms[bad] = norms_of(g[bad])
+    g /= norms[:, None]
+    return g[0] if size is None else g
+
+
+def reference_ball(r, rng, size=None, coords=None):
+    """sample_ball with an out-of-place power for the radius."""
+    n = 1 if size is None else int(size)
+    v = reference_sphere(r, rng, size=n, coords=coords)
+    v *= (rng.random(n) ** (1.0 / r))[:, None]
+    return v[0] if size is None else v
+
+
+@st.composite
+def sampler_args(draw):
+    r = draw(st.integers(1, 12))
+    coords = draw(st.one_of(st.none(), st.integers(1, r)))
+    size = draw(st.one_of(st.none(), st.integers(1, 3000)))
+    return r, coords, size
+
+
+@given(st.integers(0, 2**32 - 1), sampler_args())
+@example(0, (1, None, 3000))
+@example(1, (2, 1, 3000))
+@example(2, (2, None, None))
+@settings(max_examples=80, deadline=None)
+def test_in_place_samplers_match_the_reference_bit_for_bit(seed, args):
+    # the reused buffers, in-place square root and in-place radius power
+    # change no bit and no stream use; r = 1 and 2 take numpy's fast
+    # paths for the exponents 1 and 1/2
+    r, coords, size = args
+    ref_rng, rng = stream(seed, "ref", r), stream(seed, "ref", r)
+    sphere = reference_sphere(r, ref_rng, size, coords)
+    assert sample_sphere(r, rng, size=size, coords=coords).tobytes() == sphere.tobytes()
+    ball = reference_ball(r, ref_rng, size, coords)
+    assert sample_ball(r, rng, size=size, coords=coords).tobytes() == ball.tobytes()
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("r, q", [(9, 2), (3, 2), (6, 1)])

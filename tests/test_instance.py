@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resistor import geometry
 from resistor import instance as instance_module
+from resistor.evaluator import MCBudget, smoothed_value_mc
 from resistor.geometry import OrthonormalBasis
 from resistor.instance import (
     HardInstance,
@@ -282,6 +283,9 @@ class TestPieceMatrix:
         inst = HardInstance.custom(p, np.vstack([a, -a]), [0.0, 0.0])
         assert inst.piece_matrix is not inst.basis.matrix
         np.testing.assert_array_equal(inst.piece_matrix, np.vstack([a, -a]))
+        # orthonormal custom rows are their own basis, as from_json reads them
+        axes = HardInstance.custom(p, np.eye(p.d)[:2], [0.0, 0.0])
+        assert axes.piece_matrix is axes.basis.matrix
         standard = HardInstance.from_basis(p, OrthonormalBasis(np.eye(p.d)[:3]))
         back = from_json(to_json(standard))
         # orthonormal rows read back are their own basis, as in a standard instance
@@ -406,6 +410,7 @@ def test_instances_and_bases_compare_and_hash_by_identity():
     st.integers(0, 2**31),
     st.integers(0, 12),
 )
+@example("custom", 0, 1)  # one direction: its own basis both ways
 @settings(max_examples=60, deadline=None)
 def test_pieces_are_views_of_the_matrix_and_shifts(kind, seed, r):
     if r == 0 and kind.startswith("custom"):
@@ -424,11 +429,16 @@ def test_pieces_are_views_of_the_matrix_and_shifts(kind, seed, r):
     if standard:
         assert inst.piece_matrix is inst.basis.matrix
     if not kind.endswith("json"):
+        # every kind reads back bit for bit, custom included: its basis is
+        # rebuilt from the rows exactly as it was built
         back = from_json(to_json(inst))
         assert back.piece_matrix.tobytes() == inst.piece_matrix.tobytes()
         assert back.piece_shifts.tobytes() == inst.piece_shifts.tobytes()
-        # a custom basis is rebuilt from the rows, which need not give its bits
-        assert not standard or back.basis.matrix.tobytes() == inst.basis.matrix.tobytes()
+        assert back.basis.matrix.tobytes() == inst.basis.matrix.tobytes()
+        if r:
+            x = np.zeros(inst.basis.dim)
+            budget = MCBudget(64, seed)
+            assert smoothed_value_mc(back, x, budget) == smoothed_value_mc(inst, x, budget)
 
 
 def test_json_round_trip():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resistor import oracles
+from resistor import evaluator, oracles
 from resistor.evaluator import (
     EXACT_AFFINE,
     MONTE_CARLO,
@@ -124,18 +124,24 @@ class TestAdaptiveOracle:
             lower = ((1.0 - i / p.T) * p.gamma - p.k * p.delta) / p.norm_denom
             assert rec.response.value >= lower
 
-    def test_raising_query_reveals_no_piece(self):
-        # a tie query with one Monte-Carlo sample raises (no standard
-        # error); the piece it would have added must not stay behind
+    def test_raising_query_reveals_no_piece(self, monkeypatch):
+        # a tie query whose value estimate raises; the piece it would have
+        # added must not stay behind
         p = params_deterministic(9, 2)
-        oracle = AdaptiveOracle(p, seed=4, mc_samples=1)
+        oracle = AdaptiveOracle(p, seed=4, mc_samples=1_000)
         a1 = oracle.query(np.zeros(p.d)).gradient * p.norm_denom
         e = unit_perp(a1)
-        with pytest.raises(ValueError, match="n_samples >= 2"):
-            oracle.query((shift_of(p, 1) - shift_of(p, 2)) * e)
+
+        def refuse(*args):
+            raise ValueError("value estimate refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "smoothed_value_mc", refuse)
+            with pytest.raises(ValueError, match="value estimate refused"):
+                oracle.query((shift_of(p, 1) - shift_of(p, 2)) * e)
         assert oracle.instance.num_pieces == len(oracle.transcript) == 1
         # the next query is answered as by an oracle that never saw it
-        fresh = AdaptiveOracle(p, seed=4, mc_samples=1)
+        fresh = AdaptiveOracle(p, seed=4, mc_samples=1_000)
         fresh.query(np.zeros(p.d))
         y = 0.5 * e
         got, expected = oracle.query(y), fresh.query(y)
@@ -288,6 +294,27 @@ class TestSharedProtocol:
         final, report = oracle.finalize()
         assert final is oracle.instance
         assert report.partial and report.all_equal and len(report.entries) == 1
+
+    @pytest.mark.parametrize("mc_samples", [1, 3, 2.5, math.nan, True])
+    def test_too_few_or_non_integer_samples_refused_at_construction(self, cls, mc_samples):
+        # a k = 2 Monte-Carlo answer needs 4 samples: 2 for the value's
+        # standard error, two draws at 4 sign flips for the Hessian
+        params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
+        with pytest.raises((TypeError, ValueError)):
+            cls(params, seed=0, mc_samples=mc_samples)
+
+    def test_fewest_samples_answer_a_tie(self, cls):
+        params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
+        oracle = cls(params, seed=0, mc_samples=np.int64(4))
+        assert type(oracle.mc_samples) is int and oracle.mc_samples == 4
+        if cls is AdaptiveOracle:
+            a1 = oracle.query(np.zeros(oracle.dim)).gradient * params.norm_denom
+            x = (shift_of(params, 1) - shift_of(params, 2)) * unit_perp(a1)
+        else:
+            a = oracle.instance.piece_matrix
+            x = (shift_of(params, 1) - shift_of(params, 2)) / 2 * (a[1] - a[0])
+        answer = oracle.query(x)
+        assert answer.regime == MONTE_CARLO and answer.hessian().error_bound >= 0
 
     def test_dim_is_the_instance_working_dimension(self, cls):
         oracle = _protocol_oracle(cls)
