@@ -63,7 +63,6 @@ from .oracles import (
     replay_consistency,
 )
 from .optimizers import (
-    OptimizerConfig,
     project_ball,
     run_accelerated_gradient,
     run_cubic_newton,

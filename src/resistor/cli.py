@@ -15,8 +15,10 @@ import json
 import sys
 import time
 
-from .harness import RunConfig, run_experiment, run_verification, sweep
+from .evaluator import DEFAULT_VALUE_SAMPLES
+from .harness import AUDIT_SAMPLES, RunConfig, run_experiment, run_verification, sweep
 from .instance import DETERMINISTIC, RANDOMIZED
+from .optimizers import METHODS
 
 _MODES = {"det": DETERMINISTIC, "deterministic": DETERMINISTIC, "rand": RANDOMIZED, "randomized": RANDOMIZED}
 
@@ -25,10 +27,10 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=sorted(_MODES), default="det")
     parser.add_argument("--T", type=int, default=9, help="query budget")
     parser.add_argument("--k", type=int, default=1, help="derivative order")
-    parser.add_argument("--method", choices=["psg", "agd", "cubic"], default="psg")
+    parser.add_argument("--method", choices=list(METHODS), default="psg")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fail-prob", type=float, default=0.2, help="randomized-mode failure probability")
-    parser.add_argument("--mc-samples", type=int, default=100_000)
+    parser.add_argument("--mc-samples", type=int, default=DEFAULT_VALUE_SAMPLES)
     parser.add_argument("--rescale-L", type=float, default=None, help="target order-k smoothness coefficient")
     parser.add_argument("--dump-vectors", action="store_true")
     parser.add_argument("--out", type=str, default=None)
@@ -172,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int, default=1)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--pairs", type=int, default=30)
-    p_verify.add_argument("--mc-samples", type=int, default=20_000)
+    p_verify.add_argument("--mc-samples", type=int, default=AUDIT_SAMPLES)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="repeat an experiment across seeds")

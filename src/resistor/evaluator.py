@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -56,7 +55,7 @@ import numpy as np
 
 from .geometry import sample_ball, sample_sphere
 from .instance import QUERY_NORM_SLACK, HardInstance
-from .streams import child_seed, stream
+from .streams import as_integer, child_seed, stream
 
 DEFAULT_VALUE_SAMPLES = 100_000
 DEFAULT_GRADIENT_SAMPLES = 200_000
@@ -68,23 +67,15 @@ MONTE_CARLO = "monte_carlo"
 @dataclass(frozen=True)
 class MCBudget:
     """Sample count and stream seed for one Monte-Carlo evaluation; the
-    count must be an integer (see sample_count) of at least 1."""
+    count must be an integer (see streams.as_integer) of at least 1."""
 
     n_samples: int = DEFAULT_VALUE_SAMPLES
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_samples", sample_count(self.n_samples))
+        object.__setattr__(self, "n_samples", as_integer(self.n_samples, "n_samples"))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-
-
-def sample_count(n) -> int:
-    """n as an int: an integer (numpy's included) passes, a bool, a NaN or
-    any other float is refused with a TypeError."""
-    if isinstance(n, bool):
-        raise TypeError("a sample count must be an integer, not a bool")
-    return operator.index(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,17 +130,6 @@ class OracleResponse:
             if h.order == 2:
                 return h
         return None
-
-    def hessian_ambient(self) -> np.ndarray | None:
-        """Dense ambient Hessian, or None when it is exactly zero.
-
-        Materializes a (d, d) array; meant for small ambient dimension.
-        """
-        h = self.hessian()
-        if h is None or h.is_zero:
-            return None
-        b = self.basis_matrix
-        return b.T @ h.tensor @ b
 
     def scaled(self, s: float) -> "OracleResponse":
         """Response for the objective multiplied by s (all outputs scale)."""
@@ -406,7 +386,6 @@ def smoothed_gradient_mc(
 def oracle_answer(
     instance: HardInstance,
     x: np.ndarray,
-    order: int | None = None,
     budget: MCBudget | Callable[[], MCBudget] | None = None,
 ) -> OracleResponse:
     """Full derivative-oracle answer at x, normalized by norm_denom.
@@ -421,20 +400,11 @@ def oracle_answer(
         raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
     values, idx = affine_regime(instance, x)
     if idx is not None:
-        return exact_answer(instance, values, idx, order)
-    return monte_carlo_answer(instance, x, order, budget() if callable(budget) else budget)
+        return exact_answer(instance, values, idx)
+    return monte_carlo_answer(instance, x, budget() if callable(budget) else budget)
 
 
-def _check_order(instance: HardInstance, order: int | None) -> int:
-    k = instance.params.k if order is None else order
-    if not 1 <= k <= instance.params.k:
-        raise ValueError(f"order must lie in [1, {instance.params.k}]")
-    return k
-
-
-def exact_answer(
-    instance: HardInstance, values: PieceValues, idx: int, order: int | None = None
-) -> OracleResponse:
+def exact_answer(instance: HardInstance, values: PieceValues, idx: int) -> OracleResponse:
     """Closed-form answer where piece idx wins by more than 2*k*delta.
 
     The smoothing of a single affine piece is that piece, so the value
@@ -442,13 +412,12 @@ def exact_answer(
     vanish; values must be piece_values(instance, x) at the query x.
     With norm_denom 1 the gradient is the read-only piece row itself.
     """
-    k = _check_order(instance, order)
     denom = instance.params.norm_denom
     a = instance.piece_matrix[idx - 1]
     return OracleResponse(
         value=float(values.shifted[idx - 1] / denom),
         gradient=a if denom == 1.0 else a / denom,
-        higher=tuple(HigherDerivative(j) for j in range(2, k + 1)),
+        higher=tuple(HigherDerivative(j) for j in range(2, instance.params.k + 1)),
         affine_index=idx,
         value_stderr=0.0,
         gradient_error=0.0,
@@ -482,10 +451,7 @@ def _on_helper(fn: Callable, *args) -> Callable[[], object]:
 
 
 def monte_carlo_answer(
-    instance: HardInstance,
-    x: np.ndarray,
-    order: int | None = None,
-    budget: MCBudget | None = None,
+    instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None
 ) -> OracleResponse:
     """Sampled answer for a query near a tie.
 
@@ -503,7 +469,6 @@ def monte_carlo_answer(
     derivative error, as it would had the value been estimated first.
     """
     params = instance.params
-    k = _check_order(instance, order)
     denom = params.norm_denom
     budget = budget or MCBudget()
     value_budget = MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
@@ -512,7 +477,7 @@ def monte_carlo_answer(
         grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
         coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget)
         higher = []
-        for j in range(2, k + 1):
+        for j in range(2, params.k + 1):
             tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
             tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget)
             higher.append(HigherDerivative(j, tensor / denom, terr / denom))
@@ -536,8 +501,8 @@ def rescale_to_smoothness(L_target: float, k: int, T: int) -> float:
     smoothness coefficient is at most L_target, with suboptimality floor
     s / (2 sqrt(T)).
     """
-    if L_target <= 0:
-        raise ValueError("L_target must be positive")
+    if not (0 < L_target < math.inf):
+        raise ValueError(f"L_target must be positive and finite, got {L_target}")
     return L_target / ((10.0 * k) ** k * T ** (2.5 * k))
 
 

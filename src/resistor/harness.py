@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluator import (
+    DEFAULT_VALUE_SAMPLES,
     MCBudget,
     _tensor_coords_mc,
     affine_regime,
@@ -37,9 +38,11 @@ from .instance import (
     pessimal_point,
 )
 from .oracles import AdaptiveOracle, RandomizedOracle, event_e_check
-from .optimizers import OptimizerConfig, run_method
+from .optimizers import run_method
 from .streams import child_seed, stream
 
+# Samples per Monte-Carlo estimate in the smoothness and invariance audits.
+AUDIT_SAMPLES = 20_000
 CSV_COLUMNS = ["iter", "certified_gap", "floor", "regime", "event_e_margin", "value", "grad_norm"]
 
 
@@ -51,7 +54,7 @@ class RunConfig:
     method: str = "psg"
     seed: int = 0
     fail_prob: float = 0.2
-    mc_samples: int = 100_000
+    mc_samples: int = DEFAULT_VALUE_SAMPLES
     rescale_L: float | None = None
     dump_vectors: bool = False
     out: str | None = None
@@ -133,7 +136,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     oracle = oracle_cls(
         params, seed=config.seed, mc_samples=config.mc_samples, rescale=scale
     )
-    run_method(oracle, OptimizerConfig(method=config.method))
+    run_method(oracle, config.method)
     final, consistency = oracle.finalize()
 
     floor = scale * params.floor
@@ -267,7 +270,7 @@ def verify_lipschitz(
     instance: HardInstance,
     order: int,
     n_pairs: int = 50,
-    samples: int = 20_000,
+    samples: int = AUDIT_SAMPLES,
     seed: int = 0,
     rescale: float = 1.0,
 ) -> LipschitzAudit:
@@ -338,7 +341,7 @@ class InvarianceAudit:
 def verify_invariance(
     instance: HardInstance,
     n_points: int = 20,
-    samples: int = 20_000,
+    samples: int = AUDIT_SAMPLES,
     seed: int = 0,
 ) -> InvarianceAudit:
     """Check that shifting a point by a vector orthogonal to the piece
@@ -401,7 +404,7 @@ def verify_locality(T: int, k: int, seed: int = 0) -> LocalityAudit:
     contradicts is a regime_mismatch)."""
     params = params_deterministic(T, k)
     oracle = AdaptiveOracle(params, seed=seed)
-    run_method(oracle, OptimizerConfig(method="psg"))
+    run_method(oracle, "psg")
     _, consistency = oracle.finalize()
     regimes_ok = all(e.reason != "regime_mismatch" for e in consistency.entries)
     return LocalityAudit(
@@ -445,7 +448,7 @@ def run_verification(
     k: int,
     seed: int = 0,
     n_pairs: int = 30,
-    samples: int = 20_000,
+    samples: int = AUDIT_SAMPLES,
 ) -> VerifySummary:
     summary = VerifySummary(suite=suite)
     if suite not in {"lipschitz", "invariance", "locality", "all"}:

@@ -8,7 +8,6 @@ suboptimality floor, so sophistication buys nothing here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,57 +21,19 @@ PSG_STEP_SCALE = 1.0
 AGD_STEP_SCALE = 0.3
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Method choice and step parameters.
-
-    step_scale: c in the step schedule eta_t = c / sqrt(t); None picks
-        the method default (subgradient 1.0, accelerated 0.3).
-    step_size: fixed step for accelerated gradient, overriding the
-        schedule.
-    momentum: None for the Nesterov schedule (t-1)/(t+2), else constant.
-    """
-
-    method: str = "psg"
-    budget: int | None = None
-    step_scale: float | None = None
-    step_size: float | None = None
-    momentum: float | None = None
-    inner_steps: int = 200
-
-    def __post_init__(self):
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if self.step_scale is not None and self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-
-
 def project_ball(x: np.ndarray) -> np.ndarray:
     """x unchanged if ||x|| <= 1, else x / ||x||."""
     norm = np.linalg.norm(x)
     return x if norm <= 1.0 else x / norm
 
 
-def _budget(oracle, config: OptimizerConfig) -> int:
-    budget = config.budget if config.budget is not None else oracle.queries_left
-    if budget > oracle.queries_left:
-        raise ValueError(
-            f"budget {budget} exceeds the oracle's remaining {oracle.queries_left} queries"
-        )
-    return budget
-
-
-def run_projected_subgradient(oracle, config: OptimizerConfig | None = None):
-    """Projected subgradient from the origin, eta_t = step_scale / sqrt(t)."""
-    config = config or OptimizerConfig(method="psg")
-    budget = _budget(oracle, config)
-    scale = config.step_scale if config.step_scale is not None else PSG_STEP_SCALE
+def run_projected_subgradient(oracle):
+    """Projected subgradient from the origin, eta_t = PSG_STEP_SCALE /
+    sqrt(t), for the oracle's remaining queries."""
     x = np.zeros(oracle.dim)
-    for t in range(1, budget + 1):
+    for t in range(1, oracle.queries_left + 1):
         response = oracle.query(x)
-        eta = scale / math.sqrt(t)
+        eta = PSG_STEP_SCALE / math.sqrt(t)
         # project_ball(x - eta * g) in one fresh array: x was queried, and
         # an oracle may keep it by reference, so x itself is never written
         x_next = eta * response.gradient
@@ -84,90 +45,94 @@ def run_projected_subgradient(oracle, config: OptimizerConfig | None = None):
     return oracle.transcript
 
 
-def run_accelerated_gradient(oracle, config: OptimizerConfig | None = None):
-    """Nesterov-accelerated projected gradient from the origin.
+def run_accelerated_gradient(oracle):
+    """Nesterov-accelerated projected gradient from the origin, for the
+    oracle's remaining queries: eta_t = AGD_STEP_SCALE / sqrt(t) and
+    momentum (t - 1) / (t + 2).
 
     Queries land at the extrapolated points, which are projected back to
     the ball so they stay feasible.
     """
-    config = config or OptimizerConfig(method="agd")
-    budget = _budget(oracle, config)
-    scale = config.step_scale if config.step_scale is not None else AGD_STEP_SCALE
     x_prev = np.zeros(oracle.dim)
     y = np.zeros(oracle.dim)
-    for t in range(1, budget + 1):
+    for t in range(1, oracle.queries_left + 1):
         response = oracle.query(y)
-        eta = config.step_size if config.step_size is not None else scale / math.sqrt(t)
+        eta = AGD_STEP_SCALE / math.sqrt(t)
         x = project_ball(y - eta * response.gradient)
-        beta = config.momentum if config.momentum is not None else (t - 1.0) / (t + 2.0)
+        beta = (t - 1.0) / (t + 2.0)
         y = project_ball(x + beta * (x - x_prev))
         x_prev = x
     return oracle.transcript
 
 
-def cubic_model_value(s: np.ndarray, g: np.ndarray, hess: np.ndarray | None, m_weight: float) -> float:
-    hs = 0.0 if hess is None else 0.5 * float(s @ hess @ s)
-    return float(g @ s) + hs + (m_weight / 6.0) * float(np.linalg.norm(s)) ** 3
+def cubic_step(g: np.ndarray, hess: np.ndarray | None, m_weight: float) -> np.ndarray:
+    """The global minimizer s of g.s + s.H.s/2 + (M/6)||s||^3, M = m_weight.
 
-
-def cubic_substep(
-    g: np.ndarray,
-    hess: np.ndarray | None,
-    m_weight: float,
-    inner_steps: int = 200,
-) -> np.ndarray:
-    """Approximate minimizer of g.s + s.H.s/2 + (M/6)||s||^3.
-
-    Gradient descent with backtracking from s = 0. With H = 0 the exact
-    minimizer is -(sqrt(2||g||/M)) g/||g||, which the descent recovers;
-    that is also the regime the adversarial responses produce.
+    hess is the symmetric matrix H, in the coordinates of g, or None for
+    H = 0, whose minimizer is -sqrt(2||g||/M) g/||g|| (zero for g = 0).
+    Otherwise s = -(H + rho I)^-1 g for the rho >= max(0, -lambda_min(H))
+    with ||s|| = 2 rho / M, which makes H + rho I positive semidefinite:
+    the characterization of Nesterov & Polyak (2006, Math. Program.
+    108:177-205). In the eigenbasis of H, rho is bisected to the last bit
+    from the bracket [lo, lo + sqrt(M ||g|| / 2)], lo = max(0,
+    -lambda_min), as t = rho + lambda_min, the smallest eigenvalue of
+    H + rho I, which the divisions then see without cancellation. When
+    the root is lo with lambda_min < 0 (g orthogonal to the bottom
+    eigenvector: the hard case), the norm 2 rho / M is made up along
+    that eigenvector.
     """
-    gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        return np.zeros_like(g)
-    s = np.zeros_like(g)
-    value = 0.0
-    # curvature near the optimum is about sqrt(2 M ||g||) (plus H)
-    curvature = math.sqrt(2.0 * m_weight * gnorm)
-    if hess is not None:
-        curvature += float(np.linalg.norm(hess, ord=2))
-    step = 1.0 / curvature
-    for _ in range(inner_steps):
-        grad_model = g + (m_weight / 2.0) * np.linalg.norm(s) * s
-        if hess is not None:
-            grad_model = grad_model + hess @ s
-        accepted = False
-        for _ in range(30):
-            trial = s - step * grad_model
-            trial_value = cubic_model_value(trial, g, hess, m_weight)
-            if trial_value < value:
-                s, value = trial, trial_value
-                step *= 1.2
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return s
+    # math.hypot scales as it sums, where a sum of squares can underflow
+    gnorm = math.hypot(*g)
+    if hess is None:
+        if gnorm == 0.0:
+            return np.zeros_like(g)
+        return -math.sqrt(2.0 / m_weight) / math.sqrt(gnorm) * g
+    lam, vecs = np.linalg.eigh(hess)
+    w = vecs.T @ g
+    bottom = float(lam[0])
+    gaps = lam - bottom
+    # t_lo = lo + lambda_min. At the top t - t_lo = c = sqrt(M ||g|| / 2)
+    # <= min(t, rho), so ||s|| <= ||g|| / c = 2 c / M <= 2 rho / M; for
+    # g = 0 the top is one float above t_lo, so no division is by zero
+    t_lo = max(bottom, 0.0)
+    a, b = t_lo, max(t_lo + math.sqrt(0.5 * m_weight * gnorm), float(np.nextafter(t_lo, math.inf)))
+    while a < (mid := 0.5 * (a + b)) < b:
+        if math.hypot(*(w / (gaps + mid))) > 2.0 * (mid - bottom) / m_weight:
+            a = mid
+        else:
+            b = mid
+    s = -w / (gaps + b)
+    if bottom < 0.0 and a == 0.0:
+        # the hard case: the bottom coordinate makes up the norm 2 rho / M,
+        # taken as a ratio so that no square underflows
+        radius = 2.0 * (b - bottom) / m_weight
+        rest = math.hypot(*s[1:]) / radius
+        s[0] = -math.copysign(radius * math.sqrt(max((1.0 - rest) * (1.0 + rest), 0.0)), w[0])
+    return vecs @ s
 
 
-def run_cubic_newton(oracle, config: OptimizerConfig | None = None):
-    """Cubic-regularized second-order steps from the origin.
+def run_cubic_newton(oracle):
+    """Cubic-regularized Newton steps from the origin, for the oracle's
+    remaining queries, with M = rescale * (T / delta)^2, the order-2
+    smoothness audit bound.
 
-    Each step minimizes the local cubic model over the shift and
-    projects back to the ball. Requires a second-order oracle.
+    Each step is cubic_step on the local model and is projected back to
+    the ball. A zero Hessian (every exact answer) gives the closed form;
+    a sampled one is applied in the basis coordinates of the response,
+    and the step lifted back. Requires a second-order oracle.
     """
-    config = config or OptimizerConfig(method="cubic")
     if oracle.params.k < 2:
         raise ValueError("cubic-regularized steps need an oracle with k >= 2")
-    budget = _budget(oracle, config)
-    # cubic regularization weight: the order-2 smoothness audit bound
     m_weight = oracle.rescale * (oracle.params.T / oracle.params.delta) ** 2
     x = np.zeros(oracle.dim)
-    for _ in range(budget):
+    for _ in range(oracle.queries_left):
         response = oracle.query(x)
-        hess = response.hessian_ambient()
-        s = cubic_substep(response.gradient, hess, m_weight, config.inner_steps)
+        hess = response.hessian()
+        if hess is None or hess.is_zero:
+            s = cubic_step(response.gradient, None, m_weight)
+        else:
+            b = response.basis_matrix
+            s = cubic_step(b @ response.gradient, hess.tensor, m_weight) @ b
         x = project_ball(x + s)
     return oracle.transcript
 
@@ -179,9 +144,11 @@ METHODS = {
 }
 
 
-def run_method(oracle, config: OptimizerConfig):
+def run_method(oracle, method: str):
+    """Run the named method (a key of METHODS) on the oracle's remaining
+    queries; returns its transcript."""
     try:
-        runner = METHODS[config.method]
+        runner = METHODS[method]
     except KeyError:
-        raise ValueError(f"unknown method {config.method!r}; choose from {sorted(METHODS)}")
-    return runner(oracle, config)
+        raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+    return runner(oracle)

@@ -24,6 +24,7 @@ from functools import partial
 import numpy as np
 
 from .evaluator import (
+    DEFAULT_VALUE_SAMPLES,
     MCBudget,
     OracleResponse,
     PieceValues,
@@ -32,7 +33,6 @@ from .evaluator import (
     locally_affine_index,  # noqa: F401 - a name perfbench/tracer.py wraps
     monte_carlo_answer,
     oracle_answer,
-    sample_count,
 )
 from .geometry import random_orthonormal_basis
 from .instance import (
@@ -43,9 +43,7 @@ from .instance import (
     append_piece,
     validate,
 )
-from .streams import child_seed, stream
-
-DEFAULT_MC_SAMPLES = 100_000
+from .streams import as_integer, child_seed, stream
 
 
 def _mc_budget(mc_samples: int, seed: int, index: int) -> MCBudget:
@@ -162,7 +160,7 @@ def replay_consistency(
     instance: HardInstance,
     transcript: Transcript,
     rescale: float = 1.0,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
+    mc_samples: int = DEFAULT_VALUE_SAMPLES,
     seed: int = 0,
 ) -> ConsistencyReport:
     """Replay every recorded query against `instance` and compare.
@@ -203,10 +201,12 @@ class _ResistingOracle:
     instance its mode serves it from (normalized by norm_denom, then
     scaled by rescale) and recorded; finalize replays the transcript
     against the final instance. The Monte-Carlo budget of query t is
-    derived only when its answer needs one; mc_samples is checked here,
-    once, against the fewest samples such an answer takes: 2 for a value
-    with a standard error, 2^k for the order-k tensor's two draws at 2^k
-    sign flips each, out of its 2 * mc_samples evaluations.
+    derived only when its answer needs one. Both integers are checked
+    here, once, before any query: seed and mc_samples by
+    streams.as_integer, and mc_samples against the fewest samples such
+    an answer takes: 2 for a value with a standard error, 2^k for the
+    order-k tensor's two draws at 2^k sign flips each, out of its
+    2 * mc_samples evaluations.
     """
 
     def __init__(
@@ -217,7 +217,8 @@ class _ResistingOracle:
         rescale: float,
         instance: HardInstance,
     ):
-        mc_samples = sample_count(mc_samples)
+        seed = as_integer(seed, "seed")
+        mc_samples = as_integer(mc_samples, "mc_samples")
         minimum = max(2, 2**params.k)
         if mc_samples < minimum:
             raise ValueError(
@@ -289,7 +290,7 @@ class AdaptiveOracle(_ResistingOracle):
         self,
         params: InstanceParams,
         seed: int = 0,
-        mc_samples: int = DEFAULT_MC_SAMPLES,
+        mc_samples: int = DEFAULT_VALUE_SAMPLES,
         rescale: float = 1.0,
     ):
         if params.mode != DETERMINISTIC:
@@ -338,7 +339,7 @@ class RandomizedOracle(_ResistingOracle):
         self,
         params: InstanceParams,
         seed: int = 0,
-        mc_samples: int = DEFAULT_MC_SAMPLES,
+        mc_samples: int = DEFAULT_VALUE_SAMPLES,
         rescale: float = 1.0,
     ):
         if params.mode != RANDOMIZED:

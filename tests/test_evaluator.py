@@ -613,10 +613,6 @@ class TestOracleAnswer:
         with pytest.raises(ValueError, match="unit ball"):
             oracle_answer(plane_instance, np.array([1.5, 0.0, 0.0]))
 
-    def test_order_validation(self, plane_instance):
-        with pytest.raises(ValueError, match="order"):
-            oracle_answer(plane_instance, np.zeros(3), order=2)  # k = 1 instance
-
     def test_hessian_ambient_symmetric(self):
         params = InstanceParams(
             T=2, k=2, m=2, d=3, gamma=0.1, delta=0.005, mode=DETERMINISTIC
@@ -624,7 +620,8 @@ class TestOracleAnswer:
         basis = OrthonormalBasis(np.vstack([unit(3, 0), unit(3, 1)]))
         inst = HardInstance.from_basis(params, basis)
         resp = oracle_answer(inst, np.array([0.3, 0.35, 0.0]), budget=MCBudget(2_000, 3))
-        hess = resp.hessian_ambient()
+        b = resp.basis_matrix
+        hess = b.T @ resp.hessian().tensor @ b
         assert hess.shape == (3, 3)
         np.testing.assert_allclose(hess, hess.T, atol=1e-12)
         # invariant subspace excludes e3

@@ -31,7 +31,7 @@ from resistor.instance import (
     params_deterministic,
     pessimal_point,
 )
-from resistor.optimizers import OptimizerConfig, run_method
+from resistor.optimizers import run_method
 from resistor.oracles import AdaptiveOracle
 
 from conftest import unit
@@ -68,7 +68,7 @@ class TestRunExperiment:
     def test_witness_crosscheck_exact(self):
         report = run_experiment(RunConfig(mode=DETERMINISTIC, T=9, k=2, method="psg", seed=3))
         oracle = AdaptiveOracle(params_deterministic(9, 2), seed=3)
-        run_method(oracle, OptimizerConfig(method="psg"))
+        run_method(oracle, "psg")
         final, _ = oracle.finalize()
         xhat, _ = pessimal_point(final)
         check = report.min_crosscheck
@@ -279,7 +279,7 @@ def test_verify_locality_fails_on_regime_mismatch(monkeypatch, seed):
     audit = verify_locality(9, 1, seed=seed)
     assert not audit.regimes_consistent and not audit.consistency_ok and not audit.passed
     oracle = AdaptiveOracle(harness.params_deterministic(9, 1), seed=seed)
-    run_method(oracle, OptimizerConfig(method="psg"))
+    run_method(oracle, "psg")
     _, replay = oracle.finalize()
     assert [e.reason for e in replay.entries].count("regime_mismatch") == 8
 
@@ -372,6 +372,12 @@ class TestCLI:
         monkeypatch.setattr(cli, "run_experiment", failing)
         assert cli.main(["grid", "--budgets", "4"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "grid: 2 failures"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_rescale_target_must_be_positive_and_finite(self, value):
+        # nan and inf used to pass and fail only at the query gate
+        with pytest.raises(ValueError, match="L_target"):
+            cli.main(["run", "--mode", "det", "--T", "4", "--k", "1", "--rescale-L", value])
 
     def test_dump_vectors_transcript(self, tmp_path):
         out = tmp_path / "run.csv"

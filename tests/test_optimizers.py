@@ -3,14 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from resistor.evaluator import MCBudget, OracleResponse, oracle_answer, suboptimality_certificate
+from resistor.evaluator import MONTE_CARLO, MCBudget, OracleResponse, oracle_answer, suboptimality_certificate
 from resistor.geometry import OrthonormalBasis
-from resistor.instance import HardInstance, params_deterministic
+from resistor.instance import DETERMINISTIC, HardInstance, InstanceParams, params_deterministic
 from resistor.oracles import AdaptiveOracle, Transcript, QueryRecord
 from resistor.optimizers import (
-    OptimizerConfig,
-    cubic_substep,
+    cubic_step,
     project_ball,
     run_accelerated_gradient,
     run_cubic_newton,
@@ -49,22 +50,27 @@ class DirectOracle:
 
 
 class QuadraticOracle:
-    """f(x) = ||x - target||^2 / 2, an internal sanity fixture."""
+    """f(x) = c ||x - target||^2 / 2 for `budget` queries, an internal
+    sanity fixture."""
 
-    def __init__(self, target):
+    def __init__(self, target, budget, curvature=1.0):
         self.target = np.asarray(target, dtype=float)
-        self.params = SimpleNamespace(d=self.target.shape[0], T=10**9, delta=1.0)
+        self.params = SimpleNamespace(d=self.target.shape[0], T=budget, delta=1.0)
         self.dim = self.target.shape[0]
         self.rescale = 1.0
         self.transcript = []
-        self.queries_left = 10**9
+        self.curvature = curvature
+
+    @property
+    def queries_left(self):
+        return self.params.T - len(self.transcript)
 
     def query(self, x):
         x = np.asarray(x, dtype=float)
         self.transcript.append(x)
         return OracleResponse(
-            value=0.5 * float(np.sum((x - self.target) ** 2)),
-            gradient=x - self.target,
+            value=0.5 * self.curvature * float(np.sum((x - self.target) ** 2)),
+            gradient=self.curvature * (x - self.target),
             higher=(),
             affine_index=None,
             value_stderr=0.0,
@@ -92,8 +98,8 @@ class TestProjectBall:
 
 class TestProjectedSubgradient:
     def test_one_piece_monotone_descent(self):
-        oracle = DirectOracle(one_piece_instance())
-        run_projected_subgradient(oracle, OptimizerConfig(method="psg", budget=6))
+        oracle = DirectOracle(one_piece_instance(), budget=6)
+        run_projected_subgradient(oracle)
         coords = [rec.x[0] for rec in oracle.transcript.records]
         assert all(b <= a + 1e-15 for a, b in zip(coords, coords[1:]))
         assert coords[-1] < coords[0]
@@ -116,18 +122,13 @@ class TestProjectedSubgradient:
         for a, b in zip(t1.records, t2.records):
             np.testing.assert_array_equal(a.x, b.x)
 
-    def test_budget_cannot_exceed_oracle(self):
-        p = params_deterministic(4, 1)
-        with pytest.raises(ValueError, match="budget"):
-            run_projected_subgradient(AdaptiveOracle(p, seed=0), OptimizerConfig(budget=5))
-
 
 class RecordingOracle(QuadraticOracle):
     """Keeps each query by reference (as QuadraticOracle does) and a copy
     taken when it arrived."""
 
-    def __init__(self, target):
-        super().__init__(target)
+    def __init__(self, target, budget, curvature):
+        super().__init__(target, budget, curvature)
         self.copies = []
 
     def query(self, x):
@@ -138,8 +139,9 @@ class RecordingOracle(QuadraticOracle):
 class TestProjectedSubgradientStep:
     def test_queries_unchanged_and_iterates_follow_the_recursion(self):
         target = np.array([0.9, -0.6, 0.3, 0.4])
-        oracle = RecordingOracle(target)
-        run_projected_subgradient(oracle, OptimizerConfig(method="psg", budget=40, step_scale=0.5))
+        # curvature 0.5 under the unit step scale: steps 0.5 / sqrt(t) * (x - target)
+        oracle = RecordingOracle(target, budget=40, curvature=0.5)
+        run_projected_subgradient(oracle)
         x = np.zeros(4)
         projected = []
         for t, (kept, copy) in enumerate(zip(oracle.transcript, oracle.copies, strict=True), start=1):
@@ -160,10 +162,8 @@ class TestAcceleratedGradient:
         ref = np.zeros(4)
         for _ in range(10_000):
             ref = project_ball(ref - 0.1 * (ref - target))
-        agd_oracle = QuadraticOracle(target)
-        run_accelerated_gradient(
-            agd_oracle, OptimizerConfig(method="agd", budget=200, step_size=1.0)
-        )
+        agd_oracle = QuadraticOracle(target, budget=600)
+        run_accelerated_gradient(agd_oracle)
         last = agd_oracle.transcript[-1]
         assert np.linalg.norm(last - ref) <= 1e-6
         assert np.linalg.norm(ref - target) <= 1e-9
@@ -176,29 +176,32 @@ class TestAcceleratedGradient:
         for rec in oracle.transcript.records:
             assert suboptimality_certificate(final, rec.x) >= 0.125
 
-    def test_zero_momentum_is_projected_gradient(self):
+    def test_queries_follow_the_nesterov_recursion(self):
         p = params_deterministic(9, 1)
         oracle = AdaptiveOracle(p, seed=3)
-        run_accelerated_gradient(
-            oracle, OptimizerConfig(method="agd", momentum=0.0, step_size=0.05)
-        )
-        # independent projected-gradient recursion on a replayed oracle
+        run_accelerated_gradient(oracle)
+        # independent recursion on a replayed oracle: step 0.3 / sqrt(t),
+        # momentum (t - 1) / (t + 2), both points projected
         twin = AdaptiveOracle(p, seed=3)
-        x = np.zeros(p.d)
-        for rec in oracle.transcript.records:
-            np.testing.assert_array_equal(rec.x, x)
-            resp = twin.query(x)
-            x = project_ball(x - 0.05 * resp.gradient)
+        x_prev = y = np.zeros(p.d)
+        for t, rec in enumerate(oracle.transcript.records, start=1):
+            assert rec.x.tobytes() == y.tobytes()
+            resp = twin.query(y)
+            x = project_ball(y - 0.3 / math.sqrt(t) * resp.gradient)
+            y = project_ball(x + (t - 1.0) / (t + 2.0) * (x - x_prev))
+            x_prev = x
+        assert len(oracle.transcript) == p.T
 
 
 class TestCubicNewton:
     def test_zero_hessian_step_matches_closed_form(self):
         g = np.array([0.3, -0.4, 0.1])
         m_weight = 50.0
-        s = cubic_substep(g, None, m_weight, inner_steps=400)
+        s = cubic_step(g, None, m_weight)
         gnorm = np.linalg.norm(g)
         expected = -math.sqrt(2.0 * gnorm / m_weight) * (g / gnorm)
-        np.testing.assert_allclose(s, expected, atol=1e-8)
+        np.testing.assert_allclose(s, expected, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(cubic_step(np.zeros(3), None, m_weight), np.zeros(3))
 
     def test_floor_against_adaptive_t9_k2(self):
         p = params_deterministic(9, 2)
@@ -210,10 +213,34 @@ class TestCubicNewton:
 
     def test_strong_regularization_freezes_steps(self):
         g = np.array([1.0, 0.0])
-        small = cubic_substep(g, None, 1e12, inner_steps=100)
-        large = cubic_substep(g, None, 1e2, inner_steps=100)
+        small = cubic_step(g, None, 1e12)
+        large = cubic_step(g, None, 1e2)
         assert np.linalg.norm(small) <= 1e-5
         assert np.linalg.norm(small) < np.linalg.norm(large)
+
+    def test_sampled_hessian_steps_minimize_the_ambient_model(self):
+        # pieces e1, e2 with equal shifts tie along the diagonal, so every
+        # answer from the origin on is Monte Carlo with a sampled Hessian
+        params = InstanceParams(T=2, k=2, m=2, d=3, gamma=0.1, delta=0.005, mode=DETERMINISTIC)
+        instance = HardInstance.custom(params, np.vstack([unit(3, 0), unit(3, 1)]), [0.0, 0.0])
+        oracle = DirectOracle(instance, budget=4)
+        run_cubic_newton(oracle)
+        m_weight = (params.T / params.delta) ** 2
+        records = oracle.transcript.records
+        assert len(records) == 4
+        for rec, after in zip(records, records[1:]):
+            resp = rec.response
+            assert resp.regime == MONTE_CARLO and not resp.hessian().is_zero
+            # the step is unprojected, and optimal for the cubic model with
+            # the ambient Hessian b^T H b: (H_amb + rho I) s = -g, rho = M ||s|| / 2
+            s = after.x - rec.x
+            assert np.linalg.norm(after.x) < 1.0
+            b = resp.basis_matrix
+            ambient = b.T @ resp.hessian().tensor @ b
+            rho = 0.5 * m_weight * np.linalg.norm(s)
+            residual = ambient @ s + rho * s + resp.gradient
+            assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(resp.gradient)
+            assert np.linalg.eigvalsh(ambient)[0] + rho >= 0.0
 
     def test_requires_second_order_oracle(self):
         p = params_deterministic(9, 1)
@@ -226,11 +253,55 @@ class TestSharedBehaviour:
     def test_iterates_stay_feasible(self, method, k):
         p = params_deterministic(9, k)
         oracle = AdaptiveOracle(p, seed=4)
-        run_method(oracle, OptimizerConfig(method=method))
+        run_method(oracle, method)
         for rec in oracle.transcript.records:
             assert np.linalg.norm(rec.x) <= 1.0 + 1e-12
 
     def test_unknown_method(self):
         p = params_deterministic(4, 1)
         with pytest.raises(ValueError, match="unknown method"):
-            run_method(AdaptiveOracle(p, seed=0), OptimizerConfig(method="newton"))
+            run_method(AdaptiveOracle(p, seed=0), "newton")
+
+
+def symmetric(entries, r):
+    a = np.array(entries[: r * r]).reshape(r, r)
+    return (a + a.T) / 2.0
+
+
+magnitude = st.floats(-100.0, 100.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, 8),
+    h=st.lists(magnitude, min_size=64, max_size=64),
+    g=st.lists(magnitude, min_size=8, max_size=8),
+    m_weight=st.floats(1e-3, 1e6),
+)
+@example(r=2, h=[-1.0, 0.0, 0.0, 2.0] + [0.0] * 60, g=[0.0, 1.0] + [0.0] * 6, m_weight=1.0)
+@example(r=3, h=[-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0] + [0.0] * 55, g=[0.0] * 8, m_weight=2.0)
+@example(r=1, h=[5.0] + [0.0] * 63, g=[0.0] * 8, m_weight=1.0)
+@example(r=1, h=[0.0] * 64, g=[8.363812443838375e-158] + [0.0] * 7, m_weight=1.0)
+def test_cubic_step_is_the_global_minimizer(r, h, g, m_weight):
+    """Nesterov & Polyak's characterization: s minimizes the cubic model
+    globally iff (H + rho I) s = -g and H + rho I is positive semidefinite,
+    rho = M ||s|| / 2. The residual is measured against the size of its
+    terms, (||H|| + rho) ||s|| + ||g||: where ||g|| is far below ||H|| ||s||
+    (near the hard case), rounding in H s alone exceeds any fraction of
+    ||g||. The examples are a hard case (g orthogonal to the negative
+    eigenvector), g = 0 with an indefinite H, g = 0 with H > 0, and a g
+    whose squared norm underflows. Norms are taken with math.hypot,
+    which does not underflow."""
+    hess, g = symmetric(h, r), np.array(g[:r])
+    s = cubic_step(g, hess, m_weight)
+    snorm = math.hypot(*s)
+    rho = 0.5 * m_weight * snorm
+    hnorm = float(np.linalg.norm(hess, 2))
+    residual = hess @ s + rho * s + g
+    scale = (hnorm + rho) * snorm + math.hypot(*g)
+    assert math.hypot(*residual) <= 1e-10 * scale
+    assert np.linalg.eigvalsh(hess + rho * np.eye(r))[0] >= -1e-10 * (hnorm + rho)
+    # H = 0 through the eigen path gives the closed form to roundoff
+    np.testing.assert_allclose(
+        cubic_step(g, np.zeros((r, r)), m_weight), cubic_step(g, None, m_weight), rtol=1e-12, atol=0
+    )

@@ -33,7 +33,7 @@ from resistor.oracles import (
     Transcript,
     event_e_check,
 )
-from resistor.optimizers import OptimizerConfig, run_method, run_projected_subgradient
+from resistor.optimizers import run_method, run_projected_subgradient
 from resistor.streams import stream
 
 
@@ -86,7 +86,7 @@ class TestAdaptiveOracle:
     def test_construction_queries_exact_affine(self):
         p = params_deterministic(16, 2)
         oracle = AdaptiveOracle(p, seed=7)
-        run_method(oracle, OptimizerConfig(method="agd"))
+        run_method(oracle, "agd")
         assert all(r.response.regime == EXACT_AFFINE for r in oracle.transcript.records)
 
     def test_infeasible_query_rejected(self):
@@ -302,6 +302,24 @@ class TestSharedProtocol:
         params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
         with pytest.raises((TypeError, ValueError)):
             cls(params, seed=0, mc_samples=mc_samples)
+
+    @pytest.mark.parametrize("seed", [2.9, 2.0, math.nan, True])
+    def test_seed_that_is_not_an_integer_refused_at_construction(self, cls, seed):
+        # int(2.9) would run on the draws of seed 2 while reporting 2.9
+        params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
+        with pytest.raises(TypeError, match="seed"):
+            cls(params, seed=seed)
+
+    def test_numpy_integer_seed_has_the_bits_of_its_int(self, cls):
+        params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
+        a, b = cls(params, seed=np.int64(2)), cls(params, seed=2)
+        assert type(a.seed) is int and a.seed == 2
+        for oracle in (a, b):
+            oracle.query(np.zeros(oracle.dim))
+            oracle.query(_tie_after_first(oracle))
+        for ra, rb in zip(a.transcript.records, b.transcript.records, strict=True):
+            assert ra.response.gradient.tobytes() == rb.response.gradient.tobytes()
+            assert ra.response.value == rb.response.value
 
     def test_fewest_samples_answer_a_tie(self, cls):
         params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
