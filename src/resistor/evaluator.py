@@ -10,9 +10,22 @@ the sum of the perturbations). Queries fall in one of two regimes:
   2*k*delta. Each piece is 1-Lipschitz, so every point the smoothing
   can touch sees the same single affine piece, and value, gradient and
   all higher derivatives are closed-form (higher orders are zero).
-* monte_carlo: near a tie, value and derivatives are estimated by
-  sampling. The order-j derivative comes from the sphere identity
-  iterated through the outer j smoothing layers,
+* monte_carlo: inside the tie band, where two or more pieces contend.
+  The contenders are the pieces within 2*k*delta of the top at x: only
+  they can win anywhere the smoothing reaches.
+
+  Two contenders at k <= 2 are answered in closed form
+  (two_piece_answer). With p the top piece, c the difference of the two
+  directions in basis coordinates and S the sum of k independent
+  one-dimensional marginals of the uniform r-ball, the smoothed function
+  is l_p(x) + E[(l_q(x) - l_p(x) + delta |c| S)_+], a one-dimensional
+  law whose tail, excess and density come from the reduction recurrence
+  of the integrals of cos^r (k = 1) and one Gauss-Legendre quadrature
+  over the first marginal (k = 2).
+
+  Otherwise value and derivatives are estimated by sampling. The order-j
+  derivative comes from the sphere identity iterated through the outer
+  j smoothing layers,
       D^j f(x) = (r/delta)^j E[ f(x + delta (w_1 + ... + w_j) + delta v)
                                  w_1 (x) ... (x) w_j ],
   w_i uniform on the unit sphere of the span and v the sum of the k - j
@@ -22,38 +35,29 @@ the sum of the perturbations). Queries fall in one of two regimes:
   lower-order terms; for j = 1 they are the antithetic pairs of the
   gradient estimator.
 
-  Only the contenders, the pieces within 2*k*delta of the top at x, can
-  win anywhere the smoothing reaches, so the max is taken over them
-  alone. Let Q (r x q, q = min(contenders, r)) be the orthonormal QR
-  factor of their coordinates. The function sees each sphere or ball
-  draw w only through Q^T w, and E[w | Q^T w] = Q Q^T w. So Q^T w is
-  drawn exactly, in q coordinates (the coords form of
-  geometry.sample_sphere and sample_ball), each estimate is formed there
-  and lifted with Q: it is the conditional expectation of the estimate
-  from a full r-dimensional draw (Rao-Blackwell), so it is unbiased and
-  its variance is never larger. The factor (r/delta)^j keeps r.
-
-  A Monte-Carlo answer estimates its value on one helper thread while
-  the calling thread estimates the gradient and higher orders. Each
-  estimate draws from its own stream (child seeds "value", "gradient",
-  ("tensor", j)) and writes only arrays of its own, so the answer is bit
-  for bit what the estimates give one after the other. A single helper,
-  started per answer, and not a pool: each concurrent estimate holds its
-  own draws, so more workers buy little time for much peak memory.
-  Exact answers start no thread.
+  The max is taken over the contenders alone. Let Q (r x q,
+  q = min(contenders, r)) be the orthonormal QR factor of their
+  coordinates. The function sees each sphere or ball draw w only
+  through Q^T w, and E[w | Q^T w] = Q Q^T w. So Q^T w is drawn exactly,
+  in q coordinates (the coords form of geometry.sample_sphere and
+  sample_ball), each estimate is formed there and lifted with Q: it is
+  the conditional expectation of the estimate from a full r-dimensional
+  draw (Rao-Blackwell), so it is unbiased and its variance is never
+  larger. The factor (r/delta)^j keeps r. A sampled answer estimates
+  its value, then each derivative order, each from its own stream.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import sample_ball, sample_sphere
+from .geometry import frozen, sample_ball, sample_sphere
 from .instance import QUERY_NORM_SLACK, HardInstance
 from .streams import as_integer, child_seed, stream
 
@@ -62,6 +66,14 @@ DEFAULT_GRADIENT_SAMPLES = 200_000
 
 EXACT_AFFINE = "exact_affine"
 MONTE_CARLO = "monte_carlo"
+
+# Two-piece closed form: Gauss-Legendre nodes per quadrature element (the
+# answer takes twice as many, and reports its distance from this many as
+# the quadrature error), and the ratio and count of the elements graded
+# geometrically toward each end of an integration interval.
+TWO_PIECE_NODES = 16
+_GRADING_RATIO = 0.15
+_GRADED_ELEMENTS = 12
 
 
 @dataclass(frozen=True)
@@ -82,8 +94,10 @@ class MCBudget:
 class HigherDerivative:
     """Derivative tensor of one order, in basis coordinates of the
     invariant subspace; no tensor means the closed-form zero tensor.
-    error_bound is the root-sum-square of the per-entry Monte-Carlo
-    standard errors (0 for the closed-form zero tensor)."""
+    error_bound bounds the Frobenius error: the root-sum-square of the
+    per-entry Monte-Carlo standard errors of a sampled tensor, the
+    quadrature error plus a rounding floor of a two-piece one (0 for the
+    zero tensor)."""
 
     order: int
     tensor: np.ndarray | None = None
@@ -108,9 +122,13 @@ class OracleResponse:
     basis_matrix (rows spanning the invariant subspace) is attached
     whenever a non-zero tensor is present so callers can apply them.
     The regime is exact_affine when affine_index names the winning
-    piece, monte_carlo when it is None; in the exact_affine regime
+    piece, monte_carlo when it is None: the query lies inside the tie
+    band, answered in closed form for two contenders at k <= 2
+    (two_piece_answer), else sampled. In the exact_affine regime
     value_stderr and all error bounds are 0 and the gradient norm is
-    1/norm_denom exactly.
+    1/norm_denom exactly. Otherwise value_stderr and gradient_error are
+    the standard errors of a sampled answer, or the quadrature error plus
+    a rounding floor of a two-piece one: never 0.
     """
 
     value: float
@@ -230,10 +248,12 @@ def _contender_frame(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The contenders at x: their shifted values, their coordinates in the
     frame Q, and Q itself (r x q, orthonormal columns), the reduced QR
-    factor of their coordinates, so q = min(contenders, r)."""
+    factor of their coordinates, so q = min(contenders, r). Only the
+    contenders' coordinates are computed, each row as basis.coords of its
+    piece."""
     values = piece_values(instance, x)
     keep = contenders(instance, values)
-    coords = instance.piece_coords[keep]
+    coords = np.array([instance.basis.coords(instance.piece_matrix[i]) for i in keep])
     frame, _ = np.linalg.qr(coords.T)
     return values.shifted[keep], coords @ frame, frame
 
@@ -319,8 +339,7 @@ def _tensor_coords_mc(
     frame coordinates, which the lift (an isometry) leaves unchanged.
     Second moments are contracted draw by draw, so no (draws, q, q)
     array is built. Arrays are scaled and squared in place and dropped
-    once used, with the bits of the allocating arithmetic: a Monte-Carlo
-    answer runs this beside the value estimate, so their peaks add.
+    once used, with the bits of the allocating arithmetic.
     Needs two draws for a standard error, so n_samples >= 2^(j+1).
     """
     params = instance.params
@@ -390,9 +409,8 @@ def oracle_answer(
 ) -> OracleResponse:
     """Full derivative-oracle answer at x, normalized by norm_denom.
 
-    Exact-affine queries are answered in closed form (exact_answer);
-    others fall back to Monte Carlo (monte_carlo_answer). A callable
-    budget is called only then, so an exact answer never derives one.
+    Exact-affine queries are answered in closed form (exact_answer),
+    others by tie_answer.
     """
     x = np.asarray(x, dtype=float)
     norm = np.linalg.norm(x)
@@ -401,7 +419,7 @@ def oracle_answer(
     values, idx = affine_regime(instance, x)
     if idx is not None:
         return exact_answer(instance, values, idx)
-    return monte_carlo_answer(instance, x, budget() if callable(budget) else budget)
+    return tie_answer(instance, x, values, budget)
 
 
 def exact_answer(instance: HardInstance, values: PieceValues, idx: int) -> OracleResponse:
@@ -424,65 +442,193 @@ def exact_answer(instance: HardInstance, values: PieceValues, idx: int) -> Oracl
     )
 
 
-def _on_helper(fn: Callable, *args) -> Callable[[], object]:
-    """Start fn(*args) on a new thread. The returned function joins it and
-    returns fn's result, or raises what fn raised. A plain thread, not a
-    concurrent.futures executor, whose import (logging with it) adds
-    about 0.6 MB to every process that imports this module."""
-    outcome = []
+def tie_answer(
+    instance: HardInstance,
+    x: np.ndarray,
+    values: PieceValues,
+    budget: MCBudget | Callable[[], MCBudget] | None = None,
+) -> OracleResponse:
+    """Answer inside the tie band: two_piece_answer when exactly two
+    pieces contend and k <= 2, else monte_carlo_answer. A callable budget
+    is called only for the latter, so no other answer derives one.
+    values must be piece_values(instance, x)."""
+    pair = contenders(instance, values)
+    if len(pair) == 2 and instance.params.k <= 2:
+        return two_piece_answer(instance, values, pair)
+    return monte_carlo_answer(instance, x, budget() if callable(budget) else budget)
 
-    def run():
-        try:
-            outcome.append((True, fn(*args)))
-        except BaseException as error:  # raised again in the caller
-            outcome.append((False, error))
 
-    thread = threading.Thread(target=run)
-    thread.start()
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Golub-Welsch: the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence, and twice the squared first components of its unit
+    eigenvectors. Cached per n, read-only."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return frozen(nodes), frozen(2.0 * vectors[0] ** 2)
 
-    def result():
-        thread.join()
-        ok, value = outcome[0]
-        if not ok:
-            raise value
-        return value
 
-    return result
+def _marginal(r: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tail P(S_1 > u), excess E[(S_1 - u)_+] and density at each u in
+    [-1, 1], S_1 one coordinate of a uniform point of the unit r-ball.
+
+    The density is (1 - s^2)^((r-1)/2) / W_r; with s = sin(theta) it is
+    cos^r(theta) / W_r, W_r the integral of cos^r over [-pi/2, pi/2]. The
+    integral J_n of cos^n from 0 to arcsin(u) follows the reduction
+    recurrence J_n = cos^(n-1) u / n + (n-1)/n J_(n-2) from J_0 = arcsin(u)
+    or J_1 = u, so the tail is 1/2 - J_r / W_r (1/2 exactly at u = 0).
+    The tail's first moment (1 - u^2)^((r+1)/2) / ((r+1) W_r) closes the
+    excess.
+    """
+    half = math.pi / 2 if r % 2 == 0 else 1.0  # W_r / 2, by the same recurrence
+    for n in range(2 + r % 2, r + 1, 2):
+        half *= (n - 1) / n
+    wallis = 2.0 * half
+    cos2 = (1.0 - u) * (1.0 + u)
+    cos = np.sqrt(cos2)
+    # J at the first n, and cos^(n-1) at the next
+    integral, power = (u, cos2) if r % 2 else (np.arcsin(u), cos)
+    for n in range(2 + r % 2, r + 1, 2):
+        integral = power * u / n + (n - 1) / n * integral
+        power = power * cos2
+    tail = 0.5 - integral / wallis
+    return tail, power / ((r + 1) * wallis) - u * tail, cos ** (r - 1) / wallis
+
+
+def _graded_rule(a: float, b: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite n-point Gauss-Legendre rule on
+    [a, b]: max(2, ceil(sqrt(r))) equal elements, the marginals' width
+    being about 1/sqrt(r), the first and last cut into elements graded
+    geometrically toward a and b."""
+    knots = np.linspace(a, b, max(2, math.ceil(math.sqrt(r))) + 1)
+    ratios = _GRADING_RATIO ** np.arange(_GRADED_ELEMENTS, 0, -1)
+    edges = np.concatenate(
+        [[a], a + (knots[1] - a) * ratios, knots[1:-1], b - (b - knots[-2]) * ratios[::-1], [b]]
+    )
+    nodes, weights = _gauss_legendre(n)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half + half * nodes).ravel(), (half * weights).ravel()
+
+
+def _convolved_law(r: int, t: float, n: int) -> np.ndarray:
+    """[P(S > t), E[(S - t)_+], density of S at t] for S = S_1 + S_2, two
+    independent marginals (see _marginal), and 0 <= t < 2, by n-point
+    composite quadrature over s = S_1.
+
+    S_2 = t - s stays below 1 for s > t - 1, so the excess and the density
+    are integrals over [t - 1, 1]. The tail is 1/2 - P(0 < S <= t), the
+    integral of the density of S_1 times P(-s < S_2 <= t - s), split at
+    s = t - 1: at an exact tie (t = 0) that integrand vanishes and the
+    tail is 1/2. Each end of either interval is a singular point of the
+    integrand, with another one t beyond it, hence the graded elements.
+    """
+    s, w = _graded_rule(t - 1.0, 1.0, r, n)
+    tail, _, density = _marginal(r, s)
+    tail_2, excess_2, density_2 = _marginal(r, t - s)
+    between = w @ (density * ((1.0 - tail) - tail_2))
+    law = [0.0, w @ (density * excess_2), w @ (density * density_2)]
+    if t > 0.0:
+        s, w = _graded_rule(-1.0, t - 1.0, r, n)
+        tail, _, density = _marginal(r, s)
+        between += w @ (density * (1.0 - tail))
+    law[0] = 0.5 - between
+    return np.array(law)
+
+
+def _sum_law(r: int, k: int, t: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """[P(S > t), E[(S - t)_+], density of S at t] for S the sum of k <= 2
+    independent marginals of the uniform r-ball (see _marginal) and
+    t >= 0, with the quadrature error of each: the law from 2 * nodes
+    nodes per element, and its distance from the law from `nodes`. For
+    k = 1 the law is closed-form, its quadrature error zero; beyond
+    t = k the law vanishes."""
+    if t >= k:
+        return np.zeros(3), np.zeros(3)
+    if k == 1:
+        return np.array(_marginal(r, np.float64(t))), np.zeros(3)
+    coarse, fine = (_convolved_law(r, t, n) for n in (nodes, 2 * nodes))
+    return fine, np.abs(fine - coarse)
+
+
+def two_piece_answer(
+    instance: HardInstance, values: PieceValues, pair: np.ndarray
+) -> OracleResponse:
+    """Closed-form answer where exactly the two pieces `pair` (0-based
+    indices) contend, for k <= 2; values must be piece_values(instance, x).
+
+    Let p be the top piece of the two and q the other, c = coords_q -
+    coords_p in basis coordinates and sigma = delta |c|. By rotation
+    invariance c.(v_1 + ... + v_k) has the law of |c| S, S the sum of k
+    ball marginals (_sum_law), so with t = (l_p(x) - l_q(x)) / sigma the
+    smoothed function is l_p(x) + sigma E[(S - t)_+]: the value. The
+    gradient is lift(coords_p + c P(S > t)), and for k = 2 the Hessian,
+    in basis coordinates, is c c^T p_S(t) / sigma; all are divided by
+    norm_denom. Identical directions (c = 0, possible for custom
+    instances) leave l_p itself, and so does t >= k, which S cannot
+    reach: there the Hessian is the zero tensor.
+
+    Each error field is the quadrature error carried through, plus a
+    rounding floor of (dim + r + 64) units of roundoff on the terms it
+    sums: dot products of length dim in the coordinates, of length r in
+    the lift, the recurrence and the quadrature sums in the law.
+    """
+    params = instance.params
+    r = instance.smoothing_dim
+    p, q = pair if values.shifted[pair[0]] >= values.shifted[pair[1]] else pair[::-1]
+    coords_p = instance.basis.coords(instance.piece_matrix[p])
+    c = instance.basis.coords(instance.piece_matrix[q]) - coords_p
+    norm_c = float(np.linalg.norm(c))
+    sigma = params.delta * norm_c
+    level = float(values.shifted[p])
+    if sigma > 0.0:
+        law, err = _sum_law(r, params.k, (level - float(values.shifted[q])) / sigma, TWO_PIECE_NODES)
+    else:
+        law, err = np.zeros(3), np.zeros(3)
+    tail, excess, density = law
+    rounding = (instance.basis.dim + r + 64) * np.finfo(float).eps
+    denom = params.norm_denom
+    higher = ()
+    if params.k == 2:
+        higher = (HigherDerivative(2),)
+        if density > 0.0:
+            error = norm_c**2 / sigma * (err[2] + rounding * density)
+            higher = (HigherDerivative(2, np.outer(c, c) * (density / (sigma * denom)), error / denom),)
+    return OracleResponse(
+        value=float(level + sigma * excess) / denom,
+        gradient=instance.basis.lift(coords_p + c * tail) / denom,
+        higher=higher,
+        affine_index=None,
+        value_stderr=float(sigma * (err[1] + rounding) + rounding * abs(level)) / denom,
+        gradient_error=float(norm_c * (err[0] + rounding) + rounding * np.linalg.norm(coords_p)) / denom,
+        basis_matrix=instance.basis.matrix if higher and not higher[0].is_zero else None,
+    )
 
 
 def monte_carlo_answer(
     instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None
 ) -> OracleResponse:
-    """Sampled answer for a query near a tie.
+    """Sampled answer for a query inside the tie band.
 
     Value uses budget.n_samples, each derivative order 2*n_samples
-    function evaluations, all on streams derived from the budget seed;
-    every order comes from _tensor_coords_mc.
-
-    The value is estimated on one helper thread while this thread
-    estimates the derivatives; numpy's random fills and large array
-    operations release the GIL, so the two overlap. The estimates share
-    no stream and no mutable state, so each has the bits it would have
-    alone. One helper, not a pool: every concurrent estimate holds its
-    own draws, and more of them cost more peak memory than they save
-    time. An error raised on the helper is raised here, and wins over a
-    derivative error, as it would had the value been estimated first.
+    function evaluations, each estimate on its own stream (child seeds
+    "value", "gradient", ("tensor", j) of the budget seed); every order
+    comes from _tensor_coords_mc. The value is estimated first, so an
+    error it raises wins over a derivative error.
     """
     params = instance.params
     denom = params.norm_denom
     budget = budget or MCBudget()
     value_budget = MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
-    value_result = _on_helper(smoothed_value_mc, instance, x, value_budget)
-    try:
-        grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
-        coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget)
-        higher = []
-        for j in range(2, params.k + 1):
-            tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
-            tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget)
-            higher.append(HigherDerivative(j, tensor / denom, terr / denom))
-    finally:
-        value, stderr = value_result()
+    value, stderr = smoothed_value_mc(instance, x, value_budget)
+    grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
+    coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget)
+    higher = []
+    for j in range(2, params.k + 1):
+        tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
+        tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget)
+        higher.append(HigherDerivative(j, tensor / denom, terr / denom))
     return OracleResponse(
         value=value / denom,
         gradient=instance.basis.lift(coords) / denom,

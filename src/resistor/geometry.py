@@ -8,6 +8,7 @@ the caller's stream (see streams.py).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,19 @@ def frozen(a: np.ndarray) -> np.ndarray:
         a = a.copy()
         a.setflags(write=False)
     return a
+
+
+def vector_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), bit for bit while its sum of squares stays
+    finite. Past that, for a finite x, m * ||x / m|| with m the largest
+    magnitude in x, which overflows only if the norm itself does. A NaN
+    or infinite entry gives what np.linalg.norm gives."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+        if norm == math.inf and np.isfinite(x).all():
+            scale = np.abs(x).max()
+            norm = scale * np.linalg.norm(x / scale)
+    return float(norm)
 
 
 class _RowStore:

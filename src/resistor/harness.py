@@ -28,7 +28,7 @@ from .evaluator import (
     smoothed_value_mc,
     suboptimality_certificate,
 )
-from .geometry import perp_component, random_orthonormal_basis, sample_ball
+from .geometry import perp_component, random_orthonormal_basis, sample_ball, vector_norm
 from .instance import (
     DETERMINISTIC,
     RANDOMIZED,
@@ -153,7 +153,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                 regime=rec.response.regime,
                 event_e_margin=rec.event_e_margin,
                 value=rec.response.value,
-                grad_norm=float(np.linalg.norm(rec.response.gradient)),
+                grad_norm=vector_norm(rec.response.gradient),
             )
         )
 

@@ -251,11 +251,6 @@ class HardInstance:
             for i, (a, shift) in enumerate(zip(self.piece_matrix, self.piece_shifts))
         )
 
-    @cached_property
-    def piece_coords(self) -> np.ndarray:
-        """Piece directions in basis coordinates, shape (pieces, smoothing_dim)."""
-        return np.array([self.basis.coords(a) for a in self.piece_matrix])
-
     @classmethod
     def empty(cls, params: InstanceParams) -> "HardInstance":
         basis = OrthonormalBasis.empty(params.d)

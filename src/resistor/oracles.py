@@ -31,10 +31,10 @@ from .evaluator import (
     affine_regime,
     exact_answer,
     locally_affine_index,  # noqa: F401 - a name perfbench/tracer.py wraps
-    monte_carlo_answer,
     oracle_answer,
+    tie_answer,
 )
-from .geometry import random_orthonormal_basis
+from .geometry import random_orthonormal_basis, vector_norm
 from .instance import (
     DETERMINISTIC,
     RANDOMIZED,
@@ -91,7 +91,7 @@ class Transcript:
                 "i": rec.index,
                 "x_norm": float(np.linalg.norm(rec.x)),
                 "value": rec.response.value,
-                "grad_norm": float(np.linalg.norm(rec.response.gradient)),
+                "grad_norm": vector_norm(rec.response.gradient),
                 "regime": rec.response.regime,
                 "event_e_margin": rec.event_e_margin,
                 "locality_ok": rec.response.affine_index is not None,
@@ -165,13 +165,14 @@ def replay_consistency(
 ) -> ConsistencyReport:
     """Replay every recorded query against `instance` and compare.
 
-    Exact-affine pairs must match bit for bit. A recorded Monte-Carlo
-    response is re-run (same streams) only for a randomized-mode
-    transcript, whose records were all answered by `instance` itself;
-    under the adaptive protocol the partial and final instances smooth
-    over different subspace sizes, so MC records are flagged instead.
+    Exact-affine pairs must match bit for bit. A recorded answer inside
+    the tie band is re-run through tie_answer (closed form, or sampled on
+    the same streams) only for a randomized-mode transcript, whose
+    records were all answered by `instance` itself; under the adaptive
+    protocol the partial and final instances smooth over different
+    subspace sizes, so such records are flagged instead.
     """
-    replay_monte_carlo = transcript.mode == RANDOMIZED
+    replay_ties = transcript.mode == RANDOMIZED
     entries = []
     for rec in transcript.records:
         values, idx = affine_regime(instance, rec.x)
@@ -181,16 +182,17 @@ def replay_consistency(
         elif idx is not None:
             replayed = exact_answer(instance, values, idx).scaled(rescale)
             reason = _responses_equal(recorded, replayed)
-        elif replay_monte_carlo:
-            budget = _mc_budget(mc_samples, seed, rec.index)
-            replayed = monte_carlo_answer(instance, rec.x, budget=budget).scaled(rescale)
+        elif replay_ties:
+            budget = partial(_mc_budget, mc_samples, seed, rec.index)
+            replayed = tie_answer(instance, rec.x, values, budget).scaled(rescale)
             reason = _responses_equal(recorded, replayed)
         else:
             reason = "monte_carlo_regime"
         entries.append(ReplayEntry(index=rec.index, reason=reason, values=values))
-    partial = len(transcript) < transcript.params.T
     return ConsistencyReport(
-        all_equal=all(e.exact_equal for e in entries), partial=partial, entries=entries
+        all_equal=all(e.exact_equal for e in entries),
+        partial=len(transcript) < transcript.params.T,
+        entries=entries,
     )
 
 
@@ -359,7 +361,7 @@ class RandomizedOracle(_ResistingOracle):
         return self._record(i, x, response, margin)
 
     def finalize(self) -> tuple[HardInstance, ConsistencyReport]:
-        """The (fixed) instance plus a full replay, Monte-Carlo included.
+        """The (fixed) instance plus a full replay, tie-band answers included.
 
         The instance never changes here, so replays rerun the exact same
         streams and must match bit for bit in both regimes.

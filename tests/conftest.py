@@ -6,7 +6,8 @@ import pytest
 
 from resistor.evaluator import piece_values
 from resistor.geometry import OrthonormalBasis
-from resistor.instance import DETERMINISTIC, HardInstance, InstanceParams
+from resistor.instance import DETERMINISTIC, HardInstance, InstanceParams, shift_of
+from resistor.oracles import AdaptiveOracle
 from resistor.streams import stream
 
 
@@ -33,6 +34,41 @@ def abs_instance(params) -> HardInstance:
     """Two-piece |a.x| fixture: pieces {a, -a}, zero shifts, 1-dim span."""
     a = unit(params.d, 0)
     return HardInstance.custom(params, np.vstack([a, -a]), [0.0, 0.0])
+
+
+def three_way_tie(oracle) -> np.ndarray:
+    """Query the origin (an exact answer), then a point where pieces 1
+    and 2 tie exactly (a two-piece answer); return a point where pieces 1,
+    2 and 3 tie exactly, every later piece out of reach, so that query 3
+    is answered by sampling.
+
+    The adaptive oracle builds piece t along the part of query t
+    perpendicular to the pieces so far, so query t >= 2 moves by
+    shift_1 - shift_t along a new direction e_t and every piece up to t
+    sits at shift_1; the randomized oracle's pieces are known, and the
+    same offsets go along a_2 and a_3 from 0.2 a_1 + 0.2 (a_2 + a_3).
+    """
+    p = oracle.params
+    a1 = oracle.query(np.zeros(oracle.dim)).gradient * p.norm_denom
+    gaps = [shift_of(p, 1) - shift_of(p, t) for t in (2, 3)]
+    if isinstance(oracle, AdaptiveOracle):
+        rng = np.random.default_rng(0)
+        known, points = [a1], [np.zeros(oracle.dim)]
+        for gap in gaps:
+            e = rng.standard_normal(oracle.dim)
+            for _ in range(2):
+                for u in known:
+                    e -= (u @ e) * u
+            e /= np.linalg.norm(e)
+            known.append(e)
+            points.append(points[-1] + gap * e)
+        second, third = points[1:]
+    else:
+        a = oracle.instance.piece_matrix
+        second = 0.2 * a[0] + (0.2 + gaps[0]) * a[1]
+        third = second + (0.2 + gaps[1]) * a[2]
+    oracle.query(second)
+    return third
 
 
 def fd_gradient_crn(
@@ -97,6 +133,11 @@ def _full_ball_sum(r: int, k: int, rng: np.random.Generator, n: int) -> np.ndarr
     return total
 
 
+def piece_coords(instance: HardInstance) -> np.ndarray:
+    """Every piece direction in basis coordinates, shape (pieces, r)."""
+    return np.array([instance.basis.coords(a) for a in instance.piece_matrix])
+
+
 def dense_value_mc(instance: HardInstance, x: np.ndarray, budget) -> tuple[float, float]:
     """Reference smoothed value: the full-span estimator, every draw in all
     r coordinates and the max over every piece, on the library's stream."""
@@ -105,7 +146,7 @@ def dense_value_mc(instance: HardInstance, x: np.ndarray, budget) -> tuple[float
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
     c = _full_ball_sum(instance.smoothing_dim, params.k, rng, n)
-    vals = (base[None, :] + params.delta * (c @ instance.piece_coords.T)).max(axis=1)
+    vals = (base[None, :] + params.delta * (c @ piece_coords(instance).T)).max(axis=1)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
 
@@ -124,7 +165,7 @@ def dense_tensor_coords_mc(
     first = spheres[0]
     if order < params.k:
         first = first + _full_ball_sum(r, params.k - order, rng, n)
-    projs = [params.delta * (u @ instance.piece_coords.T) for u in [first, *spheres[1:]]]
+    projs = [params.delta * (u @ piece_coords(instance).T) for u in [first, *spheres[1:]]]
     combo = 0.0
     for signs in itertools.product((1, -1), repeat=order):
         shifted = base[None, :] + sum(s * p for s, p in zip(signs, projs))

@@ -22,6 +22,8 @@ import workloads  # noqa: E402
 from resistor import evaluator  # noqa: E402
 from resistor.harness import RunConfig, run_experiment  # noqa: E402
 
+from conftest import three_way_tie  # noqa: E402
+
 
 @pytest.mark.parametrize("wrap", tracer.WRAPS, ids=lambda w: f"{w.module}.{w.attr}")
 def test_traced_names_are_their_owners_own(wrap):
@@ -69,9 +71,8 @@ def test_traced_layers_fire_in_both_modes():
 
 
 def test_tie_run_under_the_tracer_balances_its_stack():
-    # a Monte-Carlo answer estimates its value on a helper thread, and the
-    # tracer keeps one span stack for all threads: every push is still
-    # popped, and each value span opens under some span of the answer
+    # every tie-client answer is a two-piece closed form: no value
+    # estimate runs, and every pushed span is popped
     trace = tracer.Tracer()
     trace.install()
     try:
@@ -81,6 +82,21 @@ def test_tie_run_under_the_tracer_balances_its_stack():
     finally:
         trace.uninstall()
     assert trace._stack == []
-    values = [span for span in trace.spans if span[0] == "evaluator.value_mc"]
-    assert len(values) == 3
-    assert all(span[3] is not None for span in values)
+    spans = Counter(span[0] for span in trace.spans)
+    assert spans["evaluator.answer_mc"] == 3 and spans["evaluator.value_mc"] == 0
+
+
+def test_sampled_answer_nests_its_value_span_under_the_answer():
+    # a three-way tie is sampled, on the calling thread: its value span's
+    # parent is its answer span
+    oracle = workloads._tie_oracle(4, 0, tiny=True)
+    x = three_way_tie(oracle)
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        oracle.query(x)
+    finally:
+        trace.uninstall()
+    assert trace._stack == []
+    (value,) = [span for span in trace.spans if span[0] == "evaluator.value_mc"]
+    assert trace.spans[value[3]][0] == "evaluator.answer_mc"

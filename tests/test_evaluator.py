@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from resistor.evaluator import (
     EXACT_AFFINE,
     MONTE_CARLO,
     MCBudget,
+    _sum_law,
     _tensor_coords_mc,
     contenders,
     exact_answer,
@@ -22,6 +22,7 @@ from resistor.evaluator import (
     smoothed_gradient_mc,
     smoothed_value_mc,
     suboptimality_certificate,
+    two_piece_answer,
 )
 from resistor.geometry import OrthonormalBasis, perp_component
 from resistor.harness import RunConfig, audit_instance, run_experiment
@@ -39,7 +40,14 @@ from resistor.instance import (
 from resistor.oracles import AdaptiveOracle, RandomizedOracle
 from resistor.streams import child_seed, stream
 
-from conftest import abs_instance, dense_tensor_coords_mc, dense_value_mc, fd_gradient_crn, unit
+from conftest import (
+    abs_instance,
+    dense_tensor_coords_mc,
+    dense_value_mc,
+    fd_gradient_crn,
+    three_way_tie,
+    unit,
+)
 
 
 class TestPieceValues:
@@ -294,9 +302,10 @@ def test_contender_estimates_match_full_span_reference(t):
             assert err <= ref_err
 
 
-# oracle_answer on the lattice instance (k = 2) at x = (1/4, 5/16, 0, 0),
-# where pieces 1 and 2 tie and piece 3 sits 3/8 below, out of reach:
-# MCBudget(1_000, 7), every field as float.hex.
+# monte_carlo_answer on the lattice instance (k = 2) at x = (1/4, 5/16, 0,
+# 0), where pieces 1 and 2 tie and piece 3 sits 3/8 below, out of reach:
+# MCBudget(1_000, 7), every field as float.hex. oracle_answer answers this
+# point in closed form; these are the sampler's bits.
 PINNED_ANSWER = {
     "value": "0x1.c5aca11fe10b6p-2",
     "value_stderr": "0x1.0756ba24c4419p-12",
@@ -317,7 +326,7 @@ def test_pruned_answer_bits_pinned():
     values = piece_values(inst, x)
     assert values.shifted.tolist() == [0.4375, 0.4375, 0.0625]
     assert contenders(inst, values).tolist() == [0, 1]
-    resp = oracle_answer(inst, x, budget=MCBudget(1_000, 7))
+    resp = monte_carlo_answer(inst, x, budget=MCBudget(1_000, 7))
     hess = resp.hessian()
     got = {
         "value": float(resp.value).hex(),
@@ -490,36 +499,208 @@ def _tie_hessian(r: int, delta: float) -> np.ndarray:
     return q2 / (math.sqrt(2.0) * delta) * np.outer(c, c)
 
 
-def test_tie_client_hessians_have_useful_honest_errors():
-    """Every answer after the first is Monte Carlo with a closed-form
-    Hessian (see _tie_client). Each reported error must be below a tenth
-    of the Hessian's norm and cover the distance to the closed form."""
+def test_tie_client_answers_are_the_exact_tie():
+    """Every answer after the first is a two-piece closed form (see
+    _tie_client) at t = 0: its gradient is (a_1 + a_t) / (2 norm_denom)
+    and its Hessian c c^T p_S(0) / (delta |c| norm_denom), c = a_t - a_1
+    in basis coordinates, each within its reported error, which is below
+    a millionth of the quantity and not zero."""
     oracle, _, answers = _tie_client()
     p = oracle.params
+    final = oracle.instance
+    a1 = final.pieces[0].a
     for t, resp in enumerate(answers[1:], start=2):
-        assert resp.regime == MONTE_CARLO
+        assert resp.regime == MONTE_CARLO and resp.affine_index is None
+        g_ref = (a1 + final.pieces[t - 1].a) / (2.0 * p.norm_denom)
+        assert 0 < resp.gradient_error < 1e-6 * np.linalg.norm(g_ref)
+        assert np.linalg.norm(resp.gradient - g_ref) <= resp.gradient_error
         hess = resp.hessian()
         norm = float(np.linalg.norm(hess.tensor))
-        assert hess.error_bound < 0.1 * norm
+        assert 0 < hess.error_bound < 1e-6 * norm
         exact = _tie_hessian(t, p.delta) / p.norm_denom
-        assert np.linalg.norm(hess.tensor - exact) <= 3.0 * hess.error_bound
+        assert np.linalg.norm(hess.tensor - exact) <= hess.error_bound
+        assert resp.basis_matrix.shape == (t, p.d)
 
 
-class TestMonteCarloAnswerThreads:
-    """The value estimate runs on a helper thread beside the derivatives."""
+def _dyadic_tie(r: int, k: int) -> tuple[HardInstance, np.ndarray]:
+    """r axis pieces in R^(r+1), shifts 2 (1 - i/16) and delta = 1/64, at
+    x = (1/4, 3/8, 0, ...): pieces 1 and 2 tie exactly at 17/8 and the
+    rest sit 1/2 or more below, out of reach."""
+    params = InstanceParams(T=16, k=k, m=16, d=r + 1, gamma=2.0, delta=1.0 / 64.0, mode=DETERMINISTIC)
+    inst = HardInstance.from_basis(params, OrthonormalBasis(np.eye(r + 1)[:r]))
+    x = np.zeros(r + 1)
+    x[:2] = 0.25, 0.375
+    return inst, x
+
+
+@pytest.mark.parametrize("r, excess, density", [(3, (9, 35), (3, 5)), (5, (50, 231), (5, 7))])
+def test_two_piece_tie_pins_exact_rationals(r, excess, density):
+    # at an exact tie S = S_1 + S_2 has E[S_+] and p_S(0) rational for odd
+    # r; value, gradient and Hessian each hold them within their errors
+    inst, x = _dyadic_tie(r, 2)
+    values = piece_values(inst, x)
+    assert values.shifted[0] == values.shifted[1] == 2.125
+    assert contenders(inst, values).tolist() == [0, 1]
+    resp = oracle_answer(inst, x)
+    sigma = inst.params.delta * math.sqrt(2.0)
+    assert abs(resp.value - (2.125 + sigma * excess[0] / excess[1])) <= resp.value_stderr
+    assert np.linalg.norm(resp.gradient - (unit(r + 1, 0) + unit(r + 1, 1)) / 2) <= resp.gradient_error
+    c = unit(r, 1) - unit(r, 0)
+    exact = np.outer(c, c) * (density[0] / density[1] / sigma)
+    hess = resp.hessian()
+    assert np.linalg.norm(hess.tensor - exact) <= hess.error_bound
+    law, err = _sum_law(r, 2, 0.0, evaluator.TWO_PIECE_NODES)
+    assert law[0] == 0.5 and err[0] == 0.0
+
+
+def _two_piece_point(r: int, k: int, u: float) -> tuple[HardInstance, np.ndarray]:
+    """The r-piece instance of _dyadic_tie, and a point where piece 2 sits
+    t sigma below piece 1, t = u sqrt(2) k: inside the tie band for u < 1,
+    beyond the law of S (t >= k) for u >= 1/sqrt(2)."""
+    inst, x = _dyadic_tie(r, k)
+    x[1] -= u * k * 2.0 * inst.params.delta
+    return inst, x
+
+
+@given(st.integers(2, 12), st.sampled_from([1, 2]), st.floats(0.0, 0.999), st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sampled_estimators_cover_the_two_piece_closed_form(r, k, u, seed):
+    # the closed form is the truth the samplers estimate: each sampled
+    # value, gradient and Hessian lies within 4 of its reported errors
+    # (plus the closed form's own) of it
+    inst, x = _two_piece_point(r, k, u)
+    values = piece_values(inst, x)
+    assert contenders(inst, values).tolist() == [0, 1]
+    exact = oracle_answer(inst, x)
+    assert exact.regime == MONTE_CARLO
+    value, verr = smoothed_value_mc(inst, x, MCBudget(20_000, seed))
+    assert abs(value - exact.value) <= 4.0 * verr + exact.value_stderr
+    grad, gerr = smoothed_gradient_mc(inst, x, MCBudget(20_000, seed))
+    assert np.linalg.norm(grad - exact.gradient) <= 4.0 * gerr + exact.gradient_error
+    if k == 2:
+        hess, herr = _tensor_coords_mc(inst, x, 2, MCBudget(20_000, seed))
+        closed = exact.hessian()  # zero beyond t = k
+        tensor = np.zeros((r, r)) if closed.is_zero else closed.tensor
+        assert np.linalg.norm(hess - tensor) <= 4.0 * herr + closed.error_bound
+
+
+@given(st.integers(2, 12), st.floats(0.0, 0.7))
+@settings(max_examples=40, deadline=None)
+def test_doubling_the_nodes_moves_no_output_beyond_its_error(r, u):
+    inst, x = _two_piece_point(r, 2, u)
+    base = oracle_answer(inst, x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "TWO_PIECE_NODES", 2 * evaluator.TWO_PIECE_NODES)
+        finer = oracle_answer(inst, x)
+    assert abs(finer.value - base.value) <= base.value_stderr
+    assert np.linalg.norm(finer.gradient - base.gradient) <= base.gradient_error
+    hb, hf = base.hessian(), finer.hessian()
+    assert np.linalg.norm(hf.tensor - hb.tensor) <= hb.error_bound
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_two_piece_answer_on_the_abs_kink_is_the_uniform_sum_law(k):
+    # r = 1: S is uniform on [-1, 1] (k = 1) or triangular on [-2, 2]
+    # (k = 2). On |x_1| at x_1 = t delta, c = -2 and sigma = 2 delta, so
+    # value and gradient are polynomials in t
+    p = params_deterministic(4, k)
+    inst = abs_instance(p)
+    delta, denom = p.delta, p.norm_denom
+    for t in (0.0, 0.3, 0.9, 1.5, 1.99):
+        if t >= k:
+            continue
+        resp = oracle_answer(inst, t * delta * unit(p.d, 0))
+        tail, excess = ((1 - t) / 2, (1 - t) ** 2 / 4) if k == 1 else ((2 - t) ** 2 / 8, (2 - t) ** 3 / 24)
+        assert abs(resp.value - (t * delta + 2 * delta * excess) / denom) <= resp.value_stderr
+        assert abs(resp.gradient[0] - (1 - 2 * tail) / denom) <= resp.gradient_error
+        assert np.all(resp.gradient[1:] == 0.0)
+
+
+@given(st.integers(1, 12), st.floats(0.05, 1.9))
+@settings(max_examples=40, deadline=None)
+def test_two_piece_law_is_self_consistent(r, t):
+    # the tail, the excess and the density are three separate integrals;
+    # d/dt E[(S - t)_+] = -P(S > t) and d/dt P(S > t) = -p_S(t) tie them
+    h = 1e-4
+    (tail, _, density), _ = _sum_law(r, 2, t, evaluator.TWO_PIECE_NODES)
+    lo, _ = _sum_law(r, 2, t - h, evaluator.TWO_PIECE_NODES)
+    hi, _ = _sum_law(r, 2, t + h, evaluator.TWO_PIECE_NODES)
+    assert abs((lo[1] - hi[1]) / (2 * h) - tail) <= 1e-7
+    assert abs((lo[0] - hi[0]) / (2 * h) - density) <= 1e-7 * max(density, 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_two_piece_errors_are_nonzero_and_small(k):
+    # up to t = 0.99 k: beyond t = k the Hessian is the zero tensor
+    for u in (0.0, 1e-9, 0.01, 0.3, 0.7 / math.sqrt(2.0)):
+        inst, x = _two_piece_point(4, k, u)
+        resp = oracle_answer(inst, x)
+        fields = [(resp.value, resp.value_stderr), (np.linalg.norm(resp.gradient), resp.gradient_error)]
+        if k == 2:
+            hess = resp.hessian()
+            fields.append((np.linalg.norm(hess.tensor), hess.error_bound))
+        for quantity, error in fields:
+            assert 0 < error <= 1e-9 * quantity + 1e-14
+
+
+def test_two_piece_beyond_the_law_is_the_top_piece():
+    # contenders need only be within 2 k delta; with nearly parallel
+    # directions (|c| small) t passes k, where S cannot reach: the answer
+    # is piece 1 itself, with a zero Hessian
+    params = InstanceParams(T=2, k=2, m=2, d=3, gamma=0.1, delta=0.01, mode=DETERMINISTIC)
+    a2 = np.array([1.0, 0.01, 0.0]) / math.hypot(1.0, 0.01)
+    inst = HardInstance.custom(params, np.vstack([unit(3, 0), a2]), np.array([0.05, 0.05]))
+    x = np.array([0.3, -0.5, 0.0])
+    values = piece_values(inst, x)
+    pair = contenders(inst, values)
+    assert pair.tolist() == [0, 1]
+    resp = two_piece_answer(inst, values, pair)
+    assert resp.value == values.shifted[0]
+    np.testing.assert_allclose(resp.gradient, unit(3, 0), atol=1e-15)
+    assert resp.hessian().is_zero and resp.basis_matrix is None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_identical_directions_answer_the_shared_piece(k):
+    # a custom instance may repeat a direction: c = 0, so the smoothing
+    # sees one affine function, the top piece, whose Hessian is zero
+    params = InstanceParams(T=2, k=k, m=2, d=3, gamma=0.1, delta=0.01, mode=DETERMINISTIC)
+    a = np.array([0.6, 0.8, 0.0])
+    for shifts in ([0.05, 0.05], [0.05, 0.05 - params.delta], [0.05 - params.delta, 0.05]):
+        inst = HardInstance.custom(params, np.vstack([a, a]), np.array(shifts))
+        assert inst.smoothing_dim == 1
+        x = np.array([0.1, -0.2, 0.3])
+        values = piece_values(inst, x)
+        assert contenders(inst, values).tolist() == [0, 1]
+        resp = oracle_answer(inst, x)
+        assert resp.regime == MONTE_CARLO
+        assert resp.value == values.shifted.max()
+        assert 0 < resp.gradient_error and np.linalg.norm(resp.gradient - a) <= resp.gradient_error
+        assert [h.is_zero for h in resp.higher] == [True] * (k - 1)
+        assert resp.basis_matrix is None
+        est, se = smoothed_value_mc(inst, x, MCBudget(4_000, 1))
+        assert abs(est - resp.value) <= 4.0 * se + resp.value_stderr
+
+
+class TestMonteCarloAnswer:
+    """A sampled answer: three or more contenders, or k >= 3."""
 
     def test_answer_is_the_estimators_one_by_one(self):
-        # the t = 9 tie of the tie client, answered with 100k samples on
-        # the oracle's own budget: the same bits as the three estimators
-        # called in turn on the answer's child seeds
-        oracle, xs, answers = _tie_client()
-        inst, x, denom = oracle.instance, xs[8], oracle.params.norm_denom
-        budget = MCBudget(100_000, child_seed(0, "mc", 9))
+        # a three-way tie answered on the oracle's own budget, and the same
+        # point answered directly: the bits of the three estimators called
+        # in turn on the answer's child seeds
+        p = params_deterministic(9, 2)
+        oracle = AdaptiveOracle(p, seed=0, mc_samples=20_000)
+        x = three_way_tie(oracle)
+        answer = oracle.query(x)
+        inst, denom = oracle.instance, p.norm_denom
+        assert len(contenders(inst, piece_values(inst, x))) == 3
+        budget = MCBudget(20_000, child_seed(0, "mc", 3))
         seed, n = budget.seed, budget.n_samples
         value, stderr = smoothed_value_mc(inst, x, MCBudget(n, child_seed(seed, "value")))
         grad, gerr = _tensor_coords_mc(inst, x, 1, MCBudget(2 * n, child_seed(seed, "gradient")))
         hess, herr = _tensor_coords_mc(inst, x, 2, MCBudget(2 * n, child_seed(seed, "tensor", 2)))
-        for resp in (monte_carlo_answer(inst, x, budget=budget), answers[8]):
+        for resp in (monte_carlo_answer(inst, x, budget=budget), answer):
             assert resp.regime == MONTE_CARLO
             assert np.float64(resp.value).tobytes() == np.float64(value / denom).tobytes()
             assert np.float64(resp.value_stderr).tobytes() == np.float64(stderr / denom).tobytes()
@@ -528,34 +709,24 @@ class TestMonteCarloAnswerThreads:
             assert resp.hessian().tensor.tobytes() == (hess / denom).tobytes()
             assert np.float64(resp.hessian().error_bound).tobytes() == np.float64(herr / denom).tobytes()
 
-    def test_helper_error_raised_in_caller(self, monkeypatch, plane_instance):
-        baseline = threading.active_count()
-        caller = threading.get_ident()
-        raised_on = []
+    def test_value_error_wins(self, monkeypatch, plane_instance):
+        # the value is estimated first: its error is raised, and no
+        # derivative is estimated
+        calls = []
 
         def failing(*args):
-            raised_on.append(threading.get_ident())
+            calls.append("value")
             raise RuntimeError("value estimate failed")
 
+        def derivative(*args):
+            calls.append("derivative")
+            raise RuntimeError("derivative estimate failed")
+
         monkeypatch.setattr(evaluator, "smoothed_value_mc", failing)
+        monkeypatch.setattr(evaluator, "_tensor_coords_mc", derivative)
         with pytest.raises(RuntimeError, match="^value estimate failed$"):
-            oracle_answer(plane_instance, np.array([0.3, 0.35, 0.0]), budget=MCBudget(400, 0))
-        assert len(raised_on) == 1 and raised_on[0] != caller
-        assert threading.active_count() == baseline
-
-    def test_exact_answers_start_no_thread(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def counting(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting)
-        report = run_experiment(RunConfig(mode=DETERMINISTIC, T=25, k=1, method="psg", seed=0))
-        assert report.passed and len(report.rows) == 25
-        assert {row.regime for row in report.rows} == {EXACT_AFFINE}
-        assert started == []
+            monte_carlo_answer(plane_instance, np.array([0.3, 0.35, 0.0]), budget=MCBudget(400, 0))
+        assert calls == ["value"]
 
 
 class TestOracleAnswer:
@@ -584,9 +755,21 @@ class TestOracleAnswer:
         residual = perp_component(resp.gradient, plane_instance.basis)
         assert np.linalg.norm(residual) <= 1e-10
 
-    def test_one_sample_budget_refused_near_tie(self, plane_instance):
+    def test_one_sample_budget_refused_at_a_three_way_tie(self):
+        inst = _lattice_instance(1)
+        x = np.array([0.25, 0.3125, 0.375, 0.0])
+        assert contenders(inst, piece_values(inst, x)).tolist() == [0, 1, 2]
         with pytest.raises(ValueError, match="n_samples >= 2"):
-            oracle_answer(plane_instance, np.array([0.3, 0.35, 0.0]), budget=MCBudget(1, 0))
+            oracle_answer(inst, x, budget=MCBudget(1, 0))
+
+    def test_two_piece_tie_takes_no_budget(self, plane_instance):
+        # two contenders are answered in closed form: the budget is never
+        # called, so no sample count is checked
+        def refuse():
+            raise AssertionError("budget derived")
+
+        resp = oracle_answer(plane_instance, np.array([0.3, 0.35, 0.0]), budget=refuse)
+        assert resp.regime == MONTE_CARLO and resp.value_stderr > 0
 
     def test_unnormalized_exact_gradient_is_the_piece_row(self):
         # norm_denom 1 (randomized mode): the gradient is the frozen row,

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from resistor import cli, harness
+from resistor import cli, harness, oracles
 from resistor.evaluator import piece_values
 from resistor.geometry import OrthonormalBasis
 from resistor.harness import (
@@ -378,6 +379,34 @@ class TestCLI:
         # nan and inf used to pass and fail only at the query gate
         with pytest.raises(ValueError, match="L_target"):
             cli.main(["run", "--mode", "det", "--T", "4", "--k", "1", "--rescale-L", value])
+
+    def test_psg_step_at_the_largest_rescale_stays_on_the_sphere(self, tmp_path):
+        # at --rescale-L 1e308 the squared norm of the first step overflows;
+        # the step is measured by its largest entry instead of being
+        # divided by inf (which zeroed it), and no overflow is warned of
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(
+                ["run", "--mode", "det", "--T", "4", "--k", "1", "--rescale-L", "1e308", "--out", str(out)]
+            )
+        assert code == 0
+        transcript = tmp_path / "run.csv.transcript.jsonl"
+        rows = [json.loads(line) for line in transcript.read_text().splitlines()]
+        assert rows[0]["x_norm"] == 0.0
+        assert rows[1]["x_norm"] == pytest.approx(1.0, abs=1e-12)
+        assert all(math.isfinite(row["grad_norm"]) for row in rows)
+
+    def test_psg_nan_step_still_refused(self, monkeypatch):
+        real = oracles.oracle_answer
+
+        def poisoned(*args, **kwargs):
+            response = real(*args, **kwargs)
+            return dataclasses.replace(response, gradient=np.full_like(response.gradient, np.nan))
+
+        monkeypatch.setattr(oracles, "oracle_answer", poisoned)
+        with pytest.raises(ValueError, match="unit ball"):
+            cli.main(["run", "--mode", "det", "--T", "4", "--k", "1", "--rescale-L", "1e308"])
 
     def test_dump_vectors_transcript(self, tmp_path):
         out = tmp_path / "run.csv"

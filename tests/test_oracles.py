@@ -36,6 +36,8 @@ from resistor.oracles import (
 from resistor.optimizers import run_method, run_projected_subgradient
 from resistor.streams import stream
 
+from conftest import three_way_tie
+
 
 def unit_perp(a: np.ndarray) -> np.ndarray:
     """A unit vector orthogonal to the unit vector a."""
@@ -125,12 +127,11 @@ class TestAdaptiveOracle:
             assert rec.response.value >= lower
 
     def test_raising_query_reveals_no_piece(self, monkeypatch):
-        # a tie query whose value estimate raises; the piece it would have
-        # added must not stay behind
+        # a three-way tie query whose value estimate raises; the piece it
+        # would have added must not stay behind
         p = params_deterministic(9, 2)
         oracle = AdaptiveOracle(p, seed=4, mc_samples=1_000)
-        a1 = oracle.query(np.zeros(p.d)).gradient * p.norm_denom
-        e = unit_perp(a1)
+        x = three_way_tie(oracle)
 
         def refuse(*args):
             raise ValueError("value estimate refused")
@@ -138,20 +139,22 @@ class TestAdaptiveOracle:
         with monkeypatch.context() as patch:
             patch.setattr(evaluator, "smoothed_value_mc", refuse)
             with pytest.raises(ValueError, match="value estimate refused"):
-                oracle.query((shift_of(p, 1) - shift_of(p, 2)) * e)
-        assert oracle.instance.num_pieces == len(oracle.transcript) == 1
+                oracle.query(x)
+        assert oracle.instance.num_pieces == len(oracle.transcript) == 2
         # the next query is answered as by an oracle that never saw it
         fresh = AdaptiveOracle(p, seed=4, mc_samples=1_000)
-        fresh.query(np.zeros(p.d))
-        y = 0.5 * e
+        three_way_tie(fresh)
+        y = 0.5 * unit_perp(oracle.instance.pieces[0].a)
         got, expected = oracle.query(y), fresh.query(y)
         assert (got.regime, got.affine_index, got.value) == (
             expected.regime, expected.affine_index, expected.value
         )
         assert got.gradient.tobytes() == expected.gradient.tobytes()
         assert oracle.instance.piece_matrix.tobytes() == fresh.instance.piece_matrix.tobytes()
-        assert oracle.instance.num_pieces == len(oracle.transcript) == 2
-        assert oracle.finalize()[1].all_equal
+        assert oracle.instance.num_pieces == len(oracle.transcript) == 3
+        # the adaptive replay flags the tie answer, and matches the rest
+        reasons = [entry.reason for entry in oracle.finalize()[1].entries]
+        assert reasons == ["", "monte_carlo_regime", ""]
 
     def test_broken_smoothing_radius_names_failing_index(self):
         # deliberately violate 2*k*delta <= gamma/m: locality collapses
@@ -168,8 +171,9 @@ class TestAdaptiveOracle:
 
 @pytest.mark.parametrize("mode", ["deterministic", "randomized"])
 def test_monte_carlo_budget_derived_only_for_monte_carlo_answers(monkeypatch, mode):
-    # query 1 (the origin) is exact; query 2 ties pieces 1 and 2, so it
-    # is answered by Monte Carlo on the streams of child_seed(seed, "mc", 2)
+    # query 1 (the origin) is exact and query 2 a two-piece tie, answered
+    # in closed form: neither derives a budget. Query 3 ties three pieces,
+    # so it is sampled on the streams of child_seed(seed, "mc", 3)
     derived = []
     real = oracles.child_seed
 
@@ -182,14 +186,26 @@ def test_monte_carlo_budget_derived_only_for_monte_carlo_answers(monkeypatch, mo
         oracle = AdaptiveOracle(params_deterministic(4, 1), seed=3, mc_samples=2_000)
     else:
         oracle = RandomizedOracle(small_randomized_params(), seed=3, mc_samples=2_000)
-    first = oracle.query(np.zeros(oracle.dim))
-    x = _tie_after_first(oracle)
-    second = oracle.query(x)
-    assert first.regime == EXACT_AFFINE and second.regime == MONTE_CARLO
-    assert derived == [("mc", 2)]
-    expected = monte_carlo_answer(oracle.instance, x, budget=MCBudget(2_000, real(3, "mc", 2)))
-    assert second.value == expected.value
-    assert second.gradient.tobytes() == expected.gradient.tobytes()
+    x = three_way_tie(oracle)
+    assert derived == []
+    third = oracle.query(x)
+    regimes = [rec.response.regime for rec in oracle.transcript.records]
+    assert regimes == [EXACT_AFFINE, MONTE_CARLO, MONTE_CARLO]
+    assert derived == [("mc", 3)]
+    expected = monte_carlo_answer(oracle.instance, x, budget=MCBudget(2_000, real(3, "mc", 3)))
+    assert third.value == expected.value
+    assert third.gradient.tobytes() == expected.gradient.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_randomized_two_piece_answers_replay_bit_for_bit(k):
+    # a q = 2 record is re-answered through the same dispatch in replay
+    oracle = RandomizedOracle(params_randomized(4, k, 0.2), seed=5)
+    oracle.query(np.zeros(oracle.dim))
+    answer = oracle.query(_tie_after_first(oracle))
+    assert answer.regime == MONTE_CARLO and answer.value_stderr > 0
+    _, report = oracle.finalize()
+    assert [e.reason for e in report.entries] == ["", ""] and report.all_equal
 
 
 class TestRandomizedOracle:
@@ -312,11 +328,10 @@ class TestSharedProtocol:
 
     def test_numpy_integer_seed_has_the_bits_of_its_int(self, cls):
         params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
-        a, b = cls(params, seed=np.int64(2)), cls(params, seed=2)
+        a, b = cls(params, seed=np.int64(2), mc_samples=2_000), cls(params, seed=2, mc_samples=2_000)
         assert type(a.seed) is int and a.seed == 2
         for oracle in (a, b):
-            oracle.query(np.zeros(oracle.dim))
-            oracle.query(_tie_after_first(oracle))
+            oracle.query(three_way_tie(oracle))
         for ra, rb in zip(a.transcript.records, b.transcript.records, strict=True):
             assert ra.response.gradient.tobytes() == rb.response.gradient.tobytes()
             assert ra.response.value == rb.response.value
@@ -325,13 +340,7 @@ class TestSharedProtocol:
         params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
         oracle = cls(params, seed=0, mc_samples=np.int64(4))
         assert type(oracle.mc_samples) is int and oracle.mc_samples == 4
-        if cls is AdaptiveOracle:
-            a1 = oracle.query(np.zeros(oracle.dim)).gradient * params.norm_denom
-            x = (shift_of(params, 1) - shift_of(params, 2)) * unit_perp(a1)
-        else:
-            a = oracle.instance.piece_matrix
-            x = (shift_of(params, 1) - shift_of(params, 2)) / 2 * (a[1] - a[0])
-        answer = oracle.query(x)
+        answer = oracle.query(three_way_tie(oracle))
         assert answer.regime == MONTE_CARLO and answer.hessian().error_bound >= 0
 
     def test_dim_is_the_instance_working_dimension(self, cls):
@@ -500,9 +509,10 @@ class TestTailResampling:
         p = small_randomized_params()
         inst = RandomizedOracle(p, seed=13).instance
         other = self._resampled_tail(inst, keep=3)
-        a1, a2 = inst.pieces[0].a, inst.pieces[1].a
-        # tie pieces 1 and 2 while keeping |a_j . x| tiny for j >= 3
-        x = (0.2 - p.gamma / p.T) * a1 + 0.2 * a2
+        a1, a2, a3 = (piece.a for piece in inst.pieces[:3])
+        # tie pieces 1, 2 and 3 (a sampled answer) while keeping |a_j . x|
+        # tiny for j >= 4
+        x = (0.2 - p.gamma / p.T) * a1 + 0.2 * a2 + (0.2 + p.gamma / p.T) * a3
         budget = MCBudget(20_000, 77)
         r1 = oracle_answer(inst, x, budget=budget)
         r2 = oracle_answer(other, x, budget=budget)
