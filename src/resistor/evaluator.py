@@ -243,15 +243,15 @@ def contenders(instance: HardInstance, values: PieceValues) -> np.ndarray:
     return np.flatnonzero(~(shifted.max() - shifted > band))
 
 
-def _contender_frame(
-    instance: HardInstance, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _contender_frame(instance: HardInstance, values: PieceValues) -> ContenderFrame:
     """The contenders at x: their shifted values, their coordinates in the
     frame Q, and Q itself (r x q, orthonormal columns), the reduced QR
     factor of their coordinates, so q = min(contenders, r). Only the
     contenders' coordinates are computed, each row as basis.coords of its
-    piece."""
-    values = piece_values(instance, x)
+    piece. values must be piece_values(instance, x)."""
     keep = contenders(instance, values)
     coords = np.array([instance.basis.coords(instance.piece_matrix[i]) for i in keep])
     frame, _ = np.linalg.qr(coords.T)
@@ -291,7 +291,11 @@ def _flipped_max(base: np.ndarray, projs: list[np.ndarray], signs: tuple[int, ..
 
 
 def smoothed_value_mc(
-    instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None
+    instance: HardInstance,
+    x: np.ndarray,
+    budget: MCBudget | None = None,
+    *,
+    contender_frame: ContenderFrame | None = None,
 ) -> tuple[float, float]:
     """Unbiased Monte-Carlo estimate of the smoothed value at x.
 
@@ -300,6 +304,8 @@ def smoothed_value_mc(
     in the q frame coordinates of the contenders (see the module notes).
     Returns (estimate, standard error). Unnormalized (no norm_denom).
     Needs n_samples >= 2: one sample has no standard error.
+    contender_frame, if given, must be _contender_frame at x; it is built
+    here otherwise.
     """
     budget = budget or MCBudget()
     params = instance.params
@@ -310,7 +316,7 @@ def smoothed_value_mc(
         raise ValueError(
             f"a Monte-Carlo value needs n_samples >= 2 for a standard error, got {budget.n_samples}"
         )
-    base, coeffs, frame = _contender_frame(instance, x)
+    base, coeffs, frame = contender_frame or _contender_frame(instance, piece_values(instance, x))
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
     proj = _projection(coeffs, _ball_sum(r, params.k, rng, n, frame.shape[1]), params.delta)
@@ -321,7 +327,12 @@ def smoothed_value_mc(
 
 
 def _tensor_coords_mc(
-    instance: HardInstance, x: np.ndarray, order: int, budget: MCBudget
+    instance: HardInstance,
+    x: np.ndarray,
+    order: int,
+    budget: MCBudget,
+    *,
+    contender_frame: ContenderFrame | None = None,
 ) -> tuple[np.ndarray, float]:
     """Order-j derivative tensor of the smoothed function at x, in basis
     coordinates, by the iterated sphere identity (see the module notes).
@@ -341,6 +352,7 @@ def _tensor_coords_mc(
     array is built. Arrays are scaled and squared in place and dropped
     once used, with the bits of the allocating arithmetic.
     Needs two draws for a standard error, so n_samples >= 2^(j+1).
+    contender_frame is as for smoothed_value_mc.
     """
     params = instance.params
     if not 1 <= order <= params.k:
@@ -351,7 +363,7 @@ def _tensor_coords_mc(
             f"(two draws at {2 ** order} sign flips each), got {budget.n_samples}"
         )
     r = instance.smoothing_dim
-    base, coeffs, frame = _contender_frame(instance, x)
+    base, coeffs, frame = contender_frame or _contender_frame(instance, piece_values(instance, x))
     q = frame.shape[1]
     rng = stream(budget.seed, "smooth-gradient")
     n = budget.n_samples // 2**order
@@ -455,37 +467,49 @@ def tie_answer(
     pair = contenders(instance, values)
     if len(pair) == 2 and instance.params.k <= 2:
         return two_piece_answer(instance, values, pair)
-    return monte_carlo_answer(instance, x, budget() if callable(budget) else budget)
+    return monte_carlo_answer(instance, x, budget() if callable(budget) else budget, values)
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
-    Golub-Welsch: the eigenvalues of the Jacobi matrix of the Legendre
-    recurrence, and twice the squared first components of its unit
-    eigenvectors. Cached per n, read-only."""
-    k = np.arange(1.0, n)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    return frozen(nodes), frozen(2.0 * vectors[0] ** 2)
+def _gauss_legendre_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n- and 2n-point Gauss-Legendre rules on
+    [-1, 1] side by side (3n of each), by Golub-Welsch: the eigenvalues of
+    the Jacobi matrix of the Legendre recurrence, and twice the squared
+    first components of its unit eigenvectors. Cached per n, read-only."""
+    rules = []
+    for m in (n, 2 * n):
+        k = np.arange(1.0, m)
+        beta = k / np.sqrt(4.0 * k * k - 1.0)
+        nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+        rules.append((nodes, 2.0 * vectors[0] ** 2))
+    (nodes, weights), (fine_nodes, fine_weights) = rules
+    return frozen(np.concatenate([nodes, fine_nodes])), frozen(np.concatenate([weights, fine_weights]))
+
+
+@functools.cache
+def _wallis(r: int) -> float:
+    """W_r, the integral of cos^r over [-pi/2, pi/2], by the reduction
+    recurrence from W_0 = pi or W_1 = 2; cached per r."""
+    half = math.pi / 2 if r % 2 == 0 else 1.0
+    for n in range(2 + r % 2, r + 1, 2):
+        half *= (n - 1) / n
+    return 2.0 * half
 
 
 def _marginal(r: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tail P(S_1 > u), excess E[(S_1 - u)_+] and density at each u in
-    [-1, 1], S_1 one coordinate of a uniform point of the unit r-ball.
+    [-1, 1] (elementwise, any shape), S_1 one coordinate of a uniform
+    point of the unit r-ball.
 
     The density is (1 - s^2)^((r-1)/2) / W_r; with s = sin(theta) it is
-    cos^r(theta) / W_r, W_r the integral of cos^r over [-pi/2, pi/2]. The
-    integral J_n of cos^n from 0 to arcsin(u) follows the reduction
-    recurrence J_n = cos^(n-1) u / n + (n-1)/n J_(n-2) from J_0 = arcsin(u)
-    or J_1 = u, so the tail is 1/2 - J_r / W_r (1/2 exactly at u = 0).
-    The tail's first moment (1 - u^2)^((r+1)/2) / ((r+1) W_r) closes the
-    excess.
+    cos^r(theta) / W_r, W_r the integral of cos^r over [-pi/2, pi/2]
+    (_wallis). The integral J_n of cos^n from 0 to arcsin(u) follows the
+    reduction recurrence J_n = cos^(n-1) u / n + (n-1)/n J_(n-2) from
+    J_0 = arcsin(u) or J_1 = u, so the tail is 1/2 - J_r / W_r (1/2
+    exactly at u = 0). The tail's first moment
+    (1 - u^2)^((r+1)/2) / ((r+1) W_r) closes the excess.
     """
-    half = math.pi / 2 if r % 2 == 0 else 1.0  # W_r / 2, by the same recurrence
-    for n in range(2 + r % 2, r + 1, 2):
-        half *= (n - 1) / n
-    wallis = 2.0 * half
+    wallis = _wallis(r)
     cos2 = (1.0 - u) * (1.0 + u)
     cos = np.sqrt(cos2)
     # J at the first n, and cos^(n-1) at the next
@@ -497,58 +521,70 @@ def _marginal(r: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tail, power / ((r + 1) * wallis) - u * tail, cos ** (r - 1) / wallis
 
 
-def _graded_rule(a: float, b: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite n-point Gauss-Legendre rule on
-    [a, b]: max(2, ceil(sqrt(r))) equal elements, the marginals' width
-    being about 1/sqrt(r), the first and last cut into elements graded
-    geometrically toward a and b."""
-    knots = np.linspace(a, b, max(2, math.ceil(math.sqrt(r))) + 1)
-    ratios = _GRADING_RATIO ** np.arange(_GRADED_ELEMENTS, 0, -1)
-    edges = np.concatenate(
-        [[a], a + (knots[1] - a) * ratios, knots[1:-1], b - (b - knots[-2]) * ratios[::-1], [b]]
-    )
-    nodes, weights = _gauss_legendre(n)
-    half = np.diff(edges)[:, None] / 2.0
-    return (edges[:-1, None] + half + half * nodes).ravel(), (half * weights).ravel()
-
-
-def _convolved_law(r: int, t: float, n: int) -> np.ndarray:
-    """[P(S > t), E[(S - t)_+], density of S at t] for S = S_1 + S_2, two
-    independent marginals (see _marginal), and 0 <= t < 2, by n-point
-    composite quadrature over s = S_1.
-
-    S_2 = t - s stays below 1 for s > t - 1, so the excess and the density
-    are integrals over [t - 1, 1]. The tail is 1/2 - P(0 < S <= t), the
-    integral of the density of S_1 times P(-s < S_2 <= t - s), split at
-    s = t - 1: at an exact tie (t = 0) that integrand vanishes and the
-    tail is 1/2. Each end of either interval is a singular point of the
-    integrand, with another one t beyond it, hence the graded elements.
-    """
-    s, w = _graded_rule(t - 1.0, 1.0, r, n)
-    tail, _, density = _marginal(r, s)
-    tail_2, excess_2, density_2 = _marginal(r, t - s)
-    between = w @ (density * ((1.0 - tail) - tail_2))
-    law = [0.0, w @ (density * excess_2), w @ (density * density_2)]
-    if t > 0.0:
-        s, w = _graded_rule(-1.0, t - 1.0, r, n)
-        tail, _, density = _marginal(r, s)
-        between += w @ (density * (1.0 - tail))
-    law[0] = 0.5 - between
-    return np.array(law)
-
-
 def _sum_law(r: int, k: int, t: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """[P(S > t), E[(S - t)_+], density of S at t] for S the sum of k <= 2
     independent marginals of the uniform r-ball (see _marginal) and
-    t >= 0, with the quadrature error of each: the law from 2 * nodes
-    nodes per element, and its distance from the law from `nodes`. For
-    k = 1 the law is closed-form, its quadrature error zero; beyond
-    t = k the law vanishes."""
+    t >= 0, with the quadrature error of each. For k = 1 the law is
+    closed-form, its quadrature error zero; beyond t = k the law vanishes.
+
+    For k = 2, S = S_1 + S_2, and the law is a composite Gauss-Legendre
+    quadrature over s = S_1: from 2 * nodes nodes per element, its error
+    the distance from the law from `nodes`. S_2 = t - s stays below 1 for
+    s > t - 1, so the excess and the density are integrals over
+    [t - 1, 1]. The tail is 1/2 - P(0 < S <= t), the integral of the
+    density of S_1 times P(-s < S_2 <= t - s), split at s = t - 1: at an
+    exact tie (t = 0) that integrand vanishes and the tail is 1/2. Each
+    end of either interval is a singular point of the integrand, with
+    another one t beyond it, so each interval is cut into
+    max(2, ceil(sqrt(r))) equal elements (the marginals' width is about
+    1/sqrt(r)), the first and last cut again into elements graded
+    geometrically toward the ends.
+
+    Both rules share one (elements x 3 * nodes) grid per interval, and
+    _marginal runs once over the nodes of both intervals and both
+    arguments, s and t - s. Each sum is one dot product over the nodes
+    of one rule in element-major order.
+    """
     if t >= k:
         return np.zeros(3), np.zeros(3)
     if k == 1:
         return np.array(_marginal(r, np.float64(t))), np.zeros(3)
-    coarse, fine = (_convolved_law(r, t, n) for n in (nodes, 2 * nodes))
+    pair_nodes, pair_weights = _gauss_legendre_pair(nodes)
+    ratios = _GRADING_RATIO ** np.arange(_GRADED_ELEMENTS, 0, -1)
+    pieces = max(2, math.ceil(math.sqrt(r)))
+    # the intervals, one per row: [t - 1, 1], then [-1, t - 1] off a tie
+    ends = [(t - 1.0, 1.0), (-1.0, t - 1.0)] if t > 0.0 else [(t - 1.0, 1.0)]
+    a, b = np.array(ends).T[:, :, None]
+    # np.linspace(a, b, pieces + 1)[1:-1], bit for bit
+    inner = np.arange(1.0, pieces) * ((b - a) / pieces) + a
+    edges = np.concatenate(
+        [a, a + (inner[:, :1] - a) * ratios, inner, b - (b - inner[:, -1:]) * ratios[::-1], b], axis=1
+    )
+    half = (edges[:, 1:] - edges[:, :-1])[:, :, None] / 2.0
+    # the marginal's arguments: s on each interval, then t - s on the first
+    u = np.empty((len(ends) + 1, half.shape[1], 3 * nodes))
+    np.add(edges[:, :-1, None] + half, half * pair_nodes, out=u[:-1])
+    np.subtract(t, u[0], out=u[-1])
+    tail, excess, density = _marginal(r, u)
+    # the integrands, each times the density of S_1 at s: on [t - 1, 1],
+    # P(-s < S_2 <= t - s) and the excess and density of S_2 at t - s; on
+    # [-1, t - 1], P(S_2 > -s)
+    f = np.empty((len(ends) + 2, *u.shape[1:]))
+    np.subtract(1.0, tail[0], out=f[0])
+    f[0] -= tail[-1]
+    f[1], f[2] = excess[-1], density[-1]
+    f[:3] *= density[0]
+    if t > 0.0:
+        np.subtract(1.0, tail[1], out=f[3])
+        f[3] *= density[1]
+    half = half[[0, 0, 0, 1][: len(f)]]  # each integrand's element widths
+    laws = []
+    for rule in (slice(0, nodes), slice(nodes, 3 * nodes)):
+        weights = (half * pair_weights[rule]).reshape(len(f), -1)
+        sums = np.vecdot(f[..., rule].reshape(len(f), -1), weights)
+        between = sums[0] + sums[3] if t > 0.0 else sums[0]
+        laws.append(np.array([0.5 - between, sums[1], sums[2]]))
+    coarse, fine = laws
     return fine, np.abs(fine - coarse)
 
 
@@ -607,27 +643,33 @@ def two_piece_answer(
 
 
 def monte_carlo_answer(
-    instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None
+    instance: HardInstance,
+    x: np.ndarray,
+    budget: MCBudget | None = None,
+    values: PieceValues | None = None,
 ) -> OracleResponse:
     """Sampled answer for a query inside the tie band.
 
     Value uses budget.n_samples, each derivative order 2*n_samples
     function evaluations, each estimate on its own stream (child seeds
     "value", "gradient", ("tensor", j) of the budget seed); every order
-    comes from _tensor_coords_mc. The value is estimated first, so an
-    error it raises wins over a derivative error.
+    comes from _tensor_coords_mc. All of them share one contender frame,
+    built from values (piece_values(instance, x), computed here if not
+    given). The value is estimated first, so an error it raises wins over
+    a derivative error.
     """
     params = instance.params
     denom = params.norm_denom
     budget = budget or MCBudget()
+    frame = _contender_frame(instance, piece_values(instance, x) if values is None else values)
     value_budget = MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
-    value, stderr = smoothed_value_mc(instance, x, value_budget)
+    value, stderr = smoothed_value_mc(instance, x, value_budget, contender_frame=frame)
     grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
-    coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget)
+    coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget, contender_frame=frame)
     higher = []
     for j in range(2, params.k + 1):
         tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
-        tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget)
+        tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget, contender_frame=frame)
         higher.append(HigherDerivative(j, tensor / denom, terr / denom))
     return OracleResponse(
         value=value / denom,
@@ -656,7 +698,7 @@ def suboptimality_certificate(
     instance: HardInstance,
     x: np.ndarray,
     allow_partial: bool = False,
-    values: PieceValues | None = None,
+    f_tilde: float | None = None,
 ) -> float:
     """Closed-form certified lower bound on the normalized gap between
     the smoothed value at x and its minimum over the unit ball:
@@ -666,8 +708,8 @@ def suboptimality_certificate(
     The smoothed value sits within k*delta of f_tilde, and the witness
     point -sum(a_i)/sqrt(r) caps the minimum at -1/sqrt(r)+gamma+k*delta,
     so no sampling enters the certificate. Requires the full T pieces
-    unless allow_partial (then r is the actual piece count). values, if
-    given, must be piece_values(instance, x).
+    unless allow_partial (then r is the actual piece count). f_tilde, if
+    given, must be piece_values(instance, x).f_tilde.
     """
     params = instance.params
     r = instance.num_pieces
@@ -677,6 +719,7 @@ def suboptimality_certificate(
         raise ValueError(
             f"certificate needs a completed instance (r = {r} < T = {params.T})"
         )
-    f_tilde = (piece_values(instance, x) if values is None else values).f_tilde
+    if f_tilde is None:
+        f_tilde = piece_values(instance, x).f_tilde
     raw = f_tilde + 1.0 / math.sqrt(r) - params.gamma - 2.0 * params.k * params.delta
     return raw / params.norm_denom

@@ -39,7 +39,7 @@ from .instance import (
 )
 from .oracles import AdaptiveOracle, RandomizedOracle, event_e_check
 from .optimizers import run_method
-from .streams import child_seed, stream
+from .streams import as_integer, child_seed, stream
 
 # Samples per Monte-Carlo estimate in the smoothness and invariance audits.
 AUDIT_SAMPLES = 20_000
@@ -143,7 +143,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     rows = []
     for rec, entry in zip(oracle.transcript.records, consistency.entries):
         gap = scale * suboptimality_certificate(
-            final, rec.x, allow_partial=True, values=entry.values
+            final, rec.x, allow_partial=True, f_tilde=entry.f_tilde
         )
         rows.append(
             IterationRow(
@@ -253,6 +253,16 @@ class UnsupportedOrderError(ValueError):
     (r/delta)^3 scale would need infeasible sample counts)."""
 
 
+def _count(value, name: str) -> int:
+    """value as an int of at least 1 (see streams.as_integer), else an
+    error that names the argument: an audit or sweep over nothing would
+    pass on no evidence."""
+    value = as_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def _separated_pairs(instance: HardInstance, n_pairs: int, rng) -> list[tuple[np.ndarray, np.ndarray, float]]:
     min_sep = 10.0 * instance.params.delta
     pairs = []
@@ -283,8 +293,10 @@ def verify_lipschitz(
     estimators; order 2 compares H(x) u and H(y) u for the basis row
     u = p mod r, both Hessians estimated on one common-random-numbers
     seed. A NaN ratio or error makes max_ratio or max_excess NaN and
-    fails the audit. Orders above 2 raise UnsupportedOrderError.
+    fails the audit. Orders above 2 raise UnsupportedOrderError, and
+    n_pairs below 1 a ValueError.
     """
+    n_pairs = _count(n_pairs, "n_pairs")
     params = instance.params
     if order > 2:
         raise UnsupportedOrderError(
@@ -318,11 +330,11 @@ def verify_lipschitz(
         ratios.append(ratio)
         excesses.append(ratio - slack)
     # np.max, unlike Python's max, keeps a NaN, which then fails the audit
-    max_excess = float(np.max(excesses, initial=-math.inf))
+    max_excess = float(np.max(excesses))
     return LipschitzAudit(
         order=order,
         bound=bound,
-        max_ratio=float(np.max(ratios, initial=0.0)),
+        max_ratio=float(np.max(ratios)),
         max_excess=max_excess,
         n_pairs=len(pairs),
         passed=max_excess <= bound,
@@ -350,8 +362,9 @@ def verify_invariance(
     Pairs (x, x+y) with y in the orthogonal complement are scaled into
     the ball together; exact-affine pairs must agree to 1e-10 (the
     orthogonality tolerance), Monte-Carlo pairs to 6 combined standard
-    errors.
+    errors. n_points must be at least 1.
     """
+    n_points = _count(n_points, "n_points")
     d = instance.basis.dim
     if d <= instance.smoothing_dim:
         raise ValueError("no orthogonal complement to test (d <= smoothing dimension)")
@@ -450,9 +463,13 @@ def run_verification(
     n_pairs: int = 30,
     samples: int = AUDIT_SAMPLES,
 ) -> VerifySummary:
+    """Run one audit suite, or all of them, on a T-piece order-k instance;
+    n_pairs (pairs per Lipschitz order, points for invariance) must be at
+    least 1, checked before any audit runs."""
     summary = VerifySummary(suite=suite)
     if suite not in {"lipschitz", "invariance", "locality", "all"}:
         raise ValueError(f"unknown suite {suite!r}")
+    n_pairs = _count(n_pairs, "n_pairs")
     if suite in {"lipschitz", "invariance", "all"}:
         instance = audit_instance(T, k, seed)
         if suite in {"lipschitz", "all"}:
@@ -498,8 +515,9 @@ def sweep(config: RunConfig, n_seeds: int) -> SweepReport:
 
     Randomized mode additionally checks that the fraction of runs where
     the low-correlation event held clears (1 - fail_prob) minus three
-    binomial standard deviations.
+    binomial standard deviations. n_seeds must be at least 1.
     """
+    n_seeds = _count(n_seeds, "n_seeds")
     outcomes = []
     for offset in range(n_seeds):
         report = run_experiment(replace(config, seed=config.seed + offset, out=None))

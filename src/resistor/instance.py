@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -320,14 +320,16 @@ def _checked_instance(params: InstanceParams, directions, shifts) -> HardInstanc
 
 
 def append_piece(
-    instance: HardInstance, x: Vector, rng: np.random.Generator
+    instance: HardInstance, x: Vector, rng: Callable[[], np.random.Generator]
 ) -> HardInstance:
     """New instance with one more piece built from the query x.
 
     The direction is the normalized component of x perpendicular to the
     current basis; a degenerate x (already in the span) gets a random
-    perpendicular unit vector from rng instead. The new row is
-    orthonormal to the others by construction, so nothing is re-checked.
+    perpendicular unit vector from the generator rng() returns instead.
+    rng is called only then, so no other query builds a generator. The
+    new row is orthonormal to the others by construction, so nothing is
+    re-checked.
     """
     params = instance.params
     if instance.num_pieces >= params.T:
@@ -338,7 +340,7 @@ def append_piece(
         raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
     basis, unit = orthonormal_extend(instance.basis, x, params.T)
     if unit is None:
-        basis = instance.basis.extended(arbitrary_perp_unit(instance.basis, rng), params.T)
+        basis = instance.basis.extended(arbitrary_perp_unit(instance.basis, rng()), params.T)
     shift = shift_of(params, instance.num_pieces + 1)
     return HardInstance(
         params, basis.matrix, frozen(np.append(instance.piece_shifts, shift)), basis

@@ -18,6 +18,7 @@ follows from its affine_index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -27,7 +28,6 @@ from .evaluator import (
     DEFAULT_VALUE_SAMPLES,
     MCBudget,
     OracleResponse,
-    PieceValues,
     affine_regime,
     exact_answer,
     locally_affine_index,  # noqa: F401 - a name perfbench/tracer.py wraps
@@ -110,12 +110,13 @@ class Transcript:
 
 @dataclass
 class ReplayEntry:
-    """One replayed record; values are the replay instance's piece values
-    at the recorded query, computed once and shared with its certificate."""
+    """One replayed record; f_tilde is the replay instance's max of the
+    shifted pieces at the recorded query, computed once and shared with
+    its certificate."""
 
     index: int
-    reason: str = ""
-    values: PieceValues | None = field(default=None, repr=False, compare=False)
+    reason: str
+    f_tilde: float
 
     @property
     def exact_equal(self) -> bool:
@@ -188,7 +189,7 @@ def replay_consistency(
             reason = _responses_equal(recorded, replayed)
         else:
             reason = "monte_carlo_regime"
-        entries.append(ReplayEntry(index=rec.index, reason=reason, values=values))
+        entries.append(ReplayEntry(rec.index, reason, values.f_tilde))
     return ConsistencyReport(
         all_equal=all(e.exact_equal for e in entries),
         partial=len(transcript) < transcript.params.T,
@@ -208,7 +209,8 @@ class _ResistingOracle:
     streams.as_integer, and mc_samples against the fewest samples such
     an answer takes: 2 for a value with a standard error, 2^k for the
     order-k tensor's two draws at 2^k sign flips each, out of its
-    2 * mc_samples evaluations.
+    2 * mc_samples evaluations. rescale must be a positive finite number
+    (not a bool): any other would answer NaN, inf, 0 or flipped values.
     """
 
     def __init__(
@@ -219,6 +221,10 @@ class _ResistingOracle:
         rescale: float,
         instance: HardInstance,
     ):
+        if isinstance(rescale, bool):
+            raise TypeError("rescale must be a number, not a bool")
+        if not (0.0 < rescale < math.inf):
+            raise ValueError(f"rescale must be positive and finite, got {rescale!r}")
         seed = as_integer(seed, "seed")
         mc_samples = as_integer(mc_samples, "mc_samples")
         minimum = max(2, 2**params.k)
@@ -278,9 +284,10 @@ class AdaptiveOracle(_ResistingOracle):
     """Deterministic-mode resisting oracle: builds pieces as queries land.
 
     Each query appends one piece (from the query's perpendicular
-    component, or a seeded random perpendicular direction when the query
-    is already in the revealed span) and is answered against the current
-    partial instance. Queries have the law dimension d as coordinates.
+    component, or a random perpendicular direction from the stream
+    (seed, "piece", t), built only when the query is already in the
+    revealed span) and is answered against the current partial instance.
+    Queries have the law dimension d as coordinates.
 
     Parameter validity is the caller's concern (the harness validates);
     deliberately broken schedules, e.g. a smoothing radius violating
@@ -301,7 +308,7 @@ class AdaptiveOracle(_ResistingOracle):
 
     def query(self, x: np.ndarray) -> OracleResponse:
         x, t = self._next(x)
-        instance = append_piece(self._instance, x, stream(self.seed, "piece", t))
+        instance = append_piece(self._instance, x, partial(stream, self.seed, "piece", t))
         response = self._answer(instance, x, t)
         # the piece is revealed only with an answer, so a query that
         # raises leaves the instance as it was

@@ -1,8 +1,9 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resistor import evaluator
@@ -82,7 +83,7 @@ def test_piece_values_rows_ignore_later_pieces(seed, T, extra_d):
     chain = [HardInstance.empty(p)]
     for t in range(1, T + 1):
         x = rng.standard_normal(p.d)
-        chain.append(append_piece(chain[-1], x / np.linalg.norm(x), stream(seed, "piece", t)))
+        chain.append(append_piece(chain[-1], x / np.linalg.norm(x), partial(stream, seed, "piece", t)))
     x = rng.standard_normal(p.d)
     x /= np.linalg.norm(x)
     full = piece_values(chain[-1], x)
@@ -102,7 +103,7 @@ def _kernel_instance(kind: str, seed: int, r: int, d: int) -> HardInstance:
         inst = HardInstance.empty(p)
         for t in range(1, r + 1):
             x = rng.standard_normal(d)
-            inst = append_piece(inst, x / np.linalg.norm(x), stream(seed, "piece", t))
+            inst = append_piece(inst, x / np.linalg.norm(x), partial(stream, seed, "piece", t))
         return inst
     rows = rng.standard_normal((r, d))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -629,6 +630,70 @@ def test_two_piece_law_is_self_consistent(r, t):
     assert abs((lo[0] - hi[0]) / (2 * h) - density) <= 1e-7 * max(density, 1.0)
 
 
+def _reference_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+def _reference_marginal(r: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    half = math.pi / 2 if r % 2 == 0 else 1.0
+    for n in range(2 + r % 2, r + 1, 2):
+        half *= (n - 1) / n
+    wallis = 2.0 * half
+    cos2 = (1.0 - u) * (1.0 + u)
+    cos = np.sqrt(cos2)
+    integral, power = (u, cos2) if r % 2 else (np.arcsin(u), cos)
+    for n in range(2 + r % 2, r + 1, 2):
+        integral = power * u / n + (n - 1) / n * integral
+        power = power * cos2
+    tail = 0.5 - integral / wallis
+    return tail, power / ((r + 1) * wallis) - u * tail, cos ** (r - 1) / wallis
+
+
+def _graded_rule(a: float, b: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    knots = np.linspace(a, b, max(2, math.ceil(math.sqrt(r))) + 1)
+    ratios = evaluator._GRADING_RATIO ** np.arange(evaluator._GRADED_ELEMENTS, 0, -1)
+    edges = np.concatenate(
+        [[a], a + (knots[1] - a) * ratios, knots[1:-1], b - (b - knots[-2]) * ratios[::-1], [b]]
+    )
+    nodes, weights = _reference_gauss_legendre(n)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half + half * nodes).ravel(), (half * weights).ravel()
+
+
+def _convolved_law(r: int, t: float, n: int) -> np.ndarray:
+    s, w = _graded_rule(t - 1.0, 1.0, r, n)
+    tail, _, density = _reference_marginal(r, s)
+    tail_2, excess_2, density_2 = _reference_marginal(r, t - s)
+    between = w @ (density * ((1.0 - tail) - tail_2))
+    law = [0.0, w @ (density * excess_2), w @ (density * density_2)]
+    if t > 0.0:
+        s, w = _graded_rule(-1.0, t - 1.0, r, n)
+        tail, _, density = _reference_marginal(r, s)
+        between += w @ (density * (1.0 - tail))
+    law[0] = 0.5 - between
+    return np.array(law)
+
+
+@given(st.integers(1, 40), st.floats(0.0, 2.0, exclude_max=True))
+@example(9, 0.0)
+@example(1, 1e-12)
+@example(40, 1.0)
+@example(2, 2.0 - 1e-9)
+@settings(max_examples=300, deadline=None)
+def test_sum_law_is_the_per_rule_quadrature_bit_for_bit(r, t):
+    # the reference is the quadrature as first written: each rule on its
+    # own graded nodes, one marginal evaluation per interval and argument;
+    # one grid for both rules and one marginal pass give the same bytes
+    nodes = evaluator.TWO_PIECE_NODES
+    coarse, fine = _convolved_law(r, t, nodes), _convolved_law(r, t, 2 * nodes)
+    law, err = _sum_law(r, 2, t, nodes)
+    assert law.tobytes() == fine.tobytes()
+    assert err.tobytes() == np.abs(fine - coarse).tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_two_piece_errors_are_nonzero_and_small(k):
     # up to t = 0.99 k: beyond t = k the Hessian is the zero tensor
@@ -709,16 +774,33 @@ class TestMonteCarloAnswer:
             assert resp.hessian().tensor.tobytes() == (hess / denom).tobytes()
             assert np.float64(resp.hessian().error_bound).tobytes() == np.float64(herr / denom).tobytes()
 
+    def test_pieces_evaluated_once_per_sampled_answer(self, monkeypatch):
+        # the regime test's piece values also build the one contender frame
+        # that the value, gradient and Hessian estimates share
+        oracle = AdaptiveOracle(params_deterministic(9, 2), seed=0, mc_samples=2_000)
+        x = three_way_tie(oracle)
+        calls = []
+        real = evaluator.piece_values
+
+        def counting(instance, x):
+            calls.append(len(instance.piece_matrix))
+            return real(instance, x)
+
+        monkeypatch.setattr(evaluator, "piece_values", counting)
+        answer = oracle.query(x)
+        assert calls == [3]
+        assert answer.regime == MONTE_CARLO and len(contenders(oracle.instance, real(oracle.instance, x))) == 3
+
     def test_value_error_wins(self, monkeypatch, plane_instance):
         # the value is estimated first: its error is raised, and no
         # derivative is estimated
         calls = []
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             calls.append("value")
             raise RuntimeError("value estimate failed")
 
-        def derivative(*args):
+        def derivative(*args, **kwargs):
             calls.append("derivative")
             raise RuntimeError("derivative estimate failed")
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resistor import cli, harness, oracles
 from resistor.evaluator import piece_values
@@ -30,10 +32,11 @@ from resistor.instance import (
     HardInstance,
     InstanceParams,
     params_deterministic,
+    params_randomized,
     pessimal_point,
 )
 from resistor.optimizers import run_method
-from resistor.oracles import AdaptiveOracle
+from resistor.oracles import AdaptiveOracle, RandomizedOracle
 
 from conftest import unit
 
@@ -213,9 +216,10 @@ class TestLipschitzAuditFailsClosed:
         audit = verify_lipschitz(audit_instance(4, 1), 0, n_pairs=3, samples=64, seed=0)
         assert math.isnan(audit.max_ratio)
 
-    def test_no_pairs_keeps_the_empty_fold(self):
-        audit = verify_lipschitz(audit_instance(4, 1), 0, n_pairs=0)
-        assert (audit.max_ratio, audit.max_excess, audit.passed) == (0.0, -math.inf, True)
+    def test_no_pairs_is_refused(self):
+        # an audit of zero pairs has no evidence to pass on
+        with pytest.raises(ValueError, match="n_pairs must be at least 1, got 0"):
+            verify_lipschitz(audit_instance(4, 1), 0, n_pairs=0)
 
     @pytest.mark.parametrize("order, name, fake", NAN_ESTIMATES)
     def test_verify_exits_1(self, monkeypatch, capsys, order, name, fake):
@@ -416,3 +420,67 @@ class TestCLI:
         transcript = tmp_path / "run.csv.transcript.jsonl"
         rows = [json.loads(line) for line in transcript.read_text().splitlines()]
         assert len(rows) == 4 and "x" in rows[0]
+
+
+def _queried(*args, **kwargs):
+    raise AssertionError("a refused argument reached the work it gates")
+
+
+# Not a count of at least 1: any float (NaN, infinities and fractions among
+# them), a Fraction, a bool, or an integer below 1.
+BAD_COUNTS = st.one_of(st.floats(), st.fractions(), st.booleans(), st.integers(max_value=0))
+# Not a positive finite scale: NaN, an infinity, zero or a negative (float,
+# integer or Fraction), or a bool.
+BAD_SCALES = st.one_of(
+    st.sampled_from([math.nan, math.inf]),
+    st.floats(max_value=0.0),
+    st.integers(max_value=0),
+    st.fractions(max_value=0),
+    st.booleans(),
+)
+# name -> (argument checked, bad values, call, names whose use would mean the
+# check came too late)
+GATES = {
+    "run_verification": ("n_pairs", BAD_COUNTS, lambda v: run_verification("all", 4, 1, n_pairs=v),
+                         ["audit_instance", "verify_locality"]),
+    "verify_lipschitz": ("n_pairs", BAD_COUNTS, lambda v: verify_lipschitz(_AUDITED, 0, n_pairs=v),
+                         ["stream"]),
+    "verify_invariance": ("n_points", BAD_COUNTS, lambda v: verify_invariance(_AUDITED, n_points=v),
+                          ["stream"]),
+    "sweep": ("n_seeds", BAD_COUNTS, lambda v: sweep(RunConfig(T=4), v), ["run_experiment"]),
+    "AdaptiveOracle": ("rescale", BAD_SCALES,
+                       lambda v: AdaptiveOracle(params_deterministic(4, 1), rescale=v), []),
+    "RandomizedOracle": ("rescale", BAD_SCALES,
+                         lambda v: RandomizedOracle(params_randomized(4, 1, 0.2), rescale=v), []),
+}
+_AUDITED = audit_instance(4, 1)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_gate_refuses_what_it_cannot_count_on(data):
+    # each public count or scale that could let a gate pass on no
+    # evidence, or answer NaN, inf, 0 or a flipped value, is refused with
+    # an error that names it, before the work it gates starts
+    gate = data.draw(st.sampled_from(sorted(GATES)))
+    name, values, call, late = GATES[gate]
+    value = data.draw(values)
+    with pytest.MonkeyPatch.context() as patch:
+        for attr in late:
+            patch.setattr(harness, attr, _queried)
+        with pytest.raises((ValueError, TypeError), match=name):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "--suite", "lipschitz", "--T", "4", "--pairs", "0"], "n_pairs"),
+        (["verify", "--suite", "all", "--T", "4", "--pairs", "-3"], "n_pairs"),
+        (["sweep", "--seeds", "0", "--T", "4"], "n_seeds"),
+    ],
+)
+def test_cli_refuses_an_empty_audit_or_sweep(capsys, argv, name):
+    with pytest.raises(ValueError, match=name):
+        cli.main(argv)
+    assert "PASS" not in capsys.readouterr().out

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -116,47 +117,47 @@ class TestShiftOf:
 class TestAppendPiece:
     def test_degenerate_origin_gets_random_unit(self):
         p = params_deterministic(4, 1)
-        inst = append_piece(HardInstance.empty(p), np.zeros(p.d), stream(3, "piece", 1))
+        inst = append_piece(HardInstance.empty(p), np.zeros(p.d), partial(stream, 3, "piece", 1))
         assert inst.num_pieces == 1
         a = inst.pieces[0].a
         assert abs(np.linalg.norm(a) - 1.0) < 1e-12
         # reproducible from the same stream
-        again = append_piece(HardInstance.empty(p), np.zeros(p.d), stream(3, "piece", 1))
+        again = append_piece(HardInstance.empty(p), np.zeros(p.d), partial(stream, 3, "piece", 1))
         np.testing.assert_array_equal(a, again.pieces[0].a)
 
     def test_unit_query_kept_as_direction(self):
         p = params_deterministic(4, 1)
-        inst = append_piece(HardInstance.empty(p), unit(p.d, 0), stream(0, "piece"))
+        inst = append_piece(HardInstance.empty(p), unit(p.d, 0), partial(stream, 0, "piece"))
         np.testing.assert_allclose(inst.pieces[0].a, unit(p.d, 0), atol=1e-15)
         assert inst.pieces[0].shift == shift_of(p, 1)
 
     def test_gram_schmidt_against_existing(self):
         p = params_deterministic(4, 1)
-        inst = append_piece(HardInstance.empty(p), unit(p.d, 0), stream(0, "piece"))
+        inst = append_piece(HardInstance.empty(p), unit(p.d, 0), partial(stream, 0, "piece"))
         x = (unit(p.d, 0) + unit(p.d, 1)) / np.sqrt(2)
-        inst = append_piece(inst, x, stream(0, "piece", 2))
+        inst = append_piece(inst, x, partial(stream, 0, "piece", 2))
         np.testing.assert_allclose(inst.pieces[1].a, unit(p.d, 1), atol=1e-12)
 
     def test_budget_exhausted(self):
         p = params_deterministic(4, 1)
         inst = HardInstance.empty(p)
         for t in range(4):
-            inst = append_piece(inst, np.zeros(p.d), stream(0, "piece", t))
+            inst = append_piece(inst, np.zeros(p.d), partial(stream, 0, "piece", t))
         with pytest.raises(ValueError, match="budget"):
-            append_piece(inst, np.zeros(p.d), stream(0, "piece", 5))
+            append_piece(inst, np.zeros(p.d), partial(stream, 0, "piece", 5))
 
     def test_infeasible_query(self):
         p = params_deterministic(4, 1)
         with pytest.raises(ValueError, match="unit ball"):
-            append_piece(HardInstance.empty(p), 2.0 * unit(p.d, 0), stream(0, "piece"))
+            append_piece(HardInstance.empty(p), 2.0 * unit(p.d, 0), partial(stream, 0, "piece"))
 
     def test_appending_twice_leaves_earlier_instances_unchanged(self):
         p = params_deterministic(4, 1)
-        base = append_piece(HardInstance.empty(p), unit(p.d, 0), stream(0, "piece", 1))
-        first = append_piece(base, unit(p.d, 1), stream(0, "piece", 2))
+        base = append_piece(HardInstance.empty(p), unit(p.d, 0), partial(stream, 0, "piece", 1))
+        first = append_piece(base, unit(p.d, 1), partial(stream, 0, "piece", 2))
         seen = first.basis.matrix.copy()
-        second = append_piece(base, unit(p.d, 2), stream(0, "piece", 2))
-        third = append_piece(first, unit(p.d, 3), stream(0, "piece", 3))
+        second = append_piece(base, unit(p.d, 2), partial(stream, 0, "piece", 2))
+        third = append_piece(first, unit(p.d, 3), partial(stream, 0, "piece", 3))
         np.testing.assert_array_equal(first.basis.matrix, seen)
         np.testing.assert_array_equal(first.pieces[1].a, unit(p.d, 1))
         np.testing.assert_array_equal(second.pieces[1].a, unit(p.d, 2))
@@ -244,7 +245,7 @@ def test_appended_pieces_stay_orthonormal(seed, T):
         x = x / max(1.0, np.linalg.norm(x))
         if rng.random() < 0.3:
             x = np.zeros(p.d)  # force the degenerate branch sometimes
-        inst = append_piece(inst, x, stream(seed, "piece", t))
+        inst = append_piece(inst, x, partial(stream, seed, "piece", t))
     gram = inst.piece_matrix @ inst.piece_matrix.T
     np.testing.assert_allclose(gram, np.eye(T), atol=1e-9)
     xhat, _ = pessimal_point(inst)
@@ -258,7 +259,7 @@ class TestPieceMatrix:
         assert from_basis.piece_matrix is from_basis.basis.matrix
         inst = HardInstance.empty(p)
         for t in range(1, 4):
-            inst = append_piece(inst, np.zeros(p.d), stream(0, "piece", t))
+            inst = append_piece(inst, np.zeros(p.d), partial(stream, 0, "piece", t))
         assert inst.piece_matrix is inst.basis.matrix
 
     def test_append_chain_shares_the_basis_matrix(self):
@@ -270,7 +271,7 @@ class TestPieceMatrix:
         assert inst.piece_matrix.shape == (0, p.d) and inst.piece_shifts.shape == (0,)
         for t in range(1, p.T + 1):
             x = rng.standard_normal(p.d)
-            inst = append_piece(inst, x / np.linalg.norm(x), stream(3, "piece", t))
+            inst = append_piece(inst, x / np.linalg.norm(x), partial(stream, 3, "piece", t))
             assert inst.piece_matrix is inst.basis.matrix
             assert inst.piece_shifts.tobytes() == np.array([pc.shift for pc in inst.pieces]).tobytes()
         from_basis = HardInstance.from_basis(p, inst.basis)
@@ -379,7 +380,7 @@ def _representation_instance(kind: str, seed: int, r: int) -> HardInstance:
         inst = HardInstance.empty(p)
         for t in range(1, r + 1):
             x = rng.standard_normal(p.d) if rng.random() < 0.7 else np.zeros(p.d)
-            inst = append_piece(inst, x / max(1.0, np.linalg.norm(x)), stream(seed, "piece", t))
+            inst = append_piece(inst, x / max(1.0, np.linalg.norm(x)), partial(stream, seed, "piece", t))
         return inst
     rows = rng.standard_normal((r, p.d))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -398,7 +399,7 @@ def test_instances_and_bases_compare_and_hash_by_identity():
     a, b = HardInstance.empty(p), HardInstance.empty(p)
     assert a == a and a != b
     assert len({a, b, a}) == 2
-    full = append_piece(a, unit(p.d, 0), stream(0, "piece", 1))
+    full = append_piece(a, unit(p.d, 0), partial(stream, 0, "piece", 1))
     assert full.basis == full.basis and full.basis != b.basis
     assert len({a.basis, b.basis, full.basis}) == 3
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -133,7 +134,7 @@ class TestAdaptiveOracle:
         oracle = AdaptiveOracle(p, seed=4, mc_samples=1_000)
         x = three_way_tie(oracle)
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise ValueError("value estimate refused")
 
         with monkeypatch.context() as patch:
@@ -167,6 +168,50 @@ class TestAdaptiveOracle:
         assert report.first_mismatch is not None
         entry = report.entries[report.first_mismatch - 1]
         assert entry.reason != ""
+
+
+# (affine_index, value bytes, sha256 of the gradient bytes) of each answer,
+# and sha256 of the final piece matrix, as when every query built its
+# piece stream
+PINNED_PIECE_STREAM = (
+    [
+        (1, "1cc7711cc771bc3f", "5f4742cfc0990f1b"),
+        (2, "b7ec8b4b5e83d33f", "e7945a134a943190"),
+        (1, "1cc7711cc771bc3f", "5f4742cfc0990f1b"),
+    ],
+    "83c88519de3b99dab9cfc667dcf8229585e96f7a1d1e5dd79bcb3c325f2c6ec0",
+)
+
+
+def test_piece_stream_built_only_for_a_degenerate_query(monkeypatch):
+    # queries 1 and 3 (the origin) lie in the revealed span, so their
+    # pieces are drawn from stream(seed, "piece", t); query 2 does not lie
+    # there and builds no stream. The bits are those of an oracle that
+    # built the stream on every query
+    built = []
+    real = oracles.stream
+
+    def counting(seed, purpose, index=0):
+        built.append((purpose, index))
+        return real(seed, purpose, index)
+
+    monkeypatch.setattr(oracles, "stream", counting)
+    p = params_deterministic(4, 1)
+    oracle = AdaptiveOracle(p, seed=3)
+    answers, streams = [], []
+    for x in (np.zeros(p.d), 0.3 * np.eye(p.d)[0], np.zeros(p.d)):
+        resp = oracle.query(x)
+        answers.append(
+            (
+                resp.affine_index,
+                np.float64(resp.value).tobytes().hex(),
+                hashlib.sha256(resp.gradient.tobytes()).hexdigest()[:16],
+            )
+        )
+        streams.append(list(built))
+    assert streams == [[("piece", 1)], [("piece", 1)], [("piece", 1), ("piece", 3)]]
+    matrix = hashlib.sha256(oracle.instance.piece_matrix.tobytes()).hexdigest()
+    assert (answers, matrix) == PINNED_PIECE_STREAM
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "randomized"])
