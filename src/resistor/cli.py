@@ -16,7 +16,7 @@ import sys
 import time
 
 from .evaluator import DEFAULT_VALUE_SAMPLES
-from .harness import AUDIT_SAMPLES, RunConfig, run_experiment, run_verification, sweep
+from .harness import AUDIT_SAMPLES, RefusedArgument, RunConfig, run_experiment, run_verification, sweep
 from .instance import DETERMINISTIC, RANDOMIZED
 from .optimizers import METHODS
 
@@ -82,6 +82,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for audit in summary.lipschitz:
         print(
             f"lipschitz order {audit.order}: max ratio {audit.max_ratio:.6g} "
+            f"({audit.n_sampled}/{audit.n_pairs} pairs sampled) "
             f"vs bound {audit.bound:.6g} ({'PASS' if audit.passed else 'FAIL'})"
         )
     if summary.invariance is not None:
@@ -193,8 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; an argument it refuses is a usage error (exit
+    status 2), any other error propagates."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except RefusedArgument as exc:
+        parser.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":

@@ -45,6 +45,12 @@ the sum of the perturbations). Queries fall in one of two regimes:
   draw (Rao-Blackwell), so it is unbiased and its variance is never
   larger. The factor (r/delta)^j keeps r. A sampled answer estimates
   its value, then each derivative order, each from its own stream.
+
+The estimators (smoothed_value_mc, smoothed_gradient_mc,
+_tensor_coords_mc) take this argument to its limit: with one contender
+the conditional expectation of any estimate is the closed form itself,
+so at an exact-affine point they return exact_answer's value, gradient
+or zero tensor with error 0, and sample only inside the tie band.
 """
 
 from __future__ import annotations
@@ -297,15 +303,16 @@ def smoothed_value_mc(
     *,
     contender_frame: ContenderFrame | None = None,
 ) -> tuple[float, float]:
-    """Unbiased Monte-Carlo estimate of the smoothed value at x.
+    """Smoothed value at x: exact_answer's value, with standard error 0,
+    at an exact-affine point, else an unbiased Monte-Carlo estimate.
 
-    Averages the shifted max-affine function over x + delta * (v_1 + ...
-    + v_k), v_j i.i.d. uniform in the unit ball of the piece span, drawn
-    in the q frame coordinates of the contenders (see the module notes).
-    Returns (estimate, standard error). Unnormalized (no norm_denom).
-    Needs n_samples >= 2: one sample has no standard error.
-    contender_frame, if given, must be _contender_frame at x; it is built
-    here otherwise.
+    The estimate averages the shifted max-affine function over x + delta
+    * (v_1 + ... + v_k), v_j i.i.d. uniform in the unit ball of the piece
+    span, drawn in the q frame coordinates of the contenders (see the
+    module notes). Returns (value, standard error). Unnormalized (no
+    norm_denom). Needs n_samples >= 2, even where exact: one sample has
+    no standard error. contender_frame, if given, must be
+    _contender_frame at x, and is sampled; it is built here otherwise.
     """
     budget = budget or MCBudget()
     params = instance.params
@@ -316,7 +323,12 @@ def smoothed_value_mc(
         raise ValueError(
             f"a Monte-Carlo value needs n_samples >= 2 for a standard error, got {budget.n_samples}"
         )
-    base, coeffs, frame = contender_frame or _contender_frame(instance, piece_values(instance, x))
+    if contender_frame is None:
+        values, idx = affine_regime(instance, x)
+        if idx is not None:
+            return float(values.shifted[idx - 1]), 0.0
+        contender_frame = _contender_frame(instance, values)
+    base, coeffs, frame = contender_frame
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
     proj = _projection(coeffs, _ball_sum(r, params.k, rng, n, frame.shape[1]), params.delta)
@@ -324,6 +336,20 @@ def smoothed_value_mc(
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     return est, stderr
+
+
+def _check_tensor_budget(instance: HardInstance, order: int, budget: MCBudget) -> None:
+    """Refuse an order-j estimate that cannot be made: no pieces, j
+    outside [1, k], or fewer than two draws of 2^j evaluations."""
+    if instance.smoothing_dim == 0:
+        raise ValueError("instance has no pieces to evaluate")
+    if not 1 <= order <= instance.params.k:
+        raise ValueError(f"order must lie in [1, {instance.params.k}]")
+    if budget.n_samples < 2 ** (order + 1):
+        raise ValueError(
+            f"an order-{order} Monte-Carlo estimate needs n_samples >= {2 ** (order + 1)} "
+            f"(two draws at {2 ** order} sign flips each), got {budget.n_samples}"
+        )
 
 
 def _tensor_coords_mc(
@@ -336,6 +362,8 @@ def _tensor_coords_mc(
 ) -> tuple[np.ndarray, float]:
     """Order-j derivative tensor of the smoothed function at x, in basis
     coordinates, by the iterated sphere identity (see the module notes).
+    At an exact-affine point it is exact, with error bound 0:
+    basis.coords(a_idx) for j = 1, the zero tensor of shape (r,) * j above.
 
     j sphere vectors drawn first, then the k - j inner ball layers, all
     in the q frame coordinates of the contenders; the tensor is estimated
@@ -351,19 +379,19 @@ def _tensor_coords_mc(
     Second moments are contracted draw by draw, so no (draws, q, q)
     array is built. Arrays are scaled and squared in place and dropped
     once used, with the bits of the allocating arithmetic.
-    Needs two draws for a standard error, so n_samples >= 2^(j+1).
-    contender_frame is as for smoothed_value_mc.
+    Needs two draws for a standard error, so n_samples >= 2^(j+1), even
+    where exact. contender_frame is as for smoothed_value_mc.
     """
     params = instance.params
-    if not 1 <= order <= params.k:
-        raise ValueError(f"order must lie in [1, {params.k}]")
-    if budget.n_samples < 2 ** (order + 1):
-        raise ValueError(
-            f"an order-{order} Monte-Carlo estimate needs n_samples >= {2 ** (order + 1)} "
-            f"(two draws at {2 ** order} sign flips each), got {budget.n_samples}"
-        )
     r = instance.smoothing_dim
-    base, coeffs, frame = contender_frame or _contender_frame(instance, piece_values(instance, x))
+    _check_tensor_budget(instance, order, budget)
+    if contender_frame is None:
+        values, idx = affine_regime(instance, x)
+        if idx is not None:
+            a = instance.piece_matrix[idx - 1]
+            return (instance.basis.coords(a) if order == 1 else np.zeros((r,) * order)), 0.0
+        contender_frame = _contender_frame(instance, values)
+    base, coeffs, frame = contender_frame
     q = frame.shape[1]
     rng = stream(budget.seed, "smooth-gradient")
     n = budget.n_samples // 2**order
@@ -407,10 +435,18 @@ def _tensor_coords_mc(
 def smoothed_gradient_mc(
     instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None
 ) -> tuple[np.ndarray, float]:
-    """Monte-Carlo gradient of the smoothed function at x, in ambient
-    coordinates (lying in the piece span). Unnormalized."""
+    """Gradient of the smoothed function at x, in ambient coordinates
+    (lying in the piece span), with its error bound. Unnormalized.
+    exact_answer's gradient, the read-only piece row a_idx, with error 0
+    at an exact-affine point; else the lifted order-1 estimate of
+    _tensor_coords_mc, whose gates run first either way."""
     budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
-    coords, err = _tensor_coords_mc(instance, x, 1, budget)
+    _check_tensor_budget(instance, 1, budget)
+    values, idx = affine_regime(instance, x)
+    if idx is not None:
+        return instance.piece_matrix[idx - 1], 0.0
+    frame = _contender_frame(instance, values)
+    coords, err = _tensor_coords_mc(instance, x, 1, budget, contender_frame=frame)
     return instance.basis.lift(coords), err
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .evaluator import (
     MCBudget,
     _tensor_coords_mc,
     affine_regime,
+    locally_affine_index,
     rescale_to_smoothness,
     smoothed_gradient_mc,
     smoothed_value_mc,
@@ -44,6 +46,21 @@ from .streams import as_integer, child_seed, stream
 # Samples per Monte-Carlo estimate in the smoothness and invariance audits.
 AUDIT_SAMPLES = 20_000
 CSV_COLUMNS = ["iter", "certified_gap", "floor", "regime", "event_e_margin", "value", "grad_norm"]
+
+
+class RefusedArgument(ValueError):
+    """An argument that run_experiment, sweep or run_verification refuses
+    before any work starts: the ValueError or TypeError of its check,
+    chained, with the same message. The CLI reports it as a usage error;
+    any later error is the run's own."""
+
+
+@contextmanager
+def _argument_checks():
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise RefusedArgument(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -74,9 +91,9 @@ class IterationRow:
 
 @dataclass
 class MinCrossCheck:
-    """Smoothed value at the witness point (exact, stderr 0, where the
-    point is exact-affine; else a Monte-Carlo estimate), against the
-    closed-form cap -1/sqrt(r) + gamma + k*delta."""
+    """Smoothed value at the witness point, from smoothed_value_mc (exact,
+    stderr 0, where the point is exact-affine; else a Monte-Carlo
+    estimate), against the closed-form cap -1/sqrt(r) + gamma + k*delta."""
 
     estimate: float
     stderr: float
@@ -116,26 +133,26 @@ def run_experiment(config: RunConfig) -> RunReport:
     Deterministic mode asserts the closed-form certificate at every
     query with no tolerance; randomized mode asserts it whenever the
     low-correlation event held. The witness-point cross-check reruns
-    once per experiment as a redundant sanity bound on the minimum. The
-    smoothed value at -sum(a_i)/sqrt(r) is f_tilde there, with stderr 0,
-    when that point is exact-affine (its argmax margin is gamma/m, above
-    2*k*delta in both schedules): every point the smoothing reaches sees
-    the one winning piece, whose average over centred balls is its value.
-    Otherwise it is a Monte-Carlo estimate.
+    once per experiment as a redundant sanity bound on the minimum. Where
+    the witness point -sum(a_i)/sqrt(r) is exact-affine (its argmax
+    margin is gamma/m, above 2*k*delta in both schedules),
+    smoothed_value_mc returns f_tilde there with stderr 0 and draws no
+    sample; otherwise it is a Monte-Carlo estimate.
     """
-    if config.mode == DETERMINISTIC:
-        params = params_deterministic(config.T, config.k)
-    elif config.mode == RANDOMIZED:
-        params = params_randomized(config.T, config.k, config.fail_prob)
-    else:
-        raise ValueError(f"unknown mode {config.mode!r}")
-    scale = 1.0
-    if config.rescale_L is not None:
-        scale = rescale_to_smoothness(config.rescale_L, config.k, config.T)
-    oracle_cls = AdaptiveOracle if config.mode == DETERMINISTIC else RandomizedOracle
-    oracle = oracle_cls(
-        params, seed=config.seed, mc_samples=config.mc_samples, rescale=scale
-    )
+    with _argument_checks():
+        if config.mode == DETERMINISTIC:
+            params = params_deterministic(config.T, config.k)
+        elif config.mode == RANDOMIZED:
+            params = params_randomized(config.T, config.k, config.fail_prob)
+        else:
+            raise ValueError(f"unknown mode {config.mode!r}")
+        scale = 1.0
+        if config.rescale_L is not None:
+            scale = rescale_to_smoothness(config.rescale_L, config.k, config.T)
+        oracle_cls = AdaptiveOracle if config.mode == DETERMINISTIC else RandomizedOracle
+        oracle = oracle_cls(
+            params, seed=config.seed, mc_samples=config.mc_samples, rescale=scale
+        )
     run_method(oracle, config.method)
     final, consistency = oracle.finalize()
 
@@ -166,13 +183,9 @@ def run_experiment(config: RunConfig) -> RunReport:
         floor_ok = all(row.certified_gap >= floor for row in rows)
 
     xhat, _ = pessimal_point(final)
-    values, idx = affine_regime(final, xhat)
-    if idx is not None:
-        est, se = values.f_tilde, 0.0
-    else:
-        est, se = smoothed_value_mc(
-            final, xhat, MCBudget(config.mc_samples, child_seed(config.seed, "min-crosscheck"))
-        )
+    est, se = smoothed_value_mc(
+        final, xhat, MCBudget(config.mc_samples, child_seed(config.seed, "min-crosscheck"))
+    )
     bound = -1.0 / math.sqrt(final.num_pieces) + params.gamma + params.k * params.delta
     crosscheck = MinCrossCheck(
         estimate=est, stderr=se, bound=bound, passed=est <= bound + 3.0 * se
@@ -240,11 +253,15 @@ def emit_report(report: RunReport, format: str, path) -> Path:
 
 @dataclass
 class LipschitzAudit:
+    """n_sampled counts the pairs with a point inside the tie band, the
+    only pairs the estimators sample; the rest are compared exactly."""
+
     order: int
     bound: float
     max_ratio: float
     max_excess: float
     n_pairs: int
+    n_sampled: int
     passed: bool
 
 
@@ -309,7 +326,9 @@ def verify_lipschitz(
     rng = stream(seed, "lipschitz-pairs", order)
     pairs = _separated_pairs(instance, n_pairs, rng)
     ratios, excesses = [], []
+    n_sampled = 0
     for p, (x, y, dist) in enumerate(pairs):
+        n_sampled += locally_affine_index(instance, x) is None or locally_affine_index(instance, y) is None
         if order == 0:
             vx, ex = smoothed_value_mc(instance, x, MCBudget(samples, child_seed(seed, "lip0x", p)))
             vy, ey = smoothed_value_mc(instance, y, MCBudget(samples, child_seed(seed, "lip0y", p)))
@@ -337,6 +356,7 @@ def verify_lipschitz(
         max_ratio=float(np.max(ratios)),
         max_excess=max_excess,
         n_pairs=len(pairs),
+        n_sampled=n_sampled,
         passed=max_excess <= bound,
     )
 
@@ -465,23 +485,24 @@ def run_verification(
 ) -> VerifySummary:
     """Run one audit suite, or all of them, on a T-piece order-k instance;
     n_pairs (pairs per Lipschitz order, points for invariance) must be at
-    least 1, checked before any audit runs."""
+    least 1. The suite, n_pairs, T and k are checked before any audit
+    runs (a RefusedArgument): the audit instance is built first for every
+    suite, the locality audit's included, whose own instance shares its
+    parameters."""
     summary = VerifySummary(suite=suite)
-    if suite not in {"lipschitz", "invariance", "locality", "all"}:
-        raise ValueError(f"unknown suite {suite!r}")
-    n_pairs = _count(n_pairs, "n_pairs")
-    if suite in {"lipschitz", "invariance", "all"}:
+    with _argument_checks():
+        if suite not in {"lipschitz", "invariance", "locality", "all"}:
+            raise ValueError(f"unknown suite {suite!r}")
+        n_pairs = _count(n_pairs, "n_pairs")
         instance = audit_instance(T, k, seed)
-        if suite in {"lipschitz", "all"}:
-            orders = [0, 1] + ([2] if k >= 2 else [])
-            summary.lipschitz = [
-                verify_lipschitz(instance, order, n_pairs=n_pairs, samples=samples, seed=seed)
-                for order in orders
-            ]
-        if suite in {"invariance", "all"}:
-            summary.invariance = verify_invariance(
-                instance, n_points=n_pairs, samples=samples, seed=seed
-            )
+    if suite in {"lipschitz", "all"}:
+        orders = [0, 1] + ([2] if k >= 2 else [])
+        summary.lipschitz = [
+            verify_lipschitz(instance, order, n_pairs=n_pairs, samples=samples, seed=seed)
+            for order in orders
+        ]
+    if suite in {"invariance", "all"}:
+        summary.invariance = verify_invariance(instance, n_points=n_pairs, samples=samples, seed=seed)
     if suite in {"locality", "all"}:
         summary.locality = verify_locality(T, k, seed)
     return summary
@@ -517,7 +538,8 @@ def sweep(config: RunConfig, n_seeds: int) -> SweepReport:
     the low-correlation event held clears (1 - fail_prob) minus three
     binomial standard deviations. n_seeds must be at least 1.
     """
-    n_seeds = _count(n_seeds, "n_seeds")
+    with _argument_checks():
+        n_seeds = _count(n_seeds, "n_seeds")
     outcomes = []
     for offset in range(n_seeds):
         report = run_experiment(replace(config, seed=config.seed + offset, out=None))

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from resistor import evaluator
@@ -13,6 +13,7 @@ from resistor.evaluator import (
     MCBudget,
     _sum_law,
     _tensor_coords_mc,
+    affine_regime,
     contenders,
     exact_answer,
     locally_affine_index,
@@ -25,7 +26,7 @@ from resistor.evaluator import (
     suboptimality_certificate,
     two_piece_answer,
 )
-from resistor.geometry import OrthonormalBasis, perp_component
+from resistor.geometry import OrthonormalBasis, perp_component, sample_ball
 from resistor.harness import RunConfig, audit_instance, run_experiment
 from resistor.instance import (
     DETERMINISTIC,
@@ -364,8 +365,8 @@ class TestSmoothedValue:
         x = 0.4 * unit(p.d, 0) - 0.2 * unit(p.d, 1)
         exact = piece_values(inst, x).f_tilde
         est, se = smoothed_value_mc(inst, x, MCBudget(20_000, 5))
-        assert se > 0
-        assert abs(est - exact) <= 4 * se
+        # one piece is its own smoothing: the closed form, not a sample
+        assert est == exact and se == 0.0
 
     def test_abs_kink_half_delta(self):
         p = params_deterministic(4, 1)
@@ -436,6 +437,81 @@ def test_gradient_bits_pinned(k):
     coords, error = PINNED_GRADIENTS[k]
     assert [float(v).hex() for v in g] == coords
     assert float(err).hex() == error
+
+
+class _WorkStarted(Exception):
+    """Raised by a patched evaluator name: work began where none should."""
+
+
+def _refuse_work(*args, **kwargs):
+    raise _WorkStarted
+
+
+def _exact_affine_point(T: int, k: int, seed: int):
+    """A standard completed instance, a point of its unit ball and the
+    point's affine_regime. params_deterministic refuses T = 2, so T >= 3."""
+    inst = audit_instance(T, k, seed)
+    x = sample_ball(inst.basis.dim, stream(seed, "exact-affine-point"))
+    return inst, x, *affine_regime(inst, x)
+
+
+@given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 2**31), st.sampled_from([2, 20_000]))
+@settings(max_examples=60, deadline=None)
+def test_estimators_answer_exact_affine_points_in_closed_form(T, k, seed, scale):
+    inst, x, values, idx = _exact_affine_point(T, k, seed)
+    assume(idx is not None)
+    row = inst.piece_matrix[idx - 1]
+    budget = MCBudget(scale * 2 ** (k + 1), seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "stream", _refuse_work)  # no sample is drawn
+        value, value_err = smoothed_value_mc(inst, x, budget)
+        grad, grad_err = smoothed_gradient_mc(inst, x, budget)
+        tensors = [_tensor_coords_mc(inst, x, j, budget) for j in range(1, k + 1)]
+    assert np.float64(value).tobytes() == values.shifted[idx - 1].tobytes()
+    assert grad.tobytes() == row.tobytes()
+    assert tensors[0][0].tobytes() == inst.basis.coords(row).tobytes()
+    for j, (tensor, _) in enumerate(tensors[1:], start=2):
+        assert tensor.shape == (inst.smoothing_dim,) * j and not tensor.any()
+    assert value_err == grad_err == 0.0
+    assert all(err == 0.0 for _, err in tensors)
+
+
+@given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 2**31), st.data())
+@settings(max_examples=40, deadline=None)
+def test_gates_refuse_an_exact_affine_point_before_any_work(T, k, seed, data):
+    inst, x, _, idx = _exact_affine_point(T, k, seed)
+    assume(idx is not None)
+    order = data.draw(st.integers(1, k))
+    bad_order = data.draw(st.sampled_from([0, k + 1]))
+    empty = HardInstance.empty(inst.params)
+    many = MCBudget(1_000, seed)
+    gates = [
+        (lambda: smoothed_value_mc(inst, x, MCBudget(1, seed)), "n_samples >= 2"),
+        (lambda: smoothed_gradient_mc(inst, x, MCBudget(3, seed)), "n_samples >= 4"),
+        (
+            lambda: _tensor_coords_mc(inst, x, order, MCBudget(2 ** (order + 1) - 1, seed)),
+            f"n_samples >= {2 ** (order + 1)}",
+        ),
+        (lambda: _tensor_coords_mc(inst, x, bad_order, many), "order must lie"),
+        (lambda: smoothed_value_mc(empty, x, many), "no pieces"),
+        (lambda: smoothed_gradient_mc(empty, x, many), "no pieces"),
+        (lambda: _tensor_coords_mc(empty, x, order, many), "no pieces"),
+    ]
+    late = ("affine_regime", "piece_values", "_contender_frame", "stream")
+    with pytest.MonkeyPatch.context() as patch:
+        for name in late:
+            patch.setattr(evaluator, name, _refuse_work)
+        for call, message in gates:
+            with pytest.raises(ValueError, match=message):
+                call()
+    # the dimension check is piece_values' own: only later work is patched
+    wide = np.append(x, 0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in late[2:]:
+            patch.setattr(evaluator, name, _refuse_work)
+        for call in (smoothed_value_mc, smoothed_gradient_mc, partial(_tensor_coords_mc, order=order)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                call(inst, wide, budget=many)
 
 
 class TestDerivativeTensors:

@@ -216,6 +216,21 @@ class TestLipschitzAuditFailsClosed:
         audit = verify_lipschitz(audit_instance(4, 1), 0, n_pairs=3, samples=64, seed=0)
         assert math.isnan(audit.max_ratio)
 
+    def test_n_sampled_counts_the_pairs_the_estimators_sampled(self, monkeypatch):
+        # an exact-affine point is answered with error 0, a sampled one not
+        errors = []
+        real = harness.smoothed_value_mc
+
+        def recording(*args, **kwargs):
+            value, err = real(*args, **kwargs)
+            errors.append(err)
+            return value, err
+
+        monkeypatch.setattr(harness, "smoothed_value_mc", recording)
+        audit = verify_lipschitz(audit_instance(9, 2), 0, n_pairs=30, samples=2_000, seed=0)
+        sampled = sum(ex > 0.0 or ey > 0.0 for ex, ey in zip(errors[::2], errors[1::2]))
+        assert audit.n_sampled == sampled and 0 < sampled < audit.n_pairs
+
     def test_no_pairs_is_refused(self):
         # an audit of zero pairs has no evidence to pass on
         with pytest.raises(ValueError, match="n_pairs must be at least 1, got 0"):
@@ -379,10 +394,13 @@ class TestCLI:
         assert capsys.readouterr().out.splitlines()[-1] == "grid: 2 failures"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-    def test_rescale_target_must_be_positive_and_finite(self, value):
-        # nan and inf used to pass and fail only at the query gate
-        with pytest.raises(ValueError, match="L_target"):
+    def test_rescale_target_must_be_positive_and_finite(self, value, capsys):
+        # nan and inf used to pass and fail only at the query gate; a
+        # refused target is a usage error naming it
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["run", "--mode", "det", "--T", "4", "--k", "1", "--rescale-L", value])
+        assert exit_info.value.code == 2
+        assert "L_target" in capsys.readouterr().err
 
     def test_psg_step_at_the_largest_rescale_stays_on_the_sphere(self, tmp_path):
         # at --rescale-L 1e308 the squared norm of the first step overflows;
@@ -478,9 +496,14 @@ def test_every_gate_refuses_what_it_cannot_count_on(data):
         (["verify", "--suite", "lipschitz", "--T", "4", "--pairs", "0"], "n_pairs"),
         (["verify", "--suite", "all", "--T", "4", "--pairs", "-3"], "n_pairs"),
         (["sweep", "--seeds", "0", "--T", "4"], "n_seeds"),
+        (["run", "--T", "4", "--k", "1", "--rescale-L", "nan"], "L_target"),
+        (["verify", "--suite", "locality", "--T", "0"], "T and k"),
     ],
 )
 def test_cli_refuses_an_empty_audit_or_sweep(capsys, argv, name):
-    with pytest.raises(ValueError, match=name):
+    # a usage error (exit status 2) naming the argument, not a traceback
+    with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
-    assert "PASS" not in capsys.readouterr().out
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert name in err and "PASS" not in out
