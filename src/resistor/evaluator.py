@@ -4,15 +4,16 @@ version, with derivatives.
 The smoothed function is the expectation of the max-affine function over
 k independent radius-delta ball perturbations inside the span of the
 piece directions (iterated smoothing collapses to one expectation over
-the sum of the perturbations). Queries fall in one of two regimes:
+the sum of the perturbations). The contenders at x (contenders) are the
+pieces within 2*k*delta of the top, the only ones that can win anywhere
+the smoothing reaches. Their count is the regime, the one test
+regime_answer and the estimators dispatch on:
 
-* exact_affine: one piece wins the max by a margin greater than
-  2*k*delta. Each piece is 1-Lipschitz, so every point the smoothing
-  can touch sees the same single affine piece, and value, gradient and
-  all higher derivatives are closed-form (higher orders are zero).
-* monte_carlo: inside the tie band, where two or more pieces contend.
-  The contenders are the pieces within 2*k*delta of the top at x: only
-  they can win anywhere the smoothing reaches.
+* exact_affine: one contender, winning the max by more than 2*k*delta.
+  Each piece is 1-Lipschitz, so every point the smoothing can touch
+  sees the same single affine piece, and value, gradient and all
+  higher derivatives are closed-form (higher orders are zero).
+* monte_carlo: two or more contenders, inside the tie band.
 
   Two contenders at k <= 2 are answered in closed form
   (two_piece_answer). With p the top piece, c the difference of the two
@@ -202,63 +203,50 @@ def piece_values(instance: HardInstance, x: np.ndarray) -> PieceValues:
     return PieceValues(linear=linear, shifted=linear + instance.piece_shifts)
 
 
-def locally_affine_index(
-    instance: HardInstance, x: np.ndarray, values: PieceValues | None = None
-) -> int | None:
-    """Index (1-based) of the unique argmax piece if its margin over every
-    other piece strictly exceeds 2*k*delta, else None.
-
-    Each piece is 1-Lipschitz, so this margin keeps the argmax constant
-    on the radius-(k*delta) ball the smoothing averages over; ties and
-    boundary (margin exactly 2*k*delta) go to Monte Carlo. values, if
-    given, must be piece_values(instance, x). The runner-up is the max of
-    the two slices around the argmax, views rather than a copy.
-    """
-    if instance.num_pieces == 0:
-        return None
-    shifted = (piece_values(instance, x) if values is None else values).shifted
-    j = int(np.argmax(shifted))
-    if instance.num_pieces == 1:
-        return 1
-    runner_up = max(shifted[:j].max(initial=-np.inf), shifted[j + 1:].max(initial=-np.inf))
-    margin = shifted[j] - runner_up
-    threshold = 2.0 * instance.params.k * instance.params.delta
-    return j + 1 if margin > threshold else None
-
-
-def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, int | None]:
-    """Piece values at x and locally_affine_index there, from one pass
-    over the pieces; the values are what exact_answer and the
-    certificate need."""
-    values = piece_values(instance, x)
-    return values, locally_affine_index(instance, x, values)
-
-
 def contenders(instance: HardInstance, values: PieceValues) -> np.ndarray:
     """Indices (0-based) of the pieces that can win the max somewhere the
     smoothing reaches: those not more than 2*k*delta below the top.
 
     Every smoothing perturbation has norm at most k*delta and each piece
     is 1-Lipschitz, so a piece further below never attains the max. The
-    comparison is locally_affine_index's: an exact-affine point has
-    exactly one contender, and a NaN keeps every piece. values must be
-    piece_values(instance, x).
+    regime is the contender count: one at an exact-affine point, more in
+    the tie band (a tie, a margin of exactly 2*k*delta, a NaN, which keeps
+    every piece). values must be piece_values(instance, x), pieces >= 1.
     """
     shifted = values.shifted
     band = 2.0 * instance.params.k * instance.params.delta
     return np.flatnonzero(~(shifted.max() - shifted > band))
 
 
+def locally_affine_index(
+    instance: HardInstance, x: np.ndarray, values: PieceValues | None = None
+) -> int | None:
+    """Index (1-based) of the sole contender at x (see contenders), the
+    piece that wins by more than 2*k*delta, else None, as for an instance
+    without pieces. values, if given, must be piece_values(instance, x)."""
+    if instance.num_pieces == 0:
+        return None
+    keep = contenders(instance, piece_values(instance, x) if values is None else values)
+    return int(keep[0]) + 1 if len(keep) == 1 else None
+
+
+def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, np.ndarray]:
+    """Piece values at x and the contenders there, from one pass over the
+    pieces: the values are what every answer and the certificate need,
+    the contenders decide which answer (see regime_answer)."""
+    values = piece_values(instance, x)
+    return values, contenders(instance, values)
+
+
 ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _contender_frame(instance: HardInstance, values: PieceValues) -> ContenderFrame:
-    """The contenders at x: their shifted values, their coordinates in the
-    frame Q, and Q itself (r x q, orthonormal columns), the reduced QR
+def _contender_frame(instance: HardInstance, values: PieceValues, keep: np.ndarray) -> ContenderFrame:
+    """The contenders keep at x: their shifted values, their coordinates in
+    the frame Q, and Q itself (r x q, orthonormal columns), the reduced QR
     factor of their coordinates, so q = min(contenders, r). Only the
     contenders' coordinates are computed, each row as basis.coords of its
-    piece. values must be piece_values(instance, x)."""
-    keep = contenders(instance, values)
+    piece. (values, keep) must be affine_regime(instance, x)."""
     coords = np.array([instance.basis.coords(instance.piece_matrix[i]) for i in keep])
     frame, _ = np.linalg.qr(coords.T)
     return values.shifted[keep], coords @ frame, frame
@@ -324,10 +312,10 @@ def smoothed_value_mc(
             f"a Monte-Carlo value needs n_samples >= 2 for a standard error, got {budget.n_samples}"
         )
     if contender_frame is None:
-        values, idx = affine_regime(instance, x)
-        if idx is not None:
-            return float(values.shifted[idx - 1]), 0.0
-        contender_frame = _contender_frame(instance, values)
+        values, keep = affine_regime(instance, x)
+        if len(keep) == 1:
+            return float(values.shifted[keep[0]]), 0.0
+        contender_frame = _contender_frame(instance, values, keep)
     base, coeffs, frame = contender_frame
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
@@ -361,9 +349,27 @@ def _tensor_coords_mc(
     contender_frame: ContenderFrame | None = None,
 ) -> tuple[np.ndarray, float]:
     """Order-j derivative tensor of the smoothed function at x, in basis
-    coordinates, by the iterated sphere identity (see the module notes).
-    At an exact-affine point it is exact, with error bound 0:
-    basis.coords(a_idx) for j = 1, the zero tensor of shape (r,) * j above.
+    coordinates, with its error bound: exact at an exact-affine point,
+    basis.coords(a_idx) for j = 1 and the zero tensor above with error 0,
+    else _sampled_tensor_coords. The gates of _check_tensor_budget run
+    first either way. contender_frame is as for smoothed_value_mc."""
+    _check_tensor_budget(instance, order, budget)
+    if contender_frame is None:
+        values, keep = affine_regime(instance, x)
+        if len(keep) == 1:
+            a = instance.piece_matrix[keep[0]]
+            zero = np.zeros((instance.smoothing_dim,) * order)
+            return (instance.basis.coords(a) if order == 1 else zero), 0.0
+        contender_frame = _contender_frame(instance, values, keep)
+    return _sampled_tensor_coords(instance, order, budget, contender_frame)
+
+
+def _sampled_tensor_coords(
+    instance: HardInstance, order: int, budget: MCBudget, contender_frame: ContenderFrame
+) -> tuple[np.ndarray, float]:
+    """The sampled order-j derivative tensor over contender_frame, in basis
+    coordinates, by the iterated sphere identity (see the module notes);
+    budget has passed _check_tensor_budget.
 
     j sphere vectors drawn first, then the k - j inner ball layers, all
     in the q frame coordinates of the contenders; the tensor is estimated
@@ -379,18 +385,9 @@ def _tensor_coords_mc(
     Second moments are contracted draw by draw, so no (draws, q, q)
     array is built. Arrays are scaled and squared in place and dropped
     once used, with the bits of the allocating arithmetic.
-    Needs two draws for a standard error, so n_samples >= 2^(j+1), even
-    where exact. contender_frame is as for smoothed_value_mc.
     """
     params = instance.params
     r = instance.smoothing_dim
-    _check_tensor_budget(instance, order, budget)
-    if contender_frame is None:
-        values, idx = affine_regime(instance, x)
-        if idx is not None:
-            a = instance.piece_matrix[idx - 1]
-            return (instance.basis.coords(a) if order == 1 else np.zeros((r,) * order)), 0.0
-        contender_frame = _contender_frame(instance, values)
     base, coeffs, frame = contender_frame
     q = frame.shape[1]
     rng = stream(budget.seed, "smooth-gradient")
@@ -439,14 +436,14 @@ def smoothed_gradient_mc(
     (lying in the piece span), with its error bound. Unnormalized.
     exact_answer's gradient, the read-only piece row a_idx, with error 0
     at an exact-affine point; else the lifted order-1 estimate of
-    _tensor_coords_mc, whose gates run first either way."""
+    _sampled_tensor_coords. The gates of _check_tensor_budget run first
+    either way."""
     budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
     _check_tensor_budget(instance, 1, budget)
-    values, idx = affine_regime(instance, x)
-    if idx is not None:
-        return instance.piece_matrix[idx - 1], 0.0
-    frame = _contender_frame(instance, values)
-    coords, err = _tensor_coords_mc(instance, x, 1, budget, contender_frame=frame)
+    values, keep = affine_regime(instance, x)
+    if len(keep) == 1:
+        return instance.piece_matrix[keep[0]], 0.0
+    coords, err = _sampled_tensor_coords(instance, 1, budget, _contender_frame(instance, values, keep))
     return instance.basis.lift(coords), err
 
 
@@ -455,19 +452,33 @@ def oracle_answer(
     x: np.ndarray,
     budget: MCBudget | Callable[[], MCBudget] | None = None,
 ) -> OracleResponse:
-    """Full derivative-oracle answer at x, normalized by norm_denom.
-
-    Exact-affine queries are answered in closed form (exact_answer),
-    others by tie_answer.
-    """
+    """Full derivative-oracle answer at x, normalized by norm_denom: the
+    regime_answer of affine_regime at x, a query of the unit ball."""
     x = np.asarray(x, dtype=float)
     norm = np.linalg.norm(x)
     if not (norm <= 1.0 + QUERY_NORM_SLACK):
         raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
-    values, idx = affine_regime(instance, x)
-    if idx is not None:
-        return exact_answer(instance, values, idx)
-    return tie_answer(instance, x, values, budget)
+    return regime_answer(instance, x, *affine_regime(instance, x), budget)
+
+
+def regime_answer(
+    instance: HardInstance,
+    x: np.ndarray,
+    values: PieceValues,
+    keep: np.ndarray,
+    budget: MCBudget | Callable[[], MCBudget] | None = None,
+) -> OracleResponse:
+    """The answer at x that its contender count calls for: exact_answer
+    for one contender, two_piece_answer for two at k <= 2, else
+    monte_carlo_answer. A callable budget is called only for the last, so
+    no other answer derives one. (values, keep) must be
+    affine_regime(instance, x)."""
+    if len(keep) == 1:
+        return exact_answer(instance, values, int(keep[0]) + 1)
+    if len(keep) == 2 and instance.params.k <= 2:
+        return two_piece_answer(instance, values, keep)
+    budget = budget() if callable(budget) else budget
+    return monte_carlo_answer(instance, x, budget, _contender_frame(instance, values, keep))
 
 
 def exact_answer(instance: HardInstance, values: PieceValues, idx: int) -> OracleResponse:
@@ -488,22 +499,6 @@ def exact_answer(instance: HardInstance, values: PieceValues, idx: int) -> Oracl
         value_stderr=0.0,
         gradient_error=0.0,
     )
-
-
-def tie_answer(
-    instance: HardInstance,
-    x: np.ndarray,
-    values: PieceValues,
-    budget: MCBudget | Callable[[], MCBudget] | None = None,
-) -> OracleResponse:
-    """Answer inside the tie band: two_piece_answer when exactly two
-    pieces contend and k <= 2, else monte_carlo_answer. A callable budget
-    is called only for the latter, so no other answer derives one.
-    values must be piece_values(instance, x)."""
-    pair = contenders(instance, values)
-    if len(pair) == 2 and instance.params.k <= 2:
-        return two_piece_answer(instance, values, pair)
-    return monte_carlo_answer(instance, x, budget() if callable(budget) else budget, values)
 
 
 @functools.cache
@@ -682,7 +677,7 @@ def monte_carlo_answer(
     instance: HardInstance,
     x: np.ndarray,
     budget: MCBudget | None = None,
-    values: PieceValues | None = None,
+    contender_frame: ContenderFrame | None = None,
 ) -> OracleResponse:
     """Sampled answer for a query inside the tie band.
 
@@ -690,22 +685,23 @@ def monte_carlo_answer(
     function evaluations, each estimate on its own stream (child seeds
     "value", "gradient", ("tensor", j) of the budget seed); every order
     comes from _tensor_coords_mc. All of them share one contender frame,
-    built from values (piece_values(instance, x), computed here if not
-    given). The value is estimated first, so an error it raises wins over
-    a derivative error.
+    contender_frame (as for smoothed_value_mc; built here if not given).
+    The value is estimated first, so an error it raises wins over a
+    derivative error.
     """
     params = instance.params
     denom = params.norm_denom
     budget = budget or MCBudget()
-    frame = _contender_frame(instance, piece_values(instance, x) if values is None else values)
+    if contender_frame is None:
+        contender_frame = _contender_frame(instance, *affine_regime(instance, x))
     value_budget = MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
-    value, stderr = smoothed_value_mc(instance, x, value_budget, contender_frame=frame)
+    value, stderr = smoothed_value_mc(instance, x, value_budget, contender_frame=contender_frame)
     grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
-    coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget, contender_frame=frame)
+    coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget, contender_frame=contender_frame)
     higher = []
     for j in range(2, params.k + 1):
         tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
-        tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget, contender_frame=frame)
+        tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget, contender_frame=contender_frame)
         higher.append(HigherDerivative(j, tensor / denom, terr / denom))
     return OracleResponse(
         value=value / denom,

@@ -137,7 +137,8 @@ def run_experiment(config: RunConfig) -> RunReport:
     the witness point -sum(a_i)/sqrt(r) is exact-affine (its argmax
     margin is gamma/m, above 2*k*delta in both schedules),
     smoothed_value_mc returns f_tilde there with stderr 0 and draws no
-    sample; otherwise it is a Monte-Carlo estimate.
+    sample; otherwise it is a Monte-Carlo estimate on the stream
+    (config.seed, "smooth-value"), which no other stream of the run uses.
     """
     with _argument_checks():
         if config.mode == DETERMINISTIC:
@@ -183,9 +184,7 @@ def run_experiment(config: RunConfig) -> RunReport:
         floor_ok = all(row.certified_gap >= floor for row in rows)
 
     xhat, _ = pessimal_point(final)
-    est, se = smoothed_value_mc(
-        final, xhat, MCBudget(config.mc_samples, child_seed(config.seed, "min-crosscheck"))
-    )
+    est, se = smoothed_value_mc(final, xhat, MCBudget(config.mc_samples, config.seed))
     bound = -1.0 / math.sqrt(final.num_pieces) + params.gamma + params.k * params.delta
     crosscheck = MinCrossCheck(
         estimate=est, stderr=se, bound=bound, passed=est <= bound + 3.0 * se
@@ -402,12 +401,12 @@ def verify_invariance(
         y = y / norm * rng.random()
         c = max(1.0, float(np.linalg.norm(x + y)))
         a, b = x / c, (x + y) / c
-        values_a, ia = affine_regime(instance, a)
-        values_b, ib = affine_regime(instance, b)
-        if ia is not None and ib is not None:
+        values_a, keep_a = affine_regime(instance, a)
+        values_b, keep_b = affine_regime(instance, b)
+        if len(keep_a) == len(keep_b) == 1:
             diff = abs(values_a.f_tilde - values_b.f_tilde)
             max_exact_diff = max(max_exact_diff, diff)
-            ok = ok and ia == ib and diff <= 1e-10
+            ok = ok and np.array_equal(keep_a, keep_b) and diff <= 1e-10
             n_exact += 1
         else:
             va, ea = smoothed_value_mc(instance, a, MCBudget(samples, child_seed(seed, "inv-a", p)))
@@ -485,7 +484,9 @@ def run_verification(
 ) -> VerifySummary:
     """Run one audit suite, or all of them, on a T-piece order-k instance;
     n_pairs (pairs per Lipschitz order, points for invariance) must be at
-    least 1. The suite, n_pairs, T and k are checked before any audit
+    least 1, samples (per estimate) what the estimates take: 2^(j+1) at
+    Lipschitz order j = min(k, 2), 2 for invariance, none for locality.
+    The suite, n_pairs, T, k and samples are checked before any audit
     runs (a RefusedArgument): the audit instance is built first for every
     suite, the locality audit's included, whose own instance shares its
     parameters."""
@@ -495,8 +496,12 @@ def run_verification(
             raise ValueError(f"unknown suite {suite!r}")
         n_pairs = _count(n_pairs, "n_pairs")
         instance = audit_instance(T, k, seed)
-    if suite in {"lipschitz", "all"}:
+        samples = as_integer(samples, "samples")
         orders = [0, 1] + ([2] if k >= 2 else [])
+        least = {"locality": -math.inf, "invariance": 2}.get(suite, 2 ** (orders[-1] + 1))
+        if samples < least:
+            raise ValueError(f"samples must be at least {least} for the {suite} suite, got {samples}")
+    if suite in {"lipschitz", "all"}:
         summary.lipschitz = [
             verify_lipschitz(instance, order, n_pairs=n_pairs, samples=samples, seed=seed)
             for order in orders

@@ -29,10 +29,9 @@ from .evaluator import (
     MCBudget,
     OracleResponse,
     affine_regime,
-    exact_answer,
     locally_affine_index,  # noqa: F401 - a name perfbench/tracer.py wraps
     oracle_answer,
-    tie_answer,
+    regime_answer,
 )
 from .geometry import random_orthonormal_basis, vector_norm
 from .instance import (
@@ -166,27 +165,25 @@ def replay_consistency(
 ) -> ConsistencyReport:
     """Replay every recorded query against `instance` and compare.
 
-    Exact-affine pairs must match bit for bit. A recorded answer inside
-    the tie band is re-run through tie_answer (closed form, or sampled on
-    the same streams) only for a randomized-mode transcript, whose
-    records were all answered by `instance` itself; under the adaptive
-    protocol the partial and final instances smooth over different
-    subspace sizes, so such records are flagged instead.
+    A record whose regime the replay contradicts is a regime_mismatch.
+    Otherwise the query is answered again through regime_answer, the
+    dispatch that answered it (sampling on the same streams), and the two
+    answers must match bit for bit. Only a tie-band record of an adaptive
+    transcript is flagged monte_carlo_regime instead: the partial and
+    final instances smooth over different subspace sizes, while every
+    randomized-mode record was answered by `instance` itself.
     """
     replay_ties = transcript.mode == RANDOMIZED
     entries = []
     for rec in transcript.records:
-        values, idx = affine_regime(instance, rec.x)
-        recorded = rec.response
-        if (recorded.affine_index is None) != (idx is None):
+        values, keep = affine_regime(instance, rec.x)
+        exact = len(keep) == 1
+        if (rec.response.affine_index is not None) != exact:
             reason = "regime_mismatch"
-        elif idx is not None:
-            replayed = exact_answer(instance, values, idx).scaled(rescale)
-            reason = _responses_equal(recorded, replayed)
-        elif replay_ties:
+        elif exact or replay_ties:
             budget = partial(_mc_budget, mc_samples, seed, rec.index)
-            replayed = tie_answer(instance, rec.x, values, budget).scaled(rescale)
-            reason = _responses_equal(recorded, replayed)
+            replayed = regime_answer(instance, rec.x, values, keep, budget).scaled(rescale)
+            reason = _responses_equal(rec.response, replayed)
         else:
             reason = "monte_carlo_regime"
         entries.append(ReplayEntry(rec.index, reason, values.f_tilde))

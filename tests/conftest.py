@@ -30,6 +30,25 @@ def plane_instance() -> HardInstance:
     return HardInstance.from_basis(params, basis)
 
 
+def reference_locally_affine_index(
+    instance: HardInstance, x: np.ndarray, values=None
+) -> int | None:
+    """The regime test by argmax and runner-up: the 1-based index of the
+    unique argmax piece if its margin over every other piece strictly
+    exceeds 2*k*delta, else None (a NaN margin included). The reference
+    for evaluator.locally_affine_index and contenders."""
+    if instance.num_pieces == 0:
+        return None
+    shifted = (piece_values(instance, x) if values is None else values).shifted
+    j = int(np.argmax(shifted))
+    if instance.num_pieces == 1:
+        return 1
+    runner_up = max(shifted[:j].max(initial=-np.inf), shifted[j + 1:].max(initial=-np.inf))
+    margin = shifted[j] - runner_up
+    threshold = 2.0 * instance.params.k * instance.params.delta
+    return j + 1 if margin > threshold else None
+
+
 def abs_instance(params) -> HardInstance:
     """Two-piece |a.x| fixture: pieces {a, -a}, zero shifts, 1-dim span."""
     a = unit(params.d, 0)

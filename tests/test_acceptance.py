@@ -11,7 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from resistor.evaluator import MCBudget, rescale_to_smoothness, smoothed_gradient_mc, smoothed_value_mc
+from resistor.evaluator import (
+    MCBudget,
+    _contender_frame,
+    affine_regime,
+    rescale_to_smoothness,
+    smoothed_gradient_mc,
+    smoothed_value_mc,
+)
 from resistor.geometry import OrthonormalBasis
 from resistor.harness import RunConfig, audit_instance, run_experiment, sweep, verify_lipschitz
 from resistor.instance import DETERMINISTIC, RANDOMIZED, HardInstance, params_deterministic, pessimal_point
@@ -106,8 +113,13 @@ def _bias_trial_failures(instance, seed_base: int) -> int:
     for trial in range(100):
         x = rng.standard_normal(instance.params.d)
         x /= max(1.0, 2.0 * np.linalg.norm(x))
-        exact = piece_values(instance, x).f_tilde
-        est, se = smoothed_value_mc(instance, x, MCBudget(2_000, seed=seed_base + trial))
+        values, keep = affine_regime(instance, x)
+        exact = values.f_tilde
+        # the one-contender frame is sampled, where the estimator alone
+        # would return the closed form
+        frame = _contender_frame(instance, values, keep)
+        budget = MCBudget(2_000, seed=seed_base + trial)
+        est, se = smoothed_value_mc(instance, x, budget, contender_frame=frame)
         if abs(est - exact) > 4.0 * se:
             failures += 1
     return failures

@@ -11,6 +11,8 @@ from resistor.evaluator import (
     EXACT_AFFINE,
     MONTE_CARLO,
     MCBudget,
+    PieceValues,
+    _contender_frame,
     _sum_law,
     _tensor_coords_mc,
     affine_regime,
@@ -47,6 +49,7 @@ from conftest import (
     dense_tensor_coords_mc,
     dense_value_mc,
     fd_gradient_crn,
+    reference_locally_affine_index,
     three_way_tie,
     unit,
 )
@@ -180,6 +183,34 @@ class TestLocallyAffineIndex:
         p = params_deterministic(4, 1)
         inst = HardInstance.from_basis(p, OrthonormalBasis(unit(p.d, 0)[None, :]))
         assert locally_affine_index(inst, np.zeros(p.d)) == 1
+
+
+@given(st.integers(0, 6), st.integers(1, 3), st.sampled_from([1 / 64, 0.01, 1e-3 / 3]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_regime_is_the_argmax_margin_test(n, k, delta, data):
+    # the contender count against the argmax and runner-up test it
+    # replaced, on shifted vectors with NaN, infinities and exact ties, and
+    # with a margin of exactly 2*k*delta or one ulp either side
+    T = max(n, 1)
+    params = InstanceParams(T=T, k=k, m=T, d=n + 1, gamma=0.25, delta=delta, mode=DETERMINISTIC)
+    inst = HardInstance.from_basis(params, OrthonormalBasis(np.eye(n + 1)[:n]))
+    band = 2.0 * k * delta
+    special = [0.0, 1.0, band, -band, math.nan, math.inf, -math.inf]
+    element = st.one_of(st.floats(), st.sampled_from(special))
+    shifted = np.array(data.draw(st.lists(element, min_size=n, max_size=n)), dtype=float)
+    if n >= 2 and data.draw(st.booleans()):
+        margin = data.draw(st.sampled_from([band, np.nextafter(band, math.inf), np.nextafter(band, 0.0)]))
+        top, runner = data.draw(st.sampled_from([(margin, 0.0), (0.0, -margin)]))
+        assert top - runner == margin
+        below = st.one_of(st.floats(max_value=runner), st.sampled_from([runner, -math.inf]))
+        shifted = np.array([top, runner] + data.draw(st.lists(below, min_size=n - 2, max_size=n - 2)))
+        shifted = shifted[data.draw(st.permutations(range(n)))]
+    values = PieceValues(linear=shifted, shifted=shifted)
+    with np.errstate(invalid="ignore"):  # inf - inf and NaN are drawn on purpose
+        expected = reference_locally_affine_index(inst, None, values)
+        assert locally_affine_index(inst, None, values) == expected
+        if n:
+            assert (len(contenders(inst, values)) == 1) == (expected is not None)
 
 
 def _lattice_instance(k: int) -> HardInstance:
@@ -378,9 +409,13 @@ class TestSmoothedValue:
         x = np.array([0.5, 0.0, 0.0])
         idx = locally_affine_index(plane_instance, x)
         assert idx == 1
-        closed = piece_values(plane_instance, x).shifted[idx - 1]
-        est, se = smoothed_value_mc(plane_instance, x, MCBudget(30_000, 2))
-        assert abs(est - closed) <= 3 * se
+        values, keep = affine_regime(plane_instance, x)
+        closed = values.shifted[idx - 1]
+        # the one-contender frame is sampled, where the estimator alone
+        # would return the closed form
+        frame = _contender_frame(plane_instance, values, keep)
+        est, se = smoothed_value_mc(plane_instance, x, MCBudget(30_000, 2), contender_frame=frame)
+        assert se > 0 and abs(est - closed) <= 3 * se
 
     def test_one_sample_refused(self, plane_instance):
         # one sample has no standard error; it must not report 0
@@ -448,11 +483,13 @@ def _refuse_work(*args, **kwargs):
 
 
 def _exact_affine_point(T: int, k: int, seed: int):
-    """A standard completed instance, a point of its unit ball and the
-    point's affine_regime. params_deterministic refuses T = 2, so T >= 3."""
+    """A standard completed instance, a point of its unit ball, the
+    point's piece values and its locally_affine_index. params_deterministic
+    refuses T = 2, so T >= 3."""
     inst = audit_instance(T, k, seed)
     x = sample_ball(inst.basis.dim, stream(seed, "exact-affine-point"))
-    return inst, x, *affine_regime(inst, x)
+    values, _ = affine_regime(inst, x)
+    return inst, x, values, locally_affine_index(inst, x, values)
 
 
 @given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 2**31), st.sampled_from([2, 20_000]))

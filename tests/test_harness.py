@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -142,6 +143,43 @@ class TestEmitReport:
             emit_report(_empty_report(), "xml", tmp_path / "r.xml")
 
 
+# SHA-256 of the CSV report and of the transcript of run_experiment at seed
+# 0: any change to an answer, a certificate or the emitted format shows
+# here. Randomized agd at T = 100 has one answer with two contenders.
+PINNED_RUNS = {
+    (DETERMINISTIC, 9, 1, "psg"): (
+        "733b901da1fabd6c248d5f1d3c64c5c90f4c557d4d1fd034019f825efc18169d",
+        "30d37114a229691aa9d8072a4567ac3d6e13be867f3a02d12f97804f8196528f",
+    ),
+    (DETERMINISTIC, 9, 2, "cubic"): (
+        "cf0e55e357021e49bff9327739605301f39bc28112f4e90bd40c8ac3c49b16d3",
+        "9f1989b96a5ad16f497b08e025c28c25586cdda1aa81f3cc34c3245c7dad0c38",
+    ),
+    (DETERMINISTIC, 16, 1, "agd"): (
+        "d2c17738fceae1ce6c63772346124395436f71d15826fade4dc25e198384b4e6",
+        "805c8709c58a43bd339b44a9a12a0a3ead8fd7fd43cbadc51a9cf970a7d20b7f",
+    ),
+    (RANDOMIZED, 9, 1, "psg"): (
+        "1692dad9954169161a28388cbf9057b130adb5c65869a33a0e53d4d2a06e654d",
+        "61f4be34ba4905488ae69b1020208ebacf1395dc81dd451cc837f5e229724ac6",
+    ),
+    (RANDOMIZED, 100, 1, "agd"): (
+        "c1383520603c41e2fc1942c850fac20f15f772faf6692d789201eb63bb582ad9",
+        "ee37d21b92bea155f8dbf69ed15fd2e498052dba54ea9222fa7d37f5c4edb533",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_RUNS), ids=lambda c: "-".join(map(str, c)))
+def test_run_output_bytes_are_pinned(tmp_path, cell):
+    mode, T, k, method = cell
+    out = tmp_path / "run.csv"
+    run_experiment(RunConfig(mode=mode, T=T, k=k, method=method, seed=0, out=str(out)))
+    transcript = tmp_path / "run.csv.transcript.jsonl"
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, transcript))
+    assert digests == PINNED_RUNS[cell]
+
+
 class TestVerifyLipschitz:
     def test_value_audit_within_unit_bound(self):
         audit = verify_lipschitz(audit_instance(4, 1), 0, n_pairs=15, samples=4_000, seed=0)
@@ -277,6 +315,15 @@ class TestVerifyInvariance:
         v1, _ = smoothed_value_mc(plane_instance, x, MCBudget(2_000, 5))
         v2, _ = smoothed_value_mc(plane_instance, x + np.zeros(3), MCBudget(2_000, 5))
         assert v1 == v2
+
+
+@pytest.mark.parametrize("suite, k, least", [("lipschitz", 1, 4), ("lipschitz", 3, 8), ("invariance", 1, 2),
+                                              ("locality", 2, 0)])
+def test_verify_takes_the_fewest_samples_its_estimates_take(suite, k, least):
+    # the least sample count each suite accepts is enough for every
+    # estimate it makes; locality makes none
+    summary = run_verification(suite, 4, k, n_pairs=3, samples=least)
+    assert len(summary.lipschitz) == (min(k, 2) + 1 if suite == "lipschitz" else 0)
 
 
 def test_verify_locality_suite():
@@ -461,6 +508,8 @@ BAD_SCALES = st.one_of(
 GATES = {
     "run_verification": ("n_pairs", BAD_COUNTS, lambda v: run_verification("all", 4, 1, n_pairs=v),
                          ["audit_instance", "verify_locality"]),
+    "run_verification samples": ("samples", BAD_COUNTS, lambda v: run_verification("all", 4, 1, samples=v),
+                                 ["verify_lipschitz", "verify_invariance", "verify_locality"]),
     "verify_lipschitz": ("n_pairs", BAD_COUNTS, lambda v: verify_lipschitz(_AUDITED, 0, n_pairs=v),
                          ["stream"]),
     "verify_invariance": ("n_points", BAD_COUNTS, lambda v: verify_invariance(_AUDITED, n_points=v),
@@ -498,6 +547,15 @@ def test_every_gate_refuses_what_it_cannot_count_on(data):
         (["sweep", "--seeds", "0", "--T", "4"], "n_seeds"),
         (["run", "--T", "4", "--k", "1", "--rescale-L", "nan"], "L_target"),
         (["verify", "--suite", "locality", "--T", "0"], "T and k"),
+        # fewer samples than the suite's estimates take: 2^(j+1) at Lipschitz
+        # order j = min(k, 2), 2 for invariance
+        (["verify", "--T", "4", "--k", "2", "--mc-samples", "3"], "samples must be at least 8"),
+        (["verify", "--suite", "lipschitz", "--T", "4", "--k", "3", "--mc-samples", "7"],
+         "samples must be at least 8"),
+        (["verify", "--suite", "lipschitz", "--T", "4", "--k", "1", "--mc-samples", "3"],
+         "samples must be at least 4"),
+        (["verify", "--suite", "invariance", "--T", "4", "--mc-samples", "1"], "samples must be at least 2"),
+        (["verify", "--suite", "all", "--T", "4", "--mc-samples", "-5"], "samples must be at least 4"),
     ],
 )
 def test_cli_refuses_an_empty_audit_or_sweep(capsys, argv, name):
