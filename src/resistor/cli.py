@@ -16,7 +16,15 @@ import sys
 import time
 
 from .evaluator import DEFAULT_VALUE_SAMPLES
-from .harness import AUDIT_SAMPLES, RefusedArgument, RunConfig, run_experiment, run_verification, sweep
+from .harness import (
+    AUDIT_SAMPLES,
+    REPORT_FORMATS,
+    RefusedArgument,
+    RunConfig,
+    run_experiment,
+    run_verification,
+    sweep,
+)
 from .instance import DETERMINISTIC, RANDOMIZED
 from .optimizers import METHODS
 
@@ -34,7 +42,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rescale-L", type=float, default=None, help="target order-k smoothness coefficient")
     parser.add_argument("--dump-vectors", action="store_true")
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--format", choices=REPORT_FORMATS, default="csv")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:

@@ -2,32 +2,38 @@
 version, with derivatives.
 
 The smoothed function is the expectation of the max-affine function over
-k independent radius-delta ball perturbations inside the span of the
-piece directions (iterated smoothing collapses to one expectation over
-the sum of the perturbations). The contenders at x (contenders) are the
-pieces within 2*k*delta of the top, the only ones that can win anywhere
-the smoothing reaches. Their count is the regime, the one test
-regime_answer and the estimators dispatch on:
+k independent radius-delta ball perturbations of the T-dimensional span
+of the completed instance's pieces, however many exist yet (iterated
+smoothing collapses to one expectation over the sum of the
+perturbations). The contenders at x (contenders) are the pieces within
+2*k*delta of the top, the only ones that can win anywhere the smoothing
+reaches. Their count is the regime, the one test regime_answer and the
+estimators dispatch on:
 
 * exact_affine: one contender, winning the max by more than 2*k*delta.
   Each piece is 1-Lipschitz, so every point the smoothing can touch
   sees the same single affine piece, and value, gradient and all
   higher derivatives are closed-form (higher orders are zero).
-* monte_carlo: two or more contenders, inside the tie band.
+* monte_carlo: two or more contenders, inside the tie band. The answer
+  is a function of the contenders and T alone (so at an adaptive query,
+  where no later piece contends, it is the completed instance's answer,
+  bit for bit): the gradient is lifted through the contenders' frame
+  Q (_contender_frame), each tensor is in Q's q coordinates, and Q is
+  the answer's basis_matrix.
 
   Two contenders at k <= 2 are answered in closed form
   (two_piece_answer). With p the top piece, c the difference of the two
-  directions in basis coordinates and S the sum of k independent
-  one-dimensional marginals of the uniform r-ball, the smoothed function
+  directions in frame coordinates and S the sum of k independent
+  one-dimensional marginals of the uniform T-ball, the smoothed function
   is l_p(x) + E[(l_q(x) - l_p(x) + delta |c| S)_+], a one-dimensional
   law whose tail, excess and density come from the reduction recurrence
-  of the integrals of cos^r (k = 1) and one Gauss-Legendre quadrature
+  of the integrals of cos^T (k = 1) and one Gauss-Legendre quadrature
   over the first marginal (k = 2).
 
   Otherwise value and derivatives are estimated by sampling. The order-j
   derivative comes from the sphere identity iterated through the outer
   j smoothing layers,
-      D^j f(x) = (r/delta)^j E[ f(x + delta (w_1 + ... + w_j) + delta v)
+      D^j f(x) = (T/delta)^j E[ f(x + delta (w_1 + ... + w_j) + delta v)
                                  w_1 (x) ... (x) w_j ],
   w_i uniform on the unit sphere of the span and v the sum of the k - j
   inner ball layers (Flaxman, Kalai & McMahan 2005; Nesterov &
@@ -36,15 +42,13 @@ regime_answer and the estimators dispatch on:
   lower-order terms; for j = 1 they are the antithetic pairs of the
   gradient estimator.
 
-  The max is taken over the contenders alone. Let Q (r x q,
-  q = min(contenders, r)) be the orthonormal QR factor of their
-  coordinates. The function sees each sphere or ball draw w only
-  through Q^T w, and E[w | Q^T w] = Q Q^T w. So Q^T w is drawn exactly,
-  in q coordinates (the coords form of geometry.sample_sphere and
-  sample_ball), each estimate is formed there and lifted with Q: it is
-  the conditional expectation of the estimate from a full r-dimensional
-  draw (Rao-Blackwell), so it is unbiased and its variance is never
-  larger. The factor (r/delta)^j keeps r. A sampled answer estimates
+  The max is taken over the contenders alone, orthonormal inside the
+  span, which see each sphere or ball draw w only through Q w, and
+  E[w | Q w] = Q^T Q w. So Q w is drawn exactly, in q coordinates (the
+  coords form of geometry.sample_sphere and sample_ball), and each
+  estimate is formed there: it is the conditional expectation of the
+  estimate from a full T-dimensional draw (Rao-Blackwell), so it is
+  unbiased and its variance is never larger. A sampled answer estimates
   its value, then each derivative order, each from its own stream.
 
 The estimators (smoothed_value_mc, smoothed_gradient_mc,
@@ -65,7 +69,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import frozen, sample_ball, sample_sphere
-from .instance import QUERY_NORM_SLACK, HardInstance
+from .instance import QUERY_NORM_SLACK, HardInstance, span_basis
 from .streams import as_integer, child_seed, stream
 
 DEFAULT_VALUE_SAMPLES = 100_000
@@ -99,12 +103,12 @@ class MCBudget:
 
 @dataclass(frozen=True, eq=False)
 class HigherDerivative:
-    """Derivative tensor of one order, in basis coordinates of the
-    invariant subspace; no tensor means the closed-form zero tensor.
+    """Derivative tensor of one order, in the coordinates of the
+    response's basis_matrix rows; no tensor means the zero tensor.
     error_bound bounds the Frobenius error: the root-sum-square of the
-    per-entry Monte-Carlo standard errors of a sampled tensor, the
-    quadrature error plus a rounding floor of a two-piece one (0 for the
-    zero tensor)."""
+    per-entry Monte-Carlo standard errors of a sampled tensor (see
+    _sampled_tensor_coords), the quadrature error plus a rounding floor
+    of a two-piece one (0 for the zero tensor)."""
 
     order: int
     tensor: np.ndarray | None = None
@@ -124,10 +128,11 @@ class HigherDerivative:
 class OracleResponse:
     """Value and derivatives at one query, with regime and error bounds.
 
-    The gradient is an ambient vector lying in the span of the piece
-    directions; tensors of order >= 2 are in basis coordinates, and
-    basis_matrix (rows spanning the invariant subspace) is attached
-    whenever a non-zero tensor is present so callers can apply them.
+    The gradient is an ambient vector lying in the span of the
+    contenders' directions. Tensors of order >= 2 are in the q
+    coordinates of the contender frame, and basis_matrix (its q
+    orthonormal rows, q x dim) is attached whenever a non-zero tensor is
+    present so callers can apply them: Q^T H Q is the ambient Hessian.
     The regime is exact_affine when affine_index names the winning
     piece, monte_carlo when it is None: the query lies inside the tie
     band, answered in closed form for two contenders at k <= 2
@@ -243,13 +248,17 @@ ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _contender_frame(instance: HardInstance, values: PieceValues, keep: np.ndarray) -> ContenderFrame:
     """The contenders keep at x: their shifted values, their coordinates in
-    the frame Q, and Q itself (r x q, orthonormal columns), the reduced QR
-    factor of their coordinates, so q = min(contenders, r). Only the
-    contenders' coordinates are computed, each row as basis.coords of its
-    piece. (values, keep) must be affine_regime(instance, x)."""
-    coords = np.array([instance.basis.coords(instance.piece_matrix[i]) for i in keep])
-    frame, _ = np.linalg.qr(coords.T)
-    return values.shifted[keep], coords @ frame, frame
+    the frame Q, and Q itself (q x dim, orthonormal rows spanning their
+    directions), from their piece rows alone. Orthonormal piece rows (a
+    standard instance, whose piece matrix is its basis) are the frame
+    themselves, with exact unit vectors as coordinates; other rows (custom
+    instances) give their Gram-Schmidt factor, q their rank. (values,
+    keep) must be affine_regime(instance, x)."""
+    rows = instance.piece_matrix[keep]
+    if instance.piece_matrix is instance.basis.matrix:
+        return values.shifted[keep], np.eye(len(keep)), rows
+    frame = span_basis(rows).matrix
+    return values.shifted[keep], rows @ frame.T, frame
 
 
 def _ball_sum(r: int, k: int, rng: np.random.Generator, n: int, coords: int) -> np.ndarray:
@@ -295,17 +304,16 @@ def smoothed_value_mc(
     at an exact-affine point, else an unbiased Monte-Carlo estimate.
 
     The estimate averages the shifted max-affine function over x + delta
-    * (v_1 + ... + v_k), v_j i.i.d. uniform in the unit ball of the piece
-    span, drawn in the q frame coordinates of the contenders (see the
-    module notes). Returns (value, standard error). Unnormalized (no
-    norm_denom). Needs n_samples >= 2, even where exact: one sample has
-    no standard error. contender_frame, if given, must be
-    _contender_frame at x, and is sampled; it is built here otherwise.
+    * (v_1 + ... + v_k), v_j i.i.d. uniform in the unit T-ball, drawn in
+    the q frame coordinates of the contenders (see the module notes).
+    Returns (value, standard error). Unnormalized (no norm_denom).
+    Needs n_samples >= 2, even where exact: one sample has no standard
+    error. contender_frame, if given, must be _contender_frame at x, and
+    is sampled; it is built here otherwise.
     """
     budget = budget or MCBudget()
     params = instance.params
-    r = instance.smoothing_dim
-    if r == 0:
+    if instance.num_pieces == 0:
         raise ValueError("instance has no pieces to evaluate")
     if budget.n_samples < 2:
         raise ValueError(
@@ -319,7 +327,7 @@ def smoothed_value_mc(
     base, coeffs, frame = contender_frame
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
-    proj = _projection(coeffs, _ball_sum(r, params.k, rng, n, frame.shape[1]), params.delta)
+    proj = _projection(coeffs, _ball_sum(params.T, params.k, rng, n, len(frame)), params.delta)
     vals = _flipped_max(base, [proj], (1,))
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
@@ -329,7 +337,7 @@ def smoothed_value_mc(
 def _check_tensor_budget(instance: HardInstance, order: int, budget: MCBudget) -> None:
     """Refuse an order-j estimate that cannot be made: no pieces, j
     outside [1, k], or fewer than two draws of 2^j evaluations."""
-    if instance.smoothing_dim == 0:
+    if instance.num_pieces == 0:
         raise ValueError("instance has no pieces to evaluate")
     if not 1 <= order <= instance.params.k:
         raise ValueError(f"order must lie in [1, {instance.params.k}]")
@@ -347,49 +355,52 @@ def _tensor_coords_mc(
     budget: MCBudget,
     *,
     contender_frame: ContenderFrame | None = None,
-) -> tuple[np.ndarray, float]:
-    """Order-j derivative tensor of the smoothed function at x, in basis
-    coordinates, with its error bound: exact at an exact-affine point,
-    basis.coords(a_idx) for j = 1 and the zero tensor above with error 0,
-    else _sampled_tensor_coords. The gates of _check_tensor_budget run
-    first either way. contender_frame is as for smoothed_value_mc."""
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Order-j derivative tensor of the smoothed function at x in the
+    coordinates of its contender frame, its error bound, and the frame's
+    rows: exact at an exact-affine point, the sole contender's coordinate
+    for j = 1 and the zero tensor above with error 0, else
+    _sampled_tensor_coords. The gates of _check_tensor_budget run first
+    either way. contender_frame is as for smoothed_value_mc."""
     _check_tensor_budget(instance, order, budget)
     if contender_frame is None:
         values, keep = affine_regime(instance, x)
-        if len(keep) == 1:
-            a = instance.piece_matrix[keep[0]]
-            zero = np.zeros((instance.smoothing_dim,) * order)
-            return (instance.basis.coords(a) if order == 1 else zero), 0.0
         contender_frame = _contender_frame(instance, values, keep)
-    return _sampled_tensor_coords(instance, order, budget, contender_frame)
+        if len(keep) == 1:
+            _, coords, frame = contender_frame
+            return (coords[0] if order == 1 else np.zeros((len(frame),) * order)), 0.0, frame
+    return (*_sampled_tensor_coords(instance, order, budget, contender_frame), contender_frame[2])
 
 
 def _sampled_tensor_coords(
     instance: HardInstance, order: int, budget: MCBudget, contender_frame: ContenderFrame
 ) -> tuple[np.ndarray, float]:
-    """The sampled order-j derivative tensor over contender_frame, in basis
-    coordinates, by the iterated sphere identity (see the module notes);
-    budget has passed _check_tensor_budget.
+    """The sampled order-j derivative tensor over contender_frame, in its
+    q frame coordinates, by the iterated sphere identity (see the module
+    notes); budget has passed _check_tensor_budget.
 
     j sphere vectors drawn first, then the k - j inner ball layers, all
-    in the q frame coordinates of the contenders; the tensor is estimated
-    there and lifted to the r basis coordinates. Each draw is evaluated
+    in the q frame coordinates of the contenders. Each draw is evaluated
     at all 2^j sign flips (s_1 w_1, ..., s_j w_j), the ball layers
     flipping with s_1, and weighted by s_1 * ... * s_j: every flipped
     tuple has the law of the drawn one, so the estimate stays unbiased.
     n_samples counts function evaluations, so n_samples // 2^j draws are
     made; for j = 1 these are the antithetic pairs (w, v), (-w, -v).
     Returns (tensor symmetrised over its axes, error bound), the error
-    bound being the root-sum-square of the per-entry standard errors in
-    frame coordinates, which the lift (an isometry) leaves unchanged.
+    bound being the root-sum-square of the per-entry standard errors.
+    Where every draw is zero, no draw reached a kink and that variance
+    says nothing: the bound is then the largest Frobenius norm one draw
+    can add, (T/delta)^j (k - j + 1) delta (each flipped difference of
+    the 1-Lipschitz max at most doubles), over the n draws; except at
+    T = 1 with no ball layer, where the sign flips cover the law exactly.
     Second moments are contracted draw by draw, so no (draws, q, q)
     array is built. Arrays are scaled and squared in place and dropped
     once used, with the bits of the allocating arithmetic.
     """
     params = instance.params
-    r = instance.smoothing_dim
+    r = params.T
     base, coeffs, frame = contender_frame
-    q = frame.shape[1]
+    q = len(frame)
     rng = stream(budget.seed, "smooth-gradient")
     n = budget.n_samples // 2**order
     spheres = [sample_sphere(r, rng, size=n, coords=q) for _ in range(order)]
@@ -417,16 +428,16 @@ def _sampled_tensor_coords(
     axes = "abcdefghijklm"[:order]
     subscripts = ",".join("n" + a for a in axes) + "->" + axes
     tensor = np.einsum(subscripts, g, *spheres) / n
+    missed = not g.any() and (r > 1 or order < params.k)
     for w in [g, *spheres]:  # second moments: square in place
         w *= w
     second = np.einsum(subscripts, g, *spheres) / n
     var = np.maximum(second - tensor**2, 0.0) * (n / (n - 1))
     err = float(np.sqrt(((np.sqrt(var) / math.sqrt(n)) ** 2).sum()))
+    if missed:
+        err = (r / params.delta) ** order * (params.k - order + 1) * params.delta / n
     perms = list(itertools.permutations(range(order)))
-    tensor = sum((np.transpose(tensor, p) for p in perms[1:]), tensor) / len(perms)
-    for _ in range(order):  # lift each axis in turn: Q T Q^T for order 2
-        tensor = np.tensordot(tensor, frame, axes=(0, 1))
-    return tensor, err
+    return sum((np.transpose(tensor, p) for p in perms[1:]), tensor) / len(perms), err
 
 
 def smoothed_gradient_mc(
@@ -435,16 +446,17 @@ def smoothed_gradient_mc(
     """Gradient of the smoothed function at x, in ambient coordinates
     (lying in the piece span), with its error bound. Unnormalized.
     exact_answer's gradient, the read-only piece row a_idx, with error 0
-    at an exact-affine point; else the lifted order-1 estimate of
-    _sampled_tensor_coords. The gates of _check_tensor_budget run first
-    either way."""
+    at an exact-affine point; else the order-1 estimate of
+    _sampled_tensor_coords lifted through the contender frame. The gates
+    of _check_tensor_budget run first either way."""
     budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
     _check_tensor_budget(instance, 1, budget)
     values, keep = affine_regime(instance, x)
     if len(keep) == 1:
         return instance.piece_matrix[keep[0]], 0.0
-    coords, err = _sampled_tensor_coords(instance, 1, budget, _contender_frame(instance, values, keep))
-    return instance.basis.lift(coords), err
+    contender_frame = _contender_frame(instance, values, keep)
+    coords, err = _sampled_tensor_coords(instance, 1, budget, contender_frame)
+    return contender_frame[2].T @ coords, err
 
 
 def oracle_answer(
@@ -453,11 +465,15 @@ def oracle_answer(
     budget: MCBudget | Callable[[], MCBudget] | None = None,
 ) -> OracleResponse:
     """Full derivative-oracle answer at x, normalized by norm_denom: the
-    regime_answer of affine_regime at x, a query of the unit ball."""
+    regime_answer of affine_regime at x. The one check of a query's
+    norm: x must lie in the unit ball (NaN and inf fail), and the
+    instance must have pieces."""
     x = np.asarray(x, dtype=float)
     norm = np.linalg.norm(x)
     if not (norm <= 1.0 + QUERY_NORM_SLACK):
         raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
+    if instance.num_pieces == 0:
+        raise ValueError("instance has no pieces")
     return regime_answer(instance, x, *affine_regime(instance, x), budget)
 
 
@@ -626,35 +642,36 @@ def two_piece_answer(
     indices) contend, for k <= 2; values must be piece_values(instance, x).
 
     Let p be the top piece of the two and q the other, c = coords_q -
-    coords_p in basis coordinates and sigma = delta |c|. By rotation
-    invariance c.(v_1 + ... + v_k) has the law of |c| S, S the sum of k
-    ball marginals (_sum_law), so with t = (l_p(x) - l_q(x)) / sigma the
-    smoothed function is l_p(x) + sigma E[(S - t)_+]: the value. The
-    gradient is lift(coords_p + c P(S > t)), and for k = 2 the Hessian,
-    in basis coordinates, is c c^T p_S(t) / sigma; all are divided by
-    norm_denom. Identical directions (c = 0, possible for custom
-    instances) leave l_p itself, and so does t >= k, which S cannot
-    reach: there the Hessian is the zero tensor.
+    coords_p in their contender frame (_contender_frame) and sigma =
+    delta |c|. By rotation invariance c.(v_1 + ... + v_k) has the law of
+    |c| S, S the sum of k marginals of the T-ball (_sum_law), so with
+    t = (l_p(x) - l_q(x)) / sigma the smoothed function is l_p(x) +
+    sigma E[(S - t)_+]: the value. The gradient is the frame's lift of
+    coords_p + c P(S > t), and for k = 2 the Hessian, in frame
+    coordinates, is c c^T p_S(t) / sigma; all are divided by norm_denom.
+    Identical directions (c = 0, possible for custom instances) leave l_p
+    itself, and so does t >= k, which S cannot reach: there the Hessian
+    is the zero tensor.
 
     Each error field is the quadrature error carried through, plus a
-    rounding floor of (dim + r + 64) units of roundoff on the terms it
-    sums: dot products of length dim in the coordinates, of length r in
-    the lift, the recurrence and the quadrature sums in the law.
+    rounding floor of (dim + T + 64) units of roundoff on the terms it
+    sums: dot products of length dim in the coordinates and the lift, the
+    recurrence and the quadrature sums in the law.
     """
     params = instance.params
-    r = instance.smoothing_dim
-    p, q = pair if values.shifted[pair[0]] >= values.shifted[pair[1]] else pair[::-1]
-    coords_p = instance.basis.coords(instance.piece_matrix[p])
-    c = instance.basis.coords(instance.piece_matrix[q]) - coords_p
+    base, coeffs, frame = _contender_frame(instance, values, pair)
+    p, q = (0, 1) if base[0] >= base[1] else (1, 0)
+    coords_p = coeffs[p]
+    c = coeffs[q] - coords_p
     norm_c = float(np.linalg.norm(c))
     sigma = params.delta * norm_c
-    level = float(values.shifted[p])
+    level = float(base[p])
     if sigma > 0.0:
-        law, err = _sum_law(r, params.k, (level - float(values.shifted[q])) / sigma, TWO_PIECE_NODES)
+        law, err = _sum_law(params.T, params.k, (level - float(base[q])) / sigma, TWO_PIECE_NODES)
     else:
         law, err = np.zeros(3), np.zeros(3)
     tail, excess, density = law
-    rounding = (instance.basis.dim + r + 64) * np.finfo(float).eps
+    rounding = (instance.basis.dim + params.T + 64) * np.finfo(float).eps
     denom = params.norm_denom
     higher = ()
     if params.k == 2:
@@ -664,12 +681,12 @@ def two_piece_answer(
             higher = (HigherDerivative(2, np.outer(c, c) * (density / (sigma * denom)), error / denom),)
     return OracleResponse(
         value=float(level + sigma * excess) / denom,
-        gradient=instance.basis.lift(coords_p + c * tail) / denom,
+        gradient=frame.T @ (coords_p + c * tail) / denom,
         higher=higher,
         affine_index=None,
         value_stderr=float(sigma * (err[1] + rounding) + rounding * abs(level)) / denom,
         gradient_error=float(norm_c * (err[0] + rounding) + rounding * np.linalg.norm(coords_p)) / denom,
-        basis_matrix=instance.basis.matrix if higher and not higher[0].is_zero else None,
+        basis_matrix=frame if higher and not higher[0].is_zero else None,
     )
 
 
@@ -697,20 +714,20 @@ def monte_carlo_answer(
     value_budget = MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
     value, stderr = smoothed_value_mc(instance, x, value_budget, contender_frame=contender_frame)
     grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
-    coords, gerr = _tensor_coords_mc(instance, x, 1, grad_budget, contender_frame=contender_frame)
+    coords, gerr, frame = _tensor_coords_mc(instance, x, 1, grad_budget, contender_frame=contender_frame)
     higher = []
     for j in range(2, params.k + 1):
         tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
-        tensor, terr = _tensor_coords_mc(instance, x, j, tensor_budget, contender_frame=contender_frame)
+        tensor, terr, _ = _tensor_coords_mc(instance, x, j, tensor_budget, contender_frame=contender_frame)
         higher.append(HigherDerivative(j, tensor / denom, terr / denom))
     return OracleResponse(
         value=value / denom,
-        gradient=instance.basis.lift(coords) / denom,
+        gradient=frame.T @ coords / denom,
         higher=tuple(higher),
         affine_index=None,
         value_stderr=stderr / denom,
         gradient_error=gerr / denom,
-        basis_matrix=instance.basis.matrix if higher else None,
+        basis_matrix=frame if higher else None,
     )
 
 

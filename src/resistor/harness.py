@@ -40,12 +40,13 @@ from .instance import (
     pessimal_point,
 )
 from .oracles import AdaptiveOracle, RandomizedOracle, event_e_check
-from .optimizers import run_method
+from .optimizers import check_method, run_method
 from .streams import as_integer, child_seed, stream
 
 # Samples per Monte-Carlo estimate in the smoothness and invariance audits.
 AUDIT_SAMPLES = 20_000
 CSV_COLUMNS = ["iter", "certified_gap", "floor", "regime", "event_e_margin", "value", "grad_norm"]
+REPORT_FORMATS = ("csv", "json")
 
 
 class RefusedArgument(ValueError):
@@ -139,6 +140,9 @@ def run_experiment(config: RunConfig) -> RunReport:
     smoothed_value_mc returns f_tilde there with stderr 0 and draws no
     sample; otherwise it is a Monte-Carlo estimate on the stream
     (config.seed, "smooth-value"), which no other stream of the run uses.
+    Every argument is checked before any query, each refusal a
+    RefusedArgument: mode, T, k, the method at that k, the format,
+    rescale_L, then seed, mc_samples and rescale as the oracle is built.
     """
     with _argument_checks():
         if config.mode == DETERMINISTIC:
@@ -147,6 +151,9 @@ def run_experiment(config: RunConfig) -> RunReport:
             params = params_randomized(config.T, config.k, config.fail_prob)
         else:
             raise ValueError(f"unknown mode {config.mode!r}")
+        check_method(config.method, params.k)
+        if config.format not in REPORT_FORMATS:
+            raise ValueError(f"unknown report format {config.format!r}")
         scale = 1.0
         if config.rescale_L is not None:
             scale = rescale_to_smoothness(config.rescale_L, config.k, config.T)
@@ -266,7 +273,7 @@ class LipschitzAudit:
 
 class UnsupportedOrderError(ValueError):
     """Orders above 2 are not audited (tensor Monte-Carlo noise at the
-    (r/delta)^3 scale would need infeasible sample counts)."""
+    (T/delta)^3 scale would need infeasible sample counts)."""
 
 
 def _count(value, name: str) -> int:
@@ -300,14 +307,15 @@ def verify_lipschitz(
     seed: int = 0,
     rescale: float = 1.0,
 ) -> LipschitzAudit:
-    """Audit the order-i smoothness bound (r/delta)^i on random pairs.
+    """Audit the order-i smoothness bound (T/delta)^i on random pairs.
 
     Pairs are drawn in the unit ball at separation >= 10*delta; the
     difference quotient of the order-i derivative is compared against
-    rescale * (r/delta)^i with an explicit Monte-Carlo slack of three
+    rescale * (T/delta)^i with an explicit Monte-Carlo slack of three
     combined reported errors. Orders 0 and 1 use the value and gradient
-    estimators; order 2 compares H(x) u and H(y) u for the basis row
-    u = p mod r, both Hessians estimated on one common-random-numbers
+    estimators; order 2 compares the ambient H(x) u and H(y) u for the
+    basis row u = p mod (basis size), each Hessian applied through its
+    own contender frame, both estimated on one common-random-numbers
     seed. A NaN ratio or error makes max_ratio or max_excess NaN and
     fails the audit. Orders above 2 raise UnsupportedOrderError, and
     n_pairs below 1 a ValueError.
@@ -320,8 +328,7 @@ def verify_lipschitz(
         )
     if order > params.k:
         raise ValueError(f"order {order} exceeds the instance's smoothness order k={params.k}")
-    r = instance.smoothing_dim
-    bound = rescale * (r / params.delta) ** order
+    bound = rescale * (params.T / params.delta) ** order
     rng = stream(seed, "lipschitz-pairs", order)
     pairs = _separated_pairs(instance, n_pairs, rng)
     ratios, excesses = [], []
@@ -340,10 +347,9 @@ def verify_lipschitz(
             slack = rescale * 3.0 * (ex + ey) / dist
         else:
             crn = MCBudget(samples, child_seed(seed, "lip2", p))
-            hx, ex = _tensor_coords_mc(instance, x, 2, crn)
-            hy, ey = _tensor_coords_mc(instance, y, 2, crn)
-            column = p % r
-            ratio = rescale * float(np.linalg.norm(hx[:, column] - hy[:, column])) / dist
+            u = instance.basis.matrix[p % len(instance.basis)]
+            (hx, ex, fx), (hy, ey, fy) = (_tensor_coords_mc(instance, z, 2, crn) for z in (x, y))
+            ratio = rescale * float(np.linalg.norm(fx.T @ (hx @ (fx @ u)) - fy.T @ (hy @ (fy @ u)))) / dist
             slack = rescale * 3.0 * (ex + ey) / dist
         ratios.append(ratio)
         excesses.append(ratio - slack)
@@ -385,8 +391,8 @@ def verify_invariance(
     """
     n_points = _count(n_points, "n_points")
     d = instance.basis.dim
-    if d <= instance.smoothing_dim:
-        raise ValueError("no orthogonal complement to test (d <= smoothing dimension)")
+    if d <= len(instance.basis):
+        raise ValueError("no orthogonal complement to test (d <= span dimension)")
     rng = stream(seed, "invariance")
     n_exact = n_mc = 0
     max_exact_diff = 0.0

@@ -23,6 +23,7 @@ from .geometry import (
     frozen,
     orthonormal_extend,
 )
+from .streams import as_integer
 
 DETERMINISTIC = "deterministic"
 RANDOMIZED = "randomized"
@@ -84,9 +85,11 @@ def certified_floor_margin(params: InstanceParams) -> float:
 def params_deterministic(T: int, k: int, d: int | None = None) -> InstanceParams:
     """Deterministic-mode schedule: gamma = 1/(3 sqrt(T)), delta = gamma/(3 k T).
 
-    d defaults to T + 1 and may only be raised. Rejects budgets whose
-    closed-form certificate cannot clear the 1/(2 sqrt(T)) floor.
+    T and k must be integers (see streams.as_integer); d defaults to
+    T + 1 and may only be raised. Rejects budgets whose closed-form
+    certificate cannot clear the 1/(2 sqrt(T)) floor.
     """
+    T, k = as_integer(T, "T"), as_integer(k, "k")
     if T < 1 or k < 1:
         raise ValueError("T and k must be positive integers")
     gamma = 1.0 / (3.0 * math.sqrt(T))
@@ -121,9 +124,11 @@ def randomized_dimension(T: int, fail_prob: float) -> int:
 def params_randomized(T: int, k: int, fail_prob: float) -> InstanceParams:
     """Randomized-mode schedule: gamma = 1/(3 sqrt(T)), delta = 1/(20 k T^1.5).
 
-    The ambient dimension is the smallest integer that pushes the
-    union bound over the basis-query correlations below fail_prob.
+    T and k must be integers (see streams.as_integer). The ambient
+    dimension is the smallest integer that pushes the union bound over
+    the basis-query correlations below fail_prob.
     """
+    T, k = as_integer(T, "T"), as_integer(k, "k")
     if T < 1 or k < 1:
         raise ValueError("T and k must be positive integers")
     if not 0.0 < fail_prob < 1.0:
@@ -208,17 +213,17 @@ class AffinePiece(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class HardInstance:
-    """The shifted max-affine function max_i(a_i.x + shift_i), smoothed
-    over the span of the a_i: a matrix, a shift vector and a basis.
+    """The shifted max-affine function max_i(a_i.x + shift_i): a matrix, a
+    shift vector and a basis.
 
     piece_matrix holds the directions a_i as read-only rows, piece_shifts
     the shifts, and basis an orthonormal basis of their span. The
-    smoothing averages over the basis span, so its size (not the piece
-    count) is the smoothing dimension. Vectors, queries included, have
-    basis.dim coordinates: the working dimension. Standard instances,
-    built by append_piece or from_basis, have the basis matrix itself as
-    piece_matrix, as do custom and from_json instances of orthonormal
-    rows.
+    smoothing averages over the T-dimensional span of the completed
+    instance, whatever the piece count (see evaluator). Vectors, queries
+    included, have basis.dim coordinates: the working dimension.
+    Standard instances, built by append_piece or from_basis, have the
+    basis matrix itself as piece_matrix, as do custom and from_json
+    instances of orthonormal rows.
 
     Pieces are checked once, where they enter: from_basis checks that
     the basis is orthonormal, custom and from_json that every direction
@@ -234,10 +239,6 @@ class HardInstance:
     @property
     def num_pieces(self) -> int:
         return len(self.piece_matrix)
-
-    @property
-    def smoothing_dim(self) -> int:
-        return len(self.basis)
 
     @property
     def complete(self) -> bool:
@@ -306,9 +307,7 @@ def _checked_instance(params: InstanceParams, directions, shifts) -> HardInstanc
         raise ValueError(f"piece {i + 1} direction must be unit, ||a|| = {norms[i]}")
     basis = OrthonormalBasis(matrix)
     if basis.violations():
-        basis = OrthonormalBasis.empty(matrix.shape[1])
-        for row in matrix:
-            basis, _ = orthonormal_extend(basis, row)
+        basis = span_basis(matrix)
     residuals = np.linalg.norm(matrix - (matrix @ basis.matrix.T) @ basis.matrix, axis=1)
     bad = ~(residuals <= PIECE_SPAN_TOL)
     if bad.any():
@@ -317,6 +316,15 @@ def _checked_instance(params: InstanceParams, directions, shifts) -> HardInstanc
             f"piece {i + 1} does not lie in the basis span (residual {residuals[i]:.3e})"
         )
     return HardInstance(params, matrix, shifts, basis)
+
+
+def span_basis(rows: np.ndarray) -> OrthonormalBasis:
+    """Gram-Schmidt basis of the span of the rows of an (n, d) array, by
+    orthonormal_extend row by row: a row already in the span adds none."""
+    basis = OrthonormalBasis.empty(rows.shape[1])
+    for row in rows:
+        basis, _ = orthonormal_extend(basis, row)
+    return basis
 
 
 def append_piece(
@@ -329,16 +337,14 @@ def append_piece(
     perpendicular unit vector from the generator rng() returns instead.
     rng is called only then, so no other query builds a generator. The
     new row is orthonormal to the others by construction, so nothing is
-    re-checked.
+    re-checked, x included: the oracle checks its norm where it answers,
+    and drops the piece when that fails.
     """
     params = instance.params
     if instance.num_pieces >= params.T:
         raise ValueError(f"piece budget exhausted (T = {params.T})")
-    x = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(x)
-    if not (norm <= 1.0 + QUERY_NORM_SLACK):
-        raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
-    basis, unit = orthonormal_extend(instance.basis, x, params.T)
+    with np.errstate(invalid="ignore"):  # a NaN or inf x builds a NaN row
+        basis, unit = orthonormal_extend(instance.basis, x, params.T)
     if unit is None:
         basis = instance.basis.extended(arbitrary_perp_unit(instance.basis, rng()), params.T)
     shift = shift_of(params, instance.num_pieces + 1)

@@ -121,11 +121,11 @@ def run_cubic_newton(oracle):
 
     Each step is cubic_step on the local model and is projected back to
     the ball. A zero Hessian (every exact answer) gives the closed form;
-    a sampled one is applied in the basis coordinates of the response,
-    and the step lifted back. Requires a second-order oracle.
+    a tie-band one is applied in the q coordinates of the response's
+    contender frame (its basis_matrix), and the step lifted back.
+    Requires a second-order oracle.
     """
-    if oracle.params.k < 2:
-        raise ValueError("cubic-regularized steps need an oracle with k >= 2")
+    check_method("cubic", oracle.params.k)
     m_weight = oracle.rescale * (oracle.params.T / oracle.params.delta) ** 2
     x = np.zeros(oracle.dim)
     for _ in range(oracle.queries_left):
@@ -147,11 +147,17 @@ METHODS = {
 }
 
 
+def check_method(method: str, k: int) -> None:
+    """Refuse a method that is not a key of METHODS, or one that needs an
+    oracle of higher order than k: cubic steps read a Hessian."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+    if method == "cubic" and k < 2:
+        raise ValueError(f"method 'cubic' needs k >= 2, got k = {k}")
+
+
 def run_method(oracle, method: str):
     """Run the named method (a key of METHODS) on the oracle's remaining
     queries; returns its transcript."""
-    try:
-        runner = METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-    return runner(oracle)
+    check_method(method, oracle.params.k)
+    return METHODS[method](oracle)

@@ -2,17 +2,18 @@
 
 Both modes share one query protocol: a query within the budget T is
 answered against an instance, recorded with its event margin, and
-finalize() replays the whole transcript against the final instance. The
-modes differ only in where a query's instance comes from and when its
-event margin is recorded. The adaptive oracle appends one affine piece
-per query and answers with respect to the pieces revealed so far;
-locality of the ball smoothing makes those answers coincide with the
-completed instance's answers at the same points, and finalize() backfills
-the margins and re-checks that coincidence as a runtime assertion
-instead of trusting it. The randomized oracle fixes a hidden random
-basis up front and records, at query time, how strongly each query
-correlates with the not-yet-relevant directions. A response's regime
-follows from its affine_index.
+finalize() replays the whole transcript against the final instance,
+re-answering every record and comparing bit for bit. The modes differ
+only in where a query's instance comes from and when its event margin
+is recorded. The adaptive oracle appends one affine piece per query and
+answers with respect to the pieces revealed so far. Every answer depends
+only on the query's contenders and T (see evaluator), and no later piece
+contends, so those answers are the completed instance's answers at the
+same points; finalize() backfills the margins and re-checks that as a
+runtime assertion instead of trusting it. The randomized oracle fixes a
+hidden random basis up front and records, at query time, how strongly
+each query correlates with the not-yet-relevant directions. A response's
+regime follows from its affine_index.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .instance import (
     append_piece,
     validate,
 )
-from .streams import as_integer, child_seed, stream
+from .streams import as_integer, as_seed, child_seed, stream
 
 
 def _mc_budget(mc_samples: int, seed: int, index: int) -> MCBudget:
@@ -168,24 +169,17 @@ def replay_consistency(
     A record whose regime the replay contradicts is a regime_mismatch.
     Otherwise the query is answered again through regime_answer, the
     dispatch that answered it (sampling on the same streams), and the two
-    answers must match bit for bit. Only a tie-band record of an adaptive
-    transcript is flagged monte_carlo_regime instead: the partial and
-    final instances smooth over different subspace sizes, while every
-    randomized-mode record was answered by `instance` itself.
+    answers must match bit for bit, in either mode.
     """
-    replay_ties = transcript.mode == RANDOMIZED
     entries = []
     for rec in transcript.records:
         values, keep = affine_regime(instance, rec.x)
-        exact = len(keep) == 1
-        if (rec.response.affine_index is not None) != exact:
+        if (rec.response.affine_index is not None) != (len(keep) == 1):
             reason = "regime_mismatch"
-        elif exact or replay_ties:
+        else:
             budget = partial(_mc_budget, mc_samples, seed, rec.index)
             replayed = regime_answer(instance, rec.x, values, keep, budget).scaled(rescale)
             reason = _responses_equal(rec.response, replayed)
-        else:
-            reason = "monte_carlo_regime"
         entries.append(ReplayEntry(rec.index, reason, values.f_tilde))
     return ConsistencyReport(
         all_equal=all(e.exact_equal for e in entries),
@@ -202,11 +196,11 @@ class _ResistingOracle:
     scaled by rescale) and recorded; finalize replays the transcript
     against the final instance. The Monte-Carlo budget of query t is
     derived only when its answer needs one. Both integers are checked
-    here, once, before any query: seed and mc_samples by
-    streams.as_integer, and mc_samples against the fewest samples such
-    an answer takes: 2 for a value with a standard error, 2^k for the
-    order-k tensor's two draws at 2^k sign flips each, out of its
-    2 * mc_samples evaluations. rescale must be a positive finite number
+    here, once, before any query: seed by streams.as_seed, mc_samples by
+    streams.as_integer and against the fewest samples such an answer
+    takes: 2 for a value with a standard error, 2^k for the order-k
+    tensor's two draws at 2^k sign flips each, out of its 2 * mc_samples
+    evaluations. rescale must be a positive finite number
     (not a bool): any other would answer NaN, inf, 0 or flipped values.
     """
 
@@ -222,7 +216,7 @@ class _ResistingOracle:
             raise TypeError("rescale must be a number, not a bool")
         if not (0.0 < rescale < math.inf):
             raise ValueError(f"rescale must be positive and finite, got {rescale!r}")
-        seed = as_integer(seed, "seed")
+        seed = as_seed(seed)
         mc_samples = as_integer(mc_samples, "mc_samples")
         minimum = max(2, 2**params.k)
         if mc_samples < minimum:
@@ -365,11 +359,7 @@ class RandomizedOracle(_ResistingOracle):
         return self._record(i, x, response, margin)
 
     def finalize(self) -> tuple[HardInstance, ConsistencyReport]:
-        """The (fixed) instance plus a full replay, tie-band answers included.
-
-        The instance never changes here, so replays rerun the exact same
-        streams and must match bit for bit in both regimes.
-        """
+        """The (fixed) instance plus a full replay of the transcript."""
         return self._replay()
 
 

@@ -26,11 +26,20 @@ def as_integer(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_seed(value) -> int:
+    """value as a seed: an integer (see as_integer) of at least 0, else an
+    error that names the seed."""
+    seed = as_integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _sequence(seed: int, purpose: str, index: int) -> np.random.SeedSequence:
     if index < 0:
         raise ValueError("stream index must be non-negative")
     key = (zlib.crc32(purpose.encode("ascii")), int(index))
-    return np.random.SeedSequence(entropy=as_integer(seed, "seed"), spawn_key=key)
+    return np.random.SeedSequence(entropy=as_seed(seed), spawn_key=key)
 
 
 def stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:

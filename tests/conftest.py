@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -50,9 +51,10 @@ def reference_locally_affine_index(
 
 
 def abs_instance(params) -> HardInstance:
-    """Two-piece |a.x| fixture: pieces {a, -a}, zero shifts, 1-dim span."""
+    """Two-piece |a.x| fixture: pieces {a, -a}, zero shifts, 1-dim span,
+    smoothed over that span: T is set to 1, its dimension."""
     a = unit(params.d, 0)
-    return HardInstance.custom(params, np.vstack([a, -a]), [0.0, 0.0])
+    return HardInstance.custom(dataclasses.replace(params, T=1), np.vstack([a, -a]), [0.0, 0.0])
 
 
 def three_way_tie(oracle) -> np.ndarray:
@@ -98,12 +100,12 @@ def fd_gradient_crn(
     the +/- evaluations.
 
     Deliberately avoids the library's estimators and streams: own RNG,
-    own ball sampler, own (vectorized) max-affine arithmetic. Truncation
-    error is O((r/delta) h) per coordinate; noise is O(1/sqrt(n)) per
-    coordinate thanks to the shared samples.
+    own ball sampler over the T-ball, own (vectorized) max-affine
+    arithmetic. Truncation error is O((T/delta) h) per coordinate; noise
+    is O(1/sqrt(n)) per coordinate thanks to the shared samples.
     """
     params = instance.params
-    r = instance.smoothing_dim
+    r = params.T
     rng = np.random.default_rng(seed)
     total = np.zeros((n, r))
     for _ in range(params.k):
@@ -113,10 +115,10 @@ def fd_gradient_crn(
     pieces = instance.piece_matrix
     shifts = instance.piece_shifts
     basis = instance.basis.matrix
-    proj = params.delta * (total @ (pieces @ basis.T).T)  # (n, pieces)
-    grad = np.zeros(r)
-    errs = np.zeros(r)
-    for axis in range(r):
+    proj = params.delta * (total @ piece_coords(instance).T)  # (n, pieces)
+    grad = np.zeros(len(basis))
+    errs = np.zeros(len(basis))
+    for axis in range(len(basis)):
         base_p = pieces @ (x + h * basis[axis]) + shifts
         base_m = pieces @ (x - h * basis[axis]) + shifts
         quot = ((base_p[None, :] + proj).max(axis=1) - (base_m[None, :] + proj).max(axis=1)) / (2.0 * h)
@@ -153,18 +155,21 @@ def _full_ball_sum(r: int, k: int, rng: np.random.Generator, n: int) -> np.ndarr
 
 
 def piece_coords(instance: HardInstance) -> np.ndarray:
-    """Every piece direction in basis coordinates, shape (pieces, r)."""
-    return np.array([instance.basis.coords(a) for a in instance.piece_matrix])
+    """Every piece direction in basis coordinates, padded with zeros to the
+    T coordinates of the smoothing span, shape (pieces, T)."""
+    coords = np.zeros((instance.num_pieces, instance.params.T))
+    coords[:, : len(instance.basis)] = [instance.basis.coords(a) for a in instance.piece_matrix]
+    return coords
 
 
 def dense_value_mc(instance: HardInstance, x: np.ndarray, budget) -> tuple[float, float]:
     """Reference smoothed value: the full-span estimator, every draw in all
-    r coordinates and the max over every piece, on the library's stream."""
+    T coordinates and the max over every piece, on the library's stream."""
     params = instance.params
     base = piece_values(instance, x).shifted
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
-    c = _full_ball_sum(instance.smoothing_dim, params.k, rng, n)
+    c = _full_ball_sum(params.T, params.k, rng, n)
     vals = (base[None, :] + params.delta * (c @ piece_coords(instance).T)).max(axis=1)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
@@ -172,11 +177,12 @@ def dense_value_mc(instance: HardInstance, x: np.ndarray, budget) -> tuple[float
 def dense_tensor_coords_mc(
     instance: HardInstance, x: np.ndarray, order: int, budget
 ) -> tuple[np.ndarray, float]:
-    """Reference order-j derivative tensor in basis coordinates: the
-    full-span sphere-identity estimator with its 2^j sign flips, every draw
-    in all r coordinates and the max over every piece."""
+    """Reference order-j derivative tensor in the T coordinates of
+    piece_coords: the full-span sphere-identity estimator with its 2^j
+    sign flips, every draw in all T coordinates and the max over every
+    piece."""
     params = instance.params
-    r = instance.smoothing_dim
+    r = params.T
     base = piece_values(instance, x).shifted
     rng = stream(budget.seed, "smooth-gradient")
     n = budget.n_samples // 2**order

@@ -156,7 +156,7 @@ def test_criterion_4c_value_lipschitz():
 def test_criterion_4d_gradient_lipschitz():
     inst = audit_instance(4, 1, seed=0)
     audit = verify_lipschitz(inst, 1, n_pairs=1000, samples=2_000, seed=5)
-    expected_bound = inst.smoothing_dim / inst.params.delta
+    expected_bound = inst.params.T / inst.params.delta
     _line(
         4,
         "d) gradient difference quotients <= r/delta over 1000 pairs",
@@ -176,7 +176,7 @@ def test_criterion_5_one_dimensional_analytic():
 def test_criterion_6_gradient_formula_equivalence():
     inst = audit_instance(4, 1, seed=0)
     p = inst.params
-    r = inst.smoothing_dim
+    r = inst.params.T
     h = p.delta / 1000.0
     trunc = math.sqrt(r) * (r / p.delta) * h / 2.0
     rng = np.random.default_rng(7)

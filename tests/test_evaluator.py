@@ -269,11 +269,11 @@ class TestContenders:
         x = rng.standard_normal(params.d)
         x *= 8 * band / np.linalg.norm(x)
         values = piece_values(inst, x)
-        a = inst.basis.lift(rng.standard_normal(inst.smoothing_dim))
+        a = inst.basis.lift(rng.standard_normal(len(inst.basis)))
         a /= np.linalg.norm(a)
         shift = values.shifted.max() - a @ x - band - gap
         bigger = HardInstance.custom(params, np.vstack([rows, a]), np.append(np.zeros(r), shift))
-        assert bigger.smoothing_dim == inst.smoothing_dim
+        assert len(bigger.basis) == len(inst.basis)
         before = contenders(inst, values)
         assert contenders(bigger, piece_values(bigger, x)).tolist() == before.tolist()
         # the sampled answers do not see it either, bit for bit, on one
@@ -314,14 +314,15 @@ def _tie_client() -> tuple[AdaptiveOracle, list[np.ndarray], list]:
 
 @pytest.mark.parametrize("t", [5, 9])
 def test_contender_estimates_match_full_span_reference(t):
-    # Two contenders out of r = 9 pieces. Over fixed seeds the estimates
+    # Two contenders out of r = T = 9 pieces. Over fixed seeds the
+    # estimates, taken from their contender frame to basis coordinates,
     # agree with the full-span estimator within 4 combined errors, and the
     # gradient and Hessian errors are no larger (Rao-Blackwell). The value
     # estimator has the same law either way, so its standard error agrees
     # only up to sampling noise.
     oracle, xs, _ = _tie_client()
     inst, x = oracle.instance, xs[t - 1]
-    assert len(contenders(inst, piece_values(inst, x))) == 2 and inst.smoothing_dim == 9
+    assert len(contenders(inst, piece_values(inst, x))) == 2 and inst.num_pieces == inst.params.T == 9
     for seed in range(4):
         budget = MCBudget(20_000, seed)
         value, verr = smoothed_value_mc(inst, x, budget)
@@ -329,7 +330,9 @@ def test_contender_estimates_match_full_span_reference(t):
         assert abs(value - ref) <= 4 * math.hypot(verr, ref_err)
         assert verr <= 1.05 * ref_err
         for order in (1, 2):
-            tensor, err = _tensor_coords_mc(inst, x, order, budget)
+            tensor, err, frame = _tensor_coords_mc(inst, x, order, budget)
+            for _ in range(order):
+                tensor = np.tensordot(tensor, inst.basis.matrix @ frame.T, axes=(0, 1))
             ref, ref_err = dense_tensor_coords_mc(inst, x, order, budget)
             assert np.linalg.norm(tensor - ref) <= 4 * math.hypot(err, ref_err)
             assert err <= ref_err
@@ -337,17 +340,17 @@ def test_contender_estimates_match_full_span_reference(t):
 
 # monte_carlo_answer on the lattice instance (k = 2) at x = (1/4, 5/16, 0,
 # 0), where pieces 1 and 2 tie and piece 3 sits 3/8 below, out of reach:
-# MCBudget(1_000, 7), every field as float.hex. oracle_answer answers this
-# point in closed form; these are the sampler's bits.
+# MCBudget(1_000, 7), every field as float.hex, the Hessian in the frame
+# of the two contenders. oracle_answer answers this point in closed form;
+# these are the sampler's bits.
 PINNED_ANSWER = {
     "value": "0x1.c5aca11fe10b6p-2",
     "value_stderr": "0x1.0756ba24c4419p-12",
     "gradient": ["0x1.fe31b246207bap-2", "0x1.ff89609d983d7p-2", "0x0.0p+0", "0x0.0p+0"],
     "gradient_error": "0x1.2e363dbe8231cp-5",
     "hessian": [
-        "0x1.75ebbd549fc51p+4", "-0x1.906dfcee6e4eap+4", "0x0.0p+0",
-        "-0x1.906dfcee6e4eap+4", "0x1.8870c77daf9f5p+4", "0x0.0p+0",
-        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.75ebbd549fc51p+4", "-0x1.906dfcee6e4eap+4",
+        "-0x1.906dfcee6e4eap+4", "0x1.8870c77daf9f5p+4",
     ],
     "hessian_error": "0x1.32c7a1a7699e8p+2",
 }
@@ -372,7 +375,7 @@ def test_pruned_answer_bits_pinned():
     assert got == PINNED_ANSWER
     # the estimates lie in the contenders' span: nothing along piece 3
     assert resp.gradient[2] == 0.0 and resp.gradient[3] == 0.0
-    assert np.all(hess.tensor[2] == 0.0) and np.all(hess.tensor[:, 2] == 0.0)
+    assert resp.basis_matrix.tobytes() == inst.piece_matrix[:2].tobytes()
 
 
 @pytest.mark.parametrize("n", [math.nan, 2.5, 4.0, True, False, "100"])
@@ -448,7 +451,7 @@ class TestSmoothedGradient:
         g, gerr = smoothed_gradient_mc(plane_instance, x, MCBudget(200_000, 6))
         h = plane_instance.params.delta / 1000.0
         fd, fderr = fd_gradient_crn(plane_instance, x, h, 200_000, seed=60)
-        r = plane_instance.smoothing_dim
+        r = plane_instance.params.T
         trunc = math.sqrt(r) * (r / plane_instance.params.delta) * h / 2.0
         assert np.linalg.norm(g - fd) <= 3.0 * (gerr + fderr) + trunc
 
@@ -506,11 +509,13 @@ def test_estimators_answer_exact_affine_points_in_closed_form(T, k, seed, scale)
         tensors = [_tensor_coords_mc(inst, x, j, budget) for j in range(1, k + 1)]
     assert np.float64(value).tobytes() == values.shifted[idx - 1].tobytes()
     assert grad.tobytes() == row.tobytes()
-    assert tensors[0][0].tobytes() == inst.basis.coords(row).tobytes()
-    for j, (tensor, _) in enumerate(tensors[1:], start=2):
-        assert tensor.shape == (inst.smoothing_dim,) * j and not tensor.any()
+    # in the sole contender's frame, its own row, where its coordinate is 1
+    assert tensors[0][0].tolist() == [1.0]
+    for j, (tensor, _, _) in enumerate(tensors[1:], start=2):
+        assert tensor.shape == (1,) * j and not tensor.any()
+    assert all(frame.tobytes() == row.tobytes() for _, _, frame in tensors)
     assert value_err == grad_err == 0.0
-    assert all(err == 0.0 for _, err in tensors)
+    assert all(err == 0.0 for _, err, _ in tensors)
 
 
 @given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 2**31), st.data())
@@ -564,7 +569,7 @@ class TestDerivativeTensors:
         for t, frac in enumerate((-1.7, -0.6, 0.0, 0.3, 1.2, 1.99, 2.5, -3.0)):
             x = frac * delta * unit(p.d, 0)
             exact = max(0.0, (2.0 * delta - abs(x[0])) / (2.0 * delta**2))
-            tensor, err = _tensor_coords_mc(inst, x, 2, MCBudget(400, t))
+            tensor, err, _ = _tensor_coords_mc(inst, x, 2, MCBudget(400, t))
             assert tensor.shape == (1, 1)
             assert tensor[0, 0] == pytest.approx(exact, rel=1e-9, abs=1e-9 / delta)
             assert err <= 1e-6 / delta
@@ -597,10 +602,11 @@ class TestDerivativeTensors:
 
 
 def _tie_hessian(r: int, delta: float) -> np.ndarray:
-    """Hessian of max(a_1.x + s_1, a_r.x + s_r), a_i the basis axes, smoothed
-    twice over radius-delta balls of R^r, at a point where the two tie.
+    """Hessian of max(a_1.x + s_1, a_2.x + s_2), a_1 and a_2 orthonormal,
+    smoothed twice over radius-delta balls of R^r, at a point where the two
+    tie, in the coordinates of (a_1, a_2).
 
-    The max is linear plus |c.x|/2 with c = e_1 - e_r, so the Hessian is
+    The max is linear plus |c.x|/2 with c = e_1 - e_2, so the Hessian is
     dens(0) c c^T, dens being the density of c.(delta (v_1 + v_2)). A unit
     vector's coordinate on the uniform r-ball has density
     q(s) = C (1 - s^2)^((r - 1)/2), and the integral of q^2 is
@@ -608,8 +614,7 @@ def _tie_hessian(r: int, delta: float) -> np.ndarray:
     """
     const = math.gamma(r / 2 + 1) / (math.sqrt(math.pi) * math.gamma((r + 1) / 2))
     q2 = const**2 * math.sqrt(math.pi) * math.gamma(r) / math.gamma(r + 0.5)
-    c = np.zeros(r)
-    c[0], c[-1] = 1.0, -1.0
+    c = np.array([1.0, -1.0])
     return q2 / (math.sqrt(2.0) * delta) * np.outer(c, c)
 
 
@@ -617,8 +622,9 @@ def test_tie_client_answers_are_the_exact_tie():
     """Every answer after the first is a two-piece closed form (see
     _tie_client) at t = 0: its gradient is (a_1 + a_t) / (2 norm_denom)
     and its Hessian c c^T p_S(0) / (delta |c| norm_denom), c = a_t - a_1
-    in basis coordinates, each within its reported error, which is below
-    a millionth of the quantity and not zero."""
+    in the coordinates of its frame (a_1, a_t) and S the sum of two
+    marginals of the T-ball, each within its reported error, which is
+    below a millionth of the quantity and not zero."""
     oracle, _, answers = _tie_client()
     p = oracle.params
     final = oracle.instance
@@ -631,16 +637,17 @@ def test_tie_client_answers_are_the_exact_tie():
         hess = resp.hessian()
         norm = float(np.linalg.norm(hess.tensor))
         assert 0 < hess.error_bound < 1e-6 * norm
-        exact = _tie_hessian(t, p.delta) / p.norm_denom
+        exact = _tie_hessian(p.T, p.delta) / p.norm_denom
         assert np.linalg.norm(hess.tensor - exact) <= hess.error_bound
-        assert resp.basis_matrix.shape == (t, p.d)
+        assert resp.basis_matrix.tobytes() == final.piece_matrix[[0, t - 1]].tobytes()
 
 
 def _dyadic_tie(r: int, k: int) -> tuple[HardInstance, np.ndarray]:
-    """r axis pieces in R^(r+1), shifts 2 (1 - i/16) and delta = 1/64, at
-    x = (1/4, 3/8, 0, ...): pieces 1 and 2 tie exactly at 17/8 and the
-    rest sit 1/2 or more below, out of reach."""
-    params = InstanceParams(T=16, k=k, m=16, d=r + 1, gamma=2.0, delta=1.0 / 64.0, mode=DETERMINISTIC)
+    """r axis pieces in R^(r+1), smoothed over their span (T = r), shifts
+    2 (1 - i/16) and delta = 1/64, at x = (1/4, 3/8, 0, ...): pieces 1 and
+    2 tie exactly at 17/8 and the rest sit 1/2 or more below, out of
+    reach."""
+    params = InstanceParams(T=r, k=k, m=16, d=r + 1, gamma=2.0, delta=1.0 / 64.0, mode=DETERMINISTIC)
     inst = HardInstance.from_basis(params, OrthonormalBasis(np.eye(r + 1)[:r]))
     x = np.zeros(r + 1)
     x[:2] = 0.25, 0.375
@@ -659,7 +666,7 @@ def test_two_piece_tie_pins_exact_rationals(r, excess, density):
     sigma = inst.params.delta * math.sqrt(2.0)
     assert abs(resp.value - (2.125 + sigma * excess[0] / excess[1])) <= resp.value_stderr
     assert np.linalg.norm(resp.gradient - (unit(r + 1, 0) + unit(r + 1, 1)) / 2) <= resp.gradient_error
-    c = unit(r, 1) - unit(r, 0)
+    c = np.array([-1.0, 1.0])  # a_2 - a_1 in their frame (a_1, a_2)
     exact = np.outer(c, c) * (density[0] / density[1] / sigma)
     hess = resp.hessian()
     assert np.linalg.norm(hess.tensor - exact) <= hess.error_bound
@@ -692,9 +699,9 @@ def test_sampled_estimators_cover_the_two_piece_closed_form(r, k, u, seed):
     grad, gerr = smoothed_gradient_mc(inst, x, MCBudget(20_000, seed))
     assert np.linalg.norm(grad - exact.gradient) <= 4.0 * gerr + exact.gradient_error
     if k == 2:
-        hess, herr = _tensor_coords_mc(inst, x, 2, MCBudget(20_000, seed))
-        closed = exact.hessian()  # zero beyond t = k
-        tensor = np.zeros((r, r)) if closed.is_zero else closed.tensor
+        hess, herr, _ = _tensor_coords_mc(inst, x, 2, MCBudget(20_000, seed))
+        closed = exact.hessian()  # zero beyond t = k, both in the pair's frame
+        tensor = np.zeros((2, 2)) if closed.is_zero else closed.tensor
         assert np.linalg.norm(hess - tensor) <= 4.0 * herr + closed.error_bound
 
 
@@ -846,7 +853,7 @@ def test_identical_directions_answer_the_shared_piece(k):
     a = np.array([0.6, 0.8, 0.0])
     for shifts in ([0.05, 0.05], [0.05, 0.05 - params.delta], [0.05 - params.delta, 0.05]):
         inst = HardInstance.custom(params, np.vstack([a, a]), np.array(shifts))
-        assert inst.smoothing_dim == 1
+        assert len(inst.basis) == 1
         x = np.array([0.1, -0.2, 0.3])
         values = piece_values(inst, x)
         assert contenders(inst, values).tolist() == [0, 1]
@@ -876,13 +883,13 @@ class TestMonteCarloAnswer:
         budget = MCBudget(20_000, child_seed(0, "mc", 3))
         seed, n = budget.seed, budget.n_samples
         value, stderr = smoothed_value_mc(inst, x, MCBudget(n, child_seed(seed, "value")))
-        grad, gerr = _tensor_coords_mc(inst, x, 1, MCBudget(2 * n, child_seed(seed, "gradient")))
-        hess, herr = _tensor_coords_mc(inst, x, 2, MCBudget(2 * n, child_seed(seed, "tensor", 2)))
+        grad, gerr, frame = _tensor_coords_mc(inst, x, 1, MCBudget(2 * n, child_seed(seed, "gradient")))
+        hess, herr, _ = _tensor_coords_mc(inst, x, 2, MCBudget(2 * n, child_seed(seed, "tensor", 2)))
         for resp in (monte_carlo_answer(inst, x, budget=budget), answer):
             assert resp.regime == MONTE_CARLO
             assert np.float64(resp.value).tobytes() == np.float64(value / denom).tobytes()
             assert np.float64(resp.value_stderr).tobytes() == np.float64(stderr / denom).tobytes()
-            assert resp.gradient.tobytes() == (inst.basis.lift(grad) / denom).tobytes()
+            assert resp.gradient.tobytes() == (frame.T @ grad / denom).tobytes()
             assert np.float64(resp.gradient_error).tobytes() == np.float64(gerr / denom).tobytes()
             assert resp.hessian().tensor.tobytes() == (hess / denom).tobytes()
             assert np.float64(resp.hessian().error_bound).tobytes() == np.float64(herr / denom).tobytes()

@@ -17,6 +17,7 @@ from resistor.harness import (
     RunConfig,
     RunReport,
     MinCrossCheck,
+    RefusedArgument,
     UnsupportedOrderError,
     audit_instance,
     emit_report,
@@ -164,8 +165,8 @@ PINNED_RUNS = {
         "61f4be34ba4905488ae69b1020208ebacf1395dc81dd451cc837f5e229724ac6",
     ),
     (RANDOMIZED, 100, 1, "agd"): (
-        "c1383520603c41e2fc1942c850fac20f15f772faf6692d789201eb63bb582ad9",
-        "ee37d21b92bea155f8dbf69ed15fd2e498052dba54ea9222fa7d37f5c4edb533",
+        "d306325eaddde4a55e4e7364a2fe69eba5079dc5101fd609795d789cf72cbb74",
+        "a48c4b1189e3c6d5d8e378b6f6fa4c3221bc8165582a44e6d151f4c495c60abb",
     ),
 }
 
@@ -229,8 +230,8 @@ def _nan_gradient_error(instance, x, budget):
 
 
 def _nan_hessian(instance, x, order, budget):
-    r = instance.smoothing_dim
-    return np.full((r, r), math.nan), 1.0
+    # a NaN Hessian in the frame of the first piece
+    return np.full((1, 1), math.nan), 1.0, instance.piece_matrix[:1]
 
 
 # (audited order, estimator the audit calls, a stand-in answering NaN)
@@ -491,6 +492,25 @@ def _queried(*args, **kwargs):
     raise AssertionError("a refused argument reached the work it gates")
 
 
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        (RunConfig(T=4, k=1, method="cubic"), "needs k >= 2"),
+        (RunConfig(T=4, method="newton"), "unknown method"),
+        (RunConfig(T=4, seed=-1), "seed must be non-negative"),
+        (RunConfig(mode=RANDOMIZED, T=4, seed=-1), "seed must be non-negative"),
+        (RunConfig(T=4, format="xml"), "format"),
+        (RunConfig(T=4.5), "T must be an integer"),
+        (RunConfig(T=4, k=2.0, method="cubic"), "k must be an integer"),
+    ],
+)
+def test_run_refuses_an_argument_before_any_query(config, name):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "run_method", _queried)
+        with pytest.raises(RefusedArgument, match=name):
+            run_experiment(config)
+
+
 # Not a count of at least 1: any float (NaN, infinities and fractions among
 # them), a Fraction, a bool, or an integer below 1.
 BAD_COUNTS = st.one_of(st.floats(), st.fractions(), st.booleans(), st.integers(max_value=0))
@@ -546,6 +566,9 @@ def test_every_gate_refuses_what_it_cannot_count_on(data):
         (["verify", "--suite", "all", "--T", "4", "--pairs", "-3"], "n_pairs"),
         (["sweep", "--seeds", "0", "--T", "4"], "n_seeds"),
         (["run", "--T", "4", "--k", "1", "--rescale-L", "nan"], "L_target"),
+        (["run", "--T", "4", "--k", "1", "--method", "cubic"], "needs k >= 2"),
+        (["run", "--T", "4", "--seed", "-1"], "seed must be non-negative"),
+        (["verify", "--suite", "locality", "--T", "4", "--seed", "-1"], "seed must be non-negative"),
         (["verify", "--suite", "locality", "--T", "0"], "T and k"),
         # fewer samples than the suite's estimates take: 2^(j+1) at Lipschitz
         # order j = min(k, 2), 2 for invariance

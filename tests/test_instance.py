@@ -51,6 +51,14 @@ class TestDeterministicParams:
         with pytest.raises(ValueError, match="floor"):
             params_deterministic(1, 1)
 
+    @pytest.mark.parametrize("T, k, name", [(4.5, 1, "T"), (True, 1, "T"), (4, 1.5, "k"), (4, False, "k")])
+    def test_schedules_refuse_a_budget_or_order_that_is_not_an_integer(self, T, k, name):
+        for schedule in (params_deterministic, lambda T, k: params_randomized(T, k, 0.2)):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+                schedule(T, k)
+        p = params_deterministic(np.int64(4), np.int64(1))
+        assert (type(p.T), type(p.k), type(p.m), type(p.d)) == (int, int, int, int)
+
     def test_dimension_override_upward_only(self):
         assert params_deterministic(4, 1, d=50).d == 50
         with pytest.raises(ValueError, match="d > T"):
@@ -145,11 +153,6 @@ class TestAppendPiece:
             inst = append_piece(inst, np.zeros(p.d), partial(stream, 0, "piece", t))
         with pytest.raises(ValueError, match="budget"):
             append_piece(inst, np.zeros(p.d), partial(stream, 0, "piece", 5))
-
-    def test_infeasible_query(self):
-        p = params_deterministic(4, 1)
-        with pytest.raises(ValueError, match="unit ball"):
-            append_piece(HardInstance.empty(p), 2.0 * unit(p.d, 0), partial(stream, 0, "piece"))
 
     def test_appending_twice_leaves_earlier_instances_unchanged(self):
         p = params_deterministic(4, 1)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from resistor.evaluator import (
     MONTE_CARLO,
     MCBudget,
     OracleResponse,
+    affine_regime,
     monte_carlo_answer,
     oracle_answer,
+    regime_answer,
 )
-from resistor.geometry import OrthonormalBasis, orthonormal_extend
+from resistor.geometry import OrthonormalBasis, orthonormal_extend, sample_ball
 from resistor.instance import (
     QUERY_NORM_SLACK,
     HardInstance,
@@ -98,6 +101,25 @@ class TestAdaptiveOracle:
         with pytest.raises(ValueError, match="unit ball"):
             oracle.query(np.full(p.d, 1.0))
 
+    @pytest.mark.parametrize("scale", [2.0, math.nan, math.inf])
+    def test_query_outside_the_ball_reveals_no_piece(self, scale):
+        # the one norm check is the answer's; the piece built before it is
+        # dropped, on an empty instance and on one with pieces
+        p = params_deterministic(4, 1)
+        oracle = AdaptiveOracle(p, seed=0)
+        x = np.zeros(p.d)
+        x[1] = scale
+        for pieces in (0, 1):
+            with pytest.raises(ValueError, match="unit ball"):
+                oracle.query(x)
+            assert oracle.instance.num_pieces == len(oracle.transcript) == pieces
+            oracle.query(np.zeros(p.d))
+
+    def test_answer_on_an_instance_without_pieces_names_the_cause(self):
+        p = params_deterministic(4, 1)
+        with pytest.raises(ValueError, match="instance has no pieces"):
+            oracle_answer(HardInstance.empty(p), np.zeros(p.d))
+
     def test_consistency_replay_all_equal(self):
         p = params_deterministic(9, 2)
         oracle = AdaptiveOracle(p, seed=1)
@@ -153,9 +175,10 @@ class TestAdaptiveOracle:
         assert got.gradient.tobytes() == expected.gradient.tobytes()
         assert oracle.instance.piece_matrix.tobytes() == fresh.instance.piece_matrix.tobytes()
         assert oracle.instance.num_pieces == len(oracle.transcript) == 3
-        # the adaptive replay flags the tie answer, and matches the rest
+        # the replay re-answers every record, the tie answer included, and
+        # matches each bit for bit
         reasons = [entry.reason for entry in oracle.finalize()[1].entries]
-        assert reasons == ["", "monte_carlo_regime", ""]
+        assert reasons == ["", "", ""]
 
     def test_broken_smoothing_radius_names_failing_index(self):
         # deliberately violate 2*k*delta <= gamma/m: locality collapses
@@ -572,6 +595,74 @@ class TestTailResampling:
         np.testing.assert_allclose(c1[:keep], c2[:keep], atol=1e-9)
         np.testing.assert_allclose(c1[keep:], c2[keep:], atol=1e-9)
         assert np.linalg.norm(c1[keep:]) <= 5.0 * r1.gradient_error
+
+
+def _tie_client(oracle, rng) -> None:
+    """The origin, then for t >= 2 a point where piece t ties piece 1
+    exactly and every other piece sits gamma/T or more below: along a new
+    direction for the adaptive oracle, along a_1 and a_t for the
+    randomized one."""
+    p = oracle.params
+    known = [oracle.query(np.zeros(oracle.dim)).gradient * p.norm_denom]
+    for t in range(2, p.T + 1):
+        gap = shift_of(p, 1) - shift_of(p, t)
+        if isinstance(oracle, AdaptiveOracle):
+            e = rng.standard_normal(oracle.dim)
+            for _ in range(2):
+                for u in known:
+                    e -= (u @ e) * u
+            e /= np.linalg.norm(e)
+            known.append(e)
+            oracle.query(gap * e)
+        else:
+            a = oracle.instance.piece_matrix
+            oracle.query(0.2 * a[0] + (0.2 + gap) * a[t - 1])
+
+
+CLIENTS = {
+    "tie": _tie_client,
+    "tie3": lambda oracle, rng: oracle.query(three_way_tie(oracle)),
+    "ball": lambda oracle, rng: [oracle.query(sample_ball(oracle.dim, rng)) for _ in range(oracle.params.T)],
+}
+
+
+@given(
+    st.sampled_from([AdaptiveOracle, RandomizedOracle]),
+    st.sampled_from(sorted(CLIENTS)),
+    st.integers(4, 9),
+    st.integers(1, 2),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_answer_is_the_final_instances_answer(cls, client, T, k, seed):
+    # every tie-band answer depends only on its contenders and T: it is,
+    # bit for bit, the final instance's answer at the same point, each
+    # tensor in the q contender coordinates of its basis_matrix
+    params = params_deterministic(T, k) if cls is AdaptiveOracle else params_randomized(T, k, 0.2)
+    oracle = cls(params, seed=seed, mc_samples=2_000)
+    CLIENTS[client](oracle, np.random.default_rng(seed))
+    final, report = oracle.finalize()
+    assert report.all_equal
+    ties = 0
+    for rec in oracle.transcript.records:
+        values, keep = affine_regime(final, rec.x)
+        if len(keep) == 1:
+            continue
+        ties += 1
+        budget = partial(oracles._mc_budget, oracle.mc_samples, seed, rec.index)
+        resp, again = rec.response, regime_answer(final, rec.x, values, keep, budget)
+        assert resp.regime == again.regime == MONTE_CARLO
+        assert (resp.value, resp.value_stderr) == (again.value, again.value_stderr)
+        assert resp.gradient.tobytes() == again.gradient.tobytes()
+        assert resp.gradient_error == again.gradient_error
+        q = len(keep)
+        for h, h_again in zip(resp.higher, again.higher, strict=True):
+            assert h.is_zero == h_again.is_zero
+            if not h.is_zero:
+                assert h.tensor.shape == (q,) * h.order
+                assert h.tensor.tobytes() == h_again.tensor.tobytes()
+                assert resp.basis_matrix.shape == (q, oracle.dim)
+    assert ties > 0 or client == "ball"
 
 
 class TestTranscriptSerialization:
