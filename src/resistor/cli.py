@@ -90,13 +90,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for audit in summary.lipschitz:
         print(
             f"lipschitz order {audit.order}: max ratio {audit.max_ratio:.6g} "
-            f"({audit.n_sampled}/{audit.n_pairs} pairs sampled) "
+            f"({audit.n_tie_band}/{audit.n_pairs} pairs in the tie band) "
             f"vs bound {audit.bound:.6g} ({'PASS' if audit.passed else 'FAIL'})"
         )
     if summary.invariance is not None:
         inv = summary.invariance
         print(
-            f"invariance: {inv.n_exact} exact / {inv.n_monte_carlo} sampled pairs, "
+            f"invariance: {inv.n_exact} exact / {inv.n_monte_carlo} tie-band pairs, "
             f"max exact diff {inv.max_exact_diff:.3e} ({'PASS' if inv.passed else 'FAIL'})"
         )
     if summary.locality is not None:

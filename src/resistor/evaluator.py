@@ -7,8 +7,8 @@ of the completed instance's pieces, however many exist yet (iterated
 smoothing collapses to one expectation over the sum of the
 perturbations). The contenders at x (contenders) are the pieces within
 2*k*delta of the top, the only ones that can win anywhere the smoothing
-reaches. Their count is the regime, the one test regime_answer and the
-estimators dispatch on:
+reaches. Their count is the regime, and _closed_form the one rule that
+regime_answer and the estimators dispatch on:
 
 * exact_affine: one contender, winning the max by more than 2*k*delta.
   Each piece is 1-Lipschitz, so every point the smoothing can touch
@@ -22,7 +22,8 @@ estimators dispatch on:
   the answer's basis_matrix.
 
   Two contenders at k <= 2 are answered in closed form
-  (two_piece_answer). With p the top piece, c the difference of the two
+  (two_piece_answer, whose arithmetic _two_piece_law also serves the
+  estimators). With p the top piece, c the difference of the two
   directions in frame coordinates and S the sum of k independent
   one-dimensional marginals of the uniform T-ball, the smoothed function
   is l_p(x) + E[(l_q(x) - l_p(x) + delta |c| S)_+], a one-dimensional
@@ -52,10 +53,10 @@ estimators dispatch on:
   its value, then each derivative order, each from its own stream.
 
 The estimators (smoothed_value_mc, smoothed_gradient_mc,
-_tensor_coords_mc) take this argument to its limit: with one contender
-the conditional expectation of any estimate is the closed form itself,
-so at an exact-affine point they return exact_answer's value, gradient
-or zero tensor with error 0, and sample only inside the tie band.
+_tensor_coords_mc) take this argument to its limit: where _closed_form
+gives an estimate's expectation in closed form, they return it,
+unnormalized, with its error (0 at an exact-affine point), and sample
+only the rest, or a contender frame the caller passes.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ DEFAULT_GRADIENT_SAMPLES = 200_000
 
 EXACT_AFFINE = "exact_affine"
 MONTE_CARLO = "monte_carlo"
+TWO_PIECE = "two_piece"
 
 # Two-piece closed form: Gauss-Legendre nodes per quadrature element (the
 # answer takes twice as many, and reports its distance from this many as
@@ -243,6 +245,15 @@ def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, n
     return values, contenders(instance, values)
 
 
+def _closed_form(instance: HardInstance, keep: np.ndarray) -> str | None:
+    """The contender-count rule that regime_answer and the estimators
+    share, keep being the contenders: EXACT_AFFINE for one (exact_answer),
+    TWO_PIECE for two at k <= 2 (_two_piece_law), else None: sample."""
+    if len(keep) == 1:
+        return EXACT_AFFINE
+    return TWO_PIECE if len(keep) == 2 and instance.params.k <= 2 else None
+
+
 ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -300,14 +311,14 @@ def smoothed_value_mc(
     *,
     contender_frame: ContenderFrame | None = None,
 ) -> tuple[float, float]:
-    """Smoothed value at x: exact_answer's value, with standard error 0,
-    at an exact-affine point, else an unbiased Monte-Carlo estimate.
+    """Smoothed value at x: in closed form where _closed_form gives one
+    (see the module notes), else an unbiased Monte-Carlo estimate.
 
     The estimate averages the shifted max-affine function over x + delta
     * (v_1 + ... + v_k), v_j i.i.d. uniform in the unit T-ball, drawn in
     the q frame coordinates of the contenders (see the module notes).
     Returns (value, standard error). Unnormalized (no norm_denom).
-    Needs n_samples >= 2, even where exact: one sample has no standard
+    Needs n_samples >= 2, even in closed form: one sample has no standard
     error. contender_frame, if given, must be _contender_frame at x, and
     is sampled; it is built here otherwise.
     """
@@ -321,9 +332,13 @@ def smoothed_value_mc(
         )
     if contender_frame is None:
         values, keep = affine_regime(instance, x)
-        if len(keep) == 1:
+        law = _closed_form(instance, keep)
+        if law == EXACT_AFFINE:
             return float(values.shifted[keep[0]]), 0.0
         contender_frame = _contender_frame(instance, values, keep)
+        if law == TWO_PIECE:
+            answer = _two_piece_law(instance, contender_frame, 1.0)[0]
+            return answer.value, answer.value_stderr
     base, coeffs, frame = contender_frame
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
@@ -358,17 +373,24 @@ def _tensor_coords_mc(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Order-j derivative tensor of the smoothed function at x in the
     coordinates of its contender frame, its error bound, and the frame's
-    rows: exact at an exact-affine point, the sole contender's coordinate
-    for j = 1 and the zero tensor above with error 0, else
-    _sampled_tensor_coords. The gates of _check_tensor_budget run first
-    either way. contender_frame is as for smoothed_value_mc."""
+    rows: in closed form where _closed_form gives one (at an exact-affine
+    point the sole contender's coordinate for j = 1, the zero tensor
+    above), else _sampled_tensor_coords. The gates of _check_tensor_budget
+    run first either way. contender_frame is as for smoothed_value_mc."""
     _check_tensor_budget(instance, order, budget)
     if contender_frame is None:
         values, keep = affine_regime(instance, x)
+        law = _closed_form(instance, keep)
         contender_frame = _contender_frame(instance, values, keep)
-        if len(keep) == 1:
-            _, coords, frame = contender_frame
+        _, coords, frame = contender_frame
+        if law == EXACT_AFFINE:
             return (coords[0] if order == 1 else np.zeros((len(frame),) * order)), 0.0, frame
+        if law == TWO_PIECE:
+            answer, coords = _two_piece_law(instance, contender_frame, 1.0)
+            if order == 1:
+                return coords, answer.gradient_error, frame
+            hessian = answer.higher[0]
+            return (np.zeros((len(frame),) * 2) if hessian.is_zero else hessian.tensor), hessian.error_bound, frame
     return (*_sampled_tensor_coords(instance, order, budget, contender_frame), contender_frame[2])
 
 
@@ -444,17 +466,21 @@ def smoothed_gradient_mc(
     instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None
 ) -> tuple[np.ndarray, float]:
     """Gradient of the smoothed function at x, in ambient coordinates
-    (lying in the piece span), with its error bound. Unnormalized.
-    exact_answer's gradient, the read-only piece row a_idx, with error 0
-    at an exact-affine point; else the order-1 estimate of
+    (lying in the piece span), with its error bound. Unnormalized. In
+    closed form where _closed_form gives one (at an exact-affine point
+    the read-only piece row a_idx), else the order-1 estimate of
     _sampled_tensor_coords lifted through the contender frame. The gates
     of _check_tensor_budget run first either way."""
     budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
     _check_tensor_budget(instance, 1, budget)
     values, keep = affine_regime(instance, x)
-    if len(keep) == 1:
+    law = _closed_form(instance, keep)
+    if law == EXACT_AFFINE:
         return instance.piece_matrix[keep[0]], 0.0
     contender_frame = _contender_frame(instance, values, keep)
+    if law == TWO_PIECE:
+        answer = _two_piece_law(instance, contender_frame, 1.0)[0]
+        return answer.gradient, answer.gradient_error
     coords, err = _sampled_tensor_coords(instance, 1, budget, contender_frame)
     return contender_frame[2].T @ coords, err
 
@@ -484,14 +510,15 @@ def regime_answer(
     keep: np.ndarray,
     budget: MCBudget | Callable[[], MCBudget] | None = None,
 ) -> OracleResponse:
-    """The answer at x that its contender count calls for: exact_answer
-    for one contender, two_piece_answer for two at k <= 2, else
-    monte_carlo_answer. A callable budget is called only for the last, so
-    no other answer derives one. (values, keep) must be
+    """The answer at x that its contender count calls for (_closed_form):
+    exact_answer for one contender, two_piece_answer for two at k <= 2,
+    else monte_carlo_answer. A callable budget is called only for the
+    last, so no other answer derives one. (values, keep) must be
     affine_regime(instance, x)."""
-    if len(keep) == 1:
+    law = _closed_form(instance, keep)
+    if law == EXACT_AFFINE:
         return exact_answer(instance, values, int(keep[0]) + 1)
-    if len(keep) == 2 and instance.params.k <= 2:
+    if law == TWO_PIECE:
         return two_piece_answer(instance, values, keep)
     budget = budget() if callable(budget) else budget
     return monte_carlo_answer(instance, x, budget, _contender_frame(instance, values, keep))
@@ -639,7 +666,18 @@ def two_piece_answer(
     instance: HardInstance, values: PieceValues, pair: np.ndarray
 ) -> OracleResponse:
     """Closed-form answer where exactly the two pieces `pair` (0-based
-    indices) contend, for k <= 2; values must be piece_values(instance, x).
+    indices) contend, for k <= 2, normalized; values must be
+    piece_values(instance, x). See _two_piece_law."""
+    frame = _contender_frame(instance, values, pair)
+    return _two_piece_law(instance, frame, instance.params.norm_denom)[0]
+
+
+def _two_piece_law(
+    instance: HardInstance, contender_frame: ContenderFrame, denom: float
+) -> tuple[OracleResponse, np.ndarray]:
+    """The two-piece answer over contender_frame, a pair's (see
+    two_piece_answer), every output divided by denom, and its gradient's
+    frame coordinates before the division.
 
     Let p be the top piece of the two and q the other, c = coords_q -
     coords_p in their contender frame (_contender_frame) and sigma =
@@ -648,7 +686,7 @@ def two_piece_answer(
     t = (l_p(x) - l_q(x)) / sigma the smoothed function is l_p(x) +
     sigma E[(S - t)_+]: the value. The gradient is the frame's lift of
     coords_p + c P(S > t), and for k = 2 the Hessian, in frame
-    coordinates, is c c^T p_S(t) / sigma; all are divided by norm_denom.
+    coordinates, is c c^T p_S(t) / sigma.
     Identical directions (c = 0, possible for custom instances) leave l_p
     itself, and so does t >= k, which S cannot reach: there the Hessian
     is the zero tensor.
@@ -659,7 +697,7 @@ def two_piece_answer(
     recurrence and the quadrature sums in the law.
     """
     params = instance.params
-    base, coeffs, frame = _contender_frame(instance, values, pair)
+    base, coeffs, frame = contender_frame
     p, q = (0, 1) if base[0] >= base[1] else (1, 0)
     coords_p = coeffs[p]
     c = coeffs[q] - coords_p
@@ -672,22 +710,22 @@ def two_piece_answer(
         law, err = np.zeros(3), np.zeros(3)
     tail, excess, density = law
     rounding = (instance.basis.dim + params.T + 64) * np.finfo(float).eps
-    denom = params.norm_denom
     higher = ()
     if params.k == 2:
         higher = (HigherDerivative(2),)
         if density > 0.0:
             error = norm_c**2 / sigma * (err[2] + rounding * density)
             higher = (HigherDerivative(2, np.outer(c, c) * (density / (sigma * denom)), error / denom),)
+    coords = coords_p + c * tail
     return OracleResponse(
         value=float(level + sigma * excess) / denom,
-        gradient=frame.T @ (coords_p + c * tail) / denom,
+        gradient=frame.T @ coords / denom,
         higher=higher,
         affine_index=None,
         value_stderr=float(sigma * (err[1] + rounding) + rounding * abs(level)) / denom,
         gradient_error=float(norm_c * (err[0] + rounding) + rounding * np.linalg.norm(coords_p)) / denom,
         basis_matrix=frame if higher and not higher[0].is_zero else None,
-    )
+    ), coords
 
 
 def monte_carlo_answer(

@@ -24,7 +24,6 @@ from .evaluator import (
     MCBudget,
     _tensor_coords_mc,
     affine_regime,
-    locally_affine_index,
     rescale_to_smoothness,
     smoothed_gradient_mc,
     smoothed_value_mc,
@@ -259,15 +258,15 @@ def emit_report(report: RunReport, format: str, path) -> Path:
 
 @dataclass
 class LipschitzAudit:
-    """n_sampled counts the pairs with a point inside the tie band, the
-    only pairs the estimators sample; the rest are compared exactly."""
+    """n_tie_band counts the pairs with a point of two or more
+    contenders, inside the tie band; the rest are compared exactly."""
 
     order: int
     bound: float
     max_ratio: float
     max_excess: float
     n_pairs: int
-    n_sampled: int
+    n_tie_band: int
     passed: bool
 
 
@@ -332,9 +331,9 @@ def verify_lipschitz(
     rng = stream(seed, "lipschitz-pairs", order)
     pairs = _separated_pairs(instance, n_pairs, rng)
     ratios, excesses = [], []
-    n_sampled = 0
+    n_tie_band = 0
     for p, (x, y, dist) in enumerate(pairs):
-        n_sampled += locally_affine_index(instance, x) is None or locally_affine_index(instance, y) is None
+        n_tie_band += any(len(affine_regime(instance, z)[1]) > 1 for z in (x, y))
         if order == 0:
             vx, ex = smoothed_value_mc(instance, x, MCBudget(samples, child_seed(seed, "lip0x", p)))
             vy, ey = smoothed_value_mc(instance, y, MCBudget(samples, child_seed(seed, "lip0y", p)))
@@ -361,7 +360,7 @@ def verify_lipschitz(
         max_ratio=float(np.max(ratios)),
         max_excess=max_excess,
         n_pairs=len(pairs),
-        n_sampled=n_sampled,
+        n_tie_band=n_tie_band,
         passed=max_excess <= bound,
     )
 
@@ -386,7 +385,7 @@ def verify_invariance(
 
     Pairs (x, x+y) with y in the orthogonal complement are scaled into
     the ball together; exact-affine pairs must agree to 1e-10 (the
-    orthogonality tolerance), Monte-Carlo pairs to 6 combined standard
+    orthogonality tolerance), tie-band pairs to 6 combined reported
     errors. n_points must be at least 1.
     """
     n_points = _count(n_points, "n_points")

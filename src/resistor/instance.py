@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -85,7 +86,7 @@ def certified_floor_margin(params: InstanceParams) -> float:
 def params_deterministic(T: int, k: int, d: int | None = None) -> InstanceParams:
     """Deterministic-mode schedule: gamma = 1/(3 sqrt(T)), delta = gamma/(3 k T).
 
-    T and k must be integers (see streams.as_integer); d defaults to
+    T, k and d must be integers (see streams.as_integer); d defaults to
     T + 1 and may only be raised. Rejects budgets whose closed-form
     certificate cannot clear the 1/(2 sqrt(T)) floor.
     """
@@ -94,8 +95,7 @@ def params_deterministic(T: int, k: int, d: int | None = None) -> InstanceParams
         raise ValueError("T and k must be positive integers")
     gamma = 1.0 / (3.0 * math.sqrt(T))
     delta = gamma / (3.0 * k * T)
-    if d is None:
-        d = T + 1
+    d = T + 1 if d is None else as_integer(d, "d")
     if d <= T:
         raise ValueError(f"deterministic mode needs d > T, got d={d}, T={T}")
     params = InstanceParams(
@@ -124,13 +124,15 @@ def randomized_dimension(T: int, fail_prob: float) -> int:
 def params_randomized(T: int, k: int, fail_prob: float) -> InstanceParams:
     """Randomized-mode schedule: gamma = 1/(3 sqrt(T)), delta = 1/(20 k T^1.5).
 
-    T and k must be integers (see streams.as_integer). The ambient
-    dimension is the smallest integer that pushes the union bound over
-    the basis-query correlations below fail_prob.
+    T and k must be integers (see streams.as_integer), fail_prob a real
+    number. The ambient dimension is the smallest integer that pushes the
+    union bound over the basis-query correlations below fail_prob.
     """
     T, k = as_integer(T, "T"), as_integer(k, "k")
     if T < 1 or k < 1:
         raise ValueError("T and k must be positive integers")
+    if not isinstance(fail_prob, numbers.Real):
+        raise TypeError(f"fail_prob must be a real number, got {fail_prob!r}")
     if not 0.0 < fail_prob < 1.0:
         raise ValueError("fail_prob must lie in (0, 1)")
     gamma = 1.0 / (3.0 * math.sqrt(T))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from resistor.evaluator import piece_values
+from resistor.evaluator import _contender_frame, _tensor_coords_mc, affine_regime, piece_values
 from resistor.geometry import OrthonormalBasis
 from resistor.instance import DETERMINISTIC, HardInstance, InstanceParams, shift_of
 from resistor.oracles import AdaptiveOracle
@@ -48,6 +48,20 @@ def reference_locally_affine_index(
     margin = shifted[j] - runner_up
     threshold = 2.0 * instance.params.k * instance.params.delta
     return j + 1 if margin > threshold else None
+
+
+def contender_frame_at(instance: HardInstance, x: np.ndarray):
+    """The contender frame at x. Passed to an estimator, it makes the
+    estimator sample where it would answer in closed form."""
+    return _contender_frame(instance, *affine_regime(instance, x))
+
+
+def sampled_gradient(instance: HardInstance, x: np.ndarray, budget) -> tuple[np.ndarray, float]:
+    """The sampler's gradient at x and its error: the order-1 estimate
+    over the contender frame at x, lifted as smoothed_gradient_mc lifts
+    it inside the tie band, bit for bit."""
+    coords, err, frame = _tensor_coords_mc(instance, x, 1, budget, contender_frame=contender_frame_at(instance, x))
+    return frame.T @ coords, err
 
 
 def abs_instance(params) -> HardInstance:

@@ -16,7 +16,6 @@ from resistor.evaluator import (
     _contender_frame,
     affine_regime,
     rescale_to_smoothness,
-    smoothed_gradient_mc,
     smoothed_value_mc,
 )
 from resistor.geometry import OrthonormalBasis
@@ -24,7 +23,7 @@ from resistor.harness import RunConfig, audit_instance, run_experiment, sweep, v
 from resistor.instance import DETERMINISTIC, RANDOMIZED, HardInstance, params_deterministic, pessimal_point
 from resistor.evaluator import piece_values
 
-from conftest import abs_instance, fd_gradient_crn, unit
+from conftest import abs_instance, contender_frame_at, fd_gradient_crn, sampled_gradient, unit
 
 BUDGETS = (4, 9, 16, 25, 100, 400)
 GRID = [
@@ -169,7 +168,10 @@ def test_criterion_5_one_dimensional_analytic():
     # E|delta u|, u uniform on [-1, 1], equals delta/2
     p = params_deterministic(4, 1)
     inst = abs_instance(p)
-    est, se = smoothed_value_mc(inst, np.zeros(p.d), MCBudget(100_000, seed=6))
+    # the kink is a two-piece point, answered in closed form unless the
+    # contender frame is passed: the sampler is checked here
+    x = np.zeros(p.d)
+    est, se = smoothed_value_mc(inst, x, MCBudget(100_000, seed=6), contender_frame=contender_frame_at(inst, x))
     _line(5, "kink of |a.x| smooths to delta/2 within 3 sigma", abs(est - p.delta / 2.0) <= 3 * se)
 
 
@@ -184,7 +186,8 @@ def test_criterion_6_gradient_formula_equivalence():
     for point in range(50):
         x = rng.standard_normal(p.d)
         x /= max(1.0, np.linalg.norm(x))
-        sphere, g_err = smoothed_gradient_mc(inst, x, MCBudget(200_000, seed=70_000 + point))
+        # the sphere formula itself, sampled at every point
+        sphere, g_err = sampled_gradient(inst, x, MCBudget(200_000, seed=70_000 + point))
         fd, fd_err = fd_gradient_crn(inst, x, h, 100_000, seed=90_000 + point)
         ok = ok and np.linalg.norm(sphere - fd) <= 3.0 * (g_err + fd_err) + trunc
     _line(6, "sphere-formula gradient matches value finite differences (50 points)", ok)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -46,10 +47,12 @@ from resistor.streams import child_seed, stream
 
 from conftest import (
     abs_instance,
+    contender_frame_at,
     dense_tensor_coords_mc,
     dense_value_mc,
     fd_gradient_crn,
     reference_locally_affine_index,
+    sampled_gradient,
     three_way_tie,
     unit,
 )
@@ -319,18 +322,20 @@ def test_contender_estimates_match_full_span_reference(t):
     # agree with the full-span estimator within 4 combined errors, and the
     # gradient and Hessian errors are no larger (Rao-Blackwell). The value
     # estimator has the same law either way, so its standard error agrees
-    # only up to sampling noise.
+    # only up to sampling noise. The estimators answer two contenders in
+    # closed form; passed the contender frame, they sample it.
     oracle, xs, _ = _tie_client()
     inst, x = oracle.instance, xs[t - 1]
     assert len(contenders(inst, piece_values(inst, x))) == 2 and inst.num_pieces == inst.params.T == 9
+    frame_at_x = contender_frame_at(inst, x)
     for seed in range(4):
         budget = MCBudget(20_000, seed)
-        value, verr = smoothed_value_mc(inst, x, budget)
+        value, verr = smoothed_value_mc(inst, x, budget, contender_frame=frame_at_x)
         ref, ref_err = dense_value_mc(inst, x, budget)
         assert abs(value - ref) <= 4 * math.hypot(verr, ref_err)
         assert verr <= 1.05 * ref_err
         for order in (1, 2):
-            tensor, err, frame = _tensor_coords_mc(inst, x, order, budget)
+            tensor, err, frame = _tensor_coords_mc(inst, x, order, budget, contender_frame=frame_at_x)
             for _ in range(order):
                 tensor = np.tensordot(tensor, inst.basis.matrix @ frame.T, axes=(0, 1))
             ref, ref_err = dense_tensor_coords_mc(inst, x, order, budget)
@@ -405,7 +410,8 @@ class TestSmoothedValue:
     def test_abs_kink_half_delta(self):
         p = params_deterministic(4, 1)
         inst = abs_instance(p)
-        est, se = smoothed_value_mc(inst, np.zeros(p.d), MCBudget(100_000, 11))
+        x = np.zeros(p.d)  # a two-piece point: the frame makes it sampled
+        est, se = smoothed_value_mc(inst, x, MCBudget(100_000, 11), contender_frame=contender_frame_at(inst, x))
         assert abs(est - p.delta / 2.0) <= 3 * se
 
     def test_exact_path_consistency(self, plane_instance):
@@ -423,14 +429,16 @@ class TestSmoothedValue:
     def test_one_sample_refused(self, plane_instance):
         # one sample has no standard error; it must not report 0
         x = np.array([0.3, 0.35, 0.0])
+        frame = contender_frame_at(plane_instance, x)
         with pytest.raises(ValueError, match="n_samples >= 2"):
             smoothed_value_mc(plane_instance, x, MCBudget(1, 0))
-        assert smoothed_value_mc(plane_instance, x, MCBudget(2, 0))[1] > 0
+        assert smoothed_value_mc(plane_instance, x, MCBudget(2, 0), contender_frame=frame)[1] > 0
 
     def test_deterministic_given_budget(self, plane_instance):
         x = np.array([0.3, 0.35, 0.0])
-        a = smoothed_value_mc(plane_instance, x, MCBudget(5_000, 9))
-        b = smoothed_value_mc(plane_instance, x, MCBudget(5_000, 9))
+        frame = contender_frame_at(plane_instance, x)
+        a = smoothed_value_mc(plane_instance, x, MCBudget(5_000, 9), contender_frame=frame)
+        b = smoothed_value_mc(plane_instance, x, MCBudget(5_000, 9), contender_frame=frame)
         assert a == b
 
 
@@ -443,7 +451,7 @@ class TestSmoothedGradient:
     def test_abs_kink_symmetry_gives_zero(self):
         p = params_deterministic(4, 1)
         inst = abs_instance(p)
-        g, _ = smoothed_gradient_mc(inst, np.zeros(p.d), MCBudget(20_000, 4))
+        g, _ = sampled_gradient(inst, np.zeros(p.d), MCBudget(20_000, 4))
         assert np.linalg.norm(g) <= 1e-12
 
     def test_matches_value_finite_differences_near_tie(self, plane_instance):
@@ -456,9 +464,10 @@ class TestSmoothedGradient:
         assert np.linalg.norm(g - fd) <= 3.0 * (gerr + fderr) + trunc
 
 
-# smoothed_gradient_mc on the two-piece plane instance (delta 0.005) at the
-# tie x = (0.3, 0.35, 0), MCBudget(1_000, 7): coordinates and error as
-# float.hex. The pieces are the coordinate axes, so the projections are
+# The sampled gradient (sampled_gradient, the bits smoothed_gradient_mc
+# gave before two-piece points were answered in closed form) on the
+# two-piece plane instance (delta 0.005) at the tie x = (0.3, 0.35, 0),
+# MCBudget(1_000, 7): coordinates and error as float.hex. The pieces are the coordinate axes, so the projections are
 # exact and the bits depend only on the draws and the estimator's
 # arithmetic.
 PINNED_GRADIENTS = {
@@ -471,7 +480,7 @@ PINNED_GRADIENTS = {
 def test_gradient_bits_pinned(k):
     params = InstanceParams(T=2, k=k, m=2, d=3, gamma=0.1, delta=0.005, mode=DETERMINISTIC)
     inst = HardInstance.from_basis(params, OrthonormalBasis(np.eye(3)[:2]))
-    g, err = smoothed_gradient_mc(inst, np.array([0.3, 0.35, 0.0]), MCBudget(1_000, 7))
+    g, err = sampled_gradient(inst, np.array([0.3, 0.35, 0.0]), MCBudget(1_000, 7))
     coords, error = PINNED_GRADIENTS[k]
     assert [float(v).hex() for v in g] == coords
     assert float(err).hex() == error
@@ -523,6 +532,13 @@ def test_estimators_answer_exact_affine_points_in_closed_form(T, k, seed, scale)
 def test_gates_refuse_an_exact_affine_point_before_any_work(T, k, seed, data):
     inst, x, _, idx = _exact_affine_point(T, k, seed)
     assume(idx is not None)
+    _assert_gates_refuse_before_any_work(inst, x, seed, data)
+
+
+def _assert_gates_refuse_before_any_work(inst: HardInstance, x: np.ndarray, seed: int, data) -> None:
+    """Every gate of the three estimators (no pieces, n_samples, order,
+    dimension) refuses at x before the point is evaluated or sampled."""
+    k = inst.params.k
     order = data.draw(st.integers(1, k))
     bad_order = data.draw(st.sampled_from([0, k + 1]))
     empty = HardInstance.empty(inst.params)
@@ -556,6 +572,55 @@ def test_gates_refuse_an_exact_affine_point_before_any_work(T, k, seed, data):
                 call(inst, wide, budget=many)
 
 
+def _two_contender_point(T: int, k: int, seed: int, u: float) -> tuple[HardInstance, np.ndarray, np.ndarray]:
+    """audit_instance(T, k, seed) with norm_denom 1, a point where two of
+    its pieces, i and j, sit about 0.3 - gamma or more above the rest (far
+    beyond 2 k delta) and piece j sits u 2 k delta below piece i, and the
+    pair (i, j) in index order."""
+    inst = audit_instance(T, k, seed)
+    inst = dataclasses.replace(inst, params=dataclasses.replace(inst.params, norm_denom=1.0))
+    i, j = stream(seed, "two-contender-point").choice(T, 2, replace=False)
+    a, b = inst.piece_matrix, inst.piece_shifts
+    x = 0.3 * a[i] + (0.3 + b[i] - b[j] - u * 2 * k * inst.params.delta) * a[j]
+    return inst, x, np.sort([i, j])
+
+
+@given(st.integers(3, 12), st.integers(1, 2), st.integers(0, 2**31), st.floats(0.0, 0.999), st.data())
+@settings(max_examples=40, deadline=None)
+def test_estimators_answer_two_contender_points_in_closed_form(T, k, seed, u, data):
+    # at k <= 2 each estimator returns two_piece_answer's field (norm_denom
+    # 1), bit for bit, and draws no sample
+    inst, x, pair = _two_contender_point(T, k, seed, u)
+    values, keep = affine_regime(inst, x)
+    assert keep.tolist() == pair.tolist()
+    answer = two_piece_answer(inst, values, keep)
+    budget = MCBudget(2 ** (k + 1), seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "stream", _refuse_work)
+        value, value_err = smoothed_value_mc(inst, x, budget)
+        grad, grad_err = smoothed_gradient_mc(inst, x, budget)
+        tensors = [_tensor_coords_mc(inst, x, j, budget) for j in range(1, k + 1)]
+    assert np.float64(value).tobytes() == np.float64(answer.value).tobytes()
+    assert value_err == answer.value_stderr > 0
+    assert grad.tobytes() == answer.gradient.tobytes() and grad_err == answer.gradient_error > 0
+    (coords, coords_err, frame), *rest = tensors
+    assert frame.tobytes() == inst.piece_matrix[pair].tobytes()
+    assert (frame.T @ coords).tobytes() == answer.gradient.tobytes() and coords_err == answer.gradient_error
+    if k == 2:
+        (hess, hess_err, _), closed = rest[0], answer.hessian()
+        assert hess.tobytes() == (np.zeros((2, 2)) if closed.is_zero else closed.tensor).tobytes()
+        assert hess_err == closed.error_bound
+    _assert_gates_refuse_before_any_work(inst, x, seed, data)
+    # at k = 3 the same pair still contends, and is sampled
+    deeper = dataclasses.replace(inst, params=dataclasses.replace(inst.params, k=3))
+    assert affine_regime(deeper, x)[1].tolist() == pair.tolist()
+    for estimate in (smoothed_value_mc, smoothed_gradient_mc, partial(_tensor_coords_mc, order=3)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluator, "stream", _refuse_work)
+            with pytest.raises(_WorkStarted):
+                estimate(deeper, x, budget=MCBudget(16, seed))
+
+
 class TestDerivativeTensors:
     def test_abs_hessian_closed_form(self):
         # f = |x_1| smoothed twice: f'' = (2 delta - |x_1|) / (2 delta^2) inside
@@ -569,7 +634,8 @@ class TestDerivativeTensors:
         for t, frac in enumerate((-1.7, -0.6, 0.0, 0.3, 1.2, 1.99, 2.5, -3.0)):
             x = frac * delta * unit(p.d, 0)
             exact = max(0.0, (2.0 * delta - abs(x[0])) / (2.0 * delta**2))
-            tensor, err, _ = _tensor_coords_mc(inst, x, 2, MCBudget(400, t))
+            frame = contender_frame_at(inst, x)
+            tensor, err, _ = _tensor_coords_mc(inst, x, 2, MCBudget(400, t), contender_frame=frame)
             assert tensor.shape == (1, 1)
             assert tensor[0, 0] == pytest.approx(exact, rel=1e-9, abs=1e-9 / delta)
             assert err <= 1e-6 / delta
@@ -584,7 +650,7 @@ class TestDerivativeTensors:
         x = np.array([0.3, 0.35, 0.0])
         with pytest.raises(ValueError, match="n_samples >= 4"):
             smoothed_gradient_mc(plane_instance, x, MCBudget(3, 0))
-        assert smoothed_gradient_mc(plane_instance, x, MCBudget(4, 0))[1] > 0
+        assert sampled_gradient(plane_instance, x, MCBudget(4, 0))[1] > 0
         params = InstanceParams(
             T=2, k=3, m=2, d=3, gamma=0.1, delta=0.001, mode=DETERMINISTIC, norm_denom=1.0
         )
@@ -688,18 +754,20 @@ def _two_piece_point(r: int, k: int, u: float) -> tuple[HardInstance, np.ndarray
 def test_sampled_estimators_cover_the_two_piece_closed_form(r, k, u, seed):
     # the closed form is the truth the samplers estimate: each sampled
     # value, gradient and Hessian lies within 4 of its reported errors
-    # (plus the closed form's own) of it
+    # (plus the closed form's own) of it. Passed the contender frame, the
+    # estimators sample it rather than answer in closed form.
     inst, x = _two_piece_point(r, k, u)
     values = piece_values(inst, x)
     assert contenders(inst, values).tolist() == [0, 1]
     exact = oracle_answer(inst, x)
     assert exact.regime == MONTE_CARLO
-    value, verr = smoothed_value_mc(inst, x, MCBudget(20_000, seed))
+    frame = contender_frame_at(inst, x)
+    value, verr = smoothed_value_mc(inst, x, MCBudget(20_000, seed), contender_frame=frame)
     assert abs(value - exact.value) <= 4.0 * verr + exact.value_stderr
-    grad, gerr = smoothed_gradient_mc(inst, x, MCBudget(20_000, seed))
+    grad, gerr = sampled_gradient(inst, x, MCBudget(20_000, seed))
     assert np.linalg.norm(grad - exact.gradient) <= 4.0 * gerr + exact.gradient_error
     if k == 2:
-        hess, herr, _ = _tensor_coords_mc(inst, x, 2, MCBudget(20_000, seed))
+        hess, herr, _ = _tensor_coords_mc(inst, x, 2, MCBudget(20_000, seed), contender_frame=frame)
         closed = exact.hessian()  # zero beyond t = k, both in the pair's frame
         tensor = np.zeros((2, 2)) if closed.is_zero else closed.tensor
         assert np.linalg.norm(hess - tensor) <= 4.0 * herr + closed.error_bound
@@ -863,7 +931,8 @@ def test_identical_directions_answer_the_shared_piece(k):
         assert 0 < resp.gradient_error and np.linalg.norm(resp.gradient - a) <= resp.gradient_error
         assert [h.is_zero for h in resp.higher] == [True] * (k - 1)
         assert resp.basis_matrix is None
-        est, se = smoothed_value_mc(inst, x, MCBudget(4_000, 1))
+        frame = contender_frame_at(inst, x)  # sampled, not the closed form again
+        est, se = smoothed_value_mc(inst, x, MCBudget(4_000, 1), contender_frame=frame)
         assert abs(est - resp.value) <= 4.0 * se + resp.value_stderr
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resistor import cli, harness, oracles
-from resistor.evaluator import piece_values
+from resistor.evaluator import contenders, piece_values
 from resistor.geometry import OrthonormalBasis
 from resistor.harness import (
     CSV_COLUMNS,
@@ -255,20 +255,22 @@ class TestLipschitzAuditFailsClosed:
         audit = verify_lipschitz(audit_instance(4, 1), 0, n_pairs=3, samples=64, seed=0)
         assert math.isnan(audit.max_ratio)
 
-    def test_n_sampled_counts_the_pairs_the_estimators_sampled(self, monkeypatch):
-        # an exact-affine point is answered with error 0, a sampled one not
-        errors = []
+    def test_n_tie_band_counts_the_pairs_with_two_or_more_contenders(self, monkeypatch):
+        # the points the audit estimates at, x then y of each pair; a pair
+        # is in the tie band when either point has two or more contenders
+        points = []
         real = harness.smoothed_value_mc
 
-        def recording(*args, **kwargs):
-            value, err = real(*args, **kwargs)
-            errors.append(err)
-            return value, err
+        def recording(instance, x, *args, **kwargs):
+            points.append(x)
+            return real(instance, x, *args, **kwargs)
 
         monkeypatch.setattr(harness, "smoothed_value_mc", recording)
-        audit = verify_lipschitz(audit_instance(9, 2), 0, n_pairs=30, samples=2_000, seed=0)
-        sampled = sum(ex > 0.0 or ey > 0.0 for ex, ey in zip(errors[::2], errors[1::2]))
-        assert audit.n_sampled == sampled and 0 < sampled < audit.n_pairs
+        inst = audit_instance(9, 2)
+        audit = verify_lipschitz(inst, 0, n_pairs=30, samples=2_000, seed=0)
+        band = [len(contenders(inst, piece_values(inst, z))) > 1 for z in points]
+        in_band = sum(bx or by for bx, by in zip(band[::2], band[1::2]))
+        assert len(points) == 60 and audit.n_tie_band == in_band and 0 < in_band < audit.n_pairs
 
     def test_no_pairs_is_refused(self):
         # an audit of zero pairs has no evidence to pass on
@@ -358,6 +360,15 @@ def test_verify_locality_mismatch_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "regimes MISMATCH" in out and "suite locality: FAIL" in out
+
+
+def test_verify_cli_reports_the_tie_band_counts(capsys):
+    # the default 30 pairs per order at T = 9, k = 2, seed 0
+    assert cli.main(["verify", "--suite", "all", "--T", "9", "--k", "2", "--seed", "0"]) == 0
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    for order, count in enumerate((2, 3, 4)):
+        assert f"({count}/30 pairs in the tie band)" in lines[f"lipschitz order {order}"]
+    assert "tie-band pairs" in lines["invariance"] and lines["suite all"] == "suite all: PASS"
 
 
 def test_run_verification_all():

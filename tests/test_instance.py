@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -64,6 +65,14 @@ class TestDeterministicParams:
         with pytest.raises(ValueError, match="d > T"):
             params_deterministic(4, 1, d=4)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, 10.5, 12.0, True, "12", Fraction(12)])
+    def test_dimension_must_be_an_integer(self, d):
+        # a NaN, an infinity or a fraction would pass the d > T gate and
+        # fail later, inside numpy, without naming d
+        with pytest.raises(TypeError, match="^d must be an integer"):
+            params_deterministic(9, 1, d=d)
+        assert type(params_deterministic(9, 1, d=np.int64(12)).d) is int
+
     def test_constructors_validate_clean(self):
         for T in (4, 9, 16, 25):
             for k in (1, 2):
@@ -98,6 +107,15 @@ class TestRandomizedParams:
             params_randomized(4, 1, 0.0)
         with pytest.raises(ValueError, match="fail_prob"):
             params_randomized(4, 1, 1.0)
+
+    @pytest.mark.parametrize("fail_prob", ["0.2", None, 0.2j, [0.2]])
+    def test_fail_prob_must_be_a_real_number(self, fail_prob):
+        with pytest.raises(TypeError, match="^fail_prob must be a real number"):
+            params_randomized(4, 1, fail_prob)
+        for bad in (math.nan, math.inf, True):
+            with pytest.raises(ValueError, match="fail_prob must lie in"):
+                params_randomized(4, 1, bad)
+        assert params_randomized(4, 1, Fraction(1, 5)).d == params_randomized(4, 1, 0.2).d
 
 
 class TestShiftOf:
