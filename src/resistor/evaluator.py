@@ -29,7 +29,10 @@ regime_answer and the estimators dispatch on:
   is l_p(x) + E[(l_q(x) - l_p(x) + delta |c| S)_+], a one-dimensional
   law whose tail, excess and density come from the reduction recurrence
   of the integrals of cos^T (k = 1) and one Gauss-Legendre quadrature
-  over the first marginal (k = 2).
+  over the first marginal (k = 2). The law (_sum_law) depends on T, k,
+  the standardized gap t and the node count alone, so it is computed
+  once per process and shared read-only: repeated ties and the replay
+  reuse it.
 
   Otherwise value and derivatives are estimated by sampling. The order-j
   derivative comes from the sphere identity iterated through the outer
@@ -71,7 +74,7 @@ import numpy as np
 
 from .geometry import frozen, sample_ball, sample_sphere
 from .instance import QUERY_NORM_SLACK, HardInstance, span_basis
-from .streams import as_integer, child_seed, stream
+from .streams import as_integer, as_seed, child_seed, stream
 
 DEFAULT_VALUE_SAMPLES = 100_000
 DEFAULT_GRADIENT_SAMPLES = 200_000
@@ -92,13 +95,15 @@ _GRADED_ELEMENTS = 12
 @dataclass(frozen=True)
 class MCBudget:
     """Sample count and stream seed for one Monte-Carlo evaluation; the
-    count must be an integer (see streams.as_integer) of at least 1."""
+    count must be an integer (see streams.as_integer) of at least 1, the
+    seed a non-negative integer (see streams.as_seed)."""
 
     n_samples: int = DEFAULT_VALUE_SAMPLES
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "n_samples", as_integer(self.n_samples, "n_samples"))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
 
@@ -595,11 +600,27 @@ def _marginal(r: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tail, power / ((r + 1) * wallis) - u * tail, cos ** (r - 1) / wallis
 
 
+# Laws _sum_law keeps. A run of T queries computes at most T + 1 distinct
+# laws (one per tie answer, one for the witness check), and its replay
+# asks for them again, after the last query. The least recently used law
+# goes first, so every replayed law is still held while T < 4096, 2.5
+# times the largest budget yet profiled (T = 1600). An entry (its key,
+# two read-only 3-vectors and the cache's links) takes about 0.5 KB
+# (tracemalloc over 2000 keys), so a full cache about 2 MB; a sweep over
+# any number of seeds holds no more.
+_SUM_LAWS_KEPT = 4096
+# The law, or its error, where it vanishes.
+_NO_LAW = frozen(np.zeros(3))
+
+
+@functools.lru_cache(maxsize=_SUM_LAWS_KEPT)
 def _sum_law(r: int, k: int, t: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """[P(S > t), E[(S - t)_+], density of S at t] for S the sum of k <= 2
     independent marginals of the uniform r-ball (see _marginal) and
     t >= 0, with the quadrature error of each. For k = 1 the law is
     closed-form, its quadrature error zero; beyond t = k the law vanishes.
+    A pure function of its arguments, so it is cached (_SUM_LAWS_KEPT):
+    both arrays are read-only, shared by every caller of the same key.
 
     For k = 2, S = S_1 + S_2, and the law is a composite Gauss-Legendre
     quadrature over s = S_1: from 2 * nodes nodes per element, its error
@@ -620,9 +641,9 @@ def _sum_law(r: int, k: int, t: float, nodes: int) -> tuple[np.ndarray, np.ndarr
     of one rule in element-major order.
     """
     if t >= k:
-        return np.zeros(3), np.zeros(3)
+        return _NO_LAW, _NO_LAW
     if k == 1:
-        return np.array(_marginal(r, np.float64(t))), np.zeros(3)
+        return frozen(np.array(_marginal(r, np.float64(t)))), _NO_LAW
     pair_nodes, pair_weights = _gauss_legendre_pair(nodes)
     ratios = _GRADING_RATIO ** np.arange(_GRADED_ELEMENTS, 0, -1)
     pieces = max(2, math.ceil(math.sqrt(r)))
@@ -659,7 +680,7 @@ def _sum_law(r: int, k: int, t: float, nodes: int) -> tuple[np.ndarray, np.ndarr
         between = sums[0] + sums[3] if t > 0.0 else sums[0]
         laws.append(np.array([0.5 - between, sums[1], sums[2]]))
     coarse, fine = laws
-    return fine, np.abs(fine - coarse)
+    return frozen(fine), frozen(np.abs(fine - coarse))
 
 
 def two_piece_answer(
@@ -707,7 +728,7 @@ def _two_piece_law(
     if sigma > 0.0:
         law, err = _sum_law(params.T, params.k, (level - float(base[q])) / sigma, TWO_PIECE_NODES)
     else:
-        law, err = np.zeros(3), np.zeros(3)
+        law, err = _NO_LAW, _NO_LAW
     tail, excess, density = law
     rounding = (instance.basis.dim + params.T + 64) * np.finfo(float).eps
     higher = ()

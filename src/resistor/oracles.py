@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -200,8 +201,8 @@ class _ResistingOracle:
     streams.as_integer and against the fewest samples such an answer
     takes: 2 for a value with a standard error, 2^k for the order-k
     tensor's two draws at 2^k sign flips each, out of its 2 * mc_samples
-    evaluations. rescale must be a positive finite number
-    (not a bool): any other would answer NaN, inf, 0 or flipped values.
+    evaluations. rescale must be a positive finite real number (not a
+    bool): any other would answer NaN, inf, 0 or flipped values.
     """
 
     def __init__(
@@ -212,8 +213,8 @@ class _ResistingOracle:
         rescale: float,
         instance: HardInstance,
     ):
-        if isinstance(rescale, bool):
-            raise TypeError("rescale must be a number, not a bool")
+        if isinstance(rescale, bool) or not isinstance(rescale, numbers.Real):
+            raise TypeError(f"rescale must be a real number, got {rescale!r}")
         if not (0.0 < rescale < math.inf):
             raise ValueError(f"rescale must be positive and finite, got {rescale!r}")
         seed = as_seed(seed)

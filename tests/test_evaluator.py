@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from functools import partial
 
@@ -708,6 +709,46 @@ def test_tie_client_answers_are_the_exact_tie():
         assert resp.basis_matrix.tobytes() == final.piece_matrix[[0, t - 1]].tobytes()
 
 
+# SHA-256 of the tie client's transcript (_tie_client, then finalize),
+# written with every vector: the bytes of eight two-piece answers.
+PINNED_TIE_TRANSCRIPT = "cde2069d7e2bfb3264fdf96b9f7e9ac801f0f9df182d3d14ffc76df6a3d109e8"
+
+
+def test_tie_client_transcript_bytes_pinned(tmp_path):
+    oracle, _, _ = _tie_client()
+    _, report = oracle.finalize()
+    assert report.all_equal
+    path = tmp_path / "tie.jsonl"
+    oracle.transcript.to_jsonl(path, dump_vectors=True)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TIE_TRANSCRIPT
+
+
+def test_tie_law_is_computed_once_and_reused_by_the_replay():
+    # every tie answer asks _sum_law for its law: the queries miss once
+    # per distinct key, and each replayed tie hits
+    keys = []
+    cached = evaluator._sum_law
+
+    def recording(*args):
+        keys.append(args)
+        return cached(*args)
+
+    cached.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_sum_law", recording)
+        oracle, _, _ = _tie_client()
+        asked = len(keys)
+        after_queries = cached.cache_info()
+        _, report = oracle.finalize()
+    assert report.all_equal
+    queried, replayed = keys[:asked], keys[asked:]
+    assert len(queried) == len(replayed) == oracle.params.T - 1
+    assert after_queries.misses == len(set(queried)) < len(queried)
+    after_replay = cached.cache_info()
+    assert after_replay.misses == after_queries.misses
+    assert after_replay.hits == after_queries.hits + len(replayed)
+
+
 def _dyadic_tie(r: int, k: int) -> tuple[HardInstance, np.ndarray]:
     """r axis pieces in R^(r+1), smoothed over their span (T = r), shifts
     2 (1 - i/16) and delta = 1/64, at x = (1/4, 3/8, 0, ...): pieces 1 and
@@ -880,6 +921,28 @@ def test_sum_law_is_the_per_rule_quadrature_bit_for_bit(r, t):
     law, err = _sum_law(r, 2, t, nodes)
     assert law.tobytes() == fine.tobytes()
     assert err.tobytes() == np.abs(fine - coarse).tobytes()
+
+
+@given(st.integers(1, 40), st.sampled_from([1, 2]), st.floats(0.0, 1.0))
+@example(9, 2, 0.0)
+@example(4, 1, 1.0)
+@settings(max_examples=60, deadline=None)
+def test_cached_sum_law_is_the_computation_read_only(r, k, u):
+    # the cache hands out the law as computed, bit for bit, in arrays that
+    # refuse writes; a doubled node count is a key of its own, so raising
+    # TWO_PIECE_NODES asks for the finer rule, not the cached one
+    t = u * k
+    nodes = evaluator.TWO_PIECE_NODES
+    _sum_law.cache_clear()
+    for n in (nodes, 2 * nodes):
+        law, err = _sum_law(r, k, t, n)
+        reference = _sum_law.__wrapped__(r, k, t, n)
+        assert (law.tobytes(), err.tobytes()) == tuple(a.tobytes() for a in reference)
+        assert _sum_law(r, k, t, n)[0] is law
+        for array in (law, err):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+    assert _sum_law.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resistor import cli, harness, oracles
-from resistor.evaluator import contenders, piece_values
+from resistor.evaluator import MCBudget, contenders, piece_values
 from resistor.geometry import OrthonormalBasis
 from resistor.harness import (
     CSV_COLUMNS,
@@ -211,6 +212,21 @@ class TestVerifyLipschitz:
         base = verify_lipschitz(inst, 1, n_pairs=3, samples=1_000, seed=3)
         scaled = verify_lipschitz(inst, 1, n_pairs=3, samples=1_000, seed=3, rescale=0.5)
         assert scaled.bound == 0.5 * base.bound
+
+    def test_hessian_audit_sees_a_tie_off_the_probed_row(self, monkeypatch):
+        # pieces 2 and 3 of four axis pieces tie at x, y is exact-affine:
+        # pair 0's Hessian difference lives on rows 2 and 3, none of them
+        # basis row 0 mod T, and the whole-Hessian comparison still sees it
+        params = InstanceParams(T=4, k=2, m=16, d=5, gamma=2.0, delta=1.0 / 64.0, mode=DETERMINISTIC)
+        inst = HardInstance.from_basis(params, OrthonormalBasis(np.eye(5)[:4]))
+        x, y = 0.25 * unit(5, 1) + 0.375 * unit(5, 2), 0.5 * unit(5, 0)
+        assert contenders(inst, piece_values(inst, x)).tolist() == [1, 2]
+        dist = float(np.linalg.norm(x - y))
+        monkeypatch.setattr(harness, "_separated_pairs", lambda *args: [(x, y, dist)])
+        audit = verify_lipschitz(inst, 2, n_pairs=1, samples=64, seed=0)
+        hess, _, frame = harness._tensor_coords_mc(inst, x, 2, MCBudget(64, 0))
+        assert audit.n_tie_band == 1 and audit.passed
+        assert audit.max_ratio == float(np.linalg.norm(frame.T @ hess @ frame)) / dist > 0.0
 
     def test_high_orders_reported_unsupported(self):
         with pytest.raises(UnsupportedOrderError, match="order 3"):
@@ -522,18 +538,27 @@ def test_run_refuses_an_argument_before_any_query(config, name):
             run_experiment(config)
 
 
-# Not a count of at least 1: any float (NaN, infinities and fractions among
-# them), a Fraction, a bool, or an integer below 1.
-BAD_COUNTS = st.one_of(st.floats(), st.fractions(), st.booleans(), st.integers(max_value=0))
+# A string without digits, so that no CLI flag parses it as a valid number.
+WORDS = st.text(st.characters(blacklist_categories=("Nd",)), max_size=4)
+# Not an integer: any float (NaN, infinities and fractions among them), a
+# Fraction, a bool or a string.
+NOT_INTEGERS = st.one_of(st.floats(), st.fractions(), st.booleans(), WORDS)
+# Not a count of at least 1: not an integer, or an integer below 1.
+BAD_COUNTS = st.one_of(NOT_INTEGERS, st.integers(max_value=0))
+# Not a seed: not an integer, or a negative one.
+BAD_SEEDS = st.one_of(NOT_INTEGERS, st.integers(max_value=-1))
 # Not a positive finite scale: NaN, an infinity, zero or a negative (float,
-# integer or Fraction), or a bool.
+# integer or Fraction), a bool or a string.
 BAD_SCALES = st.one_of(
-    st.sampled_from([math.nan, math.inf]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
     st.floats(max_value=0.0),
     st.integers(max_value=0),
     st.fractions(max_value=0),
     st.booleans(),
+    WORDS,
 )
+# Not a probability in (0, 1).
+BAD_PROBABILITIES = st.one_of(BAD_SCALES, st.floats(min_value=1.0))
 # name -> (argument checked, bad values, call, names whose use would mean the
 # check came too late)
 GATES = {
@@ -546,20 +571,32 @@ GATES = {
     "verify_invariance": ("n_points", BAD_COUNTS, lambda v: verify_invariance(_AUDITED, n_points=v),
                           ["stream"]),
     "sweep": ("n_seeds", BAD_COUNTS, lambda v: sweep(RunConfig(T=4), v), ["run_experiment"]),
-    "AdaptiveOracle": ("rescale", BAD_SCALES,
-                       lambda v: AdaptiveOracle(params_deterministic(4, 1), rescale=v), []),
-    "RandomizedOracle": ("rescale", BAD_SCALES,
-                         lambda v: RandomizedOracle(params_randomized(4, 1, 0.2), rescale=v), []),
+    "params_deterministic T": ("T", BAD_COUNTS, lambda v: params_deterministic(v, 1), []),
+    "params_deterministic k": ("k", BAD_COUNTS, lambda v: params_deterministic(4, v), []),
+    "params_deterministic d": ("d", BAD_COUNTS, lambda v: params_deterministic(4, 1, v), []),
+    "params_randomized T": ("T", BAD_COUNTS, lambda v: params_randomized(v, 1, 0.2), []),
+    "params_randomized k": ("k", BAD_COUNTS, lambda v: params_randomized(4, v, 0.2), []),
+    "params_randomized fail_prob": ("fail_prob", BAD_PROBABILITIES,
+                                    lambda v: params_randomized(4, 1, v), []),
+    "MCBudget n_samples": ("n_samples", BAD_COUNTS, lambda v: MCBudget(v, 0), []),
+    "MCBudget seed": ("seed", BAD_SEEDS, lambda v: MCBudget(100, v), []),
 }
+for _oracle, _params in ((AdaptiveOracle, params_deterministic(4, 1)),
+                         (RandomizedOracle, params_randomized(4, 1, 0.2))):
+    for _name, _values in (("rescale", BAD_SCALES), ("seed", BAD_SEEDS), ("mc_samples", BAD_COUNTS)):
+        GATES[f"{_oracle.__name__} {_name}"] = (
+            _name, _values, lambda v, o=_oracle, p=_params, n=_name: o(p, **{n: v}), []
+        )
 _AUDITED = audit_instance(4, 1)
 
 
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_every_gate_refuses_what_it_cannot_count_on(data):
-    # each public count or scale that could let a gate pass on no
-    # evidence, or answer NaN, inf, 0 or a flipped value, is refused with
-    # an error that names it, before the work it gates starts
+    # each argument of a public constructor, and each public count or
+    # scale that could let a gate pass on no evidence, or answer NaN, inf,
+    # 0 or a flipped value, is refused with an error that names it, before
+    # the work it gates starts
     gate = data.draw(st.sampled_from(sorted(GATES)))
     name, values, call, late = GATES[gate]
     value = data.draw(values)
@@ -599,3 +636,37 @@ def test_cli_refuses_an_empty_audit_or_sweep(capsys, argv, name):
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert name in err and "PASS" not in out
+
+
+
+# flag -> (bad values, the rest of its command line, valid and small)
+_RUN = ["run", "--T", "4", "--k", "1"]
+CLI_FLAGS = {
+    "--T": (BAD_COUNTS, _RUN),
+    "--k": (BAD_COUNTS, _RUN),
+    "--seed": (BAD_SEEDS, _RUN),
+    "--mc-samples": (st.one_of(NOT_INTEGERS, st.integers(max_value=1)), _RUN),
+    "--fail-prob": (BAD_PROBABILITIES, [*_RUN, "--mode", "rand"]),
+    "--rescale-L": (BAD_SCALES, _RUN),
+    "--pairs": (BAD_COUNTS, ["verify", "--T", "4", "--k", "1"]),
+}
+# the work a refused flag must not reach
+_WORK = [(AdaptiveOracle, "query"), (RandomizedOracle, "query"), (harness, "run_method"),
+         (harness, "verify_lipschitz"), (harness, "verify_invariance"), (harness, "verify_locality")]
+
+
+@given(st.sampled_from(sorted(CLI_FLAGS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cli_flags_refuse_bad_values_before_any_query(flag, data):
+    # NaN, the infinities, bools, floats, strings, negatives and zero, as
+    # far as each flag refuses them: a usage error (exit status 2) before
+    # any oracle query or audit. A Fraction's text is an integer or a
+    # ratio, so the command line has no Fraction to refuse.
+    values, argv = CLI_FLAGS[flag]
+    value = data.draw(values.filter(lambda v: not isinstance(v, Fraction)))
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, attr in _WORK:
+            patch.setattr(owner, attr, _queried)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, f"{flag}={value}"])
+    assert exit_info.value.code == 2
