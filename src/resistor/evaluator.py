@@ -7,8 +7,8 @@ of the completed instance's pieces, however many exist yet (iterated
 smoothing collapses to one expectation over the sum of the
 perturbations). The contenders at x (contenders) are the pieces within
 2*k*delta of the top, the only ones that can win anywhere the smoothing
-reaches. Their count is the regime, and _closed_form the one rule that
-regime_answer and the estimators dispatch on:
+reaches. Their count is the regime, and it alone decides how
+regime_answer and the estimators answer:
 
 * exact_affine: one contender, winning the max by more than 2*k*delta.
   Each piece is 1-Lipschitz, so every point the smoothing can touch
@@ -21,15 +21,15 @@ regime_answer and the estimators dispatch on:
   Q (_contender_frame), each tensor is in Q's q coordinates, and Q is
   the answer's basis_matrix.
 
-  Two contenders at k <= 2 are answered in closed form
-  (two_piece_answer, whose arithmetic _two_piece_law also serves the
-  estimators). With p the top piece, c the difference of the two
-  directions in frame coordinates and S the sum of k independent
-  one-dimensional marginals of the uniform T-ball, the smoothed function
-  is l_p(x) + E[(l_q(x) - l_p(x) + delta |c| S)_+], a one-dimensional
-  law whose tail, excess and density come from the reduction recurrence
-  of the integrals of cos^T (k = 1) and one Gauss-Legendre quadrature
-  over the first marginal (k = 2). The law (_sum_law) depends on T, k,
+  Two contenders at k <= 2 (_two_piece) are answered in closed form
+  (_two_piece_law, which also serves the estimators). With p the top
+  piece, c the difference of the two directions in frame coordinates
+  and S the sum of k independent one-dimensional marginals of the
+  uniform T-ball, the smoothed function is l_p(x) + E[(l_q(x) - l_p(x)
+  + delta |c| S)_+], a one-dimensional law whose tail, excess and
+  density come from the reduction recurrence of the integrals of cos^T
+  (k = 1) and one Gauss-Legendre quadrature over the first marginal
+  (k = 2). The law (_sum_law) depends on T, k,
   the standardized gap t and the node count alone, so it is computed
   once per process and shared read-only: repeated ties and the replay
   reuse it.
@@ -56,8 +56,8 @@ regime_answer and the estimators dispatch on:
   its value, then each derivative order, each from its own stream.
 
 The estimators (smoothed_value_mc, smoothed_gradient_mc,
-_tensor_coords_mc) take this argument to its limit: where _closed_form
-gives an estimate's expectation in closed form, they return it,
+_tensor_coords_mc) take this argument to its limit: at one contender
+or a two-piece tie they return an estimate's expectation in closed form,
 unnormalized, with its error (0 at an exact-affine point), and sample
 only the rest, or a contender frame the caller passes.
 """
@@ -67,7 +67,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,7 +82,6 @@ DEFAULT_GRADIENT_SAMPLES = 200_000
 
 EXACT_AFFINE = "exact_affine"
 MONTE_CARLO = "monte_carlo"
-TWO_PIECE = "two_piece"
 
 # Two-piece closed form: Gauss-Legendre nodes per quadrature element (the
 # answer takes twice as many, and reports its distance from this many as
@@ -106,6 +106,25 @@ class MCBudget:
         object.__setattr__(self, "seed", as_seed(self.seed))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two values of one response field are of one type with the
+    same bits: arrays by shape, dtype and contents, floats as binary64,
+    tuples item by item and dataclasses field by field."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if is_dataclass(a):
+        return all(_same_bits(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return a == b
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +162,7 @@ class OracleResponse:
     The regime is exact_affine when affine_index names the winning
     piece, monte_carlo when it is None: the query lies inside the tie
     band, answered in closed form for two contenders at k <= 2
-    (two_piece_answer), else sampled. In the exact_affine regime
+    (_two_piece_law), else sampled. In the exact_affine regime
     value_stderr and all error bounds are 0 and the gradient norm is
     1/norm_denom exactly. Otherwise value_stderr and gradient_error are
     the standard errors of a sampled answer, or the quadrature error plus
@@ -167,6 +186,14 @@ class OracleResponse:
             if h.order == 2:
                 return h
         return None
+
+    def mismatch(self, other: "OracleResponse") -> str:
+        """"" if other has this response's bits in every field, else
+        "<field>_mismatch" for the first field that differs."""
+        for f in fields(self):
+            if not _same_bits(getattr(self, f.name), getattr(other, f.name)):
+                return f"{f.name}_mismatch"
+        return ""
 
     def scaled(self, s: float) -> "OracleResponse":
         """Response for the objective multiplied by s (all outputs scale)."""
@@ -250,13 +277,11 @@ def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, n
     return values, contenders(instance, values)
 
 
-def _closed_form(instance: HardInstance, keep: np.ndarray) -> str | None:
-    """The contender-count rule that regime_answer and the estimators
-    share, keep being the contenders: EXACT_AFFINE for one (exact_answer),
-    TWO_PIECE for two at k <= 2 (_two_piece_law), else None: sample."""
-    if len(keep) == 1:
-        return EXACT_AFFINE
-    return TWO_PIECE if len(keep) == 2 and instance.params.k <= 2 else None
+def _two_piece(instance: HardInstance, keep: np.ndarray) -> bool:
+    """Whether the contenders keep are answered by the two-piece law
+    (_two_piece_law): two of them, at k <= 2. With one contender the
+    answer is exact, otherwise it is sampled."""
+    return len(keep) == 2 and instance.params.k <= 2
 
 
 ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -316,8 +341,9 @@ def smoothed_value_mc(
     *,
     contender_frame: ContenderFrame | None = None,
 ) -> tuple[float, float]:
-    """Smoothed value at x: in closed form where _closed_form gives one
-    (see the module notes), else an unbiased Monte-Carlo estimate.
+    """Smoothed value at x: in closed form at one contender or a
+    two-piece tie (see the module notes), else an unbiased Monte-Carlo
+    estimate.
 
     The estimate averages the shifted max-affine function over x + delta
     * (v_1 + ... + v_k), v_j i.i.d. uniform in the unit T-ball, drawn in
@@ -337,11 +363,10 @@ def smoothed_value_mc(
         )
     if contender_frame is None:
         values, keep = affine_regime(instance, x)
-        law = _closed_form(instance, keep)
-        if law == EXACT_AFFINE:
+        if len(keep) == 1:
             return float(values.shifted[keep[0]]), 0.0
         contender_frame = _contender_frame(instance, values, keep)
-        if law == TWO_PIECE:
+        if _two_piece(instance, keep):
             answer = _two_piece_law(instance, contender_frame, 1.0)[0]
             return answer.value, answer.value_stderr
     base, coeffs, frame = contender_frame
@@ -378,19 +403,19 @@ def _tensor_coords_mc(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Order-j derivative tensor of the smoothed function at x in the
     coordinates of its contender frame, its error bound, and the frame's
-    rows: in closed form where _closed_form gives one (at an exact-affine
-    point the sole contender's coordinate for j = 1, the zero tensor
-    above), else _sampled_tensor_coords. The gates of _check_tensor_budget
-    run first either way. contender_frame is as for smoothed_value_mc."""
+    rows: in closed form at one contender or a two-piece tie (at an
+    exact-affine point the sole contender's coordinate for j = 1, the
+    zero tensor above), else _sampled_tensor_coords. The gates of
+    _check_tensor_budget run first either way. contender_frame is as for
+    smoothed_value_mc."""
     _check_tensor_budget(instance, order, budget)
     if contender_frame is None:
         values, keep = affine_regime(instance, x)
-        law = _closed_form(instance, keep)
         contender_frame = _contender_frame(instance, values, keep)
         _, coords, frame = contender_frame
-        if law == EXACT_AFFINE:
+        if len(keep) == 1:
             return (coords[0] if order == 1 else np.zeros((len(frame),) * order)), 0.0, frame
-        if law == TWO_PIECE:
+        if _two_piece(instance, keep):
             answer, coords = _two_piece_law(instance, contender_frame, 1.0)
             if order == 1:
                 return coords, answer.gradient_error, frame
@@ -472,18 +497,18 @@ def smoothed_gradient_mc(
 ) -> tuple[np.ndarray, float]:
     """Gradient of the smoothed function at x, in ambient coordinates
     (lying in the piece span), with its error bound. Unnormalized. In
-    closed form where _closed_form gives one (at an exact-affine point
-    the read-only piece row a_idx), else the order-1 estimate of
-    _sampled_tensor_coords lifted through the contender frame. The gates
-    of _check_tensor_budget run first either way."""
+    closed form at one contender or a two-piece tie (at an exact-affine
+    point the read-only piece row a_idx, with no frame built), else the
+    order-1 estimate of _sampled_tensor_coords lifted through the
+    contender frame. The gates of _check_tensor_budget run first either
+    way."""
     budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
     _check_tensor_budget(instance, 1, budget)
     values, keep = affine_regime(instance, x)
-    law = _closed_form(instance, keep)
-    if law == EXACT_AFFINE:
+    if len(keep) == 1:
         return instance.piece_matrix[keep[0]], 0.0
     contender_frame = _contender_frame(instance, values, keep)
-    if law == TWO_PIECE:
+    if _two_piece(instance, keep):
         answer = _two_piece_law(instance, contender_frame, 1.0)[0]
         return answer.gradient, answer.gradient_error
     coords, err = _sampled_tensor_coords(instance, 1, budget, contender_frame)
@@ -515,38 +540,32 @@ def regime_answer(
     keep: np.ndarray,
     budget: MCBudget | Callable[[], MCBudget] | None = None,
 ) -> OracleResponse:
-    """The answer at x that its contender count calls for (_closed_form):
-    exact_answer for one contender, two_piece_answer for two at k <= 2,
-    else monte_carlo_answer. A callable budget is called only for the
-    last, so no other answer derives one. (values, keep) must be
-    affine_regime(instance, x)."""
-    law = _closed_form(instance, keep)
-    if law == EXACT_AFFINE:
-        return exact_answer(instance, values, int(keep[0]) + 1)
-    if law == TWO_PIECE:
-        return two_piece_answer(instance, values, keep)
+    """The answer at x that its contenders keep call for, normalized by
+    norm_denom. One contender wins by more than 2*k*delta, and the
+    smoothing of a single affine piece is that piece: its shifted value,
+    its row a_i as the gradient (the read-only row itself with norm_denom
+    1), zero higher orders. Two at k <= 2 get the two-piece law
+    (_two_piece_law), any others monte_carlo_answer over their frame. A
+    callable budget is called only for the last, so no other answer
+    derives one. (values, keep) must be affine_regime(instance, x)."""
+    params = instance.params
+    denom = params.norm_denom
+    if len(keep) == 1:
+        idx = int(keep[0])
+        a = instance.piece_matrix[idx]
+        return OracleResponse(
+            value=float(values.shifted[idx] / denom),
+            gradient=a if denom == 1.0 else a / denom,
+            higher=tuple(HigherDerivative(j) for j in range(2, params.k + 1)),
+            affine_index=idx + 1,
+            value_stderr=0.0,
+            gradient_error=0.0,
+        )
+    frame = _contender_frame(instance, values, keep)
+    if _two_piece(instance, keep):
+        return _two_piece_law(instance, frame, denom)[0]
     budget = budget() if callable(budget) else budget
-    return monte_carlo_answer(instance, x, budget, _contender_frame(instance, values, keep))
-
-
-def exact_answer(instance: HardInstance, values: PieceValues, idx: int) -> OracleResponse:
-    """Closed-form answer where piece idx wins by more than 2*k*delta.
-
-    The smoothing of a single affine piece is that piece, so the value
-    is values.shifted[idx - 1], the gradient a_idx and higher orders
-    vanish; values must be piece_values(instance, x) at the query x.
-    With norm_denom 1 the gradient is the read-only piece row itself.
-    """
-    denom = instance.params.norm_denom
-    a = instance.piece_matrix[idx - 1]
-    return OracleResponse(
-        value=float(values.shifted[idx - 1] / denom),
-        gradient=a if denom == 1.0 else a / denom,
-        higher=tuple(HigherDerivative(j) for j in range(2, instance.params.k + 1)),
-        affine_index=idx,
-        value_stderr=0.0,
-        gradient_error=0.0,
-    )
+    return monte_carlo_answer(instance, x, budget, frame)
 
 
 @functools.cache
@@ -683,21 +702,11 @@ def _sum_law(r: int, k: int, t: float, nodes: int) -> tuple[np.ndarray, np.ndarr
     return frozen(fine), frozen(np.abs(fine - coarse))
 
 
-def two_piece_answer(
-    instance: HardInstance, values: PieceValues, pair: np.ndarray
-) -> OracleResponse:
-    """Closed-form answer where exactly the two pieces `pair` (0-based
-    indices) contend, for k <= 2, normalized; values must be
-    piece_values(instance, x). See _two_piece_law."""
-    frame = _contender_frame(instance, values, pair)
-    return _two_piece_law(instance, frame, instance.params.norm_denom)[0]
-
-
 def _two_piece_law(
     instance: HardInstance, contender_frame: ContenderFrame, denom: float
 ) -> tuple[OracleResponse, np.ndarray]:
-    """The two-piece answer over contender_frame, a pair's (see
-    two_piece_answer), every output divided by denom, and its gradient's
+    """The answer where exactly two pieces contend, at k <= 2, over their
+    contender_frame, every output divided by denom, and its gradient's
     frame coordinates before the division.
 
     Let p be the top piece of the two and q the other, c = coords_q -
@@ -752,24 +761,22 @@ def _two_piece_law(
 def monte_carlo_answer(
     instance: HardInstance,
     x: np.ndarray,
-    budget: MCBudget | None = None,
-    contender_frame: ContenderFrame | None = None,
+    budget: MCBudget | None,
+    contender_frame: ContenderFrame,
 ) -> OracleResponse:
-    """Sampled answer for a query inside the tie band.
+    """Sampled answer at x over contender_frame, _contender_frame at x,
+    whatever the contender count (no budget means MCBudget()).
 
     Value uses budget.n_samples, each derivative order 2*n_samples
     function evaluations, each estimate on its own stream (child seeds
     "value", "gradient", ("tensor", j) of the budget seed); every order
-    comes from _tensor_coords_mc. All of them share one contender frame,
-    contender_frame (as for smoothed_value_mc; built here if not given).
-    The value is estimated first, so an error it raises wins over a
+    comes from _tensor_coords_mc, all of them over the one frame. The
+    value is estimated first, so an error it raises wins over a
     derivative error.
     """
     params = instance.params
     denom = params.norm_denom
     budget = budget or MCBudget()
-    if contender_frame is None:
-        contender_frame = _contender_frame(instance, *affine_regime(instance, x))
     value_budget = MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
     value, stderr = smoothed_value_mc(instance, x, value_budget, contender_frame=contender_frame)
     grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))

@@ -140,24 +140,6 @@ class ConsistencyReport:
         return None
 
 
-def _responses_equal(a: OracleResponse, b: OracleResponse) -> str:
-    """Empty string if bit-identical, else the first differing field."""
-    if a.affine_index != b.affine_index:
-        return "affine_index_changed"
-    if a.value != b.value or a.value_stderr != b.value_stderr:
-        return "value_mismatch"
-    if not np.array_equal(a.gradient, b.gradient):
-        return "gradient_mismatch"
-    if len(a.higher) != len(b.higher):
-        return "higher_mismatch"
-    for ha, hb in zip(a.higher, b.higher):
-        if ha.order != hb.order or ha.is_zero != hb.is_zero:
-            return "higher_mismatch"
-        if not ha.is_zero and not np.array_equal(ha.tensor, hb.tensor):
-            return "higher_mismatch"
-    return ""
-
-
 def replay_consistency(
     instance: HardInstance,
     transcript: Transcript,
@@ -170,7 +152,8 @@ def replay_consistency(
     A record whose regime the replay contradicts is a regime_mismatch.
     Otherwise the query is answered again through regime_answer, the
     dispatch that answered it (sampling on the same streams), and the two
-    answers must match bit for bit, in either mode.
+    answers must match bit for bit in every field, in either mode; the
+    reason names the first that differs (OracleResponse.mismatch).
     """
     entries = []
     for rec in transcript.records:
@@ -180,7 +163,7 @@ def replay_consistency(
         else:
             budget = partial(_mc_budget, mc_samples, seed, rec.index)
             replayed = regime_answer(instance, rec.x, values, keep, budget).scaled(rescale)
-            reason = _responses_equal(rec.response, replayed)
+            reason = rec.response.mismatch(replayed)
         entries.append(ReplayEntry(rec.index, reason, values.f_tilde))
     return ConsistencyReport(
         all_equal=all(e.exact_equal for e in entries),

@@ -19,7 +19,6 @@ from resistor.evaluator import (
     _tensor_coords_mc,
     affine_regime,
     contenders,
-    exact_answer,
     locally_affine_index,
     monte_carlo_answer,
     oracle_answer,
@@ -28,7 +27,7 @@ from resistor.evaluator import (
     smoothed_gradient_mc,
     smoothed_value_mc,
     suboptimality_certificate,
-    two_piece_answer,
+    regime_answer,
 )
 from resistor.geometry import OrthonormalBasis, perp_component, sample_ball
 from resistor.harness import RunConfig, audit_instance, run_experiment
@@ -368,7 +367,7 @@ def test_pruned_answer_bits_pinned():
     values = piece_values(inst, x)
     assert values.shifted.tolist() == [0.4375, 0.4375, 0.0625]
     assert contenders(inst, values).tolist() == [0, 1]
-    resp = monte_carlo_answer(inst, x, budget=MCBudget(1_000, 7))
+    resp = monte_carlo_answer(inst, x, MCBudget(1_000, 7), contender_frame_at(inst, x))
     hess = resp.hessian()
     got = {
         "value": float(resp.value).hex(),
@@ -589,12 +588,12 @@ def _two_contender_point(T: int, k: int, seed: int, u: float) -> tuple[HardInsta
 @given(st.integers(3, 12), st.integers(1, 2), st.integers(0, 2**31), st.floats(0.0, 0.999), st.data())
 @settings(max_examples=40, deadline=None)
 def test_estimators_answer_two_contender_points_in_closed_form(T, k, seed, u, data):
-    # at k <= 2 each estimator returns two_piece_answer's field (norm_denom
+    # at k <= 2 each estimator returns the two-piece answer's field (norm_denom
     # 1), bit for bit, and draws no sample
     inst, x, pair = _two_contender_point(T, k, seed, u)
     values, keep = affine_regime(inst, x)
     assert keep.tolist() == pair.tolist()
-    answer = two_piece_answer(inst, values, keep)
+    answer = regime_answer(inst, x, values, keep)
     budget = MCBudget(2 ** (k + 1), seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "stream", _refuse_work)
@@ -721,6 +720,35 @@ def test_tie_client_transcript_bytes_pinned(tmp_path):
     path = tmp_path / "tie.jsonl"
     oracle.transcript.to_jsonl(path, dump_vectors=True)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TIE_TRANSCRIPT
+
+
+def _f64(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("s", [0.37, 1e-3])
+def test_rescaled_tie_answers_scale_every_field(s):
+    # the tie client's queries sent to an oracle of the same seed at
+    # rescale s: value, gradient and Hessian are the rescale-1 fields
+    # times s and every error field times |s|, bit for bit; the frame is
+    # unchanged and the rescaled run replays equal
+    _, xs, answers = _tie_client()
+    oracle = AdaptiveOracle(params_deterministic(9, 2), seed=0, rescale=s)
+    for x, base in zip(xs, answers):
+        resp = oracle.query(x)
+        assert resp.affine_index == base.affine_index
+        assert _f64(resp.value) == _f64(base.value * s)
+        assert resp.gradient.tobytes() == (base.gradient * s).tobytes()
+        assert _f64(resp.value_stderr) == _f64(base.value_stderr * abs(s))
+        assert _f64(resp.gradient_error) == _f64(base.gradient_error * abs(s))
+        (hess,), (ref,) = resp.higher, base.higher
+        assert hess.order == ref.order == 2 and hess.is_zero == ref.is_zero
+        assert _f64(hess.error_bound) == _f64(ref.error_bound * abs(s))
+        if not ref.is_zero:
+            assert hess.tensor.tobytes() == (ref.tensor * s).tobytes()
+            assert resp.basis_matrix.tobytes() == base.basis_matrix.tobytes()
+    assert sum(not resp.hessian().is_zero for resp in answers) == 8
+    assert oracle.finalize()[1].all_equal
 
 
 def test_tie_law_is_computed_once_and_reused_by_the_replay():
@@ -970,7 +998,7 @@ def test_two_piece_beyond_the_law_is_the_top_piece():
     values = piece_values(inst, x)
     pair = contenders(inst, values)
     assert pair.tolist() == [0, 1]
-    resp = two_piece_answer(inst, values, pair)
+    resp = regime_answer(inst, x, values, pair)
     assert resp.value == values.shifted[0]
     np.testing.assert_allclose(resp.gradient, unit(3, 0), atol=1e-15)
     assert resp.hessian().is_zero and resp.basis_matrix is None
@@ -1017,7 +1045,7 @@ class TestMonteCarloAnswer:
         value, stderr = smoothed_value_mc(inst, x, MCBudget(n, child_seed(seed, "value")))
         grad, gerr, frame = _tensor_coords_mc(inst, x, 1, MCBudget(2 * n, child_seed(seed, "gradient")))
         hess, herr, _ = _tensor_coords_mc(inst, x, 2, MCBudget(2 * n, child_seed(seed, "tensor", 2)))
-        for resp in (monte_carlo_answer(inst, x, budget=budget), answer):
+        for resp in (monte_carlo_answer(inst, x, budget, contender_frame_at(inst, x)), answer):
             assert resp.regime == MONTE_CARLO
             assert np.float64(resp.value).tobytes() == np.float64(value / denom).tobytes()
             assert np.float64(resp.value_stderr).tobytes() == np.float64(stderr / denom).tobytes()
@@ -1059,7 +1087,8 @@ class TestMonteCarloAnswer:
         monkeypatch.setattr(evaluator, "smoothed_value_mc", failing)
         monkeypatch.setattr(evaluator, "_tensor_coords_mc", derivative)
         with pytest.raises(RuntimeError, match="^value estimate failed$"):
-            monte_carlo_answer(plane_instance, np.array([0.3, 0.35, 0.0]), budget=MCBudget(400, 0))
+            x = np.array([0.3, 0.35, 0.0])
+            monte_carlo_answer(plane_instance, x, MCBudget(400, 0), contender_frame_at(plane_instance, x))
         assert calls == ["value"]
 
 
@@ -1123,8 +1152,9 @@ class TestOracleAnswer:
         assert det.params.norm_denom > 1.0
         assert resp.gradient.tobytes() == (a / det.params.norm_denom).tobytes()
         assert not np.shares_memory(resp.gradient, a)
-        values = piece_values(det.instance, np.zeros(det.params.d))
-        assert exact_answer(det.instance, values, 1).gradient.tobytes() == resp.gradient.tobytes()
+        x = np.zeros(det.params.d)
+        values, keep = affine_regime(det.instance, x)
+        assert regime_answer(det.instance, x, values, keep).gradient.tobytes() == resp.gradient.tobytes()
 
     def test_infeasible_query(self, plane_instance):
         with pytest.raises(ValueError, match="unit ball"):

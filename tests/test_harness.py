@@ -428,6 +428,27 @@ class TestCLI:
         code = cli.main(["run", "--mode", "det", "--T", "4", "--k", "2", "--method", "cubic"])
         assert code == 0
 
+    def test_rescaled_cubic_run_at_k2_passes(self, capsys):
+        code = cli.main(["run", "--T", "9", "--k", "2", "--method", "cubic", "--rescale-L", "1.0"])
+        assert code == 0 and "[PASS]" in capsys.readouterr().out
+
+    def test_run_prints_the_low_correlation_event(self, capsys):
+        assert cli.main(["run", "--mode", "rand", "--T", "4", "--k", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "  low-correlation event: held"
+
+    def test_run_prints_the_first_replay_mismatch(self, monkeypatch, capsys):
+        _broken_radius(monkeypatch)
+        assert cli.main(["run", "--T", "9", "--k", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("[FAIL]") and lines[1:] == ["  replay mismatch at query 1"]
+
+    def test_run_prints_a_failed_witness_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "smoothed_value_mc", lambda *args, **kwargs: (1.0, 0.0))
+        assert cli.main(["run", "--T", "4", "--k", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("[FAIL]")
+        assert lines[1:] == ["  witness cross-check failed: estimate 1 > bound -0.319444 + 3*stderr"]
+
     def test_verify(self, capsys):
         code = cli.main(
             ["verify", "--suite", "locality", "--T", "4", "--k", "1", "--seed", "0"]

@@ -40,7 +40,7 @@ from resistor.oracles import (
 from resistor.optimizers import run_method, run_projected_subgradient
 from resistor.streams import stream
 
-from conftest import three_way_tie
+from conftest import contender_frame_at, three_way_tie
 
 
 def unit_perp(a: np.ndarray) -> np.ndarray:
@@ -260,7 +260,9 @@ def test_monte_carlo_budget_derived_only_for_monte_carlo_answers(monkeypatch, mo
     regimes = [rec.response.regime for rec in oracle.transcript.records]
     assert regimes == [EXACT_AFFINE, MONTE_CARLO, MONTE_CARLO]
     assert derived == [("mc", 3)]
-    expected = monte_carlo_answer(oracle.instance, x, budget=MCBudget(2_000, real(3, "mc", 3)))
+    expected = monte_carlo_answer(
+        oracle.instance, x, MCBudget(2_000, real(3, "mc", 3)), contender_frame_at(oracle.instance, x)
+    )
     assert third.value == expected.value
     assert third.gradient.tobytes() == expected.gradient.tobytes()
 
@@ -274,6 +276,47 @@ def test_randomized_two_piece_answers_replay_bit_for_bit(k):
     assert answer.regime == MONTE_CARLO and answer.value_stderr > 0
     _, report = oracle.finalize()
     assert [e.reason for e in report.entries] == ["", ""] and report.all_equal
+
+
+def _next_up(v):
+    """v, of its own type, with its first entry one binary64 step larger
+    (an array is copied)."""
+    if not isinstance(v, np.ndarray):
+        return type(v)(np.nextafter(v, np.inf))
+    v = np.array(v)
+    v.flat[0] = np.nextafter(v.flat[0], np.inf)
+    return v
+
+
+def test_replay_names_every_field_that_differs():
+    # every field of a recorded answer is compared bit for bit: one unit
+    # in the last place of any one of them, or the frame's rows reordered,
+    # fails the replay with a reason naming that field
+    oracle = AdaptiveOracle(params_deterministic(9, 2), seed=0)
+    three_way_tie(oracle)
+    exact, tie = oracle.transcript.records
+    hess = tie.response.hessian()
+    assert exact.response.affine_index == 1 and tie.response.regime == MONTE_CARLO and not hess.is_zero
+    cases = [
+        (tie, "value", _next_up(tie.response.value)),
+        (tie, "gradient", _next_up(tie.response.gradient)),
+        (tie, "higher", (dataclasses.replace(hess, tensor=_next_up(hess.tensor)),)),
+        (tie, "higher", (dataclasses.replace(hess, error_bound=_next_up(hess.error_bound)),)),
+        (exact, "affine_index", 2),
+        (tie, "value_stderr", _next_up(tie.response.value_stderr)),
+        (tie, "gradient_error", _next_up(tie.response.gradient_error)),
+        (tie, "basis_matrix", tie.response.basis_matrix[::-1]),
+    ]
+    assert {name for _, name, _ in cases} == {f.name for f in dataclasses.fields(OracleResponse)}
+    for rec, name, changed in cases:
+        recorded = rec.response
+        rec.response = dataclasses.replace(recorded, **{name: changed})
+        try:
+            reasons = [e.reason for e in oracle.finalize()[1].entries]
+        finally:
+            rec.response = recorded
+        assert reasons == [f"{name}_mismatch" if r is rec else "" for r in (exact, tie)]
+    assert oracle.finalize()[1].all_equal
 
 
 class TestRandomizedOracle:
