@@ -74,7 +74,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import frozen, sample_ball, sample_sphere
-from .instance import QUERY_NORM_SLACK, HardInstance, span_basis
+from .instance import HardInstance, check_in_ball, span_basis
 from .streams import as_integer, as_seed, child_seed, stream
 
 DEFAULT_VALUE_SAMPLES = 100_000
@@ -217,20 +217,21 @@ class PieceValues(NamedTuple):
     shifted: np.ndarray  # a_i . x + shift_i
 
     @property
-    def f_linear(self) -> float:
-        return float(self.linear.max())
-
-    @property
     def f_tilde(self) -> float:
         return float(self.shifted.max())
 
 
-def piece_values(instance: HardInstance, x: np.ndarray) -> PieceValues:
+def piece_values(
+    instance: HardInstance, x: np.ndarray, coords: np.ndarray | None = None
+) -> PieceValues:
     """All piece evaluations a_i.x and a_i.x + shift_i at x.
 
     np.vecdot takes one dot product per row, so the result for piece i is
     bit-identical to np.dot(a_i, x) whether or not later pieces exist
-    (replays depend on this); a matrix-vector product M @ x is not.
+    (replays depend on this); a matrix-vector product M @ x is not. So
+    coords, the values a_i.x of the first pieces already taken by
+    np.vecdot (of this instance or of one it extends), are used as they
+    are and only the later pieces are evaluated, with the same bits.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.basis.dim,):
@@ -238,7 +239,10 @@ def piece_values(instance: HardInstance, x: np.ndarray) -> PieceValues:
             f"dimension mismatch: query has shape {x.shape}, instance is "
             f"{instance.basis.dim}-dimensional"
         )
-    linear = np.vecdot(instance.piece_matrix, x)
+    if coords is None:
+        linear = np.vecdot(instance.piece_matrix, x)
+    else:
+        linear = np.concatenate([coords, np.vecdot(instance.piece_matrix[len(coords):], x)])
     return PieceValues(linear=linear, shifted=linear + instance.piece_shifts)
 
 
@@ -519,18 +523,20 @@ def oracle_answer(
     instance: HardInstance,
     x: np.ndarray,
     budget: MCBudget | Callable[[], MCBudget] | None = None,
+    coords: np.ndarray | None = None,
 ) -> OracleResponse:
     """Full derivative-oracle answer at x, normalized by norm_denom: the
-    regime_answer of affine_regime at x. The one check of a query's
-    norm: x must lie in the unit ball (NaN and inf fail), and the
-    instance must have pieces."""
+    regime_answer of affine_regime at x. x must lie in the unit ball
+    (check_in_ball), and the instance must have pieces. coords, the
+    np.vecdot values a_i.x of the first pieces, spare their evaluation
+    and leave every bit of the answer as it is (see piece_values): the
+    adaptive oracle passes those of the instance before its new piece."""
     x = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(x)
-    if not (norm <= 1.0 + QUERY_NORM_SLACK):
-        raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
+    check_in_ball(x)
     if instance.num_pieces == 0:
         raise ValueError("instance has no pieces")
-    return regime_answer(instance, x, *affine_regime(instance, x), budget)
+    values = piece_values(instance, x, coords)
+    return regime_answer(instance, x, values, contenders(instance, values), budget)
 
 
 def regime_answer(

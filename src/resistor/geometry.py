@@ -161,6 +161,7 @@ def orthonormal_extend(
     basis: OrthonormalBasis,
     x: Vector,
     capacity: int = 0,
+    coords: Vector | None = None,
 ) -> tuple[OrthonormalBasis, Vector | None]:
     """Append the normalized perpendicular of x, or report degeneracy.
 
@@ -168,10 +169,20 @@ def orthonormal_extend(
     is None and the basis is unchanged when the perpendicular norm is at
     most DEGENERACY_TOL (or not a number). The projection is applied
     twice ("twice is enough") so the extended basis stays orthonormal to
-    ORTHONORMALITY_TOL even in very high dimension. capacity: rows to
-    reserve for further extensions (see OrthonormalBasis.extended).
+    ORTHONORMALITY_TOL even in very high dimension, and even for an x
+    that lies just beyond DEGENERACY_TOL off the span. coords, if given,
+    are x's coordinates against the basis, one np.vecdot per row, and
+    stand in for basis.coords(x) in the first projection: a caller that
+    already has them saves a pass over the rows, and gets other last bits
+    than without them. capacity: rows to reserve for further extensions
+    (see OrthonormalBasis.extended).
     """
-    p = perp_component(x, basis)
+    if coords is None:
+        p = perp_component(x, basis)
+    else:
+        x = np.asarray(x, dtype=float)
+        _check_dim(x, basis)
+        p = x - basis.lift(coords)
     if not (np.linalg.norm(p) > DEGENERACY_TOL):
         return basis, None
     p = perp_component(p, basis)
@@ -185,6 +196,15 @@ def orthonormal_extend(
 def arbitrary_perp_unit(basis: OrthonormalBasis, rng: np.random.Generator) -> Vector:
     """Unit vector orthogonal to the basis span, drawn from rng.
 
+    A Gaussian direction projected off the span. It is projected a second
+    time only when the first projection kept less than half its norm
+    (|p|^2 < |g|^2 / 4), the reorthogonalization test of Daniel, Gragg,
+    Kaufman & Stewart (Math. Comp. 30, 1976) and Parlett (The Symmetric
+    Eigenvalue Problem, 1980, sec. 6-9): a perpendicular that large is
+    already orthogonal to the span to roundoff, one that small may not
+    be. With r rows in dimension d that is about one projection while
+    r <= 3d/4, two beyond.
+
     Deterministic given the stream position. Raises if the basis already
     spans the whole space.
     """
@@ -192,8 +212,12 @@ def arbitrary_perp_unit(basis: OrthonormalBasis, rng: np.random.Generator) -> Ve
         raise ValueError("basis already spans the full space")
     for _ in range(16):
         g = rng.standard_normal(basis.dim)
-        p = perp_component(perp_component(g, basis), basis)
-        norm = np.linalg.norm(p)
+        p = perp_component(g, basis)
+        square = p @ p
+        if square < (g @ g) / 4:
+            p = perp_component(p, basis)
+            square = p @ p
+        norm = math.sqrt(square)  # np.linalg.norm(p), bit for bit
         if norm > 1e-8:
             return p / norm
     raise RuntimeError("could not draw a perpendicular direction")

@@ -67,6 +67,15 @@ class InstanceParams:
         """Certified suboptimality floor 1/(2 sqrt(T)) for every query."""
         return 1.0 / (2.0 * math.sqrt(self.T))
 
+    @cached_property
+    def _shift_ladder(self) -> np.ndarray:
+        """(1 - i/m) * gamma for i = 1..T, read-only: shift_of's bits, as
+        IEEE arithmetic gives them elementwise. Built once, when first
+        read (see _shifts_of)."""
+        ladder = (1.0 - np.arange(1, self.T + 1) / self.m) * self.gamma
+        ladder.setflags(write=False)
+        return ladder
+
 
 def certified_floor_margin(params: InstanceParams) -> float:
     """Worst-query slack of the closed-form gap certificate over the floor.
@@ -158,6 +167,22 @@ def shift_of(params: InstanceParams, i: int) -> float:
     if not 1 <= i <= params.m:
         raise ValueError(f"piece index {i} out of range [1, {params.m}]")
     return (1.0 - i / params.m) * params.gamma
+
+
+def _shifts_of(params: InstanceParams, n: int) -> np.ndarray:
+    """Shifts of pieces 1..n, shift_of's bits, as a read-only view of the
+    params' shift ladder: no copy. n must not exceed the budget T."""
+    if n > params.m:
+        raise ValueError(f"piece index {n} out of range [1, {params.m}]")
+    return params._shift_ladder[:n]
+
+
+def check_in_ball(x: np.ndarray) -> None:
+    """Raise unless the query x lies in the closed unit ball, up to
+    QUERY_NORM_SLACK; a NaN or infinite entry fails."""
+    norm = np.linalg.norm(x)
+    if not (norm <= 1.0 + QUERY_NORM_SLACK):
+        raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
 
 
 def validate(params: InstanceParams) -> list[str]:
@@ -267,8 +292,7 @@ class HardInstance:
         problems = basis.violations()
         if problems:
             raise ValueError("basis is not orthonormal: " + "; ".join(problems))
-        shifts = np.array([shift_of(params, i) for i in range(1, len(basis) + 1)])
-        return cls(params, basis.matrix, frozen(shifts), basis)
+        return cls(params, basis.matrix, _shifts_of(params, len(basis)), basis)
 
     @classmethod
     def custom(
@@ -330,29 +354,33 @@ def span_basis(rows: np.ndarray) -> OrthonormalBasis:
 
 
 def append_piece(
-    instance: HardInstance, x: Vector, rng: Callable[[], np.random.Generator]
+    instance: HardInstance,
+    x: Vector,
+    rng: Callable[[], np.random.Generator],
+    coords: Vector | None = None,
 ) -> HardInstance:
     """New instance with one more piece built from the query x.
 
     The direction is the normalized component of x perpendicular to the
-    current basis; a degenerate x (already in the span) gets a random
-    perpendicular unit vector from the generator rng() returns instead.
-    rng is called only then, so no other query builds a generator. The
+    current basis (orthonormal_extend); a degenerate x (already in the
+    span) gets a random perpendicular unit vector from the generator
+    rng() returns instead (arbitrary_perp_unit). rng is called only then,
+    so no other query builds a generator. coords, if given, are x's
+    coordinates against the basis by np.vecdot (for a standard instance,
+    its piece values a_i.x), and replace the first projection's pass over
+    the rows. The shifts are a view of the params' ladder (_shifts_of). The
     new row is orthonormal to the others by construction, so nothing is
-    re-checked, x included: the oracle checks its norm where it answers,
-    and drops the piece when that fails.
+    re-checked, x included: the oracle checks its norm before it builds
+    the piece.
     """
     params = instance.params
     if instance.num_pieces >= params.T:
         raise ValueError(f"piece budget exhausted (T = {params.T})")
     with np.errstate(invalid="ignore"):  # a NaN or inf x builds a NaN row
-        basis, unit = orthonormal_extend(instance.basis, x, params.T)
+        basis, unit = orthonormal_extend(instance.basis, x, params.T, coords)
     if unit is None:
         basis = instance.basis.extended(arbitrary_perp_unit(instance.basis, rng()), params.T)
-    shift = shift_of(params, instance.num_pieces + 1)
-    return HardInstance(
-        params, basis.matrix, frozen(np.append(instance.piece_shifts, shift)), basis
-    )
+    return HardInstance(params, basis.matrix, _shifts_of(params, instance.num_pieces + 1), basis)
 
 
 def pessimal_point(instance: HardInstance) -> tuple[Vector, float]:

@@ -33,6 +33,7 @@ from .evaluator import (
     affine_regime,
     locally_affine_index,  # noqa: F401 - a name perfbench/tracer.py wraps
     oracle_answer,
+    piece_values,
     regime_answer,
 )
 from .geometry import random_orthonormal_basis, vector_norm
@@ -42,6 +43,7 @@ from .instance import (
     HardInstance,
     InstanceParams,
     append_piece,
+    check_in_ball,
     validate,
 )
 from .streams import as_integer, as_seed, child_seed, stream
@@ -234,9 +236,11 @@ class _ResistingOracle:
             raise OracleExhaustedError(f"query budget T = {self.params.T} exhausted")
         return np.array(x, dtype=float), len(self.transcript) + 1
 
-    def _answer(self, instance: HardInstance, x: np.ndarray, t: int) -> OracleResponse:
+    def _answer(
+        self, instance: HardInstance, x: np.ndarray, t: int, coords: np.ndarray | None = None
+    ) -> OracleResponse:
         budget = partial(_mc_budget, self.mc_samples, self.seed, t)
-        return oracle_answer(instance, x, budget=budget).scaled(self.rescale)
+        return oracle_answer(instance, x, budget=budget, coords=coords).scaled(self.rescale)
 
     def _record(
         self, t: int, x: np.ndarray, response: OracleResponse, margin: float | None
@@ -264,6 +268,16 @@ class AdaptiveOracle(_ResistingOracle):
     revealed span) and is answered against the current partial instance.
     Queries have the law dimension d as coordinates.
 
+    A query is checked against the unit ball first, so a refused query
+    builds no piece and writes nothing. It is then evaluated against the
+    r revealed pieces once, by np.vecdot: those values are its
+    coordinates for the new piece's perpendicular (append_piece) and the
+    first r piece values of its answer (oracle_answer), which evaluates
+    only the new row and keeps the bits it would have if it evaluated
+    every row, so replays stay exact. A query in the span (every query of psg,
+    agd and cubic in this mode) makes four passes over the r x d rows
+    while r <= 3d/4, six beyond (see geometry.arbitrary_perp_unit).
+
     Parameter validity is the caller's concern (the harness validates);
     deliberately broken schedules, e.g. a smoothing radius violating
     2*k*delta <= gamma/m, still run, and finalize() then exposes where
@@ -283,8 +297,11 @@ class AdaptiveOracle(_ResistingOracle):
 
     def query(self, x: np.ndarray) -> OracleResponse:
         x, t = self._next(x)
-        instance = append_piece(self._instance, x, partial(stream, self.seed, "piece", t))
-        response = self._answer(instance, x, t)
+        check_in_ball(x)
+        coords = piece_values(self._instance, x).linear
+        rng = partial(stream, self.seed, "piece", t)
+        instance = append_piece(self._instance, x, rng, coords)
+        response = self._answer(instance, x, t, coords)
         # the piece is revealed only with an answer, so a query that
         # raises leaves the instance as it was
         self._instance = instance

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from resistor import evaluator
+from resistor import evaluator, oracles
 from resistor.evaluator import (
     EXACT_AFFINE,
     MONTE_CARLO,
@@ -68,7 +68,7 @@ class TestPieceValues:
         inst = audit_instance(9, 2)
         xhat, _ = pessimal_point(inst)
         pv = piece_values(inst, xhat)
-        assert pv.f_linear == pytest.approx(-1.0 / 3.0, abs=1e-10)
+        assert pv.linear.max() == pytest.approx(-1.0 / 3.0, abs=1e-10)
 
     def test_tie(self, plane_instance):
         pv = piece_values(plane_instance, np.array([0.3, 0.35, 0.0]))
@@ -133,6 +133,34 @@ def test_piece_values_match_per_row_dot(kind, seed, r, extra_d):
     x /= np.linalg.norm(x)
     linear = piece_values(inst, x).linear
     assert linear.tobytes() == np.array([np.dot(a, x) for a in inst.piece_matrix]).tobytes()
+
+
+@given(
+    st.sampled_from(["adaptive", "from_basis", "custom"]),
+    st.sampled_from(["ball", "tie2", "tie3"]),
+    st.integers(0, 2**31),
+    st.integers(1, 12),
+    st.integers(1, 100),
+)
+@settings(max_examples=40, deadline=None)
+def test_answer_given_the_first_piece_values_keeps_its_bits(kind, point, seed, r, extra_d):
+    """oracle_answer given np.vecdot's a_i.x of its first j pieces, any j,
+    answers with the bits of oracle_answer that evaluates every piece: the
+    adaptive oracle passes those of the r - 1 pieces before its new one.
+    Exact, two-piece and sampled answers alike."""
+    inst = _kernel_instance(kind, seed, r, 24 + extra_d)
+    matrix, shifts = inst.piece_matrix, inst.piece_shifts
+    x = stream(seed, "point").standard_normal(inst.params.d)
+    x *= 0.9 / np.linalg.norm(x)
+    ties = {"ball": 0, "tie2": 2, "tie3": 3}[point]
+    if kind != "custom" and 1 < ties <= r:
+        # pieces 1..ties tie exactly, every later one far below
+        x = 0.2 * matrix[0] + sum((0.2 + shifts[0] - shifts[t]) * matrix[t] for t in range(1, ties))
+    budget = MCBudget(2_000, seed)
+    whole = oracle_answer(inst, x, budget=budget)
+    for j in range(r + 1):
+        given_values = oracle_answer(inst, x, budget=budget, coords=np.vecdot(matrix[:j], x))
+        assert whole.mismatch(given_values) == ""
 
 
 class TestLocallyAffineIndex:
@@ -710,7 +738,7 @@ def test_tie_client_answers_are_the_exact_tie():
 
 # SHA-256 of the tie client's transcript (_tie_client, then finalize),
 # written with every vector: the bytes of eight two-piece answers.
-PINNED_TIE_TRANSCRIPT = "cde2069d7e2bfb3264fdf96b9f7e9ac801f0f9df182d3d14ffc76df6a3d109e8"
+PINNED_TIE_TRANSCRIPT = "f2a962f2f268c16ad2d0051348d3e2189691e2c3b201b42e40105050e915dd0d"
 
 
 def test_tie_client_transcript_bytes_pinned(tmp_path):
@@ -1056,19 +1084,22 @@ class TestMonteCarloAnswer:
 
     def test_pieces_evaluated_once_per_sampled_answer(self, monkeypatch):
         # the regime test's piece values also build the one contender frame
-        # that the value, gradient and Hessian estimates share
+        # that the value, gradient and Hessian estimates share; each piece
+        # is evaluated at x once: the query evaluates the 2 revealed pieces,
+        # the answer only the new third, given the first two
         oracle = AdaptiveOracle(params_deterministic(9, 2), seed=0, mc_samples=2_000)
         x = three_way_tie(oracle)
         calls = []
         real = evaluator.piece_values
 
-        def counting(instance, x):
-            calls.append(len(instance.piece_matrix))
-            return real(instance, x)
+        def counting(instance, x, coords=None):
+            calls.append((len(instance.piece_matrix), None if coords is None else len(coords)))
+            return real(instance, x, coords)
 
         monkeypatch.setattr(evaluator, "piece_values", counting)
+        monkeypatch.setattr(oracles, "piece_values", counting)
         answer = oracle.query(x)
-        assert calls == [3]
+        assert calls == [(2, None), (3, 2)]
         assert answer.regime == MONTE_CARLO and len(contenders(oracle.instance, real(oracle.instance, x))) == 3
 
     def test_value_error_wins(self, monkeypatch, plane_instance):

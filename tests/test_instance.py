@@ -26,6 +26,7 @@ from resistor.instance import (
     to_json,
     validate,
 )
+from resistor.oracles import AdaptiveOracle
 from resistor.streams import stream
 
 from conftest import unit
@@ -138,6 +139,37 @@ class TestShiftOf:
         p = params_deterministic(16, 1)
         shifts = [shift_of(p, i) for i in range(1, p.m + 1)]
         assert all(a > b for a, b in zip(shifts, shifts[1:]))
+
+
+class TestShiftLadder:
+    def test_ladder_has_the_bits_of_shift_of(self):
+        # 900 schedules: T = 3..299, 400, 1600 and 4096 at k = 1, 2, 3
+        for T in [*range(3, 300), 400, 1600, 4096]:
+            for k in (1, 2, 3):
+                p = params_deterministic(T, k)
+                expected = np.array([shift_of(p, i) for i in range(1, T + 1)])
+                assert instance_module._shifts_of(p, T).tobytes() == expected.tobytes()
+
+    def test_ladder_is_built_lazily_and_shared(self):
+        # no O(T) work where an oracle is built; every instance of the
+        # params reads one read-only ladder, without a copy
+        p = params_deterministic(9, 1)
+        oracle = AdaptiveOracle(p, seed=0)
+        assert "_shift_ladder" not in vars(p)
+        oracle.query(np.zeros(p.d))
+        oracle.query(np.zeros(p.d))
+        ladder = vars(p)["_shift_ladder"]
+        assert not ladder.flags.writeable
+        shifts = oracle.instance.piece_shifts
+        assert shifts.tobytes() == ladder[:2].tobytes()
+        assert np.shares_memory(shifts, ladder)
+        fixed = HardInstance.from_basis(p, OrthonormalBasis(np.eye(p.d)[:3]))
+        assert np.shares_memory(fixed.piece_shifts, ladder)
+
+    def test_pieces_beyond_m_are_refused(self):
+        p = dataclasses.replace(params_deterministic(4, 1), m=2)
+        with pytest.raises(ValueError, match="out of range"):
+            HardInstance.from_basis(p, OrthonormalBasis(np.eye(p.d)[:3]))
 
 
 class TestAppendPiece:

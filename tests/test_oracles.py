@@ -7,10 +7,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resistor import evaluator, oracles
+from resistor import evaluator, geometry, oracles
+from resistor import instance as instance_module
 from resistor.evaluator import (
     EXACT_AFFINE,
     MONTE_CARLO,
@@ -21,7 +22,13 @@ from resistor.evaluator import (
     oracle_answer,
     regime_answer,
 )
-from resistor.geometry import OrthonormalBasis, orthonormal_extend, sample_ball
+from resistor.geometry import (
+    DEGENERACY_TOL,
+    OrthonormalBasis,
+    orthonormal_extend,
+    perp_component,
+    sample_ball,
+)
 from resistor.instance import (
     QUERY_NORM_SLACK,
     HardInstance,
@@ -103,8 +110,8 @@ class TestAdaptiveOracle:
 
     @pytest.mark.parametrize("scale", [2.0, math.nan, math.inf])
     def test_query_outside_the_ball_reveals_no_piece(self, scale):
-        # the one norm check is the answer's; the piece built before it is
-        # dropped, on an empty instance and on one with pieces
+        # the norm is checked before the piece is built, so no piece is
+        # revealed, on an empty instance and on one with pieces
         p = params_deterministic(4, 1)
         oracle = AdaptiveOracle(p, seed=0)
         x = np.zeros(p.d)
@@ -202,7 +209,7 @@ PINNED_PIECE_STREAM = (
         (2, "b7ec8b4b5e83d33f", "e7945a134a943190"),
         (1, "1cc7711cc771bc3f", "5f4742cfc0990f1b"),
     ],
-    "83c88519de3b99dab9cfc667dcf8229585e96f7a1d1e5dd79bcb3c325f2c6ec0",
+    "88ca6c22193dccf8e455c8f7330fe391c7d291f194e4f57a42983871781e309a",
 )
 
 
@@ -535,6 +542,87 @@ def test_adaptive_oracle_refuses_bad_queries():
             _assert_refused(oracle, _bad_query(p.d, spec))
 
     check()
+
+
+def test_refused_query_leaves_the_row_store_shared():
+    # the unit ball is checked before the piece is built, so a refused
+    # query writes no row of the store that the accepted bases share
+    p = params_deterministic(4, 1)
+    oracle = AdaptiveOracle(p, seed=0)
+    oracle.query(np.zeros(p.d))
+    first = oracle.instance
+    with pytest.raises(ValueError, match="unit ball"):
+        oracle.query(np.full(p.d, 1.0))
+    assert oracle.instance is first and len(oracle.transcript) == 1
+    oracle.query(np.zeros(p.d))
+    assert np.shares_memory(oracle.instance.basis.matrix, first.basis.matrix)
+
+
+QUERY_KINDS = ("origin", "span", "fresh", "repeat", "near")
+
+
+def _adaptive_query(kind: str, oracle: AdaptiveOracle, previous: list, rng) -> np.ndarray:
+    """A query of the given kind: the origin, a combination of the revealed
+    rows, a fresh direction, the last query again, or a combination plus a
+    perpendicular just above DEGENERACY_TOL."""
+    d, rows, basis = oracle.dim, oracle.instance.piece_matrix, oracle.instance.basis
+    if kind == "repeat" and previous:
+        return previous[-1]
+    if kind == "fresh":
+        x = rng.standard_normal(d)
+        return rng.uniform(0.1, 1.0) * x / np.linalg.norm(x)
+    x = np.zeros(d)
+    if kind in ("span", "near") and len(rows):
+        x = rng.uniform(-1.0, 1.0, len(rows)) @ rows
+        x *= rng.uniform(0.1, 0.9) / max(1.0, np.linalg.norm(x))
+    if kind == "near" and len(rows) < d:
+        e = perp_component(perp_component(rng.standard_normal(d), basis), basis)
+        x = x + rng.uniform(2.0, 10.0) * DEGENERACY_TOL * e / np.linalg.norm(e)
+    return x
+
+
+def test_adaptive_query_sequences_keep_the_basis_orthonormal(monkeypatch):
+    # any mix of degenerate and fresh queries builds an orthonormal basis
+    # and replays exactly; the examples reach both branches of
+    # arbitrary_perp_unit: one projection of its Gaussian, and two
+    projections = []
+    branches = set()
+    real_perp, real_arbitrary = geometry.perp_component, instance_module.arbitrary_perp_unit
+
+    def counting_perp(x, basis):
+        projections.append(1)
+        return real_perp(x, basis)
+
+    def arbitrary(basis, rng):
+        before = len(projections)
+        unit = real_arbitrary(basis, rng)
+        branches.add(len(projections) - before)
+        return unit
+
+    monkeypatch.setattr(geometry, "perp_component", counting_perp)
+    monkeypatch.setattr(instance_module, "arbitrary_perp_unit", arbitrary)
+
+    @given(
+        st.integers(3, 12),
+        st.integers(1, 2),
+        st.integers(0, 2**31),
+        st.lists(st.sampled_from(QUERY_KINDS), min_size=12, max_size=12),
+    )
+    @example(12, 1, 0, ["origin"] * 12)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def check(T, k, seed, kinds):
+        oracle = AdaptiveOracle(params_deterministic(T, k), seed=seed, mc_samples=2_000)
+        rng = np.random.default_rng(seed)
+        previous = []
+        for kind in kinds[:T]:
+            previous.append(_adaptive_query(kind, oracle, previous, rng))
+            oracle.query(previous[-1])
+        final, report = oracle.finalize()
+        assert final.basis.violations() == []
+        assert report.all_equal and not report.partial
+
+    check()
+    assert branches == {1, 2}
 
 
 def test_randomized_oracle_refuses_bad_queries():
