@@ -102,8 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if summary.locality is not None:
         loc = summary.locality
         print(
-            f"locality: replay {'ok' if loc.consistency_ok else 'MISMATCH'}, "
-            f"regimes {'ok' if loc.regimes_consistent else 'MISMATCH'} "
+            f"locality: replay {'ok' if loc.consistency_ok else 'MISMATCH'} "
             f"({'PASS' if loc.passed else 'FAIL'})"
         )
     print(f"suite {args.suite}: {'PASS' if summary.passed else 'FAIL'}")

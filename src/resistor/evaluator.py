@@ -21,8 +21,8 @@ regime_answer and the estimators answer:
   Q (_contender_frame), each tensor is in Q's q coordinates, and Q is
   the answer's basis_matrix.
 
-  Two contenders at k <= 2 (_two_piece) are answered in closed form
-  (_two_piece_law, which also serves the estimators). With p the top
+  Two contenders at k <= 2 are answered in closed form (_two_piece_law,
+  which also serves the estimators). With p the top
   piece, c the difference of the two directions in frame coordinates
   and S the sum of k independent one-dimensional marginals of the
   uniform T-ball, the smoothed function is l_p(x) + E[(l_q(x) - l_p(x)
@@ -59,7 +59,9 @@ The estimators (smoothed_value_mc, smoothed_gradient_mc,
 _tensor_coords_mc) take this argument to its limit: at one contender
 or a two-piece tie they return an estimate's expectation in closed form,
 unnormalized, with its error (0 at an exact-affine point), and sample
-only the rest, or a contender frame the caller passes.
+only the rest. The rule lives in regime_answer for answers and in
+_tie_band_estimate for estimates; only smoothed_value_mc takes a
+contender frame to sample, for monte_carlo_answer.
 """
 
 from __future__ import annotations
@@ -281,13 +283,6 @@ def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, n
     return values, contenders(instance, values)
 
 
-def _two_piece(instance: HardInstance, keep: np.ndarray) -> bool:
-    """Whether the contenders keep are answered by the two-piece law
-    (_two_piece_law): two of them, at k <= 2. With one contender the
-    answer is exact, otherwise it is sampled."""
-    return len(keep) == 2 and instance.params.k <= 2
-
-
 ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -345,87 +340,93 @@ def smoothed_value_mc(
     *,
     contender_frame: ContenderFrame | None = None,
 ) -> tuple[float, float]:
-    """Smoothed value at x: in closed form at one contender or a
-    two-piece tie (see the module notes), else an unbiased Monte-Carlo
-    estimate.
-
-    The estimate averages the shifted max-affine function over x + delta
-    * (v_1 + ... + v_k), v_j i.i.d. uniform in the unit T-ball, drawn in
-    the q frame coordinates of the contenders (see the module notes).
-    Returns (value, standard error). Unnormalized (no norm_denom).
-    Needs n_samples >= 2, even in closed form: one sample has no standard
-    error. contender_frame, if given, must be _contender_frame at x, and
-    is sampled; it is built here otherwise.
+    """Smoothed value at x and its standard error, unnormalized (no
+    norm_denom): the top piece's value at one contender, else
+    _tie_band_estimate. Needs n_samples >= 2, even in closed form: one
+    sample has no standard error. contender_frame, if given, must be
+    _contender_frame at x, and is sampled (_sampled_value) whatever its
+    contender count: monte_carlo_answer passes its own.
     """
     budget = budget or MCBudget()
+    _check_budget(instance, 0, budget)
+    if contender_frame is not None:
+        return _sampled_value(instance, budget, contender_frame)
+    values, keep = affine_regime(instance, x)
+    if len(keep) == 1:
+        return float(values.shifted[keep[0]]), 0.0
+    return _tie_band_estimate(instance, 0, budget, _contender_frame(instance, values, keep), keep)
+
+
+def _sampled_value(
+    instance: HardInstance, budget: MCBudget, contender_frame: ContenderFrame
+) -> tuple[float, float]:
+    """Unbiased Monte-Carlo estimate of the smoothed value over
+    contender_frame and its standard error: the mean of the shifted
+    max-affine function over x + delta * (v_1 + ... + v_k), v_j i.i.d.
+    uniform in the unit T-ball, drawn in the q frame coordinates of the
+    contenders (see the module notes). budget has passed _check_budget."""
     params = instance.params
-    if instance.num_pieces == 0:
-        raise ValueError("instance has no pieces to evaluate")
-    if budget.n_samples < 2:
-        raise ValueError(
-            f"a Monte-Carlo value needs n_samples >= 2 for a standard error, got {budget.n_samples}"
-        )
-    if contender_frame is None:
-        values, keep = affine_regime(instance, x)
-        if len(keep) == 1:
-            return float(values.shifted[keep[0]]), 0.0
-        contender_frame = _contender_frame(instance, values, keep)
-        if _two_piece(instance, keep):
-            answer = _two_piece_law(instance, contender_frame, 1.0)[0]
-            return answer.value, answer.value_stderr
     base, coeffs, frame = contender_frame
     rng = stream(budget.seed, "smooth-value")
     n = budget.n_samples
     proj = _projection(coeffs, _ball_sum(params.T, params.k, rng, n, len(frame)), params.delta)
     vals = _flipped_max(base, [proj], (1,))
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n))
-    return est, stderr
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 
 
-def _check_tensor_budget(instance: HardInstance, order: int, budget: MCBudget) -> None:
-    """Refuse an order-j estimate that cannot be made: no pieces, j
-    outside [1, k], or fewer than two draws of 2^j evaluations."""
+def _check_budget(instance: HardInstance, order: int, budget: MCBudget) -> None:
+    """Refuse an order-j estimate (j = 0 the value) that cannot be made:
+    no pieces, or fewer than the two draws of 2^j evaluations each that a
+    standard error needs."""
     if instance.num_pieces == 0:
         raise ValueError("instance has no pieces to evaluate")
-    if not 1 <= order <= instance.params.k:
-        raise ValueError(f"order must lie in [1, {instance.params.k}]")
     if budget.n_samples < 2 ** (order + 1):
-        raise ValueError(
-            f"an order-{order} Monte-Carlo estimate needs n_samples >= {2 ** (order + 1)} "
-            f"(two draws at {2 ** order} sign flips each), got {budget.n_samples}"
-        )
+        what = "a Monte-Carlo value" if order == 0 else f"an order-{order} Monte-Carlo estimate"
+        why = "for a standard error" if order == 0 else f"(two draws at {2 ** order} sign flips each)"
+        raise ValueError(f"{what} needs n_samples >= {2 ** (order + 1)} {why}, got {budget.n_samples}")
+
+
+def _tie_band_estimate(
+    instance: HardInstance, order: int, budget: MCBudget, contender_frame: ContenderFrame, keep: np.ndarray
+) -> tuple[float | np.ndarray, float]:
+    """The order-j estimate (j = 0 the value) over the contender_frame of
+    two or more contenders keep, unnormalized, and its error: the one
+    place an estimate applies the tie-band rule (see the module notes).
+    Two contenders at k <= 2 give the two-piece law's value, gradient
+    frame coordinates or Hessian (the zero tensor sized by the frame's
+    rows beyond the law's reach), drawing nothing; any others are
+    sampled. budget has passed _check_budget."""
+    if len(keep) != 2 or instance.params.k > 2:
+        if order == 0:
+            return _sampled_value(instance, budget, contender_frame)
+        return _sampled_tensor_coords(instance, order, budget, contender_frame)
+    answer, coords = _two_piece_law(instance, contender_frame, 1.0)
+    if order == 0:
+        return answer.value, answer.value_stderr
+    if order == 1:
+        return coords, answer.gradient_error
+    hessian = answer.higher[0]
+    return (np.zeros((len(contender_frame[2]),) * 2) if hessian.is_zero else hessian.tensor), hessian.error_bound
 
 
 def _tensor_coords_mc(
-    instance: HardInstance,
-    x: np.ndarray,
-    order: int,
-    budget: MCBudget,
-    *,
-    contender_frame: ContenderFrame | None = None,
+    instance: HardInstance, x: np.ndarray, order: int, budget: MCBudget
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Order-j derivative tensor of the smoothed function at x in the
     coordinates of its contender frame, its error bound, and the frame's
-    rows: in closed form at one contender or a two-piece tie (at an
-    exact-affine point the sole contender's coordinate for j = 1, the
-    zero tensor above), else _sampled_tensor_coords. The gates of
-    _check_tensor_budget run first either way. contender_frame is as for
-    smoothed_value_mc."""
-    _check_tensor_budget(instance, order, budget)
-    if contender_frame is None:
-        values, keep = affine_regime(instance, x)
-        contender_frame = _contender_frame(instance, values, keep)
-        _, coords, frame = contender_frame
-        if len(keep) == 1:
-            return (coords[0] if order == 1 else np.zeros((len(frame),) * order)), 0.0, frame
-        if _two_piece(instance, keep):
-            answer, coords = _two_piece_law(instance, contender_frame, 1.0)
-            if order == 1:
-                return coords, answer.gradient_error, frame
-            hessian = answer.higher[0]
-            return (np.zeros((len(frame),) * 2) if hessian.is_zero else hessian.tensor), hessian.error_bound, frame
-    return (*_sampled_tensor_coords(instance, order, budget, contender_frame), contender_frame[2])
+    rows: at an exact-affine point the sole contender's coordinate for
+    j = 1 and the zero tensor above, with error 0, else
+    _tie_band_estimate. j must lie in [1, k]; that check, then
+    _check_budget, run first."""
+    if not 1 <= order <= instance.params.k:
+        raise ValueError(f"order must lie in [1, {instance.params.k}]")
+    _check_budget(instance, order, budget)
+    values, keep = affine_regime(instance, x)
+    contender_frame = _contender_frame(instance, values, keep)
+    _, coords, frame = contender_frame
+    if len(keep) == 1:
+        return (coords[0] if order == 1 else np.zeros((len(frame),) * order)), 0.0, frame
+    return (*_tie_band_estimate(instance, order, budget, contender_frame, keep), frame)
 
 
 def _sampled_tensor_coords(
@@ -433,7 +434,7 @@ def _sampled_tensor_coords(
 ) -> tuple[np.ndarray, float]:
     """The sampled order-j derivative tensor over contender_frame, in its
     q frame coordinates, by the iterated sphere identity (see the module
-    notes); budget has passed _check_tensor_budget.
+    notes); budget has passed _check_budget.
 
     j sphere vectors drawn first, then the k - j inner ball layers, all
     in the q frame coordinates of the contenders. Each draw is evaluated
@@ -500,22 +501,17 @@ def smoothed_gradient_mc(
     instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None
 ) -> tuple[np.ndarray, float]:
     """Gradient of the smoothed function at x, in ambient coordinates
-    (lying in the piece span), with its error bound. Unnormalized. In
-    closed form at one contender or a two-piece tie (at an exact-affine
-    point the read-only piece row a_idx, with no frame built), else the
-    order-1 estimate of _sampled_tensor_coords lifted through the
-    contender frame. The gates of _check_tensor_budget run first either
-    way."""
+    (lying in the piece span), with its error bound. Unnormalized. At an
+    exact-affine point the read-only piece row a_idx, with no frame
+    built; else the order-1 _tie_band_estimate lifted through the
+    contender frame. _check_budget runs first."""
     budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
-    _check_tensor_budget(instance, 1, budget)
+    _check_budget(instance, 1, budget)
     values, keep = affine_regime(instance, x)
     if len(keep) == 1:
         return instance.piece_matrix[keep[0]], 0.0
     contender_frame = _contender_frame(instance, values, keep)
-    if _two_piece(instance, keep):
-        answer = _two_piece_law(instance, contender_frame, 1.0)[0]
-        return answer.gradient, answer.gradient_error
-    coords, err = _sampled_tensor_coords(instance, 1, budget, contender_frame)
+    coords, err = _tie_band_estimate(instance, 1, budget, contender_frame, keep)
     return contender_frame[2].T @ coords, err
 
 
@@ -551,9 +547,10 @@ def regime_answer(
     smoothing of a single affine piece is that piece: its shifted value,
     its row a_i as the gradient (the read-only row itself with norm_denom
     1), zero higher orders. Two at k <= 2 get the two-piece law
-    (_two_piece_law), any others monte_carlo_answer over their frame. A
-    callable budget is called only for the last, so no other answer
-    derives one. (values, keep) must be affine_regime(instance, x)."""
+    (_two_piece_law), any others monte_carlo_answer over their frame: the
+    one place an answer applies the tie-band rule. A callable budget is
+    called only for the last, so no other answer derives one. (values,
+    keep) must be affine_regime(instance, x)."""
     params = instance.params
     denom = params.norm_denom
     if len(keep) == 1:
@@ -568,7 +565,7 @@ def regime_answer(
             gradient_error=0.0,
         )
     frame = _contender_frame(instance, values, keep)
-    if _two_piece(instance, keep):
+    if len(keep) == 2 and params.k <= 2:
         return _two_piece_law(instance, frame, denom)[0]
     budget = budget() if callable(budget) else budget
     return monte_carlo_answer(instance, x, budget, frame)
@@ -775,27 +772,32 @@ def monte_carlo_answer(
 
     Value uses budget.n_samples, each derivative order 2*n_samples
     function evaluations, each estimate on its own stream (child seeds
-    "value", "gradient", ("tensor", j) of the budget seed); every order
-    comes from _tensor_coords_mc, all of them over the one frame. The
-    value is estimated first, so an error it raises wins over a
-    derivative error.
+    "value", "gradient", ("tensor", j) of the budget seed): the value from
+    smoothed_value_mc, orders 1..k from _sampled_tensor_coords, all over
+    the one frame. The budget is refused before any draw: by the value's
+    gate, then by order k's, which covers every lower order, so it needs
+    n_samples >= max(2, 2^k). The value is estimated first, so an error
+    it raises wins over a derivative error.
     """
     params = instance.params
     denom = params.norm_denom
     budget = budget or MCBudget()
-    value_budget = MCBudget(budget.n_samples, child_seed(budget.seed, "value"))
+    n, seed = budget.n_samples, budget.seed
+    value_budget = MCBudget(n, child_seed(seed, "value"))
+    draws = [MCBudget(2 * n, child_seed(seed, "gradient"))]
+    draws += [MCBudget(2 * n, child_seed(seed, "tensor", j)) for j in range(2, params.k + 1)]
+    _check_budget(instance, 0, value_budget)
+    _check_budget(instance, params.k, draws[-1])
     value, stderr = smoothed_value_mc(instance, x, value_budget, contender_frame=contender_frame)
-    grad_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "gradient"))
-    coords, gerr, frame = _tensor_coords_mc(instance, x, 1, grad_budget, contender_frame=contender_frame)
-    higher = []
-    for j in range(2, params.k + 1):
-        tensor_budget = MCBudget(2 * budget.n_samples, child_seed(budget.seed, "tensor", j))
-        tensor, terr, _ = _tensor_coords_mc(instance, x, j, tensor_budget, contender_frame=contender_frame)
-        higher.append(HigherDerivative(j, tensor / denom, terr / denom))
+    (coords, gerr), *tensors = (
+        _sampled_tensor_coords(instance, j, draw, contender_frame) for j, draw in enumerate(draws, 1)
+    )
+    higher = tuple(HigherDerivative(j, t / denom, err / denom) for j, (t, err) in enumerate(tensors, 2))
+    frame = contender_frame[2]
     return OracleResponse(
         value=value / denom,
         gradient=frame.T @ coords / denom,
-        higher=tuple(higher),
+        higher=higher,
         affine_index=None,
         value_stderr=stderr / denom,
         gradient_error=gerr / denom,

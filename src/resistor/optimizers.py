@@ -36,15 +36,7 @@ def run_projected_subgradient(oracle):
     x = np.zeros(oracle.dim)
     for t in range(1, oracle.queries_left + 1):
         response = oracle.query(x)
-        eta = PSG_STEP_SCALE / math.sqrt(t)
-        # project_ball(x - eta * g) in one fresh array: x was queried, and
-        # an oracle may keep it by reference, so x itself is never written
-        x_next = eta * response.gradient
-        np.subtract(x, x_next, out=x_next)
-        norm = vector_norm(x_next)
-        if not (norm <= 1.0):
-            x_next /= norm
-        x = x_next
+        x = project_ball(x - PSG_STEP_SCALE / math.sqrt(t) * response.gradient)
     return oracle.transcript
 
 

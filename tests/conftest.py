@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from resistor.evaluator import _contender_frame, _tensor_coords_mc, affine_regime, piece_values
+from resistor.evaluator import _contender_frame, _sampled_tensor_coords, affine_regime, piece_values
 from resistor.geometry import OrthonormalBasis
 from resistor.instance import DETERMINISTIC, HardInstance, InstanceParams, shift_of
 from resistor.oracles import AdaptiveOracle
@@ -51,16 +51,25 @@ def reference_locally_affine_index(
 
 
 def contender_frame_at(instance: HardInstance, x: np.ndarray):
-    """The contender frame at x. Passed to an estimator, it makes the
-    estimator sample where it would answer in closed form."""
+    """The contender frame at x. Passed to smoothed_value_mc or
+    monte_carlo_answer, it makes them sample where the estimators would
+    answer in closed form."""
     return _contender_frame(instance, *affine_regime(instance, x))
+
+
+def sampled_tensor_coords(instance: HardInstance, x: np.ndarray, order: int, budget):
+    """The sampler's order-j tensor at x, its error and the frame's rows:
+    _sampled_tensor_coords over the contender frame at x, sampled even
+    where _tensor_coords_mc would answer in closed form."""
+    frame = contender_frame_at(instance, x)
+    return (*_sampled_tensor_coords(instance, order, budget, frame), frame[2])
 
 
 def sampled_gradient(instance: HardInstance, x: np.ndarray, budget) -> tuple[np.ndarray, float]:
     """The sampler's gradient at x and its error: the order-1 estimate
     over the contender frame at x, lifted as smoothed_gradient_mc lifts
     it inside the tie band, bit for bit."""
-    coords, err, frame = _tensor_coords_mc(instance, x, 1, budget, contender_frame=contender_frame_at(instance, x))
+    coords, err, frame = sampled_tensor_coords(instance, x, 1, budget)
     return frame.T @ coords, err
 
 

@@ -53,6 +53,7 @@ from conftest import (
     fd_gradient_crn,
     reference_locally_affine_index,
     sampled_gradient,
+    sampled_tensor_coords,
     three_way_tie,
     unit,
 )
@@ -351,7 +352,7 @@ def test_contender_estimates_match_full_span_reference(t):
     # gradient and Hessian errors are no larger (Rao-Blackwell). The value
     # estimator has the same law either way, so its standard error agrees
     # only up to sampling noise. The estimators answer two contenders in
-    # closed form; passed the contender frame, they sample it.
+    # closed form, so the samplers are called over the contender frame.
     oracle, xs, _ = _tie_client()
     inst, x = oracle.instance, xs[t - 1]
     assert len(contenders(inst, piece_values(inst, x))) == 2 and inst.num_pieces == inst.params.T == 9
@@ -363,7 +364,7 @@ def test_contender_estimates_match_full_span_reference(t):
         assert abs(value - ref) <= 4 * math.hypot(verr, ref_err)
         assert verr <= 1.05 * ref_err
         for order in (1, 2):
-            tensor, err, frame = _tensor_coords_mc(inst, x, order, budget, contender_frame=frame_at_x)
+            tensor, err, frame = sampled_tensor_coords(inst, x, order, budget)
             for _ in range(order):
                 tensor = np.tensordot(tensor, inst.basis.matrix @ frame.T, axes=(0, 1))
             ref, ref_err = dense_tensor_coords_mc(inst, x, order, budget)
@@ -662,8 +663,7 @@ class TestDerivativeTensors:
         for t, frac in enumerate((-1.7, -0.6, 0.0, 0.3, 1.2, 1.99, 2.5, -3.0)):
             x = frac * delta * unit(p.d, 0)
             exact = max(0.0, (2.0 * delta - abs(x[0])) / (2.0 * delta**2))
-            frame = contender_frame_at(inst, x)
-            tensor, err, _ = _tensor_coords_mc(inst, x, 2, MCBudget(400, t), contender_frame=frame)
+            tensor, err, _ = sampled_tensor_coords(inst, x, 2, MCBudget(400, t))
             assert tensor.shape == (1, 1)
             assert tensor[0, 0] == pytest.approx(exact, rel=1e-9, abs=1e-9 / delta)
             assert err <= 1e-6 / delta
@@ -687,6 +687,18 @@ class TestDerivativeTensors:
             with pytest.raises(ValueError, match=f"n_samples >= {minimum}"):
                 _tensor_coords_mc(inst, x, order, MCBudget(minimum - 1, 0))
             assert np.isfinite(_tensor_coords_mc(inst, x, order, MCBudget(minimum, 0))[1])
+
+    def test_rank_deficient_two_piece_zero_hessian_is_sized_by_the_frame(self):
+        # pieces a and -a span one frame row. At x = 2 delta e_1 both
+        # contend (a margin of exactly 2 k delta) and t = k exactly, beyond
+        # the law's reach: the zero Hessian has one row per frame row, not
+        # one per contender
+        inst = abs_instance(params_deterministic(4, 2))
+        x = 2.0 * inst.params.delta * unit(inst.params.d, 0)
+        assert affine_regime(inst, x)[1].tolist() == [0, 1]
+        tensor, err, frame = _tensor_coords_mc(inst, x, 2, MCBudget(8, 0))
+        assert tensor.shape == (1, 1) and not tensor.any() and err == 0.0
+        assert len(frame) == 1
 
     def test_order_outside_range(self):
         inst = abs_instance(params_deterministic(4, 2))
@@ -851,8 +863,8 @@ def _two_piece_point(r: int, k: int, u: float) -> tuple[HardInstance, np.ndarray
 def test_sampled_estimators_cover_the_two_piece_closed_form(r, k, u, seed):
     # the closed form is the truth the samplers estimate: each sampled
     # value, gradient and Hessian lies within 4 of its reported errors
-    # (plus the closed form's own) of it. Passed the contender frame, the
-    # estimators sample it rather than answer in closed form.
+    # (plus the closed form's own) of it. The samplers are called over the
+    # contender frame, where the estimators would answer in closed form.
     inst, x = _two_piece_point(r, k, u)
     values = piece_values(inst, x)
     assert contenders(inst, values).tolist() == [0, 1]
@@ -864,7 +876,7 @@ def test_sampled_estimators_cover_the_two_piece_closed_form(r, k, u, seed):
     grad, gerr = sampled_gradient(inst, x, MCBudget(20_000, seed))
     assert np.linalg.norm(grad - exact.gradient) <= 4.0 * gerr + exact.gradient_error
     if k == 2:
-        hess, herr, _ = _tensor_coords_mc(inst, x, 2, MCBudget(20_000, seed), contender_frame=frame)
+        hess, herr, _ = sampled_tensor_coords(inst, x, 2, MCBudget(20_000, seed))
         closed = exact.hessian()  # zero beyond t = k, both in the pair's frame
         tensor = np.zeros((2, 2)) if closed.is_zero else closed.tensor
         assert np.linalg.norm(hess - tensor) <= 4.0 * herr + closed.error_bound
@@ -1116,7 +1128,7 @@ class TestMonteCarloAnswer:
             raise RuntimeError("derivative estimate failed")
 
         monkeypatch.setattr(evaluator, "smoothed_value_mc", failing)
-        monkeypatch.setattr(evaluator, "_tensor_coords_mc", derivative)
+        monkeypatch.setattr(evaluator, "_sampled_tensor_coords", derivative)
         with pytest.raises(RuntimeError, match="^value estimate failed$"):
             x = np.array([0.3, 0.35, 0.0])
             monte_carlo_answer(plane_instance, x, MCBudget(400, 0), contender_frame_at(plane_instance, x))
@@ -1149,12 +1161,24 @@ class TestOracleAnswer:
         residual = perp_component(resp.gradient, plane_instance.basis)
         assert np.linalg.norm(residual) <= 1e-10
 
-    def test_one_sample_budget_refused_at_a_three_way_tie(self):
-        inst = _lattice_instance(1)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_short_budgets_refused_at_a_three_way_tie_before_any_draw(self, k):
+        # a sampled answer of order k needs n_samples >= max(2, 2^k): the
+        # value's two draws, and order k's two draws of 2^k evaluations out
+        # of its 2 n_samples; every shorter budget is refused before any
+        # stream is drawn from, one sample by the value's gate
+        inst = _lattice_instance(k)
         x = np.array([0.25, 0.3125, 0.375, 0.0])
         assert contenders(inst, piece_values(inst, x)).tolist() == [0, 1, 2]
-        with pytest.raises(ValueError, match="n_samples >= 2"):
-            oracle_answer(inst, x, budget=MCBudget(1, 0))
+        least = max(2, 2**k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluator, "stream", _refuse_work)
+            for n in range(1, least):
+                with pytest.raises(ValueError, match=f"n_samples >= {2 if n == 1 else 2 ** (k + 1)} "):
+                    oracle_answer(inst, x, budget=MCBudget(n, 0))
+        resp = oracle_answer(inst, x, budget=MCBudget(least, 0))
+        assert resp.regime == MONTE_CARLO and np.isfinite(resp.value)
+        assert [h.order for h in resp.higher] == list(range(2, k + 1))
 
     def test_two_piece_tie_takes_no_budget(self, plane_instance):
         # two contenders are answered in closed form: the budget is never

@@ -351,7 +351,7 @@ def test_verify_takes_the_fewest_samples_its_estimates_take(suite, k, least):
 
 def test_verify_locality_suite():
     audit = verify_locality(9, 1, seed=0)
-    assert audit.consistency_ok and audit.regimes_consistent and audit.passed
+    assert audit.consistency_ok and audit.passed
 
 
 def _broken_radius(monkeypatch):
@@ -367,7 +367,7 @@ def _broken_radius(monkeypatch):
 def test_verify_locality_fails_on_regime_mismatch(monkeypatch, seed):
     _broken_radius(monkeypatch)
     audit = verify_locality(9, 1, seed=seed)
-    assert not audit.regimes_consistent and not audit.consistency_ok and not audit.passed
+    assert not audit.consistency_ok and not audit.passed
     oracle = AdaptiveOracle(harness.params_deterministic(9, 1), seed=seed)
     run_method(oracle, "psg")
     _, replay = oracle.finalize()
@@ -379,7 +379,7 @@ def test_verify_locality_mismatch_exits_1(monkeypatch, capsys):
     code = cli.main(["verify", "--suite", "locality", "--T", "9", "--k", "1"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "regimes MISMATCH" in out and "suite locality: FAIL" in out
+    assert "replay MISMATCH" in out and "suite locality: FAIL" in out
 
 
 def test_verify_cli_reports_the_tie_band_counts(capsys):
