@@ -21,18 +21,18 @@ regime_answer and the estimators answer:
   Q (_contender_frame), each tensor is in Q's q coordinates, and Q is
   the answer's basis_matrix.
 
-  Two contenders at k <= 2 are answered in closed form (_two_piece_law,
-  which also serves the estimators). With p the top
-  piece, c the difference of the two directions in frame coordinates
-  and S the sum of k independent one-dimensional marginals of the
-  uniform T-ball, the smoothed function is l_p(x) + E[(l_q(x) - l_p(x)
-  + delta |c| S)_+], a one-dimensional law whose tail, excess and
-  density come from the reduction recurrence of the integrals of cos^T
-  (k = 1) and one Gauss-Legendre quadrature over the first marginal
-  (k = 2). The law (_sum_law) depends on T, k,
-  the standardized gap t and the node count alone, so it is computed
-  once per process and shared read-only: repeated ties and the replay
-  reuse it.
+  Two contenders at k <= 2 are answered in closed form by one law in
+  frame coordinates (_two_piece_law), from which regime_answer builds
+  the answer and an estimate takes its field. With p the top piece, c
+  the difference of the two directions in frame coordinates and S the
+  sum of k independent one-dimensional marginals of the uniform T-ball,
+  the smoothed function is l_p(x) + E[(l_q(x) - l_p(x) + delta |c|
+  S)_+], a one-dimensional law whose tail, excess and density come from
+  the reduction recurrence of the integrals of cos^T (k = 1) and one
+  Gauss-Legendre quadrature over the first marginal (k = 2). The law
+  (_sum_law) depends on T, k, the standardized gap t and the node count
+  alone, so it is computed once per process and shared read-only:
+  repeated ties and the replay reuse it.
 
   Otherwise value and derivatives are estimated by sampling. The order-j
   derivative comes from the sphere identity iterated through the outer
@@ -90,6 +90,8 @@ MONTE_CARLO = "monte_carlo"
 # the quadrature error), and the ratio and count of the elements graded
 # geometrically toward each end of an integration interval.
 TWO_PIECE_NODES = 16
+# Machine epsilon of binary64, for the two-piece law's rounding floor.
+_EPS = float(np.finfo(float).eps)
 _GRADING_RATIO = 0.15
 _GRADED_ELEMENTS = 12
 
@@ -260,7 +262,9 @@ def contenders(instance: HardInstance, values: PieceValues) -> np.ndarray:
     """
     shifted = values.shifted
     band = 2.0 * instance.params.k * instance.params.delta
-    return np.flatnonzero(~(shifted.max() - shifted > band))
+    # the ufunc and array methods, without np.max's and np.flatnonzero's
+    # Python-level dispatch on every answer
+    return (~(np.maximum.reduce(shifted) - shifted > band)).nonzero()[0]
 
 
 def locally_affine_index(
@@ -284,6 +288,8 @@ def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, n
 
 
 ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
+# The frame coordinates of q orthonormal piece rows, read-only, one per q.
+_identity = functools.cache(lambda q: frozen(np.eye(q)))
 
 
 def _contender_frame(instance: HardInstance, values: PieceValues, keep: np.ndarray) -> ContenderFrame:
@@ -291,12 +297,12 @@ def _contender_frame(instance: HardInstance, values: PieceValues, keep: np.ndarr
     the frame Q, and Q itself (q x dim, orthonormal rows spanning their
     directions), from their piece rows alone. Orthonormal piece rows (a
     standard instance, whose piece matrix is its basis) are the frame
-    themselves, with exact unit vectors as coordinates; other rows (custom
-    instances) give their Gram-Schmidt factor, q their rank. (values,
-    keep) must be affine_regime(instance, x)."""
+    themselves, with one read-only identity per q as coordinates; other
+    rows (custom instances) give their Gram-Schmidt factor, q their rank.
+    (values, keep) must be affine_regime(instance, x)."""
     rows = instance.piece_matrix[keep]
     if instance.piece_matrix is instance.basis.matrix:
-        return values.shifted[keep], np.eye(len(keep)), rows
+        return values.shifted[keep], _identity(len(keep)), rows
     frame = span_basis(rows).matrix
     return values.shifted[keep], rows @ frame.T, frame
 
@@ -392,20 +398,20 @@ def _tie_band_estimate(
     """The order-j estimate (j = 0 the value) over the contender_frame of
     two or more contenders keep, unnormalized, and its error: the one
     place an estimate applies the tie-band rule (see the module notes).
-    Two contenders at k <= 2 give the two-piece law's value, gradient
-    frame coordinates or Hessian (the zero tensor sized by the frame's
-    rows beyond the law's reach), drawing nothing; any others are
-    sampled. budget has passed _check_budget."""
+    Two contenders at k <= 2 give the two-piece law's field for the
+    order, its value, gradient frame coordinates or Hessian (the zero
+    tensor sized by the frame's rows beyond the law's reach), building
+    nothing else; any others are sampled. budget has passed _check_budget."""
     if len(keep) != 2 or instance.params.k > 2:
         if order == 0:
             return _sampled_value(instance, budget, contender_frame)
         return _sampled_tensor_coords(instance, order, budget, contender_frame)
-    answer, coords = _two_piece_law(instance, contender_frame, 1.0)
+    law = _two_piece_law(instance, contender_frame)
     if order == 0:
-        return answer.value, answer.value_stderr
+        return law.value, law.value_error
     if order == 1:
-        return coords, answer.gradient_error
-    hessian = answer.higher[0]
+        return law.gradient_coords, law.gradient_error
+    hessian = law.hessian(1.0)
     return (np.zeros((len(contender_frame[2]),) * 2) if hessian.is_zero else hessian.tensor), hessian.error_bound
 
 
@@ -546,8 +552,8 @@ def regime_answer(
     norm_denom. One contender wins by more than 2*k*delta, and the
     smoothing of a single affine piece is that piece: its shifted value,
     its row a_i as the gradient (the read-only row itself with norm_denom
-    1), zero higher orders. Two at k <= 2 get the two-piece law
-    (_two_piece_law), any others monte_carlo_answer over their frame: the
+    1), zero higher orders. Two at k <= 2 get _tie_answer of the
+    two-piece law, any others monte_carlo_answer over their frame: the
     one place an answer applies the tie-band rule. A callable budget is
     called only for the last, so no other answer derives one. (values,
     keep) must be affine_regime(instance, x)."""
@@ -566,7 +572,10 @@ def regime_answer(
         )
     frame = _contender_frame(instance, values, keep)
     if len(keep) == 2 and params.k <= 2:
-        return _two_piece_law(instance, frame, denom)[0]
+        law = _two_piece_law(instance, frame)
+        higher = (law.hessian(denom),) if params.k == 2 else ()
+        fields = law.value, law.value_error, law.gradient_coords, law.gradient_error
+        return _tie_answer(frame[2], *fields, higher, denom)
     budget = budget() if callable(budget) else budget
     return monte_carlo_answer(instance, x, budget, frame)
 
@@ -642,7 +651,8 @@ def _sum_law(r: int, k: int, t: float, nodes: int) -> tuple[np.ndarray, np.ndarr
     t >= 0, with the quadrature error of each. For k = 1 the law is
     closed-form, its quadrature error zero; beyond t = k the law vanishes.
     A pure function of its arguments, so it is cached (_SUM_LAWS_KEPT):
-    both arrays are read-only, shared by every caller of the same key.
+    both arrays are read-only, shared by every caller of the same key:
+    _two_piece_law reads them as floats, once for an answer or estimate.
 
     For k = 2, S = S_1 + S_2, and the law is a composite Gauss-Legendre
     quadrature over s = S_1: from 2 * nodes nodes per element, its error
@@ -705,12 +715,31 @@ def _sum_law(r: int, k: int, t: float, nodes: int) -> tuple[np.ndarray, np.ndarr
     return frozen(fine), frozen(np.abs(fine - coarse))
 
 
-def _two_piece_law(
-    instance: HardInstance, contender_frame: ContenderFrame, denom: float
-) -> tuple[OracleResponse, np.ndarray]:
-    """The answer where exactly two pieces contend, at k <= 2, over their
-    contender_frame, every output divided by denom, and its gradient's
-    frame coordinates before the division.
+class _TwoPieceLaw(NamedTuple):
+    """_two_piece_law's fields, unnormalized, in frame coordinates: the
+    value, the gradient and the Hessian's factors, each with its error."""
+
+    value: float
+    value_error: float
+    gradient_coords: np.ndarray
+    gradient_error: float
+    c: np.ndarray
+    density: float
+    sigma: float
+    hessian_error: float
+
+    def hessian(self, denom: float) -> HigherDerivative:
+        """c c^T p_S(t) / sigma over denom; zero where p_S(t) is."""
+        if not self.density > 0.0:
+            return HigherDerivative(2)
+        scale = self.density / (self.sigma * denom)
+        return HigherDerivative(2, self.c[:, None] * self.c * scale, self.hessian_error / denom)
+
+
+def _two_piece_law(instance: HardInstance, contender_frame: ContenderFrame) -> _TwoPieceLaw:
+    """The law where exactly two pieces contend, at k <= 2, over their
+    contender_frame, unnormalized in frame coordinates: regime_answer
+    lifts and divides it, an estimate takes the field its order needs.
 
     Let p be the top piece of the two and q the other, c = coords_q -
     coords_p in their contender frame (_contender_frame) and sigma =
@@ -730,35 +759,28 @@ def _two_piece_law(
     recurrence and the quadrature sums in the law.
     """
     params = instance.params
-    base, coeffs, frame = contender_frame
-    p, q = (0, 1) if base[0] >= base[1] else (1, 0)
+    base, coeffs, _ = contender_frame
+    pair = base.tolist()
+    p = 0 if pair[0] >= pair[1] else 1
+    level = pair[p]
     coords_p = coeffs[p]
-    c = coeffs[q] - coords_p
-    norm_c = float(np.linalg.norm(c))
+    c = coeffs[1 - p] - coords_p
+    norm_c = math.sqrt(c.dot(c))  # np.linalg.norm(c), bit for bit
     sigma = params.delta * norm_c
-    level = float(base[p])
-    if sigma > 0.0:
-        law, err = _sum_law(params.T, params.k, (level - float(base[q])) / sigma, TWO_PIECE_NODES)
-    else:
-        law, err = _NO_LAW, _NO_LAW
-    tail, excess, density = law
-    rounding = (instance.basis.dim + params.T + 64) * np.finfo(float).eps
-    higher = ()
-    if params.k == 2:
-        higher = (HigherDerivative(2),)
-        if density > 0.0:
-            error = norm_c**2 / sigma * (err[2] + rounding * density)
-            higher = (HigherDerivative(2, np.outer(c, c) * (density / (sigma * denom)), error / denom),)
-    coords = coords_p + c * tail
-    return OracleResponse(
-        value=float(level + sigma * excess) / denom,
-        gradient=frame.T @ coords / denom,
-        higher=higher,
-        affine_index=None,
-        value_stderr=float(sigma * (err[1] + rounding) + rounding * abs(level)) / denom,
-        gradient_error=float(norm_c * (err[0] + rounding) + rounding * np.linalg.norm(coords_p)) / denom,
-        basis_matrix=frame if higher and not higher[0].is_zero else None,
-    ), coords
+    t = (level - pair[1 - p]) / sigma if sigma > 0.0 else math.inf
+    law, err = _sum_law(params.T, params.k, t, TWO_PIECE_NODES)
+    (tail, excess, density), (err_tail, err_excess, err_density) = law.tolist(), err.tolist()
+    rounding = (instance.basis.dim + params.T + 64) * _EPS
+    return _TwoPieceLaw(
+        value=level + sigma * excess,
+        value_error=sigma * (err_excess + rounding) + rounding * abs(level),
+        gradient_coords=coords_p + c * tail,
+        gradient_error=norm_c * (err_tail + rounding) + rounding * math.sqrt(coords_p.dot(coords_p)),
+        c=c,
+        density=density,
+        sigma=sigma,
+        hessian_error=norm_c**2 / sigma * (err_density + rounding * density) if density > 0.0 else 0.0,
+    )
 
 
 def monte_carlo_answer(
@@ -793,16 +815,19 @@ def monte_carlo_answer(
         _sampled_tensor_coords(instance, j, draw, contender_frame) for j, draw in enumerate(draws, 1)
     )
     higher = tuple(HigherDerivative(j, t / denom, err / denom) for j, (t, err) in enumerate(tensors, 2))
-    frame = contender_frame[2]
-    return OracleResponse(
-        value=value / denom,
-        gradient=frame.T @ coords / denom,
-        higher=higher,
-        affine_index=None,
-        value_stderr=stderr / denom,
-        gradient_error=gerr / denom,
-        basis_matrix=frame if higher else None,
-    )
+    return _tie_answer(contender_frame[2], value, stderr, coords, gerr, higher, denom)
+
+
+def _tie_answer(
+    frame: np.ndarray, value: float, value_error: float, coords: np.ndarray, gradient_error: float,
+    higher: tuple[HigherDerivative, ...], denom: float,
+) -> OracleResponse:
+    """The tie-band answer over the frame's rows from the unnormalized
+    value, gradient frame coordinates and errors, each divided by denom,
+    and the higher orders as given; the frame goes with a non-zero tensor."""
+    basis = frame if higher and not higher[0].is_zero else None
+    grad = frame.T @ coords / denom
+    return OracleResponse(value / denom, grad, higher, None, value_error / denom, gradient_error / denom, basis)
 
 
 def rescale_to_smoothness(L_target: float, k: int, T: int) -> float:

@@ -30,6 +30,15 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def dot_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a float64 array of any shape, bit for bit
+    (NaN, inf and overflow included), without its dispatch: the square
+    root of v.dot(v), v being x flattened in memory order, numpy's own
+    formula."""
+    v = x.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def vector_norm(x: np.ndarray) -> float:
     """np.linalg.norm(x), bit for bit while its sum of squares stays
     finite. Past that, for a finite x, m * ||x / m|| with m the largest
@@ -183,10 +192,10 @@ def orthonormal_extend(
         x = np.asarray(x, dtype=float)
         _check_dim(x, basis)
         p = x - basis.lift(coords)
-    if not (np.linalg.norm(p) > DEGENERACY_TOL):
+    if not (dot_norm(p) > DEGENERACY_TOL):
         return basis, None
     p = perp_component(p, basis)
-    norm = np.linalg.norm(p)
+    norm = dot_norm(p)
     if not (norm > DEGENERACY_TOL):
         return basis, None
     extended = basis.extended(p / norm, capacity)

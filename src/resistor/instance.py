@@ -21,6 +21,7 @@ from .geometry import (
     OrthonormalBasis,
     Vector,
     arbitrary_perp_unit,
+    dot_norm,
     frozen,
     orthonormal_extend,
 )
@@ -179,8 +180,9 @@ def _shifts_of(params: InstanceParams, n: int) -> np.ndarray:
 
 def check_in_ball(x: np.ndarray) -> None:
     """Raise unless the query x lies in the closed unit ball, up to
-    QUERY_NORM_SLACK; a NaN or infinite entry fails."""
-    norm = np.linalg.norm(x)
+    QUERY_NORM_SLACK; a NaN or infinite entry fails. x is measured as a
+    float64 array of any shape (geometry.dot_norm)."""
+    norm = dot_norm(np.asarray(x, dtype=float))
     if not (norm <= 1.0 + QUERY_NORM_SLACK):
         raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
 

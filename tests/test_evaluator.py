@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import json
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -847,6 +849,100 @@ def test_two_piece_tie_pins_exact_rationals(r, excess, density):
     assert np.linalg.norm(hess.tensor - exact) <= hess.error_bound
     law, err = _sum_law(r, 2, 0.0, evaluator.TWO_PIECE_NODES)
     assert law[0] == 0.5 and err[0] == 0.0
+
+
+def _two_piece_cases(k: int):
+    """(name, instance, x) where exactly two pieces contend at k: on
+    axis pieces (an identity frame, an exact lift) and on non-orthonormal
+    custom pieces (a Gram-Schmidt frame), each at an exact tie (t = 0)
+    and a near one (0 < t < k), and on a random orthonormal basis at a
+    near tie (t about 0.3)."""
+    inst, x = _two_piece_point(4, k, 0.0)
+    yield "axes-tie", inst, x
+    yield "axes-near", *_two_piece_point(4, k, 0.2)
+    params = InstanceParams(T=4, k=k, m=16, d=5, gamma=2.0, delta=1.0 / 64.0, mode=DETERMINISTIC)
+    directions = np.zeros((3, 5))
+    directions[0, :2], directions[1, :2], directions[2, 2] = (0.6, 0.8), (0.8, 0.6), 1.0
+    custom = HardInstance.custom(params, directions, [0.0, 0.0, -0.5])
+    yield "custom-tie", custom, np.array([0.25, 0.25, 0.0, 0.0, 0.0])
+    yield "custom-near", custom, np.array([0.25, 0.26, 0.0, 0.0, 0.0])
+    rotated = audit_instance(4, k, 0)
+    a, s = rotated.piece_matrix, rotated.piece_shifts
+    gap = 0.3 * rotated.params.delta * math.sqrt(2.0)
+    yield "rotated-near", rotated, 0.2 * a[0] + (0.2 + s[0] - s[1] - gap) * a[1]
+
+
+def _hex(v) -> list[str] | str | None:
+    if v is None:
+        return None
+    if np.ndim(v):
+        return [float(e).hex() for e in np.ravel(v)]
+    return float(v).hex()
+
+
+def _two_piece_fields(inst: HardInstance, x: np.ndarray) -> dict:
+    """Every field of the two-piece answer at x and every two-piece
+    estimate there, as float.hex."""
+    budget = MCBudget(1_000, 0)
+    resp = oracle_answer(inst, x)
+    got = {
+        "value": _hex(resp.value),
+        "value_stderr": _hex(resp.value_stderr),
+        "gradient": _hex(resp.gradient),
+        "gradient_error": _hex(resp.gradient_error),
+        "higher": [[h.order, _hex(h.tensor), _hex(h.error_bound)] for h in resp.higher],
+        "basis_matrix": _hex(resp.basis_matrix),
+        "value_mc": _hex(smoothed_value_mc(inst, x, budget)),
+        "gradient_mc": [_hex(v) for v in smoothed_gradient_mc(inst, x, budget)],
+    }
+    for order in range(1, inst.params.k + 1):
+        got[f"tensor_mc_{order}"] = [_hex(v) for v in _tensor_coords_mc(inst, x, order, budget)]
+    return got
+
+
+# Every field of the two-piece answer and estimates at _two_piece_cases,
+# as float.hex, one entry per case and k: tests/two_piece_bits.json.
+PINNED_TWO_PIECE = json.loads((Path(__file__).parent / "two_piece_bits.json").read_text())
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_two_piece_fields_pinned(k):
+    for name, inst, x in _two_piece_cases(k):
+        values = piece_values(inst, x)
+        assert contenders(inst, values).tolist() == [0, 1]
+        tie = values.shifted[0] == values.shifted[1]
+        assert tie == name.endswith("-tie")
+        assert _two_piece_fields(inst, x) == PINNED_TWO_PIECE[f"{name}-k{k}"], name
+
+
+def _float_fields(resp) -> list:
+    return [resp.value, resp.value_stderr, resp.gradient_error, *(h.error_bound for h in resp.higher)]
+
+
+def test_float_fields_are_floats_in_every_regime():
+    # exact, two-piece and sampled answers (T = 9, k = 2, seed 0) carry
+    # every float field as a float, and so does the order-2 estimate's
+    # error: an answer whose floats are read back from JSON has the bits
+    # and the types of the fresh one, so mismatch, which compares types,
+    # finds none
+    oracle = AdaptiveOracle(params_deterministic(9, 2), seed=0, mc_samples=1_000)
+    oracle.query(three_way_tie(oracle))
+    answers = [rec.response for rec in oracle.transcript.records]
+    assert [resp.affine_index is None for resp in answers] == [False, True, True]
+    assert [len(resp.basis_matrix) for resp in answers[1:]] == [2, 3]  # two-piece, sampled
+    for resp in answers:
+        floats = _float_fields(resp)
+        assert all(type(v) is float for v in floats)
+        read = [json.loads(json.dumps(v)) for v in floats]
+        higher = tuple(dataclasses.replace(h, error_bound=e) for h, e in zip(resp.higher, read[3:]))
+        back = dataclasses.replace(
+            resp, value=read[0], value_stderr=read[1], gradient_error=read[2], higher=higher
+        )
+        assert resp.mismatch(back) == ""
+    final, _ = oracle.finalize()
+    for rec in oracle.transcript.records:
+        _, err, _ = _tensor_coords_mc(final, rec.x, 2, MCBudget(1_000, 0))
+        assert type(err) is float
 
 
 def _two_piece_point(r: int, k: int, u: float) -> tuple[HardInstance, np.ndarray]:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resistor.geometry import (
     DEGENERACY_TOL,
     ORTHONORMALITY_TOL,
     OrthonormalBasis,
     arbitrary_perp_unit,
+    dot_norm,
     orthonormal_extend,
     perp_component,
     random_orthonormal_basis,
@@ -455,3 +457,27 @@ def test_sampling_pure_in_stream(seed):
     a = sample_ball(3, stream(seed, "pure"), size=5)
     b = sample_ball(3, stream(seed, "pure"), size=5)
     np.testing.assert_array_equal(a, b)
+
+
+# Entries that stress the sum of squares: NaN, infinities, subnormals
+# (whose squares underflow) and magnitudes whose squares overflow.
+_EDGE_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1e155, -1e200, 1.7e308])
+
+
+@given(arrays(np.float64, st.integers(0, 2000), elements=st.one_of(st.floats(), _EDGE_ENTRIES)))
+@example(np.array([]))
+@example(np.array([1e200, 1e200]))
+@example(np.array([math.inf, math.nan]))
+@example(np.full(1000, 5e-324))
+@settings(max_examples=200, deadline=None)
+def test_dot_norm_is_numpys_norm_bit_for_bit(v):
+    # the same value and bits as np.linalg.norm, NaN included, also on a
+    # reversed and a strided view and on a Fortran-ordered 2-d copy
+    views = [v, v[::-1], v[::3]]
+    if len(v) % 2 == 0:
+        views.append(np.asfortranarray(v.reshape(2, -1)))
+    with np.errstate(all="ignore"):
+        for w in views:
+            got, want = dot_norm(w), np.linalg.norm(w)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()

@@ -15,7 +15,9 @@ from resistor import instance as instance_module
 from resistor.evaluator import MCBudget, smoothed_value_mc
 from resistor.geometry import OrthonormalBasis
 from resistor.instance import (
+    QUERY_NORM_SLACK,
     HardInstance,
+    check_in_ball,
     append_piece,
     from_json,
     params_deterministic,
@@ -507,3 +509,48 @@ def test_json_round_trip():
         assert a.index == b.index and a.shift == b.shift
         np.testing.assert_array_equal(a.a, b.a)
     np.testing.assert_array_equal(back.basis.matrix, inst.basis.matrix)
+
+
+def _norm_check(x):
+    """The ball check as np.linalg.norm states it: the reference for
+    check_in_ball's refusals and messages."""
+    norm = np.linalg.norm(x)
+    if not (norm <= 1.0 + QUERY_NORM_SLACK):
+        raise ValueError(f"query outside the unit ball: ||x|| = {norm}")
+
+
+def _outcome(check, x) -> str | None:
+    try:
+        check(x)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+_EDGE = (1.0 + QUERY_NORM_SLACK) * unit(4, 0)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.zeros(4), None),
+        (np.zeros(0), None),
+        (_EDGE, None),
+        (np.nextafter(_EDGE, 2.0), "||x|| = 1.0000000010000003"),
+        (np.array([math.nan, 0.0, 0.0]), "||x|| = nan"),
+        (np.array([0.0, -math.inf]), "||x|| = inf"),
+        (np.array([1e200, 1e200]), "||x|| = inf"),
+        (np.full((2, 3), 0.5), "||x|| = 1.224744871391589"),  # a wrong shape is measured whole
+        (np.asfortranarray(np.full((2, 2), 0.4)), None),
+        (np.array([[0.6], [0.8]]), None),
+        ([0.6, 0.8, 0.1], "||x|| = 1.004987562112089"),
+        (np.array([1, 1]), "||x|| = 1.4142135623730951"),
+    ],
+)
+def test_ball_check_keeps_its_refusals_and_messages(x, message):
+    # check_in_ball takes the norm as sqrt of a dot product; it passes and
+    # refuses what np.linalg.norm's check does, with the same message
+    with np.errstate(over="ignore"):
+        got, want = _outcome(check_in_ball, x), _outcome(_norm_check, x)
+    assert got == want
+    assert got == (None if message is None else f"query outside the unit ball: {message}")
