@@ -14,11 +14,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 
-from .evaluator import DEFAULT_VALUE_SAMPLES
 from .harness import (
     AUDIT_SAMPLES,
     REPORT_FORMATS,
+    SUITES,
     RefusedArgument,
     RunConfig,
     run_experiment,
@@ -32,33 +33,23 @@ _MODES = {"det": DETERMINISTIC, "deterministic": DETERMINISTIC, "rand": RANDOMIZ
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=sorted(_MODES), default="det")
-    parser.add_argument("--T", type=int, default=9, help="query budget")
-    parser.add_argument("--k", type=int, default=1, help="derivative order")
-    parser.add_argument("--method", choices=list(METHODS), default="psg")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fail-prob", type=float, default=0.2, help="randomized-mode failure probability")
-    parser.add_argument("--mc-samples", type=int, default=DEFAULT_VALUE_SAMPLES)
-    parser.add_argument("--rescale-L", type=float, default=None, help="target order-k smoothness coefficient")
+    parser.add_argument("--mode", choices=sorted(_MODES))
+    parser.add_argument("--T", type=int, help="query budget")
+    parser.add_argument("--k", type=int, help="derivative order")
+    parser.add_argument("--method", choices=list(METHODS))
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--fail-prob", type=float, help="randomized-mode failure probability")
+    parser.add_argument("--mc-samples", type=int)
+    parser.add_argument("--rescale-L", type=float, help="target order-k smoothness coefficient")
     parser.add_argument("--dump-vectors", action="store_true")
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=REPORT_FORMATS, default="csv")
+    parser.add_argument("--out", type=str)
+    parser.add_argument("--format", choices=REPORT_FORMATS)
+    parser.set_defaults(**asdict(RunConfig()))
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        mode=_MODES[args.mode],
-        T=args.T,
-        k=args.k,
-        method=args.method,
-        seed=args.seed,
-        fail_prob=args.fail_prob,
-        mc_samples=args.mc_samples,
-        rescale_L=args.rescale_L,
-        dump_vectors=args.dump_vectors,
-        out=args.out,
-        format=args.format,
-    )
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return RunConfig(**{**flags, "mode": _MODES[args.mode]})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -100,11 +91,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"max exact diff {inv.max_exact_diff:.3e} ({'PASS' if inv.passed else 'FAIL'})"
         )
     if summary.locality is not None:
-        loc = summary.locality
-        print(
-            f"locality: replay {'ok' if loc.consistency_ok else 'MISMATCH'} "
-            f"({'PASS' if loc.passed else 'FAIL'})"
-        )
+        ok = summary.locality.passed
+        print(f"locality: replay {'ok' if ok else 'MISMATCH'} ({'PASS' if ok else 'FAIL'})")
     print(f"suite {args.suite}: {'PASS' if summary.passed else 'FAIL'}")
     return 0 if summary.passed else 1
 
@@ -177,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="smoothness/invariance/locality audits")
-    p_verify.add_argument("--suite", choices=["lipschitz", "invariance", "locality", "all"], default="all")
+    p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--T", type=int, default=9)
     p_verify.add_argument("--k", type=int, default=1)
     p_verify.add_argument("--seed", type=int, default=0)

@@ -75,7 +75,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import frozen, sample_ball, sample_sphere
+from .geometry import dot_norm, frozen, sample_ball, sample_sphere
 from .instance import HardInstance, check_in_ball, span_basis
 from .streams import as_integer, as_seed, child_seed, stream
 
@@ -765,7 +765,7 @@ def _two_piece_law(instance: HardInstance, contender_frame: ContenderFrame) -> _
     level = pair[p]
     coords_p = coeffs[p]
     c = coeffs[1 - p] - coords_p
-    norm_c = math.sqrt(c.dot(c))  # np.linalg.norm(c), bit for bit
+    norm_c = dot_norm(c)
     sigma = params.delta * norm_c
     t = (level - pair[1 - p]) / sigma if sigma > 0.0 else math.inf
     law, err = _sum_law(params.T, params.k, t, TWO_PIECE_NODES)
@@ -775,7 +775,7 @@ def _two_piece_law(instance: HardInstance, contender_frame: ContenderFrame) -> _
         value=level + sigma * excess,
         value_error=sigma * (err_excess + rounding) + rounding * abs(level),
         gradient_coords=coords_p + c * tail,
-        gradient_error=norm_c * (err_tail + rounding) + rounding * math.sqrt(coords_p.dot(coords_p)),
+        gradient_error=norm_c * (err_tail + rounding) + rounding * dot_norm(coords_p),
         c=c,
         density=density,
         sigma=sigma,

@@ -40,15 +40,15 @@ def dot_norm(x: np.ndarray) -> float:
 
 
 def vector_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x), bit for bit while its sum of squares stays
+    """dot_norm(x) while the sum of squares of the float64 array x stays
     finite. Past that, for a finite x, m * ||x / m|| with m the largest
     magnitude in x, which overflows only if the norm itself does. A NaN
     or infinite entry gives what np.linalg.norm gives."""
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(x)
+        norm = dot_norm(x)
         if norm == math.inf and np.isfinite(x).all():
             scale = np.abs(x).max()
-            norm = scale * np.linalg.norm(x / scale)
+            norm = scale * dot_norm(x / scale)
     return float(norm)
 
 

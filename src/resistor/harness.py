@@ -46,6 +46,7 @@ from .streams import as_integer, child_seed, stream
 AUDIT_SAMPLES = 20_000
 CSV_COLUMNS = ["iter", "certified_gap", "floor", "regime", "event_e_margin", "value", "grad_norm"]
 REPORT_FORMATS = ("csv", "json")
+SUITES = ("lipschitz", "invariance", "locality", "all")
 
 
 class RefusedArgument(ValueError):
@@ -228,7 +229,7 @@ def _fmt(x) -> str:
 
 
 def emit_report(report: RunReport, format: str, path) -> Path:
-    """Write the report as CSV (fixed column set) or JSON; trailing
+    """Write the report as CSV (CSV_COLUMNS of each row) or JSON; trailing
     newline, UTF-8, byte-stable across replays of the same config."""
     path = Path(path)
     if format == "csv":
@@ -236,17 +237,7 @@ def emit_report(report: RunReport, format: str, path) -> Path:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for row in report.rows:
-                writer.writerow(
-                    [
-                        row.iter,
-                        _fmt(row.certified_gap),
-                        _fmt(row.floor),
-                        row.regime,
-                        _fmt(row.event_e_margin),
-                        _fmt(row.value),
-                        _fmt(row.grad_norm),
-                    ]
-                )
+                writer.writerow([_fmt(getattr(row, name)) for name in CSV_COLUMNS])
     elif format == "json":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report.to_dict(), indent=2))
@@ -428,7 +419,6 @@ def verify_invariance(
 
 @dataclass
 class LocalityAudit:
-    consistency_ok: bool
     passed: bool
 
 
@@ -441,7 +431,7 @@ def verify_locality(T: int, k: int, seed: int = 0) -> LocalityAudit:
     oracle = AdaptiveOracle(params, seed=seed)
     run_method(oracle, "psg")
     _, consistency = oracle.finalize()
-    return LocalityAudit(consistency_ok=consistency.all_equal, passed=consistency.all_equal)
+    return LocalityAudit(passed=consistency.all_equal)
 
 
 def audit_instance(T: int, k: int, seed: int = 0) -> HardInstance:
@@ -490,7 +480,7 @@ def run_verification(
     parameters."""
     summary = VerifySummary(suite=suite)
     with _argument_checks():
-        if suite not in {"lipschitz", "invariance", "locality", "all"}:
+        if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
         n_pairs = _count(n_pairs, "n_pairs")
         instance = audit_instance(T, k, seed)

@@ -187,7 +187,8 @@ class _ResistingOracle:
     takes: 2 for a value with a standard error, 2^k for the order-k
     tensor's two draws at 2^k sign flips each, out of its 2 * mc_samples
     evaluations. rescale must be a positive finite real number (not a
-    bool): any other would answer NaN, inf, 0 or flipped values.
+    bool): any other would answer NaN, inf, 0 or flipped values. It is
+    kept as a float, so every answer's scalars are floats.
     """
 
     def __init__(
@@ -213,7 +214,7 @@ class _ResistingOracle:
         self.params = params
         self.seed = seed
         self.mc_samples = mc_samples
-        self.rescale = rescale
+        self.rescale = float(rescale)
         self.transcript = Transcript(params)
         self._instance = instance
 
@@ -278,10 +279,10 @@ class AdaptiveOracle(_ResistingOracle):
     agd and cubic in this mode) makes four passes over the r x d rows
     while r <= 3d/4, six beyond (see geometry.arbitrary_perp_unit).
 
-    Parameter validity is the caller's concern (the harness validates);
-    deliberately broken schedules, e.g. a smoothing radius violating
-    2*k*delta <= gamma/m, still run, and finalize() then exposes where
-    locality failed.
+    The params are not validated here: params_deterministic refuses a
+    schedule that cannot certify the floor, and hand-built broken ones,
+    e.g. a smoothing radius violating 2*k*delta <= gamma/m, run on
+    purpose, finalize() then exposing where locality failed.
     """
 
     def __init__(

@@ -186,6 +186,56 @@ def test_run_output_bytes_are_pinned(tmp_path, cell):
     assert digests == PINNED_RUNS[cell]
 
 
+def _sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+# SHA-256 of what the CLI writes: the `verify --suite all --T 9 --k 2
+# --seed 0` summary, the `run --T 9 --k 1 --method psg --seed 0 --format
+# json` report per mode, the `sweep --seeds 3 --T 4 --k 1` report and the
+# --help texts at an 80-column terminal
+PINNED_VERIFY_STDOUT = "ce63928738c801e6b3c656102e4b199f6aee416878c724870b60a9d2f58e45d5"
+PINNED_JSON_REPORTS = {
+    "det": "e9a1172dd4fb37a6fc96e9578623252345dbf84c007cbeba0d8d96ea5cb60a42",
+    "rand": "c5a786e8898b77472ae5a31947183fdc17977900effa7222e4b8d43e5059e4b7",
+}
+PINNED_SWEEP_REPORT = "7e879bbe4720d09d960601f2bc22ff5d30aa5b30eec0ceb4aecf6e6146d34dba"
+PINNED_HELP = {
+    "run": "60ca2d421bd08eef3aa57c28a87dc6663adcdd928b1e25f8c92ccb3486f6b496",
+    "sweep": "1deeeca74d974dcf2ca43a8a032805a51a0ae9d1e224d97c3e8da713b016c85c",
+    "verify": "e347601f547861cf7a30e6f7fcf6142cca79a7b689467fbb2bbac82a801be196",
+}
+
+
+def test_verify_stdout_is_pinned(capsys):
+    assert cli.main(["verify", "--suite", "all", "--T", "9", "--k", "2", "--seed", "0"]) == 0
+    assert _sha256(capsys.readouterr().out) == PINNED_VERIFY_STDOUT
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_JSON_REPORTS))
+def test_json_report_bytes_are_pinned(tmp_path, mode):
+    out = tmp_path / "run.json"
+    argv = ["run", "--mode", mode, "--T", "9", "--k", "1", "--method", "psg", "--seed", "0"]
+    assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == PINNED_JSON_REPORTS[mode]
+
+
+def test_sweep_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert cli.main(["sweep", "--seeds", "3", "--T", "4", "--k", "1", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == PINNED_SWEEP_REPORT
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_HELP))
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    # argparse wraps at the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert _sha256(capsys.readouterr().out) == PINNED_HELP[command]
+
+
 class TestVerifyLipschitz:
     def test_value_audit_within_unit_bound(self):
         audit = verify_lipschitz(audit_instance(4, 1), 0, n_pairs=15, samples=4_000, seed=0)
@@ -351,7 +401,7 @@ def test_verify_takes_the_fewest_samples_its_estimates_take(suite, k, least):
 
 def test_verify_locality_suite():
     audit = verify_locality(9, 1, seed=0)
-    assert audit.consistency_ok and audit.passed
+    assert audit.passed
 
 
 def _broken_radius(monkeypatch):
@@ -367,7 +417,7 @@ def _broken_radius(monkeypatch):
 def test_verify_locality_fails_on_regime_mismatch(monkeypatch, seed):
     _broken_radius(monkeypatch)
     audit = verify_locality(9, 1, seed=seed)
-    assert not audit.consistency_ok and not audit.passed
+    assert not audit.passed
     oracle = AdaptiveOracle(harness.params_deterministic(9, 1), seed=seed)
     run_method(oracle, "psg")
     _, replay = oracle.finalize()

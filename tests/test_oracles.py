@@ -326,6 +326,24 @@ def test_replay_names_every_field_that_differs():
     assert oracle.finalize()[1].all_equal
 
 
+def test_a_numpy_rescale_answers_in_python_floats():
+    # an oracle built with rescale np.float64(0.5) answers what one built
+    # with 0.5 answers, each float field a float, so the two compare equal
+    # (an exact, a two-piece and a sampled answer)
+    probe = AdaptiveOracle(params_deterministic(9, 2), seed=0)
+    last = three_way_tie(probe)
+    xs = [rec.x for rec in probe.transcript.records] + [last]
+
+    def answers(rescale):
+        oracle = AdaptiveOracle(params_deterministic(9, 2), seed=0, rescale=rescale)
+        return [oracle.query(x) for x in xs]
+
+    for a, b in zip(answers(0.5), answers(np.float64(0.5))):
+        floats = [b.value, b.value_stderr, b.gradient_error, *(h.error_bound for h in b.higher)]
+        assert all(type(v) is float for v in floats)
+        assert a.mismatch(b) == ""
+
+
 class TestRandomizedOracle:
     def test_pieces_orthonormal(self):
         oracle = RandomizedOracle(small_randomized_params(), seed=0)
