@@ -3,7 +3,7 @@
     resistor run    --mode det|rand --T 16 --k 1 --method psg --seed 0 ...
     resistor verify --suite lipschitz|invariance|locality|all --T 9 --k 2 ...
     resistor sweep  --seeds 20 --mode rand --T 4 --k 1 ...
-    resistor grid   --budgets 4 9 16 25 100 400 --seed 0
+    resistor grid   --budgets T [T ...] --seed 0
 
 Exit code 0 iff every asserted property passed.
 """
@@ -11,13 +11,13 @@ Exit code 0 iff every asserted property passed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
 from dataclasses import asdict, fields
 
 from .harness import (
-    AUDIT_SAMPLES,
     REPORT_FORMATS,
     SUITES,
     RefusedArgument,
@@ -76,7 +76,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     summary = run_verification(
-        args.suite, args.T, args.k, seed=args.seed, n_pairs=args.pairs, samples=args.mc_samples
+        args.suite, args.T, args.k, seed=args.seed, n_pairs=args.n_pairs, samples=args.samples
     )
     for audit in summary.lipschitz:
         print(
@@ -168,10 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--T", type=int, default=9)
     p_verify.add_argument("--k", type=int, default=1)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--pairs", type=int, default=30)
-    p_verify.add_argument("--mc-samples", type=int, default=AUDIT_SAMPLES)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--pairs", type=int, dest="n_pairs", metavar="PAIRS")
+    p_verify.add_argument("--mc-samples", type=int, dest="samples", metavar="MC_SAMPLES")
+    # --seed, --pairs and --mc-samples take run_verification's defaults
+    params = inspect.signature(run_verification).parameters.values()
+    p_verify.set_defaults(func=_cmd_verify, **{p.name: p.default for p in params if p.default is not p.empty})
 
     p_sweep = sub.add_parser("sweep", help="repeat an experiment across seeds")
     _add_run_args(p_sweep)
@@ -181,7 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser(
         "grid", help="every (T, k, method) cell of the deterministic grid, plus randomized psg"
     )
-    p_grid.add_argument("--budgets", type=int, nargs="+", default=[4, 9, 16, 25, 100, 400])
+    p_grid.add_argument(
+        "--budgets", type=int, nargs="+", default=[4, 9, 16, 25, 100, 400],
+        help="query budgets T (default: %(default)s)",
+    )
     p_grid.add_argument("--seed", type=int, default=0)
     p_grid.set_defaults(func=_cmd_grid)
 

@@ -61,7 +61,12 @@ or a two-piece tie they return an estimate's expectation in closed form,
 unnormalized, with its error (0 at an exact-affine point), and sample
 only the rest. The rule lives in regime_answer for answers and in
 _tie_band_estimate for estimates; only smoothed_value_mc takes a
-contender frame to sample, for monte_carlo_answer.
+contender frame to sample, for monte_carlo_answer. Each takes regime=,
+the affine_regime at x, from a caller that has it: the verify audits
+evaluate all their points in one pass (affine_regimes) and hand each
+estimate its own. Their budgets are MCBudget.child, which derives its
+seed only when a sampler reads it, so an estimate that draws nothing
+hashes no seed.
 """
 
 from __future__ import annotations
@@ -96,20 +101,37 @@ _GRADING_RATIO = 0.15
 _GRADED_ELEMENTS = 12
 
 
-@dataclass(frozen=True)
 class MCBudget:
     """Sample count and stream seed for one Monte-Carlo evaluation; the
     count must be an integer (see streams.as_integer) of at least 1, the
-    seed a non-negative integer (see streams.as_seed)."""
+    seed a non-negative integer (see streams.as_seed).
 
-    n_samples: int = DEFAULT_VALUE_SAMPLES
-    seed: int = 0
+    MCBudget.child(n, seed, purpose, index) is MCBudget(n,
+    child_seed(seed, purpose, index)) with its seed derived the first time
+    it is read. Only a sampler reads it, to draw; the budget gate reads
+    the count alone. So an estimate that draws nothing (one contender, a
+    two-piece tie) derives no seed, and each gate refuses the child budget
+    exactly as it refuses the eager one."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_samples", as_integer(self.n_samples, "n_samples"))
-        object.__setattr__(self, "seed", as_seed(self.seed))
+    __slots__ = ("n_samples", "_seed")
+
+    def __init__(self, n_samples: int = DEFAULT_VALUE_SAMPLES, seed: int = 0):
+        self.n_samples = as_integer(n_samples, "n_samples")
+        self._seed = as_seed(seed)
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+
+    @classmethod
+    def child(cls, n_samples: int, seed: int, purpose: str, index: int = 0) -> "MCBudget":
+        budget = cls(n_samples, seed)
+        budget._seed = (budget._seed, purpose, index)
+        return budget
+
+    @property
+    def seed(self) -> int:
+        if type(self._seed) is tuple:
+            self._seed = child_seed(*self._seed)
+        return self._seed
 
 
 def _same_bits(a, b) -> bool:
@@ -279,12 +301,27 @@ def locally_affine_index(
     return int(keep[0]) + 1 if len(keep) == 1 else None
 
 
-def affine_regime(instance: HardInstance, x: np.ndarray) -> tuple[PieceValues, np.ndarray]:
+# A point's piece values and contenders.
+Regime = tuple[PieceValues, np.ndarray]
+
+
+def affine_regime(instance: HardInstance, x: np.ndarray) -> Regime:
     """Piece values at x and the contenders there, from one pass over the
     pieces: the values are what every answer and the certificate need,
     the contenders decide which answer (see regime_answer)."""
     values = piece_values(instance, x)
     return values, contenders(instance, values)
+
+
+def affine_regimes(instance: HardInstance, points) -> list[Regime]:
+    """affine_regime at each of the points, bit for bit, from one np.vecdot
+    over every (point, piece) pair, which takes the per-point dot products,
+    and the contenders comparison over all of them at once."""
+    linear = np.vecdot(instance.piece_matrix, np.reshape(points, (-1, 1, instance.basis.dim)))
+    shifted = linear + instance.piece_shifts
+    band = 2.0 * instance.params.k * instance.params.delta
+    inside = ~(np.maximum.reduce(shifted, axis=1, keepdims=True) - shifted > band)
+    return [(PieceValues(*row), keep.nonzero()[0]) for *row, keep in zip(linear, shifted, inside)]
 
 
 ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -345,19 +382,21 @@ def smoothed_value_mc(
     budget: MCBudget | None = None,
     *,
     contender_frame: ContenderFrame | None = None,
+    regime: Regime | None = None,
 ) -> tuple[float, float]:
     """Smoothed value at x and its standard error, unnormalized (no
     norm_denom): the top piece's value at one contender, else
     _tie_band_estimate. Needs n_samples >= 2, even in closed form: one
     sample has no standard error. contender_frame, if given, must be
     _contender_frame at x, and is sampled (_sampled_value) whatever its
-    contender count: monte_carlo_answer passes its own.
+    contender count: monte_carlo_answer passes its own. regime, if given,
+    must be affine_regime(instance, x), and spares its evaluation.
     """
     budget = budget or MCBudget()
     _check_budget(instance, 0, budget)
     if contender_frame is not None:
         return _sampled_value(instance, budget, contender_frame)
-    values, keep = affine_regime(instance, x)
+    values, keep = affine_regime(instance, x) if regime is None else regime
     if len(keep) == 1:
         return float(values.shifted[keep[0]]), 0.0
     return _tie_band_estimate(instance, 0, budget, _contender_frame(instance, values, keep), keep)
@@ -416,18 +455,18 @@ def _tie_band_estimate(
 
 
 def _tensor_coords_mc(
-    instance: HardInstance, x: np.ndarray, order: int, budget: MCBudget
+    instance: HardInstance, x: np.ndarray, order: int, budget: MCBudget, *, regime: Regime | None = None
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Order-j derivative tensor of the smoothed function at x in the
     coordinates of its contender frame, its error bound, and the frame's
     rows: at an exact-affine point the sole contender's coordinate for
     j = 1 and the zero tensor above, with error 0, else
     _tie_band_estimate. j must lie in [1, k]; that check, then
-    _check_budget, run first."""
+    _check_budget, run first. regime as for smoothed_value_mc."""
     if not 1 <= order <= instance.params.k:
         raise ValueError(f"order must lie in [1, {instance.params.k}]")
     _check_budget(instance, order, budget)
-    values, keep = affine_regime(instance, x)
+    values, keep = affine_regime(instance, x) if regime is None else regime
     contender_frame = _contender_frame(instance, values, keep)
     _, coords, frame = contender_frame
     if len(keep) == 1:
@@ -504,16 +543,17 @@ def _sampled_tensor_coords(
 
 
 def smoothed_gradient_mc(
-    instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None
+    instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None, *, regime: Regime | None = None
 ) -> tuple[np.ndarray, float]:
     """Gradient of the smoothed function at x, in ambient coordinates
     (lying in the piece span), with its error bound. Unnormalized. At an
     exact-affine point the read-only piece row a_idx, with no frame
     built; else the order-1 _tie_band_estimate lifted through the
-    contender frame. _check_budget runs first."""
+    contender frame. _check_budget runs first. regime as for
+    smoothed_value_mc."""
     budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
     _check_budget(instance, 1, budget)
-    values, keep = affine_regime(instance, x)
+    values, keep = affine_regime(instance, x) if regime is None else regime
     if len(keep) == 1:
         return instance.piece_matrix[keep[0]], 0.0
     contender_frame = _contender_frame(instance, values, keep)

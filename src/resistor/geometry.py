@@ -243,14 +243,29 @@ def sample_sphere(
     normals and one chi-square draw instead of r normals. coords = r
     (the default) draws the whole point; its outputs are normalized
     exactly, so | ||v|| - 1 | is at roundoff level. Returns shape
-    (coords,) for size=None, else (size, coords).
+    (coords,) for size=None, else (size, coords); the single point is the
+    size=1 draw's row, bit for bit, from the same draws.
     """
     q = r if coords is None else coords
     if r < 1:
         raise ValueError("r must be a positive integer")
     if not 1 <= q <= r:
         raise ValueError(f"coords must lie in [1, r = {r}], got {q}")
-    n = 1 if size is None else int(size)
+    if size is None:
+        norm = 0.0
+        while norm == 0.0:  # probability-zero guard
+            g = rng.standard_normal(q)
+            # the batch's sums: numpy's pairwise reduce, or column by column
+            if q == r:
+                square = np.add.reduce(g * g)
+            else:
+                square = rng.chisquare(r - q)
+                for c in g.tolist():
+                    square += c * c
+            norm = math.sqrt(square)
+        g /= norm
+        return g
+    n = int(size)
 
     def norms_of(g: np.ndarray) -> np.ndarray:
         if q == r:
@@ -273,7 +288,7 @@ def sample_sphere(
         g[bad] = rng.standard_normal((int(bad.sum()), q))
         norms[bad] = norms_of(g[bad])
     g /= norms[:, None]
-    return g[0] if size is None else g
+    return g
 
 
 def sample_ball(
@@ -284,14 +299,15 @@ def sample_ball(
 
     Gaussian direction times a U^(1/r) radius, which works at any r
     (no rejection); the radius keeps the exponent 1/r whatever coords
-    is. Returns shape (coords,) for size=None, else (size, coords).
+    is. Returns shape (coords,) for size=None, else (size, coords). The
+    radius is raised to 1/r as an array at every size: numpy's array power
+    and Python's float power differ in the last bit.
     """
-    n = 1 if size is None else int(size)
-    v = sample_sphere(r, rng, size=n, coords=coords)
-    radii = rng.random(n)
+    v = sample_sphere(r, rng, size=size, coords=coords)
+    radii = rng.random(1 if size is None else int(size))
     radii **= 1.0 / r
-    v *= radii[:, None]
-    return v[0] if size is None else v
+    v *= radii if size is None else radii[:, None]
+    return v
 
 
 def random_orthonormal_basis(

@@ -23,13 +23,13 @@ from .evaluator import (
     DEFAULT_VALUE_SAMPLES,
     MCBudget,
     _tensor_coords_mc,
-    affine_regime,
+    affine_regimes,
     rescale_to_smoothness,
     smoothed_gradient_mc,
     smoothed_value_mc,
     suboptimality_certificate,
 )
-from .geometry import perp_component, random_orthonormal_basis, sample_ball, vector_norm
+from .geometry import dot_norm, perp_component, random_orthonormal_basis, sample_ball, vector_norm
 from .instance import (
     DETERMINISTIC,
     RANDOMIZED,
@@ -40,7 +40,7 @@ from .instance import (
 )
 from .oracles import AdaptiveOracle, RandomizedOracle, event_e_check
 from .optimizers import check_method, run_method
-from .streams import as_integer, child_seed, stream
+from .streams import as_integer, stream
 
 # Samples per Monte-Carlo estimate in the smoothness and invariance audits.
 AUDIT_SAMPLES = 20_000
@@ -283,7 +283,7 @@ def _separated_pairs(instance: HardInstance, n_pairs: int, rng) -> list[tuple[np
     while len(pairs) < n_pairs:
         x = sample_ball(d, rng)
         y = sample_ball(d, rng)
-        dist = float(np.linalg.norm(x - y))
+        dist = dot_norm(x - y)
         if dist >= min_sep:
             pairs.append((x, y, dist))
     return pairs
@@ -299,7 +299,12 @@ def verify_lipschitz(
 ) -> LipschitzAudit:
     """Audit the order-i smoothness bound (T/delta)^i on random pairs.
 
-    Pairs are drawn in the unit ball at separation >= 10*delta; the
+    Pairs are drawn in the unit ball at separation >= 10*delta, one point
+    at a time (_separated_pairs). Then every point is evaluated against
+    the pieces once, all in one pass (affine_regimes), and its values and
+    contenders go to its estimate (regime=) and to n_tie_band. Each
+    estimate's budget is MCBudget.child of (seed, "lip<i><x|y>" or "lip2",
+    pair index), so it derives a seed only if it samples. The
     difference quotient of the order-i derivative is compared against
     rescale * (T/delta)^i with an explicit Monte-Carlo slack of three
     combined reported errors. Orders 0 and 1 use the value and gradient
@@ -321,25 +326,25 @@ def verify_lipschitz(
     bound = rescale * (params.T / params.delta) ** order
     rng = stream(seed, "lipschitz-pairs", order)
     pairs = _separated_pairs(instance, n_pairs, rng)
+    regimes = affine_regimes(instance, [z for x, y, _ in pairs for z in (x, y)])
     ratios, excesses = [], []
     n_tie_band = 0
-    for p, (x, y, dist) in enumerate(pairs):
-        n_tie_band += any(len(affine_regime(instance, z)[1]) > 1 for z in (x, y))
+    for p, ((x, y, dist), rx, ry) in enumerate(zip(pairs, regimes[::2], regimes[1::2])):
+        n_tie_band += len(rx[1]) > 1 or len(ry[1]) > 1
         if order == 0:
-            vx, ex = smoothed_value_mc(instance, x, MCBudget(samples, child_seed(seed, "lip0x", p)))
-            vy, ey = smoothed_value_mc(instance, y, MCBudget(samples, child_seed(seed, "lip0y", p)))
+            vx, ex = smoothed_value_mc(instance, x, MCBudget.child(samples, seed, "lip0x", p), regime=rx)
+            vy, ey = smoothed_value_mc(instance, y, MCBudget.child(samples, seed, "lip0y", p), regime=ry)
             ratio = rescale * abs(vx - vy) / dist
-            slack = rescale * 3.0 * (ex + ey) / dist
         elif order == 1:
-            gx, ex = smoothed_gradient_mc(instance, x, MCBudget(samples, child_seed(seed, "lip1x", p)))
-            gy, ey = smoothed_gradient_mc(instance, y, MCBudget(samples, child_seed(seed, "lip1y", p)))
-            ratio = rescale * float(np.linalg.norm(gx - gy)) / dist
-            slack = rescale * 3.0 * (ex + ey) / dist
+            gx, ex = smoothed_gradient_mc(instance, x, MCBudget.child(samples, seed, "lip1x", p), regime=rx)
+            gy, ey = smoothed_gradient_mc(instance, y, MCBudget.child(samples, seed, "lip1y", p), regime=ry)
+            ratio = rescale * dot_norm(gx - gy) / dist
         else:
-            crn = MCBudget(samples, child_seed(seed, "lip2", p))
-            (hx, ex, fx), (hy, ey, fy) = (_tensor_coords_mc(instance, z, 2, crn) for z in (x, y))
-            ratio = rescale * float(np.linalg.norm(fx.T @ hx @ fx - fy.T @ hy @ fy)) / dist
-            slack = rescale * 3.0 * (ex + ey) / dist
+            crn = MCBudget.child(samples, seed, "lip2", p)
+            hx, ex, fx = _tensor_coords_mc(instance, x, 2, crn, regime=rx)
+            hy, ey, fy = _tensor_coords_mc(instance, y, 2, crn, regime=ry)
+            ratio = rescale * dot_norm(fx.T @ hx @ fx - fy.T @ hy @ fy) / dist
+        slack = rescale * 3.0 * (ex + ey) / dist
         ratios.append(ratio)
         excesses.append(ratio - slack)
     # np.max, unlike Python's max, keeps a NaN, which then fails the audit
@@ -376,36 +381,43 @@ def verify_invariance(
     Pairs (x, x+y) with y in the orthogonal complement are scaled into
     the ball together; exact-affine pairs must agree to 1e-10 (the
     orthogonality tolerance), tie-band pairs to 6 combined reported
-    errors. n_points must be at least 1.
+    errors. Every pair is drawn first, then every point evaluated against
+    the pieces once, all in one pass (affine_regimes): its values and
+    contenders decide the comparison and go to its estimate (regime=),
+    whose budget is MCBudget.child of (seed, "inv-a" or "inv-b", pair
+    index), deriving a seed only if it samples. n_points must be at
+    least 1.
     """
     n_points = _count(n_points, "n_points")
     d = instance.basis.dim
     if d <= len(instance.basis):
         raise ValueError("no orthogonal complement to test (d <= span dimension)")
     rng = stream(seed, "invariance")
-    n_exact = n_mc = 0
-    max_exact_diff = 0.0
-    ok = True
+    drawn = []
     for p in range(n_points):
         x = sample_ball(d, rng)
         raw = rng.standard_normal(d)
         y = perp_component(perp_component(raw, instance.basis), instance.basis)
-        norm = np.linalg.norm(y)
+        norm = dot_norm(y)
         if norm == 0.0:
             continue
         y = y / norm * rng.random()
-        c = max(1.0, float(np.linalg.norm(x + y)))
-        a, b = x / c, (x + y) / c
-        values_a, keep_a = affine_regime(instance, a)
-        values_b, keep_b = affine_regime(instance, b)
+        c = max(1.0, dot_norm(x + y))
+        drawn.append((p, x / c, (x + y) / c))
+    regimes = affine_regimes(instance, [z for _, a, b in drawn for z in (a, b)])
+    n_exact = n_mc = 0
+    max_exact_diff = 0.0
+    ok = True
+    for (p, a, b), ra, rb in zip(drawn, regimes[::2], regimes[1::2]):
+        (values_a, keep_a), (values_b, keep_b) = ra, rb
         if len(keep_a) == len(keep_b) == 1:
             diff = abs(values_a.f_tilde - values_b.f_tilde)
             max_exact_diff = max(max_exact_diff, diff)
             ok = ok and np.array_equal(keep_a, keep_b) and diff <= 1e-10
             n_exact += 1
         else:
-            va, ea = smoothed_value_mc(instance, a, MCBudget(samples, child_seed(seed, "inv-a", p)))
-            vb, eb = smoothed_value_mc(instance, b, MCBudget(samples, child_seed(seed, "inv-b", p)))
+            va, ea = smoothed_value_mc(instance, a, MCBudget.child(samples, seed, "inv-a", p), regime=ra)
+            vb, eb = smoothed_value_mc(instance, b, MCBudget.child(samples, seed, "inv-b", p), regime=rb)
             ok = ok and abs(va - vb) <= 6.0 * math.sqrt(ea * ea + eb * eb)
             n_mc += 1
     return InvarianceAudit(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -47,6 +48,9 @@ from .instance import (
     validate,
 )
 from .streams import as_integer, as_seed, child_seed, stream
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _mc_budget(mc_samples: int, seed: int, index: int) -> MCBudget:
@@ -187,8 +191,9 @@ class _ResistingOracle:
     takes: 2 for a value with a standard error, 2^k for the order-k
     tensor's two draws at 2^k sign flips each, out of its 2 * mc_samples
     evaluations. rescale must be a positive finite real number (not a
-    bool): any other would answer NaN, inf, 0 or flipped values. It is
-    kept as a float, so every answer's scalars are floats.
+    bool) whose float is positive and finite: any other would answer NaN,
+    inf, 0 or flipped values. It is kept as a float, so every answer's
+    scalars are floats.
     """
 
     def __init__(
@@ -203,6 +208,11 @@ class _ResistingOracle:
             raise TypeError(f"rescale must be a real number, got {rescale!r}")
         if not (0.0 < rescale < math.inf):
             raise ValueError(f"rescale must be positive and finite, got {rescale!r}")
+        # 0 for an integer or Fraction past the largest float, or so small
+        # that it rounds to 0 (its text may be too long to print)
+        scale = float(rescale) if rescale <= _FLOAT_MAX else 0.0
+        if scale == 0.0:
+            raise ValueError(f"rescale must lie in the range of positive floats, up to {_FLOAT_MAX!r}")
         seed = as_seed(seed)
         mc_samples = as_integer(mc_samples, "mc_samples")
         minimum = max(2, 2**params.k)
@@ -214,7 +224,7 @@ class _ResistingOracle:
         self.params = params
         self.seed = seed
         self.mc_samples = mc_samples
-        self.rescale = float(rescale)
+        self.rescale = scale
         self.transcript = Transcript(params)
         self._instance = instance
 

@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
-from resistor import evaluator  # noqa: E402
+from resistor import evaluator, harness  # noqa: E402
 from resistor.harness import RunConfig, run_experiment  # noqa: E402
 
 from conftest import three_way_tie  # noqa: E402
@@ -100,3 +100,21 @@ def test_sampled_answer_nests_its_value_span_under_the_answer():
     assert trace._stack == []
     (value,) = [span for span in trace.spans if span[0] == "evaluator.value_mc"]
     assert trace.spans[value[3]][0] == "evaluator.answer_mc"
+
+
+def test_audit_k2_runs_through_its_timed_hooks(monkeypatch):
+    # audit_k2 times harness.smoothed_gradient_mc as its operation and
+    # harness.audit_instance as its set-up: verify all at T = 9, k = 2
+    # must still call each through the harness namespace, the estimator
+    # once per order-1 point (x and y of 30 pairs), the set-up once
+    calls = Counter()
+    for name in ("smoothed_gradient_mc", "audit_instance"):
+        real = getattr(harness, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    harness.run_verification("all", T=9, k=2, seed=0)
+    assert calls == {"smoothed_gradient_mc": 60, "audit_instance": 1}

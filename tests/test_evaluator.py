@@ -20,6 +20,7 @@ from resistor.evaluator import (
     _sum_law,
     _tensor_coords_mc,
     affine_regime,
+    affine_regimes,
     contenders,
     locally_affine_index,
     monte_carlo_answer,
@@ -283,6 +284,31 @@ class TestContenders:
             near = contenders(inst, piece_values(inst, x))
             assert (locally_affine_index(inst, x) is not None) == (len(near) == 1)
 
+    @given(
+        st.sampled_from(["adaptive", "from_basis", "custom"]),
+        st.integers(0, 2**31),
+        st.integers(1, 24),
+        st.integers(0, 40),
+        st.sampled_from([1, 2]),
+        st.lists(st.lists(st.integers(0, 24), min_size=3, max_size=3), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_regimes_are_the_per_point_regimes_bit_for_bit(self, kind, seed, r, n, k, steps):
+        # generic points and a NaN point, and lattice points with exact
+        # ties and margins of exactly 2*k*delta
+        cases = [(_kernel_instance(kind, seed, r, 40), stream(seed, "batch").standard_normal((n, 40)) / 7.0)]
+        cases[0][1][:1] = math.nan
+        lattice = _lattice_instance(k)
+        cases.append((lattice, [np.append(np.array(s) / 64.0 - lattice.piece_shifts, 0.0) for s in steps]))
+        for inst, points in cases:
+            batched = affine_regimes(inst, points)
+            assert len(batched) == len(points)
+            for x, (values, keep) in zip(points, batched):
+                want_values, want_keep = affine_regime(inst, x)
+                assert values.linear.tobytes() == want_values.linear.tobytes()
+                assert values.shifted.tobytes() == want_values.shifted.tobytes()
+                assert keep.dtype == want_keep.dtype and keep.tolist() == want_keep.tolist()
+
     def test_nan_keeps_every_piece(self):
         inst = _lattice_instance(1)
         values = piece_values(inst, np.array([np.nan, 0.0, 0.0, 0.0]))
@@ -426,6 +452,63 @@ def test_mc_budget_count_is_a_positive_int():
     for n in (0, -5):
         with pytest.raises(ValueError, match="at least 1"):
             MCBudget(n)
+
+
+@pytest.fixture
+def tied_oracle():
+    """A k = 2 adaptive oracle after conftest.three_way_tie's exact and
+    two-piece queries and its three-way tie, and the three points."""
+    oracle = AdaptiveOracle(params_deterministic(4, 2), seed=3, mc_samples=2_000)
+    tie = three_way_tie(oracle)
+    oracle.query(tie)
+    return oracle, [rec.x for rec in oracle.transcript.records]
+
+
+# each estimator at x with a budget, its output as bytes
+ESTIMATES = {
+    "value": lambda inst, x, budget: np.array(smoothed_value_mc(inst, x, budget)).tobytes(),
+    "gradient": lambda inst, x, budget: b"".join(
+        np.asarray(part).tobytes() for part in smoothed_gradient_mc(inst, x, budget)
+    ),
+    "hessian": lambda inst, x, budget: b"".join(
+        np.asarray(part).tobytes() for part in _tensor_coords_mc(inst, x, 2, budget)
+    ),
+}
+
+
+@pytest.mark.parametrize("estimate", sorted(ESTIMATES))
+def test_child_budget_samples_the_bits_of_the_eager_one(tied_oracle, estimate):
+    oracle, (_, _, tie) = tied_oracle
+    eager = MCBudget(2_000, child_seed(5, "lip1x", 2))
+    lazy = MCBudget.child(2_000, 5, "lip1x", 2)
+    assert ESTIMATES[estimate](oracle.instance, tie, lazy) == ESTIMATES[estimate](oracle.instance, tie, eager)
+    assert lazy.seed == eager.seed
+
+
+@pytest.mark.parametrize("estimate", sorted(ESTIMATES))
+def test_child_budget_derives_its_seed_only_to_draw(monkeypatch, tied_oracle, estimate):
+    # the exact point and the two-piece tie draw nothing; the three-way
+    # tie samples, on the derived seed
+    derived = []
+    real = evaluator.child_seed
+
+    def counting(seed, purpose, index=0):
+        derived.append((seed, purpose, index))
+        return real(seed, purpose, index)
+
+    monkeypatch.setattr(evaluator, "child_seed", counting)
+    oracle, points = tied_oracle
+    for p, x in enumerate(points):
+        ESTIMATES[estimate](oracle.instance, x, MCBudget.child(2_000, 5, "point", p))
+    assert derived == [(5, "point", 2)]
+
+
+def test_child_budget_is_refused_as_the_eager_one(tied_oracle):
+    # the gate reads the count alone, with the eager budget's message
+    oracle, (exact, _, _) = tied_oracle
+    for budget in (MCBudget(3, 1), MCBudget.child(3, 1, "p", 0)):
+        with pytest.raises(ValueError, match="needs n_samples >= 4 .* got 3"):
+            smoothed_gradient_mc(oracle.instance, exact, budget)
 
 
 class TestSmoothedValue:

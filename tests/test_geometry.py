@@ -216,6 +216,28 @@ def test_in_place_samplers_match_the_reference_bit_for_bit(seed, args):
     assert rng.random() == ref_rng.random()
 
 
+@st.composite
+def single_point_args(draw):
+    r = draw(st.integers(1, 400))
+    return r, draw(st.one_of(st.none(), st.integers(1, r)))
+
+
+@given(st.integers(0, 2**32 - 1), single_point_args())
+@example(0, (1, None))
+@example(1, (51, 3))
+@settings(max_examples=80, deadline=None)
+def test_single_point_is_the_size_one_draw_bit_for_bit(seed, args):
+    # size=None draws one point without the (1, r) batch: the bits of the
+    # size=1 draw's row, and the stream left where that draw leaves it
+    r, coords = args
+    for sampler in (sample_sphere, sample_ball):
+        batch_rng, single_rng = stream(seed, "single", r), stream(seed, "single", r)
+        batch = sampler(r, batch_rng, size=1, coords=coords)
+        point = sampler(r, single_rng, coords=coords)
+        assert point.shape == batch.shape[1:] and point.tobytes() == batch[0].tobytes()
+        assert single_rng.random() == batch_rng.random()
+
+
 @pytest.mark.parametrize("r, q", [(9, 2), (3, 2), (6, 1)])
 def test_projected_law_matches_full_sampler(r, q):
     # 5000 draws each way: the coords = q form against the first q

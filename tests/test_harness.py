@@ -291,15 +291,15 @@ class TestVerifyLipschitz:
             verify_lipschitz(audit_instance(4, 1), 2)
 
 
-def _nan_value(instance, x, budget):
+def _nan_value(instance, x, budget, regime=None):
     return math.nan, 0.01
 
 
-def _nan_gradient_error(instance, x, budget):
+def _nan_gradient_error(instance, x, budget, regime=None):
     return np.zeros(instance.basis.dim), math.nan
 
 
-def _nan_hessian(instance, x, order, budget):
+def _nan_hessian(instance, x, order, budget, regime=None):
     # a NaN Hessian in the frame of the first piece
     return np.full((1, 1), math.nan), 1.0, instance.piece_matrix[:1]
 
@@ -439,6 +439,48 @@ def test_verify_cli_reports_the_tie_band_counts(capsys):
     for order, count in enumerate((2, 3, 4)):
         assert f"({count}/30 pairs in the tie band)" in lines[f"lipschitz order {order}"]
     assert "tie-band pairs" in lines["invariance"] and lines["suite all"] == "suite all: PASS"
+
+
+# SHA-256 of repr(run_verification("all", T, k, seed)), every field of
+# every audit, keyed by (T, k, seed)
+PINNED_VERIFICATIONS = {
+    (4, 1, 0): "30609d77e434ee49d37185b04110021514a3ed9f5f989d9786fab3ce3d8007b9",
+    (9, 2, 0): "dce881d65d19b457cc73fdbc7647c84ef9458e879fc2291f58cf32b30d88fba5",
+    (9, 2, 3): "26d027387f656fe5591a9232d69703f2235c5e954bb315deee28b03c0e200310",
+    (16, 2, 1): "8e8836c29af146a819a8cde05f06b0507143dd197b11f19357192a3a88c44b4f",
+    (25, 1, 2): "303d7c18985495995ca7318341d0c6ca34f5dc91bed108b57f03a3120cddf7fd",
+    (9, 1, 5): "98af3a107ba04ffd47475c2aaf2cce77ccd81cd57f88ac8e38e01b71c3ff9dc6",
+    (4, 2, 7): "e8e68a33fa010505ee3648511b0eea01342e3891ea51dbd4525ef8b2db3c0c45",
+}
+
+
+@pytest.mark.parametrize("config", sorted(PINNED_VERIFICATIONS), ids=lambda c: "-".join(map(str, c)))
+def test_verification_summaries_are_pinned(config):
+    assert _sha256(repr(run_verification("all", *config))) == PINNED_VERIFICATIONS[config]
+
+
+@pytest.mark.parametrize("suite, k", [("lipschitz", 1), ("lipschitz", 2), ("invariance", 2)])
+def test_each_audited_point_is_evaluated_once(monkeypatch, suite, k):
+    # every np.vecdot against the whole piece matrix, counted by the
+    # points it evaluates: one per audited point, x and y of each pair,
+    # a and b of each invariance pair
+    instance = audit_instance(9, k, seed=0)
+    evaluated = []
+    real = np.vecdot
+
+    def counting(a, b, *args, **kwargs):
+        if a is instance.piece_matrix:
+            evaluated.append(b.size // b.shape[-1])
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "vecdot", counting)
+    if suite == "lipschitz":
+        audits = [verify_lipschitz(instance, order, n_pairs=30, seed=0) for order in range(k + 1)]
+        points = sum(2 * audit.n_pairs for audit in audits)
+    else:
+        audit = verify_invariance(instance, n_points=30, seed=0)
+        points = 2 * (audit.n_exact + audit.n_monte_carlo)
+    assert sum(evaluated) == points
 
 
 def test_run_verification_all():

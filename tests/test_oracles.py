@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -342,6 +344,18 @@ def test_a_numpy_rescale_answers_in_python_floats():
         floats = [b.value, b.value_stderr, b.gradient_error, *(h.error_bound for h in b.higher)]
         assert all(type(v) is float for v in floats)
         assert a.mismatch(b) == ""
+
+
+@pytest.mark.parametrize("cls", [AdaptiveOracle, RandomizedOracle])
+@pytest.mark.parametrize("rescale", [10**400, Fraction(10**400), Fraction(1, 10**400)])
+def test_a_rescale_outside_the_float_range_is_refused_by_name(cls, rescale):
+    # float() of the first two overflows and of the last is 0: the oracle
+    # would keep no finite positive scale, and float()'s own error names
+    # no argument
+    params = params_deterministic(4, 1) if cls is AdaptiveOracle else params_randomized(4, 1, 0.2)
+    with pytest.raises(ValueError, match="rescale must lie in the range of positive floats"):
+        cls(params, rescale=rescale)
+    assert cls(params, rescale=Fraction(sys.float_info.max)).rescale == sys.float_info.max
 
 
 class TestRandomizedOracle:
