@@ -11,13 +11,14 @@ Exit code 0 iff every asserted property passed.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
 from dataclasses import asdict, fields
 
 from .harness import (
+    AUDIT_PAIRS,
+    AUDIT_SAMPLES,
     REPORT_FORMATS,
     SUITES,
     RefusedArgument,
@@ -76,7 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     summary = run_verification(
-        args.suite, args.T, args.k, seed=args.seed, n_pairs=args.n_pairs, samples=args.samples
+        args.suite, args.T, args.k, seed=args.seed, n_pairs=args.pairs, samples=args.mc_samples
     )
     for audit in summary.lipschitz:
         print(
@@ -168,12 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--T", type=int, default=9)
     p_verify.add_argument("--k", type=int, default=1)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--pairs", type=int, dest="n_pairs", metavar="PAIRS")
-    p_verify.add_argument("--mc-samples", type=int, dest="samples", metavar="MC_SAMPLES")
-    # --seed, --pairs and --mc-samples take run_verification's defaults
-    params = inspect.signature(run_verification).parameters.values()
-    p_verify.set_defaults(func=_cmd_verify, **{p.name: p.default for p in params if p.default is not p.empty})
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--pairs", type=int, default=AUDIT_PAIRS)
+    p_verify.add_argument("--mc-samples", type=int, default=AUDIT_SAMPLES)
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="repeat an experiment across seeds")
     _add_run_args(p_sweep)

@@ -64,9 +64,9 @@ _tie_band_estimate for estimates; only smoothed_value_mc takes a
 contender frame to sample, for monte_carlo_answer. Each takes regime=,
 the affine_regime at x, from a caller that has it: the verify audits
 evaluate all their points in one pass (affine_regimes) and hand each
-estimate its own. Their budgets are MCBudget.child, which derives its
-seed only when a sampler reads it, so an estimate that draws nothing
-hashes no seed.
+estimate its own. Their budgets, and each oracle query's, are
+MCBudget.child, which derives its seed only when a sampler reads it, so
+an estimate or answer that draws nothing hashes no seed.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, NamedTuple
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,7 +104,8 @@ _GRADED_ELEMENTS = 12
 class MCBudget:
     """Sample count and stream seed for one Monte-Carlo evaluation; the
     count must be an integer (see streams.as_integer) of at least 1, the
-    seed a non-negative integer (see streams.as_seed).
+    seed a non-negative integer (see streams.as_seed). A budget cannot be
+    changed, and compares, hashes and prints as its (n_samples, seed).
 
     MCBudget.child(n, seed, purpose, index) is MCBudget(n,
     child_seed(seed, purpose, index)) with its seed derived the first time
@@ -113,25 +114,42 @@ class MCBudget:
     two-piece tie) derives no seed, and each gate refuses the child budget
     exactly as it refuses the eager one."""
 
-    __slots__ = ("n_samples", "_seed")
+    __slots__ = ("n_samples", "_seed", "_derivation")
 
     def __init__(self, n_samples: int = DEFAULT_VALUE_SAMPLES, seed: int = 0):
-        self.n_samples = as_integer(n_samples, "n_samples")
-        self._seed = as_seed(seed)
+        object.__setattr__(self, "n_samples", as_integer(n_samples, "n_samples"))
+        object.__setattr__(self, "_seed", as_seed(seed))
+        # (purpose, index) of a child seed not yet derived from _seed
+        object.__setattr__(self, "_derivation", None)
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
 
     @classmethod
     def child(cls, n_samples: int, seed: int, purpose: str, index: int = 0) -> "MCBudget":
         budget = cls(n_samples, seed)
-        budget._seed = (budget._seed, purpose, index)
+        object.__setattr__(budget, "_derivation", (purpose, index))
         return budget
 
     @property
     def seed(self) -> int:
-        if type(self._seed) is tuple:
-            self._seed = child_seed(*self._seed)
+        if self._derivation is not None:
+            object.__setattr__(self, "_seed", child_seed(self._seed, *self._derivation))
+            object.__setattr__(self, "_derivation", None)
         return self._seed
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, MCBudget):
+            return NotImplemented
+        return (self.n_samples, self.seed) == (other.n_samples, other.seed)
+
+    def __hash__(self):
+        return hash((self.n_samples, self.seed))
+
+    def __repr__(self):
+        return f"MCBudget(n_samples={self.n_samples!r}, seed={self.seed!r})"
 
 
 def _same_bits(a, b) -> bool:
@@ -314,14 +332,12 @@ def affine_regime(instance: HardInstance, x: np.ndarray) -> Regime:
 
 
 def affine_regimes(instance: HardInstance, points) -> list[Regime]:
-    """affine_regime at each of the points, bit for bit, from one np.vecdot
-    over every (point, piece) pair, which takes the per-point dot products,
-    and the contenders comparison over all of them at once."""
+    """affine_regime at each of the points, bit for bit: one np.vecdot
+    over every (point, piece) pair takes the per-point dot products, then
+    each point's contenders."""
     linear = np.vecdot(instance.piece_matrix, np.reshape(points, (-1, 1, instance.basis.dim)))
     shifted = linear + instance.piece_shifts
-    band = 2.0 * instance.params.k * instance.params.delta
-    inside = ~(np.maximum.reduce(shifted, axis=1, keepdims=True) - shifted > band)
-    return [(PieceValues(*row), keep.nonzero()[0]) for *row, keep in zip(linear, shifted, inside)]
+    return [(values, contenders(instance, values)) for values in map(PieceValues, linear, shifted)]
 
 
 ContenderFrame = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -564,7 +580,7 @@ def smoothed_gradient_mc(
 def oracle_answer(
     instance: HardInstance,
     x: np.ndarray,
-    budget: MCBudget | Callable[[], MCBudget] | None = None,
+    budget: MCBudget | None = None,
     coords: np.ndarray | None = None,
 ) -> OracleResponse:
     """Full derivative-oracle answer at x, normalized by norm_denom: the
@@ -586,7 +602,7 @@ def regime_answer(
     x: np.ndarray,
     values: PieceValues,
     keep: np.ndarray,
-    budget: MCBudget | Callable[[], MCBudget] | None = None,
+    budget: MCBudget | None = None,
 ) -> OracleResponse:
     """The answer at x that its contenders keep call for, normalized by
     norm_denom. One contender wins by more than 2*k*delta, and the
@@ -594,9 +610,9 @@ def regime_answer(
     its row a_i as the gradient (the read-only row itself with norm_denom
     1), zero higher orders. Two at k <= 2 get _tie_answer of the
     two-piece law, any others monte_carlo_answer over their frame: the
-    one place an answer applies the tie-band rule. A callable budget is
-    called only for the last, so no other answer derives one. (values,
-    keep) must be affine_regime(instance, x)."""
+    one place an answer applies the tie-band rule. Only the last reads the
+    budget's seed, so a child budget (MCBudget.child) derives none for
+    any other answer. (values, keep) must be affine_regime(instance, x)."""
     params = instance.params
     denom = params.norm_denom
     if len(keep) == 1:
@@ -616,7 +632,6 @@ def regime_answer(
         higher = (law.hessian(denom),) if params.k == 2 else ()
         fields = law.value, law.value_error, law.gradient_coords, law.gradient_error
         return _tie_answer(frame[2], *fields, higher, denom)
-    budget = budget() if callable(budget) else budget
     return monte_carlo_answer(instance, x, budget, frame)
 
 

@@ -42,8 +42,10 @@ from .oracles import AdaptiveOracle, RandomizedOracle, event_e_check
 from .optimizers import check_method, run_method
 from .streams import as_integer, stream
 
-# Samples per Monte-Carlo estimate in the smoothness and invariance audits.
+# Samples per Monte-Carlo estimate in the smoothness and invariance audits,
+# and the pairs per Lipschitz order (points for invariance) of a verify run.
 AUDIT_SAMPLES = 20_000
+AUDIT_PAIRS = 30
 CSV_COLUMNS = ["iter", "certified_gap", "floor", "regime", "event_e_margin", "value", "grad_norm"]
 REPORT_FORMATS = ("csv", "json")
 SUITES = ("lipschitz", "invariance", "locality", "all")
@@ -479,7 +481,7 @@ def run_verification(
     T: int,
     k: int,
     seed: int = 0,
-    n_pairs: int = 30,
+    n_pairs: int = AUDIT_PAIRS,
     samples: int = AUDIT_SAMPLES,
 ) -> VerifySummary:
     """Run one audit suite, or all of them, on a T-piece order-k instance;

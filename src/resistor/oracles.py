@@ -47,7 +47,7 @@ from .instance import (
     check_in_ball,
     validate,
 )
-from .streams import as_integer, as_seed, child_seed, stream
+from .streams import as_integer, as_seed, stream
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -55,8 +55,8 @@ _FLOAT_MAX = sys.float_info.max
 
 def _mc_budget(mc_samples: int, seed: int, index: int) -> MCBudget:
     """Monte-Carlo budget of query `index`, the same at query time and in
-    replay."""
-    return MCBudget(mc_samples, child_seed(seed, "mc", index))
+    replay; its seed is derived only if the answer samples."""
+    return MCBudget.child(mc_samples, seed, "mc", index)
 
 
 class OracleExhaustedError(RuntimeError):
@@ -167,7 +167,7 @@ def replay_consistency(
         if (rec.response.affine_index is not None) != (len(keep) == 1):
             reason = "regime_mismatch"
         else:
-            budget = partial(_mc_budget, mc_samples, seed, rec.index)
+            budget = _mc_budget(mc_samples, seed, rec.index)
             replayed = regime_answer(instance, rec.x, values, keep, budget).scaled(rescale)
             reason = rec.response.mismatch(replayed)
         entries.append(ReplayEntry(rec.index, reason, values.f_tilde))
@@ -184,13 +184,13 @@ class _ResistingOracle:
     A query is checked against the budget T, copied, answered against the
     instance its mode serves it from (normalized by norm_denom, then
     scaled by rescale) and recorded; finalize replays the transcript
-    against the final instance. The Monte-Carlo budget of query t is
-    derived only when its answer needs one. Both integers are checked
-    here, once, before any query: seed by streams.as_seed, mc_samples by
-    streams.as_integer and against the fewest samples such an answer
-    takes: 2 for a value with a standard error, 2^k for the order-k
-    tensor's two draws at 2^k sign flips each, out of its 2 * mc_samples
-    evaluations. rescale must be a positive finite real number (not a
+    against the final instance. The Monte-Carlo seed of query t is
+    derived only when its answer samples (MCBudget.child). Both integers
+    are checked here, once, before any query: seed by streams.as_seed,
+    mc_samples by streams.as_integer and against the fewest samples such
+    an answer takes: 2 for a value with a standard error, 2^k for the
+    order-k tensor's two draws at 2^k sign flips each, out of its
+    2 * mc_samples evaluations. rescale must be a positive finite real number (not a
     bool) whose float is positive and finite: any other would answer NaN,
     inf, 0 or flipped values. It is kept as a float, so every answer's
     scalars are floats.
@@ -250,7 +250,7 @@ class _ResistingOracle:
     def _answer(
         self, instance: HardInstance, x: np.ndarray, t: int, coords: np.ndarray | None = None
     ) -> OracleResponse:
-        budget = partial(_mc_budget, self.mc_samples, self.seed, t)
+        budget = _mc_budget(self.mc_samples, self.seed, t)
         return oracle_answer(instance, x, budget=budget, coords=coords).scaled(self.rescale)
 
     def _record(

@@ -503,6 +503,18 @@ def test_child_budget_derives_its_seed_only_to_draw(monkeypatch, tied_oracle, es
     assert derived == [(5, "point", 2)]
 
 
+def test_budget_is_an_immutable_value():
+    # a child budget equals, hashes and prints as its eager twin
+    lazy = MCBudget.child(10, 5, "p", 2)
+    eager = MCBudget(10, child_seed(5, "p", 2))
+    assert (lazy, hash(lazy), repr(lazy)) == (eager, hash(eager), repr(eager))
+    assert MCBudget(10, 1) == MCBudget(10, 1) != MCBudget(10, 2)
+    assert repr(MCBudget(10, 1)) == "MCBudget(n_samples=10, seed=1)"
+    for budget in (lazy, eager):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            budget.n_samples = 1
+
+
 def test_child_budget_is_refused_as_the_eager_one(tied_oracle):
     # the gate reads the count alone, with the eager budget's message
     oracle, (exact, _, _) = tied_oracle

@@ -250,15 +250,16 @@ def test_piece_stream_built_only_for_a_degenerate_query(monkeypatch):
 def test_monte_carlo_budget_derived_only_for_monte_carlo_answers(monkeypatch, mode):
     # query 1 (the origin) is exact and query 2 a two-piece tie, answered
     # in closed form: neither derives a budget. Query 3 ties three pieces,
-    # so it is sampled on the streams of child_seed(seed, "mc", 3)
+    # so it is sampled on the streams of child_seed(seed, "mc", 3), the
+    # value's and the gradient's derived from it
     derived = []
-    real = oracles.child_seed
+    real = evaluator.child_seed
 
     def counting(seed, purpose, index=0):
         derived.append((purpose, index))
         return real(seed, purpose, index)
 
-    monkeypatch.setattr(oracles, "child_seed", counting)
+    monkeypatch.setattr(evaluator, "child_seed", counting)
     if mode == "deterministic":
         oracle = AdaptiveOracle(params_deterministic(4, 1), seed=3, mc_samples=2_000)
     else:
@@ -268,7 +269,7 @@ def test_monte_carlo_budget_derived_only_for_monte_carlo_answers(monkeypatch, mo
     third = oracle.query(x)
     regimes = [rec.response.regime for rec in oracle.transcript.records]
     assert regimes == [EXACT_AFFINE, MONTE_CARLO, MONTE_CARLO]
-    assert derived == [("mc", 3)]
+    assert derived == [("mc", 3), ("value", 0), ("gradient", 0)]
     expected = monte_carlo_answer(
         oracle.instance, x, MCBudget(2_000, real(3, "mc", 3)), contender_frame_at(oracle.instance, x)
     )
@@ -812,7 +813,7 @@ def test_every_answer_is_the_final_instances_answer(cls, client, T, k, seed):
         if len(keep) == 1:
             continue
         ties += 1
-        budget = partial(oracles._mc_budget, oracle.mc_samples, seed, rec.index)
+        budget = oracles._mc_budget(oracle.mc_samples, seed, rec.index)
         resp, again = rec.response, regime_answer(final, rec.x, values, keep, budget)
         assert resp.regime == again.regime == MONTE_CARLO
         assert (resp.value, resp.value_stderr) == (again.value, again.value_stderr)
