@@ -11,7 +11,6 @@ Exit code 0 iff every asserted property passed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import asdict, fields
@@ -23,6 +22,7 @@ from .harness import (
     SUITES,
     RefusedArgument,
     RunConfig,
+    emit_report,
     run_experiment,
     run_verification,
     sweep,
@@ -109,9 +109,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"worst certified gap across seeds: {worst:.6g}")
     print(f"sweep: {'PASS' if report.passed else 'FAIL'}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        emit_report(report, "json", args.out)
         print(f"sweep report written to {args.out}")
     return 0 if report.passed else 1
 

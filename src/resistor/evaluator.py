@@ -64,9 +64,10 @@ _tie_band_estimate for estimates; only smoothed_value_mc takes a
 contender frame to sample, for monte_carlo_answer. Each takes regime=,
 the affine_regime at x, from a caller that has it: the verify audits
 evaluate all their points in one pass (affine_regimes) and hand each
-estimate its own. Their budgets, and each oracle query's, are
-MCBudget.child, which derives its seed only when a sampler reads it, so
-an estimate or answer that draws nothing hashes no seed.
+estimate its own. Their budgets, and each oracle query's, are children
+of the audit's or oracle's one checked budget (MCBudget.child), which
+derive their seeds only when a sampler reads them, so an estimate or
+answer that draws nothing hashes no seed.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ import numpy as np
 
 from .geometry import dot_norm, frozen, sample_ball, sample_sphere
 from .instance import HardInstance, check_in_ball, span_basis
-from .streams import as_integer, as_seed, child_seed, stream
+from .streams import as_count, as_seed, child_seed, refusal, stream
 
 DEFAULT_VALUE_SAMPLES = 100_000
 DEFAULT_GRADIENT_SAMPLES = 200_000
@@ -103,38 +104,38 @@ _GRADED_ELEMENTS = 12
 
 class MCBudget:
     """Sample count and stream seed for one Monte-Carlo evaluation; the
-    count must be an integer (see streams.as_integer) of at least 1, the
+    count must be an integer of at least 1 (see streams.as_count), the
     seed a non-negative integer (see streams.as_seed). A budget cannot be
     changed, and compares, hashes and prints as its (n_samples, seed).
 
-    MCBudget.child(n, seed, purpose, index) is MCBudget(n,
-    child_seed(seed, purpose, index)) with its seed derived the first time
-    it is read. Only a sampler reads it, to draw; the budget gate reads
-    the count alone. So an estimate that draws nothing (one contender, a
-    two-piece tie) derives no seed, and each gate refuses the child budget
-    exactly as it refuses the eager one."""
+    An oracle or audit checks one root budget and derives the rest from
+    it: parent.child(purpose, index, n) is MCBudget(n, child_seed(
+    parent.seed, purpose, index)), n the parent's count unless one is
+    passed in, and checks only that n; its seed is derived when first read.
+    Only a sampler reads it, to draw; the budget gate reads the count
+    alone. So an estimate that draws nothing (one contender, a two-piece
+    tie) derives no seed, and each gate refuses the child budget exactly
+    as it refuses the eager one."""
 
-    __slots__ = ("n_samples", "_seed", "_derivation")
+    __slots__ = ("n_samples", "_seed")
 
     def __init__(self, n_samples: int = DEFAULT_VALUE_SAMPLES, seed: int = 0):
-        object.__setattr__(self, "n_samples", as_integer(n_samples, "n_samples"))
+        object.__setattr__(self, "n_samples", as_count(n_samples, "n_samples"))
         object.__setattr__(self, "_seed", as_seed(seed))
-        # (purpose, index) of a child seed not yet derived from _seed
-        object.__setattr__(self, "_derivation", None)
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
 
-    @classmethod
-    def child(cls, n_samples: int, seed: int, purpose: str, index: int = 0) -> "MCBudget":
-        budget = cls(n_samples, seed)
-        object.__setattr__(budget, "_derivation", (purpose, index))
+    def child(self, purpose: str, index: int = 0, n_samples: int | None = None) -> "MCBudget":
+        budget = object.__new__(MCBudget)
+        count = self.n_samples if n_samples is None else as_count(n_samples, "n_samples")
+        object.__setattr__(budget, "n_samples", count)
+        # until the seed is read: the (parent, purpose, index) it derives from
+        object.__setattr__(budget, "_seed", (self, purpose, index))
         return budget
 
     @property
     def seed(self) -> int:
-        if self._derivation is not None:
-            object.__setattr__(self, "_seed", child_seed(self._seed, *self._derivation))
-            object.__setattr__(self, "_derivation", None)
+        if type(self._seed) is tuple:
+            parent, purpose, index = self._seed
+            object.__setattr__(self, "_seed", child_seed(parent.seed, purpose, index))
         return self._seed
 
     def __setattr__(self, name, value):
@@ -848,8 +849,8 @@ def monte_carlo_answer(
     whatever the contender count (no budget means MCBudget()).
 
     Value uses budget.n_samples, each derivative order 2*n_samples
-    function evaluations, each estimate on its own stream (child seeds
-    "value", "gradient", ("tensor", j) of the budget seed): the value from
+    function evaluations, each estimate on its own stream, the child
+    budgets "value", "gradient" and ("tensor", j) of budget: the value from
     smoothed_value_mc, orders 1..k from _sampled_tensor_coords, all over
     the one frame. The budget is refused before any draw: by the value's
     gate, then by order k's, which covers every lower order, so it needs
@@ -859,10 +860,10 @@ def monte_carlo_answer(
     params = instance.params
     denom = params.norm_denom
     budget = budget or MCBudget()
-    n, seed = budget.n_samples, budget.seed
-    value_budget = MCBudget(n, child_seed(seed, "value"))
-    draws = [MCBudget(2 * n, child_seed(seed, "gradient"))]
-    draws += [MCBudget(2 * n, child_seed(seed, "tensor", j)) for j in range(2, params.k + 1)]
+    n = budget.n_samples
+    value_budget = budget.child("value")
+    draws = [budget.child("gradient", 0, 2 * n)]
+    draws += [budget.child("tensor", j, 2 * n) for j in range(2, params.k + 1)]
     _check_budget(instance, 0, value_budget)
     _check_budget(instance, params.k, draws[-1])
     value, stderr = smoothed_value_mc(instance, x, value_budget, contender_frame=contender_frame)
@@ -893,7 +894,7 @@ def rescale_to_smoothness(L_target: float, k: int, T: int) -> float:
     s / (2 sqrt(T)).
     """
     if not (0 < L_target < math.inf):
-        raise ValueError(f"L_target must be positive and finite, got {L_target}")
+        raise ValueError(refusal("L_target", "be positive and finite", L_target))
     return L_target / ((10.0 * k) ** k * T ** (2.5 * k))
 
 

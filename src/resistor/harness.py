@@ -40,10 +40,10 @@ from .instance import (
 )
 from .oracles import AdaptiveOracle, RandomizedOracle, event_e_check
 from .optimizers import check_method, run_method
-from .streams import as_integer, stream
+from .streams import as_count, as_integer, refusal, stream
 
 # Samples per Monte-Carlo estimate in the smoothness and invariance audits,
-# and the pairs per Lipschitz order (points for invariance) of a verify run.
+# and the pairs per Lipschitz order (points for invariance) of an audit.
 AUDIT_SAMPLES = 20_000
 AUDIT_PAIRS = 30
 CSV_COLUMNS = ["iter", "certified_gap", "floor", "regime", "event_e_margin", "value", "grad_norm"]
@@ -140,11 +140,11 @@ def run_experiment(config: RunConfig) -> RunReport:
     the witness point -sum(a_i)/sqrt(r) is exact-affine (its argmax
     margin is gamma/m, above 2*k*delta in both schedules),
     smoothed_value_mc returns f_tilde there with stderr 0 and draws no
-    sample; otherwise it is a Monte-Carlo estimate on the stream
-    (config.seed, "smooth-value"), which no other stream of the run uses.
+    sample; otherwise it is a Monte-Carlo estimate on the oracle's budget,
+    stream (config.seed, "smooth-value"), which no other stream uses.
     Every argument is checked before any query, each refusal a
     RefusedArgument: mode, T, k, the method at that k, the format,
-    rescale_L, then seed, mc_samples and rescale as the oracle is built.
+    rescale_L, then the oracle's seed, mc_samples and rescale as it is built.
     """
     with _argument_checks():
         if config.mode == DETERMINISTIC:
@@ -193,7 +193,7 @@ def run_experiment(config: RunConfig) -> RunReport:
         floor_ok = all(row.certified_gap >= floor for row in rows)
 
     xhat, _ = pessimal_point(final)
-    est, se = smoothed_value_mc(final, xhat, MCBudget(config.mc_samples, config.seed))
+    est, se = smoothed_value_mc(final, xhat, oracle.budget)
     bound = -1.0 / math.sqrt(final.num_pieces) + params.gamma + params.k * params.delta
     crosscheck = MinCrossCheck(
         estimate=est, stderr=se, bound=bound, passed=est <= bound + 3.0 * se
@@ -230,9 +230,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_report(report: RunReport, format: str, path) -> Path:
-    """Write the report as CSV (CSV_COLUMNS of each row) or JSON; trailing
-    newline, UTF-8, byte-stable across replays of the same config."""
+def emit_report(report: RunReport | SweepReport, format: str, path) -> Path:
+    """Write a run report as CSV (CSV_COLUMNS of each row) or JSON, a sweep
+    report as JSON; trailing newline, UTF-8, byte-stable across replays."""
     path = Path(path)
     if format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -268,16 +268,6 @@ class UnsupportedOrderError(ValueError):
     (T/delta)^3 scale would need infeasible sample counts)."""
 
 
-def _count(value, name: str) -> int:
-    """value as an int of at least 1 (see streams.as_integer), else an
-    error that names the argument: an audit or sweep over nothing would
-    pass on no evidence."""
-    value = as_integer(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
-
-
 def _separated_pairs(instance: HardInstance, n_pairs: int, rng) -> list[tuple[np.ndarray, np.ndarray, float]]:
     min_sep = 10.0 * instance.params.delta
     pairs = []
@@ -294,7 +284,7 @@ def _separated_pairs(instance: HardInstance, n_pairs: int, rng) -> list[tuple[np
 def verify_lipschitz(
     instance: HardInstance,
     order: int,
-    n_pairs: int = 50,
+    n_pairs: int = AUDIT_PAIRS,
     samples: int = AUDIT_SAMPLES,
     seed: int = 0,
     rescale: float = 1.0,
@@ -305,8 +295,8 @@ def verify_lipschitz(
     at a time (_separated_pairs). Then every point is evaluated against
     the pieces once, all in one pass (affine_regimes), and its values and
     contenders go to its estimate (regime=) and to n_tie_band. Each
-    estimate's budget is MCBudget.child of (seed, "lip<i><x|y>" or "lip2",
-    pair index), so it derives a seed only if it samples. The
+    estimate's budget is the child ("lip<i><x|y>" or "lip2", pair index)
+    of MCBudget(samples, seed), checked once, at entry. The
     difference quotient of the order-i derivative is compared against
     rescale * (T/delta)^i with an explicit Monte-Carlo slack of three
     combined reported errors. Orders 0 and 1 use the value and gradient
@@ -317,7 +307,8 @@ def verify_lipschitz(
     max_ratio or max_excess NaN and fails the audit. Orders above 2 raise UnsupportedOrderError, and
     n_pairs below 1 a ValueError.
     """
-    n_pairs = _count(n_pairs, "n_pairs")
+    n_pairs = as_count(n_pairs, "n_pairs")
+    root = MCBudget(samples, seed)
     params = instance.params
     if order > 2:
         raise UnsupportedOrderError(
@@ -334,15 +325,15 @@ def verify_lipschitz(
     for p, ((x, y, dist), rx, ry) in enumerate(zip(pairs, regimes[::2], regimes[1::2])):
         n_tie_band += len(rx[1]) > 1 or len(ry[1]) > 1
         if order == 0:
-            vx, ex = smoothed_value_mc(instance, x, MCBudget.child(samples, seed, "lip0x", p), regime=rx)
-            vy, ey = smoothed_value_mc(instance, y, MCBudget.child(samples, seed, "lip0y", p), regime=ry)
+            vx, ex = smoothed_value_mc(instance, x, root.child("lip0x", p), regime=rx)
+            vy, ey = smoothed_value_mc(instance, y, root.child("lip0y", p), regime=ry)
             ratio = rescale * abs(vx - vy) / dist
         elif order == 1:
-            gx, ex = smoothed_gradient_mc(instance, x, MCBudget.child(samples, seed, "lip1x", p), regime=rx)
-            gy, ey = smoothed_gradient_mc(instance, y, MCBudget.child(samples, seed, "lip1y", p), regime=ry)
+            gx, ex = smoothed_gradient_mc(instance, x, root.child("lip1x", p), regime=rx)
+            gy, ey = smoothed_gradient_mc(instance, y, root.child("lip1y", p), regime=ry)
             ratio = rescale * dot_norm(gx - gy) / dist
         else:
-            crn = MCBudget.child(samples, seed, "lip2", p)
+            crn = root.child("lip2", p)
             hx, ex, fx = _tensor_coords_mc(instance, x, 2, crn, regime=rx)
             hy, ey, fy = _tensor_coords_mc(instance, y, 2, crn, regime=ry)
             ratio = rescale * dot_norm(fx.T @ hx @ fx - fy.T @ hy @ fy) / dist
@@ -373,7 +364,7 @@ class InvarianceAudit:
 
 def verify_invariance(
     instance: HardInstance,
-    n_points: int = 20,
+    n_points: int = AUDIT_PAIRS,
     samples: int = AUDIT_SAMPLES,
     seed: int = 0,
 ) -> InvarianceAudit:
@@ -386,11 +377,12 @@ def verify_invariance(
     errors. Every pair is drawn first, then every point evaluated against
     the pieces once, all in one pass (affine_regimes): its values and
     contenders decide the comparison and go to its estimate (regime=),
-    whose budget is MCBudget.child of (seed, "inv-a" or "inv-b", pair
-    index), deriving a seed only if it samples. n_points must be at
+    whose budget is the child ("inv-a" or "inv-b", pair index) of
+    MCBudget(samples, seed), checked once, at entry. n_points must be at
     least 1.
     """
-    n_points = _count(n_points, "n_points")
+    n_points = as_count(n_points, "n_points")
+    root = MCBudget(samples, seed)
     d = instance.basis.dim
     if d <= len(instance.basis):
         raise ValueError("no orthogonal complement to test (d <= span dimension)")
@@ -418,8 +410,8 @@ def verify_invariance(
             ok = ok and np.array_equal(keep_a, keep_b) and diff <= 1e-10
             n_exact += 1
         else:
-            va, ea = smoothed_value_mc(instance, a, MCBudget.child(samples, seed, "inv-a", p), regime=ra)
-            vb, eb = smoothed_value_mc(instance, b, MCBudget.child(samples, seed, "inv-b", p), regime=rb)
+            va, ea = smoothed_value_mc(instance, a, root.child("inv-a", p), regime=ra)
+            vb, eb = smoothed_value_mc(instance, b, root.child("inv-b", p), regime=rb)
             ok = ok and abs(va - vb) <= 6.0 * math.sqrt(ea * ea + eb * eb)
             n_mc += 1
     return InvarianceAudit(
@@ -496,13 +488,13 @@ def run_verification(
     with _argument_checks():
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
-        n_pairs = _count(n_pairs, "n_pairs")
+        n_pairs = as_count(n_pairs, "n_pairs")
         instance = audit_instance(T, k, seed)
         samples = as_integer(samples, "samples")
         orders = [0, 1] + ([2] if k >= 2 else [])
         least = {"locality": -math.inf, "invariance": 2}.get(suite, 2 ** (orders[-1] + 1))
         if samples < least:
-            raise ValueError(f"samples must be at least {least} for the {suite} suite, got {samples}")
+            raise ValueError(refusal("samples", f"be at least {least} for the {suite} suite", samples))
     if suite in {"lipschitz", "all"}:
         summary.lipschitz = [
             verify_lipschitz(instance, order, n_pairs=n_pairs, samples=samples, seed=seed)
@@ -546,7 +538,7 @@ def sweep(config: RunConfig, n_seeds: int) -> SweepReport:
     binomial standard deviations. n_seeds must be at least 1.
     """
     with _argument_checks():
-        n_seeds = _count(n_seeds, "n_seeds")
+        n_seeds = as_count(n_seeds, "n_seeds")
     outcomes = []
     for offset in range(n_seeds):
         report = run_experiment(replace(config, seed=config.seed + offset, out=None))

@@ -25,7 +25,7 @@ from .geometry import (
     frozen,
     orthonormal_extend,
 )
-from .streams import as_integer
+from .streams import as_integer, refusal
 
 DETERMINISTIC = "deterministic"
 RANDOMIZED = "randomized"
@@ -107,7 +107,7 @@ def params_deterministic(T: int, k: int, d: int | None = None) -> InstanceParams
     delta = gamma / (3.0 * k * T)
     d = T + 1 if d is None else as_integer(d, "d")
     if d <= T:
-        raise ValueError(f"deterministic mode needs d > T, got d={d}, T={T}")
+        raise ValueError(refusal("d", f"satisfy d > T = {T} in deterministic mode", d))
     params = InstanceParams(
         T=T,
         k=k,

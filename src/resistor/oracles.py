@@ -47,16 +47,10 @@ from .instance import (
     check_in_ball,
     validate,
 )
-from .streams import as_integer, as_seed, stream
+from .streams import as_integer, refusal, stream
 
 
 _FLOAT_MAX = sys.float_info.max
-
-
-def _mc_budget(mc_samples: int, seed: int, index: int) -> MCBudget:
-    """Monte-Carlo budget of query `index`, the same at query time and in
-    replay; its seed is derived only if the answer samples."""
-    return MCBudget.child(mc_samples, seed, "mc", index)
 
 
 class OracleExhaustedError(RuntimeError):
@@ -147,19 +141,16 @@ class ConsistencyReport:
 
 
 def replay_consistency(
-    instance: HardInstance,
-    transcript: Transcript,
-    rescale: float = 1.0,
-    mc_samples: int = DEFAULT_VALUE_SAMPLES,
-    seed: int = 0,
+    instance: HardInstance, transcript: Transcript, rescale: float, budget: MCBudget
 ) -> ConsistencyReport:
     """Replay every recorded query against `instance` and compare.
 
     A record whose regime the replay contradicts is a regime_mismatch.
     Otherwise the query is answered again through regime_answer, the
-    dispatch that answered it (sampling on the same streams), and the two
-    answers must match bit for bit in every field, in either mode; the
-    reason names the first that differs (OracleResponse.mismatch).
+    dispatch that answered it, on its query-time budget
+    budget.child("mc", index), and the two answers must match bit for bit
+    in every field, in either mode; the reason names the first that
+    differs (OracleResponse.mismatch).
     """
     entries = []
     for rec in transcript.records:
@@ -167,8 +158,7 @@ def replay_consistency(
         if (rec.response.affine_index is not None) != (len(keep) == 1):
             reason = "regime_mismatch"
         else:
-            budget = _mc_budget(mc_samples, seed, rec.index)
-            replayed = regime_answer(instance, rec.x, values, keep, budget).scaled(rescale)
+            replayed = regime_answer(instance, rec.x, values, keep, budget.child("mc", rec.index)).scaled(rescale)
             reason = rec.response.mismatch(replayed)
         entries.append(ReplayEntry(rec.index, reason, values.f_tilde))
     return ConsistencyReport(
@@ -184,16 +174,15 @@ class _ResistingOracle:
     A query is checked against the budget T, copied, answered against the
     instance its mode serves it from (normalized by norm_denom, then
     scaled by rescale) and recorded; finalize replays the transcript
-    against the final instance. The Monte-Carlo seed of query t is
-    derived only when its answer samples (MCBudget.child). Both integers
-    are checked here, once, before any query: seed by streams.as_seed,
-    mc_samples by streams.as_integer and against the fewest samples such
-    an answer takes: 2 for a value with a standard error, 2^k for the
-    order-k tensor's two draws at 2^k sign flips each, out of its
-    2 * mc_samples evaluations. rescale must be a positive finite real number (not a
-    bool) whose float is positive and finite: any other would answer NaN,
-    inf, 0 or flipped values. It is kept as a float, so every answer's
-    scalars are floats.
+    against the final instance. seed and mc_samples are checked here,
+    once, into the root budget MCBudget(mc_samples, seed): mc_samples
+    against the fewest samples a Monte-Carlo answer takes, 2 for a value
+    with a standard error, 2^k for the order-k tensor's two draws at 2^k
+    sign flips each, out of its 2 * mc_samples evaluations. Query t's
+    budget, when answered and replayed, is budget.child("mc", t). rescale
+    must be a positive finite real number (not a bool) whose float is
+    positive and finite: any other would answer NaN, inf, 0 or flipped
+    values. It is kept as a float, so every answer's scalars are floats.
     """
 
     def __init__(
@@ -205,28 +194,28 @@ class _ResistingOracle:
         instance: HardInstance,
     ):
         if isinstance(rescale, bool) or not isinstance(rescale, numbers.Real):
-            raise TypeError(f"rescale must be a real number, got {rescale!r}")
+            raise TypeError(refusal("rescale", "be a real number", rescale))
         if not (0.0 < rescale < math.inf):
-            raise ValueError(f"rescale must be positive and finite, got {rescale!r}")
+            raise ValueError(refusal("rescale", "be positive and finite", rescale))
         # 0 for an integer or Fraction past the largest float, or so small
         # that it rounds to 0 (its text may be too long to print)
         scale = float(rescale) if rescale <= _FLOAT_MAX else 0.0
         if scale == 0.0:
             raise ValueError(f"rescale must lie in the range of positive floats, up to {_FLOAT_MAX!r}")
-        seed = as_seed(seed)
         mc_samples = as_integer(mc_samples, "mc_samples")
         minimum = max(2, 2**params.k)
         if mc_samples < minimum:
-            raise ValueError(
-                f"a Monte-Carlo answer of order {params.k} needs mc_samples >= {minimum}, "
-                f"got {mc_samples}"
-            )
+            requirement = f"be at least {minimum} for a Monte-Carlo answer of order {params.k}"
+            raise ValueError(refusal("mc_samples", requirement, mc_samples))
         self.params = params
-        self.seed = seed
-        self.mc_samples = mc_samples
+        self.budget = MCBudget(mc_samples, seed)
         self.rescale = scale
         self.transcript = Transcript(params)
         self._instance = instance
+
+    @property
+    def seed(self) -> int:
+        return self.budget.seed
 
     @property
     def instance(self) -> HardInstance:
@@ -250,7 +239,7 @@ class _ResistingOracle:
     def _answer(
         self, instance: HardInstance, x: np.ndarray, t: int, coords: np.ndarray | None = None
     ) -> OracleResponse:
-        budget = _mc_budget(self.mc_samples, self.seed, t)
+        budget = self.budget.child("mc", t)
         return oracle_answer(instance, x, budget=budget, coords=coords).scaled(self.rescale)
 
     def _record(
@@ -260,14 +249,7 @@ class _ResistingOracle:
         return response
 
     def _replay(self) -> tuple[HardInstance, ConsistencyReport]:
-        report = replay_consistency(
-            self._instance,
-            self.transcript,
-            rescale=self.rescale,
-            mc_samples=self.mc_samples,
-            seed=self.seed,
-        )
-        return self._instance, report
+        return self._instance, replay_consistency(self._instance, self.transcript, self.rescale, self.budget)
 
 
 class AdaptiveOracle(_ResistingOracle):

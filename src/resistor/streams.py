@@ -9,10 +9,25 @@ seed's draws.
 
 from __future__ import annotations
 
+import math
 import operator
 import zlib
 
 import numpy as np
+
+
+def refusal(name: str, requirement: str, value) -> str:
+    """The message "<name> must <requirement>, got <repr(value)>". Past
+    Python's int-to-text digit limit an integer is shown by its digit
+    count, any other value (a Fraction) by its type."""
+    try:
+        shown = repr(value)
+    except ValueError:  # the digit limit
+        shown = f"a {type(value).__name__} too long to print"
+        if isinstance(value, int):
+            n = int((abs(value).bit_length() - 1) * math.log10(2)) + 1  # n or n + 1 digits
+            shown = f"an integer of {n + (abs(value) >= 10**n)} digits"
+    return f"{name} must {requirement}, got {shown}"
 
 
 def as_integer(value, name: str) -> int:
@@ -23,7 +38,17 @@ def as_integer(value, name: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        raise TypeError(refusal(name, "be an integer", value)) from None
+
+
+def as_count(value, name: str) -> int:
+    """value as a count: an integer (see as_integer) of at least 1, else an
+    error that names the argument. An audit or sweep over nothing would
+    pass on no evidence, and an estimate from no sample has no value."""
+    count = as_integer(value, name)
+    if count < 1:
+        raise ValueError(refusal(name, "be at least 1", count))
+    return count
 
 
 def as_seed(value) -> int:
@@ -31,7 +56,7 @@ def as_seed(value) -> int:
     error that names the seed."""
     seed = as_integer(value, "seed")
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ValueError(refusal("seed", "be non-negative", seed))
     return seed
 
 

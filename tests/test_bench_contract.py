@@ -7,6 +7,7 @@ silently drop a traced layer; these tests, which only import the
 benchmark's tables, fail instead.
 """
 
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -118,3 +119,15 @@ def test_audit_k2_runs_through_its_timed_hooks(monkeypatch):
         monkeypatch.setattr(harness, name, counting)
     harness.run_verification("all", T=9, k=2, seed=0)
     assert calls == {"smoothed_gradient_mc": 60, "audit_instance": 1}
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks, run as its README runs them: every
+    # workload at a tiny size, untraced and traced, the fail-closed output
+    # checks, a vanished traced name and a missing library source
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:]

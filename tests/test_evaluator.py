@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -480,7 +481,7 @@ ESTIMATES = {
 def test_child_budget_samples_the_bits_of_the_eager_one(tied_oracle, estimate):
     oracle, (_, _, tie) = tied_oracle
     eager = MCBudget(2_000, child_seed(5, "lip1x", 2))
-    lazy = MCBudget.child(2_000, 5, "lip1x", 2)
+    lazy = MCBudget(2_000, 5).child("lip1x", 2)
     assert ESTIMATES[estimate](oracle.instance, tie, lazy) == ESTIMATES[estimate](oracle.instance, tie, eager)
     assert lazy.seed == eager.seed
 
@@ -499,13 +500,13 @@ def test_child_budget_derives_its_seed_only_to_draw(monkeypatch, tied_oracle, es
     monkeypatch.setattr(evaluator, "child_seed", counting)
     oracle, points = tied_oracle
     for p, x in enumerate(points):
-        ESTIMATES[estimate](oracle.instance, x, MCBudget.child(2_000, 5, "point", p))
+        ESTIMATES[estimate](oracle.instance, x, MCBudget(2_000, 5).child("point", p))
     assert derived == [(5, "point", 2)]
 
 
 def test_budget_is_an_immutable_value():
     # a child budget equals, hashes and prints as its eager twin
-    lazy = MCBudget.child(10, 5, "p", 2)
+    lazy = MCBudget(10, 5).child("p", 2)
     eager = MCBudget(10, child_seed(5, "p", 2))
     assert (lazy, hash(lazy), repr(lazy)) == (eager, hash(eager), repr(eager))
     assert MCBudget(10, 1) == MCBudget(10, 1) != MCBudget(10, 2)
@@ -515,10 +516,50 @@ def test_budget_is_an_immutable_value():
             budget.n_samples = 1
 
 
+@functools.cache
+def _three_way_tie():
+    """conftest.three_way_tie's instance (k = 2, T = 4) and point."""
+    oracle = AdaptiveOracle(params_deterministic(4, 2), seed=3, mc_samples=2_000)
+    tie = three_way_tie(oracle)
+    oracle.query(tie)
+    return oracle.instance, tie
+
+
+@given(
+    n=st.integers(2, 64),
+    seed=st.integers(0, 2**64),
+    purpose=st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", max_size=8),
+    index=st.integers(0, 2**32),
+    count=st.none() | st.integers(2, 64),
+)
+@settings(max_examples=60, deadline=None)
+def test_child_budget_is_its_eager_twin(n, seed, purpose, index, count):
+    # a child, and its own child, equals, hashes, prints and samples as the
+    # budget built from the derived seed
+    eager = MCBudget(n if count is None else count, child_seed(seed, purpose, index))
+    eager_grandchild = MCBudget(eager.n_samples, child_seed(eager.seed, "value"))
+    instance, tie = _three_way_tie()
+    for make, twin in (
+        (lambda: MCBudget(n, seed).child(purpose, index, count), eager),
+        (lambda: MCBudget(n, seed).child(purpose, index, count).child("value"), eager_grandchild),
+    ):
+        # each read derives the seed: a fresh budget per comparison
+        assert make() == twin and hash(make()) == hash(twin) and repr(make()) == repr(twin)
+        assert ESTIMATES["value"](instance, tie, make()) == ESTIMATES["value"](instance, tie, twin)
+
+
+def test_child_budget_checks_only_a_count_passed_in():
+    root = MCBudget(10, 5)
+    assert root.child("p", 1, np.int64(20)).n_samples == 20
+    for bad, error in ((0, ValueError), (2.5, TypeError), (True, TypeError)):
+        with pytest.raises(error, match="n_samples"):
+            root.child("p", 1, bad)
+
+
 def test_child_budget_is_refused_as_the_eager_one(tied_oracle):
     # the gate reads the count alone, with the eager budget's message
     oracle, (exact, _, _) = tied_oracle
-    for budget in (MCBudget(3, 1), MCBudget.child(3, 1, "p", 0)):
+    for budget in (MCBudget(3, 1), MCBudget(3, 1).child("p", 0)):
         with pytest.raises(ValueError, match="needs n_samples >= 4 .* got 3"):
             smoothed_gradient_mc(oracle.instance, exact, budget)
 

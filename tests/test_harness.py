@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resistor import cli, harness, oracles
-from resistor.evaluator import MCBudget, contenders, piece_values
+from resistor import cli, evaluator, harness, oracles
+from resistor.evaluator import MCBudget, contenders, piece_values, rescale_to_smoothness
 from resistor.geometry import OrthonormalBasis
 from resistor.harness import (
     CSV_COLUMNS,
@@ -731,6 +731,55 @@ def test_every_gate_refuses_what_it_cannot_count_on(data):
             patch.setattr(harness, attr, _queried)
         with pytest.raises((ValueError, TypeError), match=name):
             call(value)
+
+
+# -10^5000 has 5001 digits, past Python's 4300-digit int-to-text limit
+_LONG = -(10**5000)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("rescale", lambda: AdaptiveOracle(params_deterministic(4, 1), rescale=_LONG)),
+        ("seed", lambda: RandomizedOracle(params_randomized(4, 1, 0.2), seed=_LONG)),
+        ("mc_samples", lambda: AdaptiveOracle(params_deterministic(4, 1), mc_samples=_LONG)),
+        ("n_pairs", lambda: verify_lipschitz(_AUDITED, 0, n_pairs=_LONG)),
+        ("n_points", lambda: verify_invariance(_AUDITED, n_points=_LONG)),
+        ("n_seeds", lambda: sweep(RunConfig(T=4), _LONG)),
+        ("samples", lambda: run_verification("all", 4, 1, samples=_LONG)),
+        ("d", lambda: params_deterministic(4, 1, _LONG)),
+        ("L_target", lambda: rescale_to_smoothness(_LONG, 1, 4)),
+    ],
+)
+def test_a_refused_integer_past_the_digit_limit_is_named(name, call):
+    # the message names the argument and gives the digit count, where
+    # formatting the digits would raise an error that names nothing
+    with pytest.raises(ValueError, match=f"^{name} must .*, got an integer of 5001 digits$"):
+        call()
+
+
+def test_budgets_are_checked_once_per_oracle_and_audit(monkeypatch):
+    # an oracle or audit checks its root budget's count and seed once; no
+    # query, replayed record or audited point checks them again
+    calls = []
+    for name in ("as_count", "as_seed"):
+        real = getattr(evaluator, name)
+        monkeypatch.setattr(evaluator, name, lambda *args, real=real: calls.append(args) or real(*args))
+    for cls, params in ((AdaptiveOracle, params_deterministic(9, 1)),
+                        (RandomizedOracle, params_randomized(9, 1, 0.2))):
+        oracle = cls(params, seed=5)
+        assert calls == [(100_000, "n_samples"), (5,)]
+        run_method(oracle, "psg")
+        _, report = oracle.finalize()
+        assert len(oracle.transcript) == 9 and report.all_equal
+        assert len(calls) == 2
+        calls.clear()
+    instance = audit_instance(9, 2)
+    for audit in (lambda: verify_lipschitz(instance, 2, n_pairs=30, samples=64, seed=3),
+                  lambda: verify_invariance(instance, n_points=30, samples=64, seed=3)):
+        audit()
+        assert calls == [(64, "n_samples"), (3,)]
+        calls.clear()
 
 
 @pytest.mark.parametrize(

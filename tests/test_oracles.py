@@ -490,7 +490,7 @@ class TestSharedProtocol:
     def test_fewest_samples_answer_a_tie(self, cls):
         params = params_deterministic(4, 2) if cls is AdaptiveOracle else params_randomized(4, 2, 0.2)
         oracle = cls(params, seed=0, mc_samples=np.int64(4))
-        assert type(oracle.mc_samples) is int and oracle.mc_samples == 4
+        assert type(oracle.budget.n_samples) is int and oracle.budget.n_samples == 4
         answer = oracle.query(three_way_tie(oracle))
         assert answer.regime == MONTE_CARLO and answer.hessian().error_bound >= 0
 
@@ -813,7 +813,7 @@ def test_every_answer_is_the_final_instances_answer(cls, client, T, k, seed):
         if len(keep) == 1:
             continue
         ties += 1
-        budget = oracles._mc_budget(oracle.mc_samples, seed, rec.index)
+        budget = oracle.budget.child("mc", rec.index)
         resp, again = rec.response, regime_answer(final, rec.x, values, keep, budget)
         assert resp.regime == again.regime == MONTE_CARLO
         assert (resp.value, resp.value_stderr) == (again.value, again.value_stderr)
