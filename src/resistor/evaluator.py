@@ -59,15 +59,15 @@ The estimators (smoothed_value_mc, smoothed_gradient_mc,
 _tensor_coords_mc) take this argument to its limit: at one contender
 or a two-piece tie they return an estimate's expectation in closed form,
 unnormalized, with its error (0 at an exact-affine point), and sample
-only the rest. The rule lives in regime_answer for answers and in
-_tie_band_estimate for estimates; only smoothed_value_mc takes a
-contender frame to sample, for monte_carlo_answer. Each takes regime=,
-the affine_regime at x, from a caller that has it: the verify audits
-evaluate all their points in one pass (affine_regimes) and hand each
-estimate its own. Their budgets, and each oracle query's, are children
-of the audit's or oracle's one checked budget (MCBudget.child), which
-derive their seeds only when a sampler reads them, so an estimate or
-answer that draws nothing hashes no seed.
+only the rest. The rule lives in _two_piece_law alone, None where its
+law does not apply; only smoothed_value_mc takes a contender frame to
+sample, for monte_carlo_answer. Each takes its caller's budget and
+regime=, the affine_regime at x, from a caller that has it: the verify
+audits evaluate all their points in one pass (affine_regimes) and hand
+each estimate its own. Their budgets, and each oracle query's, are
+children of the audit's or oracle's one checked budget (MCBudget.child),
+which derive their seeds only when a sampler reads them, so an estimate
+or answer that draws nothing hashes no seed.
 """
 
 from __future__ import annotations
@@ -83,10 +83,9 @@ import numpy as np
 
 from .geometry import dot_norm, frozen, sample_ball, sample_sphere
 from .instance import HardInstance, check_in_ball, span_basis
-from .streams import as_count, as_seed, child_seed, refusal, stream
+from .streams import FLOAT_MAX, as_count, as_seed, child_seed, refusal, stream
 
 DEFAULT_VALUE_SAMPLES = 100_000
-DEFAULT_GRADIENT_SAMPLES = 200_000
 
 EXACT_AFFINE = "exact_affine"
 MONTE_CARLO = "monte_carlo"
@@ -396,27 +395,29 @@ def _flipped_max(base: np.ndarray, projs: list[np.ndarray], signs: tuple[int, ..
 def smoothed_value_mc(
     instance: HardInstance,
     x: np.ndarray,
-    budget: MCBudget | None = None,
+    budget: MCBudget,
     *,
     contender_frame: ContenderFrame | None = None,
     regime: Regime | None = None,
 ) -> tuple[float, float]:
     """Smoothed value at x and its standard error, unnormalized (no
-    norm_denom): the top piece's value at one contender, else
-    _tie_band_estimate. Needs n_samples >= 2, even in closed form: one
-    sample has no standard error. contender_frame, if given, must be
-    _contender_frame at x, and is sampled (_sampled_value) whatever its
-    contender count: monte_carlo_answer passes its own. regime, if given,
-    must be affine_regime(instance, x), and spares its evaluation.
+    norm_denom): the top piece's value at one contender, else the value of
+    _two_piece_law or, where it gives none, a sampled one. Needs
+    n_samples >= 2, even in closed form: one sample has no standard error.
+    contender_frame, if given, must be _contender_frame at x, and is
+    sampled (_sampled_value) whatever its contender count:
+    monte_carlo_answer passes its own. regime, if given, must be
+    affine_regime(instance, x), and spares its evaluation.
     """
-    budget = budget or MCBudget()
     _check_budget(instance, 0, budget)
     if contender_frame is not None:
         return _sampled_value(instance, budget, contender_frame)
     values, keep = affine_regime(instance, x) if regime is None else regime
     if len(keep) == 1:
         return float(values.shifted[keep[0]]), 0.0
-    return _tie_band_estimate(instance, 0, budget, _contender_frame(instance, values, keep), keep)
+    contender_frame = _contender_frame(instance, values, keep)
+    law = _two_piece_law(instance, contender_frame)
+    return _sampled_value(instance, budget, contender_frame) if law is None else (law.value, law.value_error)
 
 
 def _sampled_value(
@@ -448,38 +449,16 @@ def _check_budget(instance: HardInstance, order: int, budget: MCBudget) -> None:
         raise ValueError(f"{what} needs n_samples >= {2 ** (order + 1)} {why}, got {budget.n_samples}")
 
 
-def _tie_band_estimate(
-    instance: HardInstance, order: int, budget: MCBudget, contender_frame: ContenderFrame, keep: np.ndarray
-) -> tuple[float | np.ndarray, float]:
-    """The order-j estimate (j = 0 the value) over the contender_frame of
-    two or more contenders keep, unnormalized, and its error: the one
-    place an estimate applies the tie-band rule (see the module notes).
-    Two contenders at k <= 2 give the two-piece law's field for the
-    order, its value, gradient frame coordinates or Hessian (the zero
-    tensor sized by the frame's rows beyond the law's reach), building
-    nothing else; any others are sampled. budget has passed _check_budget."""
-    if len(keep) != 2 or instance.params.k > 2:
-        if order == 0:
-            return _sampled_value(instance, budget, contender_frame)
-        return _sampled_tensor_coords(instance, order, budget, contender_frame)
-    law = _two_piece_law(instance, contender_frame)
-    if order == 0:
-        return law.value, law.value_error
-    if order == 1:
-        return law.gradient_coords, law.gradient_error
-    hessian = law.hessian(1.0)
-    return (np.zeros((len(contender_frame[2]),) * 2) if hessian.is_zero else hessian.tensor), hessian.error_bound
-
-
 def _tensor_coords_mc(
     instance: HardInstance, x: np.ndarray, order: int, budget: MCBudget, *, regime: Regime | None = None
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Order-j derivative tensor of the smoothed function at x in the
     coordinates of its contender frame, its error bound, and the frame's
     rows: at an exact-affine point the sole contender's coordinate for
-    j = 1 and the zero tensor above, with error 0, else
-    _tie_band_estimate. j must lie in [1, k]; that check, then
-    _check_budget, run first. regime as for smoothed_value_mc."""
+    j = 1 and the zero tensor above, with error 0, else _two_piece_law's
+    gradient coordinates or Hessian or, where it gives none, a sampled
+    tensor. j must lie in [1, k]; that check, then _check_budget, run
+    first. regime as for smoothed_value_mc."""
     if not 1 <= order <= instance.params.k:
         raise ValueError(f"order must lie in [1, {instance.params.k}]")
     _check_budget(instance, order, budget)
@@ -488,7 +467,13 @@ def _tensor_coords_mc(
     _, coords, frame = contender_frame
     if len(keep) == 1:
         return (coords[0] if order == 1 else np.zeros((len(frame),) * order)), 0.0, frame
-    return (*_tie_band_estimate(instance, order, budget, contender_frame, keep), frame)
+    law = _two_piece_law(instance, contender_frame)
+    if law is None:
+        return (*_sampled_tensor_coords(instance, order, budget, contender_frame), frame)
+    if order == 1:
+        return law.gradient_coords, law.gradient_error, frame
+    hessian = law.hessian(1.0)
+    return (np.zeros((len(frame),) * 2) if hessian.is_zero else hessian.tensor), hessian.error_bound, frame
 
 
 def _sampled_tensor_coords(
@@ -560,21 +545,23 @@ def _sampled_tensor_coords(
 
 
 def smoothed_gradient_mc(
-    instance: HardInstance, x: np.ndarray, budget: MCBudget | None = None, *, regime: Regime | None = None
+    instance: HardInstance, x: np.ndarray, budget: MCBudget, *, regime: Regime | None = None
 ) -> tuple[np.ndarray, float]:
     """Gradient of the smoothed function at x, in ambient coordinates
     (lying in the piece span), with its error bound. Unnormalized. At an
     exact-affine point the read-only piece row a_idx, with no frame
-    built; else the order-1 _tie_band_estimate lifted through the
-    contender frame. _check_budget runs first. regime as for
-    smoothed_value_mc."""
-    budget = budget or MCBudget(DEFAULT_GRADIENT_SAMPLES)
+    built; else _two_piece_law's or, where it gives none, the sampled
+    frame coordinates, lifted through the contender frame. _check_budget
+    runs first. regime as for smoothed_value_mc."""
     _check_budget(instance, 1, budget)
     values, keep = affine_regime(instance, x) if regime is None else regime
     if len(keep) == 1:
         return instance.piece_matrix[keep[0]], 0.0
     contender_frame = _contender_frame(instance, values, keep)
-    coords, err = _tie_band_estimate(instance, 1, budget, contender_frame, keep)
+    law = _two_piece_law(instance, contender_frame)
+    if law is not None:
+        return contender_frame[2].T @ law.gradient_coords, law.gradient_error
+    coords, err = _sampled_tensor_coords(instance, 1, budget, contender_frame)
     return contender_frame[2].T @ coords, err
 
 
@@ -609,11 +596,11 @@ def regime_answer(
     norm_denom. One contender wins by more than 2*k*delta, and the
     smoothing of a single affine piece is that piece: its shifted value,
     its row a_i as the gradient (the read-only row itself with norm_denom
-    1), zero higher orders. Two at k <= 2 get _tie_answer of the
-    two-piece law, any others monte_carlo_answer over their frame: the
-    one place an answer applies the tie-band rule. Only the last reads the
-    budget's seed, so a child budget (MCBudget.child) derives none for
-    any other answer. (values, keep) must be affine_regime(instance, x)."""
+    1), zero higher orders. More get _tie_answer of the two-piece law
+    where _two_piece_law gives one, else monte_carlo_answer over their
+    frame. Only the last reads the budget's seed, so a child budget
+    (MCBudget.child) derives none for any other answer. (values, keep)
+    must be affine_regime(instance, x)."""
     params = instance.params
     denom = params.norm_denom
     if len(keep) == 1:
@@ -628,12 +615,12 @@ def regime_answer(
             gradient_error=0.0,
         )
     frame = _contender_frame(instance, values, keep)
-    if len(keep) == 2 and params.k <= 2:
-        law = _two_piece_law(instance, frame)
-        higher = (law.hessian(denom),) if params.k == 2 else ()
-        fields = law.value, law.value_error, law.gradient_coords, law.gradient_error
-        return _tie_answer(frame[2], *fields, higher, denom)
-    return monte_carlo_answer(instance, x, budget, frame)
+    law = _two_piece_law(instance, frame)
+    if law is None:
+        return monte_carlo_answer(instance, x, budget, frame)
+    higher = (law.hessian(denom),) if params.k == 2 else ()
+    fields = law.value, law.value_error, law.gradient_coords, law.gradient_error
+    return _tie_answer(frame[2], *fields, higher, denom)
 
 
 @functools.cache
@@ -792,10 +779,11 @@ class _TwoPieceLaw(NamedTuple):
         return HigherDerivative(2, self.c[:, None] * self.c * scale, self.hessian_error / denom)
 
 
-def _two_piece_law(instance: HardInstance, contender_frame: ContenderFrame) -> _TwoPieceLaw:
+def _two_piece_law(instance: HardInstance, contender_frame: ContenderFrame) -> _TwoPieceLaw | None:
     """The law where exactly two pieces contend, at k <= 2, over their
-    contender_frame, unnormalized in frame coordinates: regime_answer
-    lifts and divides it, an estimate takes the field its order needs.
+    contender_frame, unnormalized in frame coordinates, else None: the one
+    home of that rule. regime_answer lifts and divides the law, an
+    estimate takes the field its order needs; either samples without one.
 
     Let p be the top piece of the two and q the other, c = coords_q -
     coords_p in their contender frame (_contender_frame) and sigma =
@@ -816,6 +804,8 @@ def _two_piece_law(instance: HardInstance, contender_frame: ContenderFrame) -> _
     """
     params = instance.params
     base, coeffs, _ = contender_frame
+    if len(base) != 2 or params.k > 2:
+        return None
     pair = base.tolist()
     p = 0 if pair[0] >= pair[1] else 1
     level = pair[p]
@@ -895,7 +885,12 @@ def rescale_to_smoothness(L_target: float, k: int, T: int) -> float:
     """
     if not (0 < L_target < math.inf):
         raise ValueError(refusal("L_target", "be positive and finite", L_target))
-    return L_target / ((10.0 * k) ** k * T ** (2.5 * k))
+    try:
+        return L_target / ((10.0 * k) ** k * T ** (2.5 * k))
+    except OverflowError:
+        if L_target > FLOAT_MAX:
+            raise ValueError(refusal("L_target", "lie within the float range", L_target)) from None
+        raise ValueError(refusal("k", f"keep (10 k)^k T^(2.5 k) within the float range at T = {T}", k)) from None
 
 
 def suboptimality_certificate(

@@ -22,6 +22,7 @@ import numpy as np
 from .evaluator import (
     DEFAULT_VALUE_SAMPLES,
     MCBudget,
+    _check_budget,
     _tensor_coords_mc,
     affine_regimes,
     rescale_to_smoothness,
@@ -316,6 +317,7 @@ def verify_lipschitz(
         )
     if order > params.k:
         raise ValueError(f"order {order} exceeds the instance's smoothness order k={params.k}")
+    _check_budget(instance, order, root)
     bound = rescale * (params.T / params.delta) ** order
     rng = stream(seed, "lipschitz-pairs", order)
     pairs = _separated_pairs(instance, n_pairs, rng)
@@ -383,6 +385,7 @@ def verify_invariance(
     """
     n_points = as_count(n_points, "n_points")
     root = MCBudget(samples, seed)
+    _check_budget(instance, 0, root)
     d = instance.basis.dim
     if d <= len(instance.basis):
         raise ValueError("no orthogonal complement to test (d <= span dimension)")

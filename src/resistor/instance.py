@@ -25,7 +25,7 @@ from .geometry import (
     frozen,
     orthonormal_extend,
 )
-from .streams import as_integer, refusal
+from .streams import FLOAT_MAX, as_integer, refusal
 
 DETERMINISTIC = "deterministic"
 RANDOMIZED = "randomized"
@@ -103,8 +103,12 @@ def params_deterministic(T: int, k: int, d: int | None = None) -> InstanceParams
     T, k = as_integer(T, "T"), as_integer(k, "k")
     if T < 1 or k < 1:
         raise ValueError("T and k must be positive integers")
-    gamma = 1.0 / (3.0 * math.sqrt(T))
-    delta = gamma / (3.0 * k * T)
+    try:
+        gamma = 1.0 / (3.0 * math.sqrt(T))
+        delta = gamma / (3.0 * k * T)
+    except OverflowError:
+        name, value = ("T", T) if T > FLOAT_MAX else ("k", k)
+        raise ValueError(refusal(name, "lie within the float range", value)) from None
     d = T + 1 if d is None else as_integer(d, "d")
     if d <= T:
         raise ValueError(refusal("d", f"satisfy d > T = {T} in deterministic mode", d))
@@ -145,13 +149,19 @@ def params_randomized(T: int, k: int, fail_prob: float) -> InstanceParams:
         raise TypeError(f"fail_prob must be a real number, got {fail_prob!r}")
     if not 0.0 < fail_prob < 1.0:
         raise ValueError("fail_prob must lie in (0, 1)")
-    gamma = 1.0 / (3.0 * math.sqrt(T))
-    delta = 1.0 / (20.0 * k * T**1.5)
+    try:
+        gamma = 1.0 / (3.0 * math.sqrt(T))
+        delta = 1.0 / (20.0 * k * T**1.5)
+        d = randomized_dimension(T, fail_prob)
+    except OverflowError:
+        name, value = ("k", k) if k > FLOAT_MAX else ("T", T)
+        why = f"keep gamma, delta and the dimension d within the float range at fail_prob = {fail_prob}"
+        raise ValueError(refusal(name, why, value)) from None
     params = InstanceParams(
         T=T,
         k=k,
         m=T,
-        d=randomized_dimension(T, fail_prob),
+        d=d,
         gamma=gamma,
         delta=delta,
         mode=RANDOMIZED,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -47,10 +46,7 @@ from .instance import (
     check_in_ball,
     validate,
 )
-from .streams import as_integer, refusal, stream
-
-
-_FLOAT_MAX = sys.float_info.max
+from .streams import FLOAT_MAX, as_integer, refusal, stream
 
 
 class OracleExhaustedError(RuntimeError):
@@ -199,9 +195,9 @@ class _ResistingOracle:
             raise ValueError(refusal("rescale", "be positive and finite", rescale))
         # 0 for an integer or Fraction past the largest float, or so small
         # that it rounds to 0 (its text may be too long to print)
-        scale = float(rescale) if rescale <= _FLOAT_MAX else 0.0
+        scale = float(rescale) if rescale <= FLOAT_MAX else 0.0
         if scale == 0.0:
-            raise ValueError(f"rescale must lie in the range of positive floats, up to {_FLOAT_MAX!r}")
+            raise ValueError(f"rescale must lie in the range of positive floats, up to {FLOAT_MAX!r}")
         mc_samples = as_integer(mc_samples, "mc_samples")
         minimum = max(2, 2**params.k)
         if mc_samples < minimum:

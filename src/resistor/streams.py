@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import zlib
 
 import numpy as np
+
+FLOAT_MAX = sys.float_info.max
 
 
 def refusal(name: str, requirement: str, value) -> str:

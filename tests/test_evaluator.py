@@ -788,6 +788,85 @@ def test_estimators_answer_two_contender_points_in_closed_form(T, k, seed, u, da
                 estimate(deeper, x, budget=MCBudget(16, seed))
 
 
+def _standard_point(T: int, k: int, seed: int, u: float, kind: str) -> tuple[HardInstance, np.ndarray]:
+    """audit_instance(T, k, seed) and a point of one kind: pieces i and j
+    about 0.3 - gamma or more above the rest, j sitting (1.5 + u) 2 k delta
+    below i ("exact") or u 2 k delta below it ("two-piece"), a third piece
+    l tied with i as well ("three-way"), or a NaN coordinate, where every
+    piece contends ("nan")."""
+    inst = audit_instance(T, k, seed)
+    i, j, l = stream(seed, "standard-point").choice(T, 3, replace=False)
+    a, b = inst.piece_matrix, inst.piece_shifts
+    gap = (1.5 + u if kind == "exact" else u) * 2 * k * inst.params.delta
+    x = 0.3 * a[i] + (0.3 + b[i] - b[j] - gap) * a[j]
+    if kind == "three-way":
+        x += (0.3 + b[i] - b[l]) * a[l]
+    if kind == "nan":
+        x[0] = math.nan
+    return inst, x
+
+
+def _draws(call) -> tuple[bool, object]:
+    """Whether call() draws from a stream of evaluator's, and its result."""
+    drawn = []
+    real = evaluator.stream
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "stream", lambda *args: drawn.append(args) or real(*args))
+        result = call()
+    return bool(drawn), result
+
+
+def _bits(estimate) -> bytes:
+    return b"".join(np.asarray(part).tobytes() for part in estimate)
+
+
+@given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 2**31), st.floats(0.0, 0.999),
+       st.sampled_from(["exact", "two-piece", "three-way", "nan"]))
+@settings(max_examples=80, deadline=None)
+def test_an_estimate_samples_exactly_where_the_answer_does(T, k, seed, u, kind):
+    # answers and estimates share one tie-band rule; where it gives a closed
+    # form, the estimates are the answer's value and gradient before
+    # norm_denom, bit for bit
+    inst, x = _standard_point(T, k, seed, u, kind)
+    values, keep = affine_regime(inst, x)
+    budget = MCBudget(2 ** (k + 1), seed)
+    sampled, answer = _draws(lambda: regime_answer(inst, x, values, keep, budget))
+    assert sampled == (kind in ("three-way", "nan") or (kind == "two-piece" and k == 3))
+    estimates = [partial(smoothed_value_mc, inst, x, budget), partial(smoothed_gradient_mc, inst, x, budget)]
+    estimates += [partial(_tensor_coords_mc, inst, x, j, budget) for j in range(1, k + 1)]
+    (value_drawn, (value, _)), (gradient_drawn, (gradient, _)), *tensors = map(_draws, estimates)
+    assert value_drawn == gradient_drawn == sampled
+    assert all(drawn == sampled for drawn, _ in tensors)
+    if not sampled:
+        denom = inst.params.norm_denom
+        assert denom > 1.0
+        assert _f64(answer.value) == _f64(value / denom)
+        assert answer.gradient.tobytes() == (gradient / denom).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_without_a_law_a_two_piece_tie_is_sampled(monkeypatch, k):
+    # _two_piece_law alone says where the closed form applies: where it
+    # gives none, the answer and every estimate carry the samplers' bits
+    inst, x = _standard_point(9, k, 0, 0.5, "two-piece")
+    values, keep = affine_regime(inst, x)
+    frame = _contender_frame(inst, values, keep)
+    budget = MCBudget(64, 1)
+    monkeypatch.setattr(evaluator, "_two_piece_law", lambda *args: None)
+    drawn, answer = _draws(lambda: regime_answer(inst, x, values, keep, budget))
+    assert drawn and answer.mismatch(monte_carlo_answer(inst, x, budget, frame)) == ""
+    pairs = [
+        (partial(smoothed_value_mc, inst, x, budget),
+         smoothed_value_mc(inst, x, budget, contender_frame=frame)),
+        (partial(smoothed_gradient_mc, inst, x, budget), sampled_gradient(inst, x, budget)),
+    ]
+    pairs += [(partial(_tensor_coords_mc, inst, x, j, budget), sampled_tensor_coords(inst, x, j, budget))
+              for j in range(1, k + 1)]
+    for estimate, sampler in pairs:
+        drawn, result = _draws(estimate)
+        assert drawn and _bits(result) == _bits(sampler)
+
+
 class TestDerivativeTensors:
     def test_abs_hessian_closed_form(self):
         # f = |x_1| smoothed twice: f'' = (2 delta - |x_1|) / (2 delta^2) inside

@@ -205,6 +205,8 @@ PINNED_HELP = {
     "sweep": "1deeeca74d974dcf2ca43a8a032805a51a0ae9d1e224d97c3e8da713b016c85c",
     "verify": "e347601f547861cf7a30e6f7fcf6142cca79a7b689467fbb2bbac82a801be196",
 }
+# the `grid --budgets 4 9 25 100 400 --seed 0` table without its time column
+PINNED_ACCEPTANCE_GRID = "550fb4dc8f059586575218e00e1db9fc78800d3f0bcb8f9cbba87a3270347345"
 
 
 def test_verify_stdout_is_pinned(capsys):
@@ -374,6 +376,18 @@ class TestVerifyInvariance:
         audit = verify_invariance(wide, n_points=40, samples=4_000, seed=1)
         assert audit.passed
         assert audit.n_monte_carlo > 0
+
+    @pytest.mark.parametrize(
+        "audit, samples",
+        [(verify_invariance, 1), (lambda inst, samples: verify_lipschitz(inst, 1, samples=samples), 3)],
+    )
+    def test_budget_refused_before_any_pair_is_drawn(self, monkeypatch, audit, samples):
+        # at T = 25 no invariance pair lands in the tie band, so only the
+        # entry check can refuse the budget
+        inst = audit_instance(25, 1)
+        monkeypatch.setattr(harness, "sample_ball", _queried)
+        with pytest.raises(ValueError, match=f"needs n_samples >= {samples + 1} .* got {samples}$"):
+            audit(inst, samples=samples)
 
     def test_needs_orthogonal_complement(self):
         p = InstanceParams(T=2, k=1, m=2, d=2, gamma=0.1, delta=0.01, mode=DETERMINISTIC)
@@ -583,6 +597,11 @@ class TestCLI:
         rand = [line.split() for line in out[-3:-1]]
         assert [row[:4] for row in rand] == [["rand", "psg", "1", "4"], ["rand", "psg", "1", "9"]]
         assert all(row[6:8] == ["exact", "held"] for row in rand)
+        # the acceptance grid prints the same table, time column aside
+        assert cli.main(["grid", "--budgets", "4", "9", "25", "100", "400", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = "\n".join([*(line.rsplit(None, 1)[0] for line in lines[:-1]), lines[-1]])
+        assert _sha256(table) == PINNED_ACCEPTANCE_GRID
 
     def test_grid_exit_code_reflects_failures(self, monkeypatch, capsys):
         real = cli.run_experiment
@@ -662,6 +681,34 @@ def test_run_refuses_an_argument_before_any_query(config, name):
         patch.setattr(harness, "run_method", _queried)
         with pytest.raises(RefusedArgument, match=name):
             run_experiment(config)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: params_deterministic(10**400, 1), "T"),
+        (lambda: params_deterministic(4, 10**400), "k"),
+        (lambda: params_randomized(10**400, 1, 0.2), "T"),
+        (lambda: params_randomized(4, 10**400, 0.2), "k"),
+        (lambda: params_randomized(10**103, 1, 0.2), "T"),
+        (lambda: params_randomized(4, 1, 5e-324), "T"),
+        (lambda: rescale_to_smoothness(10**400, 1, 4), "L_target"),
+        (lambda: rescale_to_smoothness(1.0, 200, 4), "k"),
+        (["run", "--T", "4", "--k", "200", "--rescale-L", "1"], "k"),
+        (["run", "--T", str(10**400)], "T"),
+    ],
+)
+def test_numbers_past_the_float_range_are_refused_by_name(capsys, call, name):
+    # float arithmetic on these overflowed: an OverflowError naming no
+    # argument, and a traceback at the CLI
+    if callable(call):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call()
+        return
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(call)
+    assert exit_info.value.code == 2
+    assert f"run: {name} must" in capsys.readouterr().err
 
 
 # A string without digits, so that no CLI flag parses it as a valid number.
