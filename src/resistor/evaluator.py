@@ -83,7 +83,7 @@ import numpy as np
 
 from .geometry import dot_norm, frozen, sample_ball, sample_sphere
 from .instance import HardInstance, check_in_ball, span_basis
-from .streams import FLOAT_MAX, as_count, as_seed, child_seed, refusal, stream
+from .streams import as_count, as_scale, as_seed, child_seed, power_of_two, refusal, stream
 
 DEFAULT_VALUE_SAMPLES = 100_000
 
@@ -443,10 +443,10 @@ def _check_budget(instance: HardInstance, order: int, budget: MCBudget) -> None:
     standard error needs."""
     if instance.num_pieces == 0:
         raise ValueError("instance has no pieces to evaluate")
-    if budget.n_samples < 2 ** (order + 1):
+    if budget.n_samples.bit_length() <= order + 1:  # below 2^(order + 1)
         what = "a Monte-Carlo value" if order == 0 else f"an order-{order} Monte-Carlo estimate"
-        why = "for a standard error" if order == 0 else f"(two draws at {2 ** order} sign flips each)"
-        raise ValueError(f"{what} needs n_samples >= {2 ** (order + 1)} {why}, got {budget.n_samples}")
+        why = "for a standard error" if order == 0 else f"(two draws at {power_of_two(order)} sign flips each)"
+        raise ValueError(f"{what} needs n_samples >= {power_of_two(order + 1)} {why}, got {budget.n_samples}")
 
 
 def _tensor_coords_mc(
@@ -881,16 +881,14 @@ def rescale_to_smoothness(L_target: float, k: int, T: int) -> float:
 
     Scaling every oracle output by s gives a function whose order-k
     smoothness coefficient is at most L_target, with suboptimality floor
-    s / (2 sqrt(T)).
+    s / (2 sqrt(T)). L_target, T and s must each pass streams.as_scale;
+    an s past the float range or rounding to 0 is refused by k.
     """
-    if not (0 < L_target < math.inf):
-        raise ValueError(refusal("L_target", "be positive and finite", L_target))
+    L_target, _ = as_scale(L_target, "L_target"), as_scale(T, "T")
     try:
-        return L_target / ((10.0 * k) ** k * T ** (2.5 * k))
-    except OverflowError:
-        if L_target > FLOAT_MAX:
-            raise ValueError(refusal("L_target", "lie within the float range", L_target)) from None
-        raise ValueError(refusal("k", f"keep (10 k)^k T^(2.5 k) within the float range at T = {T}", k)) from None
+        return as_scale(L_target / ((10.0 * k) ** k * T ** (2.5 * k)), "s")
+    except (OverflowError, ValueError):
+        raise ValueError(refusal("k", f"keep s in the range of positive floats at T = {T}", k)) from None
 
 
 def suboptimality_certificate(

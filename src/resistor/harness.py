@@ -41,7 +41,7 @@ from .instance import (
 )
 from .oracles import AdaptiveOracle, RandomizedOracle, event_e_check
 from .optimizers import check_method, run_method
-from .streams import as_count, as_integer, refusal, stream
+from .streams import as_count, as_integer, as_scale, refusal, stream
 
 # Samples per Monte-Carlo estimate in the smoothness and invariance audits,
 # and the pairs per Lipschitz order (points for invariance) of an audit.
@@ -305,10 +305,11 @@ def verify_lipschitz(
     in Frobenius norm, each lifted through its own contender frame Q,
     both estimated on one common-random-numbers seed (the reported
     errors are Frobenius bounds already). A NaN ratio or error makes
-    max_ratio or max_excess NaN and fails the audit. Orders above 2 raise UnsupportedOrderError, and
-    n_pairs below 1 a ValueError.
+    max_ratio or max_excess NaN and fails the audit. Orders above 2 raise UnsupportedOrderError,
+    n_pairs below 1 a ValueError, and rescale must pass streams.as_scale
+    (a zero one would pass the audit on no evidence).
     """
-    n_pairs = as_count(n_pairs, "n_pairs")
+    n_pairs, rescale = as_count(n_pairs, "n_pairs"), as_scale(rescale, "rescale")
     root = MCBudget(samples, seed)
     params = instance.params
     if order > 2:

@@ -25,7 +25,7 @@ from .geometry import (
     frozen,
     orthonormal_extend,
 )
-from .streams import FLOAT_MAX, as_integer, refusal
+from .streams import as_integer, in_float_range, refusal
 
 DETERMINISTIC = "deterministic"
 RANDOMIZED = "randomized"
@@ -96,38 +96,16 @@ def certified_floor_margin(params: InstanceParams) -> float:
 def params_deterministic(T: int, k: int, d: int | None = None) -> InstanceParams:
     """Deterministic-mode schedule: gamma = 1/(3 sqrt(T)), delta = gamma/(3 k T).
 
-    T, k and d must be integers (see streams.as_integer); d defaults to
-    T + 1 and may only be raised. Rejects budgets whose closed-form
-    certificate cannot clear the 1/(2 sqrt(T)) floor.
+    T, k, then d are checked (see _schedule); d must be an integer (see
+    streams.as_integer), defaults to T + 1 and may only be raised.
     """
-    T, k = as_integer(T, "T"), as_integer(k, "k")
-    if T < 1 or k < 1:
-        raise ValueError("T and k must be positive integers")
-    try:
-        gamma = 1.0 / (3.0 * math.sqrt(T))
-        delta = gamma / (3.0 * k * T)
-    except OverflowError:
-        name, value = ("T", T) if T > FLOAT_MAX else ("k", k)
-        raise ValueError(refusal(name, "lie within the float range", value)) from None
-    d = T + 1 if d is None else as_integer(d, "d")
-    if d <= T:
-        raise ValueError(refusal("d", f"satisfy d > T = {T} in deterministic mode", d))
-    params = InstanceParams(
-        T=T,
-        k=k,
-        m=T,
-        d=d,
-        gamma=gamma,
-        delta=delta,
-        mode=DETERMINISTIC,
-        norm_denom=1.0 + (1.0 - 1.0 / T) * gamma,
-    )
-    if certified_floor_margin(params) < 0:
-        raise ValueError(
-            f"T={T} cannot certify the 1/(2*sqrt(T)) floor "
-            f"(margin {certified_floor_margin(params):.3e} < 0)"
-        )
-    return params
+    def rates(T: int, k: int, gamma: float) -> tuple[float, int, float]:
+        dim = T + 1 if d is None else as_integer(d, "d")
+        if dim <= T:
+            raise ValueError(refusal("d", f"satisfy d > T = {T} in deterministic mode", dim))
+        return gamma / (3.0 * k * T), dim, 1.0 + (1.0 - 1.0 / T) * gamma
+
+    return _schedule(T, k, DETERMINISTIC, rates)
 
 
 def randomized_dimension(T: int, fail_prob: float) -> int:
@@ -138,38 +116,44 @@ def randomized_dimension(T: int, fail_prob: float) -> int:
 def params_randomized(T: int, k: int, fail_prob: float) -> InstanceParams:
     """Randomized-mode schedule: gamma = 1/(3 sqrt(T)), delta = 1/(20 k T^1.5).
 
-    T and k must be integers (see streams.as_integer), fail_prob a real
-    number. The ambient dimension is the smallest integer that pushes the
-    union bound over the basis-query correlations below fail_prob.
+    T, k, then fail_prob, a real number in (0, 1), are checked (see
+    _schedule). The ambient dimension is the smallest integer that pushes
+    the union bound over the basis-query correlations below fail_prob.
     """
+    def rates(T: int, k: int, gamma: float) -> tuple[float, int, float]:
+        if not isinstance(fail_prob, numbers.Real):
+            raise TypeError(f"fail_prob must be a real number, got {fail_prob!r}")
+        if not 0.0 < fail_prob < 1.0:
+            raise ValueError("fail_prob must lie in (0, 1)")
+        return 1.0 / (20.0 * k * T**1.5), randomized_dimension(T, fail_prob), 1.0
+
+    return _schedule(T, k, RANDOMIZED, rates, fail_prob)
+
+
+def _schedule(T: int, k: int, mode: str, rates: Callable, fail_prob: float | None = None) -> InstanceParams:
+    """The params of gamma = 1/(3 sqrt(T)) and (delta, d, norm_denom) =
+    rates(T, k, gamma), which checks the mode's own argument first, for
+    positive integers T and k (see streams.as_integer). They are refused
+    unless validate passes them, so a rate past the float range or a delta
+    rounded to 0 fails closed; the refusal names k where T passes at k = 1,
+    else T."""
     T, k = as_integer(T, "T"), as_integer(k, "k")
     if T < 1 or k < 1:
         raise ValueError("T and k must be positive integers")
-    if not isinstance(fail_prob, numbers.Real):
-        raise TypeError(f"fail_prob must be a real number, got {fail_prob!r}")
-    if not 0.0 < fail_prob < 1.0:
-        raise ValueError("fail_prob must lie in (0, 1)")
     try:
         gamma = 1.0 / (3.0 * math.sqrt(T))
-        delta = 1.0 / (20.0 * k * T**1.5)
-        d = randomized_dimension(T, fail_prob)
+        delta, d, norm_denom = rates(T, k, gamma)
     except OverflowError:
-        name, value = ("k", k) if k > FLOAT_MAX else ("T", T)
-        why = f"keep gamma, delta and the dimension d within the float range at fail_prob = {fail_prob}"
-        raise ValueError(refusal(name, why, value)) from None
-    params = InstanceParams(
-        T=T,
-        k=k,
-        m=T,
-        d=d,
-        gamma=gamma,
-        delta=delta,
-        mode=RANDOMIZED,
-        norm_denom=1.0,
-        fail_prob=fail_prob,
-    )
-    if certified_floor_margin(params) < 0:
-        raise ValueError(f"T={T} cannot certify the 1/(2*sqrt(T)) floor")
+        problems = ["its rates lie past the float range" + (f" at fail_prob = {fail_prob}" if fail_prob else "")]
+    else:
+        params = InstanceParams(T, k, T, d, gamma, delta, mode, norm_denom, fail_prob)
+        problems = validate(params)
+    if problems:
+        try:  # k is at fault where T passes at k = 1
+            name, value = ("k", k) if k > 1 and _schedule(T, 1, mode, rates, fail_prob) else ("T", T)
+        except ValueError:
+            name, value = "T", T
+        raise ValueError(refusal(name, f"give a usable {mode} schedule ({'; '.join(problems)})", value))
     return params
 
 
@@ -200,17 +184,25 @@ def check_in_ball(x: np.ndarray) -> None:
 def validate(params: InstanceParams) -> list[str]:
     """Named inequality violations; empty iff the params are usable.
 
-    Every test is written as `not (condition)`, so a NaN parameter fails
-    it instead of passing.
+    The one home of the rules every schedule passes (see _schedule):
+    positivity, the float range, the band 2k*delta <= gamma/m, the mode's
+    dimension and the certified floor. Every test is written as `not
+    (condition)`, so a NaN parameter fails it instead of passing; a number
+    past the float range is listed, not raised.
     """
     v: list[str] = []
     if not (params.gamma > 0):
         v.append("gamma > 0 violated")
     if not (params.delta > 0):
         v.append("delta > 0 violated")
+    if params.norm_denom <= 0:  # a NaN fails the floor test instead
+        v.append("norm_denom > 0 violated")
     if params.m < 1 or params.T < 1 or params.k < 1:
         v.append("T, k, m must be positive")
         return v
+    if not in_float_range(max(params.T, params.k, params.m, abs(params.d))):
+        past = [f for f in ("T", "k", "m", "d") if not in_float_range(getattr(params, f))]
+        return v + [f"{f} past the float range" for f in past]
     lhs = 2.0 * params.k * params.delta
     rhs = params.gamma / params.m
     if not (lhs <= rhs):
@@ -219,25 +211,21 @@ def validate(params: InstanceParams) -> list[str]:
         if params.d <= params.T:
             v.append("d > T violated")
     elif params.mode == RANDOMIZED:
-        margin = lhs + 1.0 / (10.0 * params.T**1.5)
-        cap = params.gamma / params.T
-        if not (margin < cap):
-            v.append(
-                f"2k*delta + 1/(10*T^1.5) < gamma/T violated: {margin:.6g} >= {cap:.6g}"
-            )
-        if params.fail_prob is None or not 0.0 < params.fail_prob < 1.0:
-            v.append("fail_prob in (0, 1) required in randomized mode")
-        else:
-            dmin = randomized_dimension(params.T, params.fail_prob)
-            if params.d < dmin:
+        try:  # T^1.5, and the dimension's T^3 and T^2 / fail_prob, may overflow
+            margin = lhs + 1.0 / (10.0 * params.T**1.5)
+            cap = params.gamma / params.T
+            if not (margin < cap):
+                v.append(f"2k*delta + 1/(10*T^1.5) < gamma/T violated: {margin:.6g} >= {cap:.6g}")
+            if params.fail_prob is None or not 0.0 < params.fail_prob < 1.0:
+                v.append("fail_prob in (0, 1) required in randomized mode")
+            elif params.d < (dmin := randomized_dimension(params.T, params.fail_prob)):
                 v.append(f"d >= {dmin} violated: d = {params.d}")
+        except OverflowError:
+            v.append(f"randomized rates past the float range at T = {params.T}, fail_prob = {params.fail_prob}")
     else:
         v.append(f"unknown mode {params.mode!r}")
-    if not v and not (certified_floor_margin(params) >= 0):
-        v.append(
-            "floor 1/(2*sqrt(T)) not certifiable: worst-query margin "
-            f"{certified_floor_margin(params):.6g} < 0"
-        )
+    if not v and not ((margin := certified_floor_margin(params)) >= 0):
+        v.append(f"floor 1/(2*sqrt(T)) not certifiable: worst-query margin {margin:.6g} < 0")
     return v
 
 

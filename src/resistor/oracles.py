@@ -19,8 +19,6 @@ regime follows from its affine_index.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -46,7 +44,7 @@ from .instance import (
     check_in_ball,
     validate,
 )
-from .streams import FLOAT_MAX, as_integer, refusal, stream
+from .streams import as_integer, as_scale, power_of_two, refusal, stream
 
 
 class OracleExhaustedError(RuntimeError):
@@ -176,9 +174,9 @@ class _ResistingOracle:
     with a standard error, 2^k for the order-k tensor's two draws at 2^k
     sign flips each, out of its 2 * mc_samples evaluations. Query t's
     budget, when answered and replayed, is budget.child("mc", t). rescale
-    must be a positive finite real number (not a bool) whose float is
-    positive and finite: any other would answer NaN, inf, 0 or flipped
-    values. It is kept as a float, so every answer's scalars are floats.
+    must pass streams.as_scale (any other would answer NaN, inf, 0 or
+    flipped values) and is kept as that float, so every answer's scalars
+    are floats.
     """
 
     def __init__(
@@ -189,23 +187,14 @@ class _ResistingOracle:
         rescale: float,
         instance: HardInstance,
     ):
-        if isinstance(rescale, bool) or not isinstance(rescale, numbers.Real):
-            raise TypeError(refusal("rescale", "be a real number", rescale))
-        if not (0.0 < rescale < math.inf):
-            raise ValueError(refusal("rescale", "be positive and finite", rescale))
-        # 0 for an integer or Fraction past the largest float, or so small
-        # that it rounds to 0 (its text may be too long to print)
-        scale = float(rescale) if rescale <= FLOAT_MAX else 0.0
-        if scale == 0.0:
-            raise ValueError(f"rescale must lie in the range of positive floats, up to {FLOAT_MAX!r}")
+        self.rescale = as_scale(rescale, "rescale")
         mc_samples = as_integer(mc_samples, "mc_samples")
-        minimum = max(2, 2**params.k)
-        if mc_samples < minimum:
+        if mc_samples < 2 or mc_samples.bit_length() <= params.k:  # below max(2, 2^k)
+            minimum = power_of_two(max(1, params.k))
             requirement = f"be at least {minimum} for a Monte-Carlo answer of order {params.k}"
             raise ValueError(refusal("mc_samples", requirement, mc_samples))
         self.params = params
         self.budget = MCBudget(mc_samples, seed)
-        self.rescale = scale
         self.transcript = Transcript(params)
         self._instance = instance
 

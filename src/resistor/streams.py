@@ -10,6 +10,7 @@ seed's draws.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 import zlib
@@ -42,6 +43,27 @@ def as_integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(refusal(name, "be an integer", value)) from None
+
+
+def as_scale(value, name: str) -> float:
+    """value as a float: a real number (not a bool) whose float is positive
+    and finite passes, any other raises an error that names the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(refusal(name, "be a real number", value))
+    scale = float(value) if 0 < value <= FLOAT_MAX else 0.0
+    if scale == 0.0:
+        raise ValueError(refusal(name, f"lie in the range of positive floats, up to {FLOAT_MAX!r}", value))
+    return scale
+
+
+def in_float_range(value: int) -> bool:
+    """Whether float(value) is finite and raises no OverflowError."""
+    return abs(value) <= FLOAT_MAX
+
+
+def power_of_two(j: int) -> str:
+    """2^j as text: its digits up to 2^64, else "2^j", the power unbuilt."""
+    return str(2**j) if j <= 64 else f"2^{j}"
 
 
 def as_count(value, name: str) -> int:

@@ -564,6 +564,16 @@ def test_child_budget_is_refused_as_the_eager_one(tied_oracle):
             smoothed_gradient_mc(oracle.instance, exact, budget)
 
 
+def test_a_budget_short_of_a_large_order_is_refused_by_bit_length(plane_instance):
+    # the order-k floor 2^(k+1) was built and printed, and past the digit
+    # limit its text raised an error that named nothing
+    params = dataclasses.replace(plane_instance.params, k=20_000)
+    instance = dataclasses.replace(plane_instance, params=params)
+    x = np.array([0.0, 0.05, 0.0])
+    with pytest.raises(ValueError, match=r"needs n_samples >= 2\^20001 \(two draws at 2\^20000 sign flips each\), got 200$"):
+        monte_carlo_answer(instance, x, MCBudget(100, 0), contender_frame_at(instance, x))
+
+
 class TestSmoothedValue:
     def test_one_piece_unbiased(self):
         p = params_deterministic(4, 1)

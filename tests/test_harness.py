@@ -201,6 +201,8 @@ PINNED_JSON_REPORTS = {
 }
 PINNED_SWEEP_REPORT = "7e879bbe4720d09d960601f2bc22ff5d30aa5b30eec0ceb4aecf6e6146d34dba"
 PINNED_HELP = {
+    "grid": "9e150210d1b509119ba15020be134ebc76325f398c7191959a5dbcd9685e88d8",
+    "resistor": "a4567fcb6cdb52c596836f3e1a592144ac4521ef38c36928e07f2553c183fbea",
     "run": "60ca2d421bd08eef3aa57c28a87dc6663adcdd928b1e25f8c92ccb3486f6b496",
     "sweep": "1deeeca74d974dcf2ca43a8a032805a51a0ae9d1e224d97c3e8da713b016c85c",
     "verify": "e347601f547861cf7a30e6f7fcf6142cca79a7b689467fbb2bbac82a801be196",
@@ -230,10 +232,11 @@ def test_sweep_report_bytes_are_pinned(tmp_path):
 
 @pytest.mark.parametrize("command", sorted(PINNED_HELP))
 def test_help_text_is_pinned(monkeypatch, capsys, command):
-    # argparse wraps at the terminal width, read from COLUMNS
+    # argparse wraps at the terminal width, read from COLUMNS; "resistor"
+    # is the top-level help
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exit_info:
-        cli.main([command, "--help"])
+        cli.main([*([] if command == "resistor" else [command]), "--help"])
     assert exit_info.value.code == 0
     assert _sha256(capsys.readouterr().out) == PINNED_HELP[command]
 
@@ -696,11 +699,23 @@ def test_run_refuses_an_argument_before_any_query(config, name):
         (lambda: rescale_to_smoothness(1.0, 200, 4), "k"),
         (["run", "--T", "4", "--k", "200", "--rescale-L", "1"], "k"),
         (["run", "--T", str(10**400)], "T"),
+        # delta = gamma/(3kT) or 1/(20 k T^1.5) rounds to 0, a tie band of
+        # zero; the schedule passed
+        (lambda: params_deterministic(4, 10**308), "k"),
+        (lambda: params_randomized(4, 10**308, 0.2), "k"),
+        (lambda: params_deterministic(10**300, 10**10), "T"),
+        # the multiplier rounds to 0: refused as rescale, or as k where T
+        # is past the float range
+        (lambda: rescale_to_smoothness(1.0, 100, 4), "k"),
+        (lambda: rescale_to_smoothness(1.0, 1, 10**400), "T"),
+        (["run", "--T", "4", "--k", "100", "--rescale-L", "1"], "k"),
+        # the sample floor 2^k has past 4300 digits: its text raised
+        (["run", "--T", "4", "--k", "20000"], "mc_samples"),
     ],
 )
 def test_numbers_past_the_float_range_are_refused_by_name(capsys, call, name):
-    # float arithmetic on these overflowed: an OverflowError naming no
-    # argument, and a traceback at the CLI
+    # float arithmetic on these overflowed or rounded to 0: an error naming
+    # no argument or the wrong one, and a traceback at the CLI
     if callable(call):
         with pytest.raises(ValueError, match=f"^{name} must"):
             call()
@@ -709,6 +724,16 @@ def test_numbers_past_the_float_range_are_refused_by_name(capsys, call, name):
         cli.main(call)
     assert exit_info.value.code == 2
     assert f"run: {name} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rescale", [0, 0.0, -1.0, math.nan, math.inf, 10**400, Fraction(1, 10**400)])
+def test_a_lipschitz_audit_refuses_a_scale_it_cannot_count_on(rescale):
+    # a zero rescale made every ratio and bound 0, and the audit passed on
+    # no evidence; a NaN or infinite one ran every pair to a failure
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "stream", _queried)
+        with pytest.raises(ValueError, match="^rescale must lie in the range of positive floats"):
+            verify_lipschitz(_AUDITED, 0, rescale=rescale)
 
 
 # A string without digits, so that no CLI flag parses it as a valid number.

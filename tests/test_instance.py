@@ -28,7 +28,7 @@ from resistor.instance import (
     to_json,
     validate,
 )
-from resistor.oracles import AdaptiveOracle
+from resistor.oracles import AdaptiveOracle, RandomizedOracle
 from resistor.streams import stream
 
 from conftest import unit
@@ -54,6 +54,12 @@ class TestDeterministicParams:
             params_deterministic(2, 1)
         with pytest.raises(ValueError, match="floor"):
             params_deterministic(1, 1)
+
+    @pytest.mark.parametrize("k", [1, 3, 10**6])
+    def test_an_uncertifiable_budget_is_refused_as_T_at_any_order(self, k):
+        # the floor rule reads T alone: k is named only where T passes at k = 1
+        with pytest.raises(ValueError, match="^T must give a usable deterministic schedule .*floor"):
+            params_deterministic(2, k)
 
     @pytest.mark.parametrize("T, k, name", [(4.5, 1, "T"), (True, 1, "T"), (4, 1.5, "k"), (4, False, "k")])
     def test_schedules_refuse_a_budget_or_order_that_is_not_an_integer(self, T, k, name):
@@ -287,6 +293,44 @@ class TestValidate:
     def test_nan_norm_denom_fails_floor_check(self):
         p = dataclasses.replace(params_deterministic(9, 1), norm_denom=math.nan)
         assert any("not certifiable" in v for v in validate(p))
+
+    @pytest.mark.parametrize("norm_denom", [0.0, -1.0])
+    def test_a_norm_denom_of_at_most_0_is_listed(self, norm_denom):
+        # the floor margin divided by 0 and raised a ZeroDivisionError
+        p = dataclasses.replace(params_deterministic(9, 1), norm_denom=norm_denom)
+        assert validate(p) == ["norm_denom > 0 violated"]
+
+    @pytest.mark.parametrize("field", ["T", "k", "m", "d"])
+    def test_an_integer_past_the_float_range_is_listed(self, field):
+        # the float arithmetic on it raised an OverflowError naming nothing
+        for params in (params_deterministic(4, 1), params_randomized(4, 1, 0.2)):
+            assert f"{field} past the float range" in validate(dataclasses.replace(params, **{field: 10**400}))
+        with pytest.raises(ValueError, match=f"^invalid params: {field} past the float range"):
+            RandomizedOracle(dataclasses.replace(params_randomized(4, 1, 0.2), **{field: 10**400}))
+
+    @pytest.mark.parametrize("fail_prob", [0.2, 5e-324])
+    def test_randomized_rates_past_the_float_range_are_listed(self, fail_prob):
+        # T^1.5, or the dimension's T^3 * log(T^2 / fail_prob), overflows
+        p = dataclasses.replace(params_randomized(4, 1, 0.2), T=10**250, fail_prob=fail_prob)
+        assert any("randomized rates past the float range" in v for v in validate(p))
+
+
+@given(st.integers(1, 10**400), st.integers(1, 10**400), st.sampled_from(["det", "rand"]))
+@example(4, 10**308, "det")
+@example(10**300, 10**10, "det")
+@example(4, 10**308, "rand")
+@example(10**103, 1, "rand")
+@example(2, 3, "det")
+@settings(max_examples=200, deadline=None)
+def test_a_schedule_is_usable_or_refused_by_name(T, k, mode):
+    # every schedule passes validate, with a positive delta (a tie band),
+    # or is refused naming T or k; no error of the float arithmetic escapes
+    try:
+        params = params_deterministic(T, k) if mode == "det" else params_randomized(T, k, 0.2)
+    except (ValueError, TypeError) as exc:
+        assert str(exc).startswith(("T must", "k must"))
+        return
+    assert validate(params) == [] and params.delta > 0
 
 
 @given(st.integers(0, 2**31), st.integers(3, 7))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -357,6 +358,24 @@ def test_a_rescale_outside_the_float_range_is_refused_by_name(cls, rescale):
     with pytest.raises(ValueError, match="rescale must lie in the range of positive floats"):
         cls(params, rescale=rescale)
     assert cls(params, rescale=Fraction(sys.float_info.max)).rescale == sys.float_info.max
+
+
+@pytest.mark.parametrize("k, minimum", [(1, 2), (2, 4), (3, 8)])
+def test_the_sample_floor_is_max_2_and_2_to_the_k(k, minimum):
+    params = params_deterministic(9, k)
+    assert AdaptiveOracle(params, mc_samples=minimum).budget.n_samples == minimum
+    for short in (minimum - 1, 1, 0, -minimum):
+        with pytest.raises(ValueError, match=f"^mc_samples must be at least {minimum} for .* order {k}, got"):
+            AdaptiveOracle(params, mc_samples=short)
+
+
+def test_the_sample_floor_of_a_large_order_is_refused_unbuilt():
+    # the floor 2^k was built and printed: a 10^8-bit integer, past the
+    # digit limit, whose text raised an error that named nothing
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^mc_samples must be at least 2\^100000000 for .*, got 100000$"):
+        AdaptiveOracle(params_deterministic(4, 10**8))
+    assert time.perf_counter() - start < 1.0
 
 
 class TestRandomizedOracle:
