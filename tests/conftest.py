@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,23 @@ def plane_instance() -> HardInstance:
     )
     basis = OrthonormalBasis(np.vstack([unit(3, 0), unit(3, 1)]))
     return HardInstance.from_basis(params, basis)
+
+
+_JSON_MARGIN = re.compile(rb'("event_e_margin": )[^,}\n]*')
+
+
+def margins_masked(data: bytes) -> bytes:
+    """A report's or transcript's bytes with every event_e_margin value
+    blanked: a CSV report's column emptied, each JSON value made null. A
+    pin of these bytes holds while only margins move."""
+    if not data.startswith(b"iter,"):
+        return _JSON_MARGIN.sub(rb"\1null", data)
+    lines = [line.split(b",") for line in data.split(b"\n")]
+    col = lines[0].index(b"event_e_margin")
+    for fields in lines[1:]:
+        if len(fields) > col:
+            fields[col] = b""
+    return b"\n".join(b",".join(fields) for fields in lines)
 
 
 def reference_locally_affine_index(

@@ -55,6 +55,7 @@ from conftest import (
     dense_tensor_coords_mc,
     dense_value_mc,
     fd_gradient_crn,
+    margins_masked,
     reference_locally_affine_index,
     sampled_gradient,
     sampled_tensor_coords,
@@ -978,15 +979,26 @@ def test_tie_client_answers_are_the_exact_tie():
 # SHA-256 of the tie client's transcript (_tie_client, then finalize),
 # written with every vector: the bytes of eight two-piece answers.
 PINNED_TIE_TRANSCRIPT = "f2a962f2f268c16ad2d0051348d3e2189691e2c3b201b42e40105050e915dd0d"
+# the same bytes with every event_e_margin value blanked (margins_masked)
+PINNED_TIE_TRANSCRIPT_MASKED = "5b21f8ed1a1098896529768b8dde6e0924b0a2616758a20f68da080a8205d08e"
 
 
-def test_tie_client_transcript_bytes_pinned(tmp_path):
+def _tie_transcript(tmp_path) -> bytes:
     oracle, _, _ = _tie_client()
     _, report = oracle.finalize()
     assert report.all_equal
     path = tmp_path / "tie.jsonl"
     oracle.transcript.to_jsonl(path, dump_vectors=True)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TIE_TRANSCRIPT
+    return path.read_bytes()
+
+
+def test_tie_client_transcript_bytes_pinned(tmp_path):
+    assert hashlib.sha256(_tie_transcript(tmp_path)).hexdigest() == PINNED_TIE_TRANSCRIPT
+
+
+def test_tie_client_transcript_bytes_but_margins_pinned(tmp_path):
+    masked = margins_masked(_tie_transcript(tmp_path))
+    assert hashlib.sha256(masked).hexdigest() == PINNED_TIE_TRANSCRIPT_MASKED
 
 
 def _f64(v: float) -> bytes:

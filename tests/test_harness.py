@@ -45,7 +45,7 @@ from resistor.instance import (
 from resistor.optimizers import run_method
 from resistor.oracles import AdaptiveOracle, RandomizedOracle
 
-from conftest import unit
+from conftest import margins_masked, unit
 
 
 class TestRunExperiment:
@@ -176,18 +176,53 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("cell", sorted(PINNED_RUNS), ids=lambda c: "-".join(map(str, c)))
-def test_run_output_bytes_are_pinned(tmp_path, cell):
-    mode, T, k, method = cell
-    out = tmp_path / "run.csv"
-    run_experiment(RunConfig(mode=mode, T=T, k=k, method=method, seed=0, out=str(out)))
-    transcript = tmp_path / "run.csv.transcript.jsonl"
-    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, transcript))
-    assert digests == PINNED_RUNS[cell]
+# The same files with every event_e_margin value blanked (margins_masked):
+# they hold while a change moves margins and nothing else.
+PINNED_RUNS_MASKED = {
+    (DETERMINISTIC, 9, 1, "psg"): (
+        "492367e80bb5a04a01ff611cee336cdcab894bdc09d1890e12dccd974657a1bb",
+        "65375fb75971c1a628eadc5f70a490f995212f3634132c4b1a68483e54e9b611",
+    ),
+    (DETERMINISTIC, 9, 2, "cubic"): (
+        "e0f3450dcf09167436c49ccd2cb71553a7ab79f9a59aa876ce5316a8c522aeef",
+        "1aacf21a447511daa28b8266f37f89031aacb0280dbc87597912aa12c8ab1623",
+    ),
+    (DETERMINISTIC, 16, 1, "agd"): (
+        "ed8b4dac9cefba6341fefe26612916de879148dd4b442331632e416384241d49",
+        "b7d66006c43e85e857c25d11fd5669beb5e8b0d460b1a5f8e4a7111ce7f3d277",
+    ),
+    (RANDOMIZED, 9, 1, "psg"): (
+        "d6dbd6c0d1749e553db2cd764cd2df2b2e588fd6832ad2cb9e063b91b43b4c90",
+        "bde666852f54256627245309b6a9720517b254ce21406f759a90ee3fb0f0e486",
+    ),
+    (RANDOMIZED, 100, 1, "agd"): (
+        "9c0d756e175e8357eaa94923c2aa67dc2ad53863eeb549c434d2f253a16cfef7",
+        "18041ee8e0875d912ab05f560c1c51e5ce2509ce6c36518390e794a2c24ddddc",
+    ),
+}
 
 
 def _sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _run_outputs(tmp_path, cell) -> list[bytes]:
+    """The CSV report and the transcript run_experiment writes at seed 0."""
+    mode, T, k, method = cell
+    out = tmp_path / "run.csv"
+    run_experiment(RunConfig(mode=mode, T=T, k=k, method=method, seed=0, out=str(out)))
+    return [p.read_bytes() for p in (out, tmp_path / "run.csv.transcript.jsonl")]
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_RUNS), ids=lambda c: "-".join(map(str, c)))
+def test_run_output_bytes_are_pinned(tmp_path, cell):
+    assert tuple(map(_sha256, _run_outputs(tmp_path, cell))) == PINNED_RUNS[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_RUNS_MASKED), ids=lambda c: "-".join(map(str, c)))
+def test_run_output_bytes_but_margins_are_pinned(tmp_path, cell):
+    masked = (_sha256(margins_masked(data)) for data in _run_outputs(tmp_path, cell))
+    assert tuple(masked) == PINNED_RUNS_MASKED[cell]
 
 
 # SHA-256 of what the CLI writes: the `verify --suite all --T 9 --k 2
@@ -198,6 +233,10 @@ PINNED_VERIFY_STDOUT = "ce63928738c801e6b3c656102e4b199f6aee416878c724870b60a9d2
 PINNED_JSON_REPORTS = {
     "det": "e9a1172dd4fb37a6fc96e9578623252345dbf84c007cbeba0d8d96ea5cb60a42",
     "rand": "c5a786e8898b77472ae5a31947183fdc17977900effa7222e4b8d43e5059e4b7",
+}
+PINNED_JSON_REPORTS_MASKED = {  # the same with margins_masked
+    "det": "c91f554663b5882f5e25e9b4797a49b34e72d9143aa75ad6495fd5bf84257847",
+    "rand": "0e268a61f83ee62b76d79ed32e5e1d1930333b3d618e65f2fb8c83c7e9b7254e",
 }
 PINNED_SWEEP_REPORT = "7e879bbe4720d09d960601f2bc22ff5d30aa5b30eec0ceb4aecf6e6146d34dba"
 PINNED_HELP = {
@@ -216,12 +255,21 @@ def test_verify_stdout_is_pinned(capsys):
     assert _sha256(capsys.readouterr().out) == PINNED_VERIFY_STDOUT
 
 
-@pytest.mark.parametrize("mode", sorted(PINNED_JSON_REPORTS))
-def test_json_report_bytes_are_pinned(tmp_path, mode):
+def _json_report(tmp_path, mode) -> bytes:
     out = tmp_path / "run.json"
     argv = ["run", "--mode", mode, "--T", "9", "--k", "1", "--method", "psg", "--seed", "0"]
     assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == PINNED_JSON_REPORTS[mode]
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_JSON_REPORTS))
+def test_json_report_bytes_are_pinned(tmp_path, mode):
+    assert _sha256(_json_report(tmp_path, mode)) == PINNED_JSON_REPORTS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_JSON_REPORTS_MASKED))
+def test_json_report_bytes_but_margins_are_pinned(tmp_path, mode):
+    assert _sha256(margins_masked(_json_report(tmp_path, mode))) == PINNED_JSON_REPORTS_MASKED[mode]
 
 
 def test_sweep_report_bytes_are_pinned(tmp_path):
