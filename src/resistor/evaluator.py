@@ -842,20 +842,19 @@ def monte_carlo_answer(
     function evaluations, each estimate on its own stream, the child
     budgets "value", "gradient" and ("tensor", j) of budget: the value from
     smoothed_value_mc, orders 1..k from _sampled_tensor_coords, all over
-    the one frame. The budget is refused before any draw: by the value's
-    gate, then by order k's, which covers every lower order, so it needs
-    n_samples >= max(2, 2^k). The value is estimated first, so an error
-    it raises wins over a derivative error.
+    the one frame. The budget is refused before any draw or tensor budget,
+    by the value's gate, then by order k's, which covers every lower
+    order: n_samples >= max(2, 2^k). The value is estimated first, so an
+    error it raises wins over a derivative error.
     """
     params = instance.params
     denom = params.norm_denom
     budget = budget or MCBudget()
     n = budget.n_samples
-    value_budget = budget.child("value")
-    draws = [budget.child("gradient", 0, 2 * n)]
-    draws += [budget.child("tensor", j, 2 * n) for j in range(2, params.k + 1)]
+    value_budget, draws = budget.child("value"), [budget.child("gradient", 0, 2 * n)]
     _check_budget(instance, 0, value_budget)
-    _check_budget(instance, params.k, draws[-1])
+    _check_budget(instance, params.k, draws[0])  # order k's count, 2n like every draw's
+    draws += [budget.child("tensor", j, 2 * n) for j in range(2, params.k + 1)]
     value, stderr = smoothed_value_mc(instance, x, value_budget, contender_frame=contender_frame)
     (coords, gerr), *tensors = (
         _sampled_tensor_coords(instance, j, draw, contender_frame) for j, draw in enumerate(draws, 1)

@@ -99,11 +99,11 @@ def params_deterministic(T: int, k: int, d: int | None = None) -> InstanceParams
     T, k, then d are checked (see _schedule); d must be an integer (see
     streams.as_integer), defaults to T + 1 and may only be raised.
     """
-    def rates(T: int, k: int, gamma: float) -> tuple[float, int, float]:
+    def rates(T: int, k: int, gamma: float) -> tuple[float, int, float, None]:
         dim = T + 1 if d is None else as_integer(d, "d")
         if dim <= T:
             raise ValueError(refusal("d", f"satisfy d > T = {T} in deterministic mode", dim))
-        return gamma / (3.0 * k * T), dim, 1.0 + (1.0 - 1.0 / T) * gamma
+        return gamma / (3.0 * k * T), dim, 1.0 + (1.0 - 1.0 / T) * gamma, None
 
     return _schedule(T, k, DETERMINISTIC, rates)
 
@@ -116,23 +116,24 @@ def randomized_dimension(T: int, fail_prob: float) -> int:
 def params_randomized(T: int, k: int, fail_prob: float) -> InstanceParams:
     """Randomized-mode schedule: gamma = 1/(3 sqrt(T)), delta = 1/(20 k T^1.5).
 
-    T, k, then fail_prob, a real number in (0, 1), are checked (see
-    _schedule). The ambient dimension is the smallest integer that pushes
-    the union bound over the basis-query correlations below fail_prob.
+    T, k, then fail_prob, a real number whose float lies in (0, 1) and is
+    kept, are checked (see _schedule). The ambient dimension is the smallest
+    integer pushing the union bound over the basis-query correlations below it.
     """
-    def rates(T: int, k: int, gamma: float) -> tuple[float, int, float]:
+    def rates(T: int, k: int, gamma: float) -> tuple[float, int, float, float]:
         if not isinstance(fail_prob, numbers.Real):
             raise TypeError(f"fail_prob must be a real number, got {fail_prob!r}")
-        if not 0.0 < fail_prob < 1.0:
+        p = float(fail_prob) if 0.0 < fail_prob < 1.0 else 0.0
+        if not 0.0 < p < 1.0:
             raise ValueError("fail_prob must lie in (0, 1)")
-        return 1.0 / (20.0 * k * T**1.5), randomized_dimension(T, fail_prob), 1.0
+        return 1.0 / (20.0 * k * T**1.5), randomized_dimension(T, p), 1.0, p
 
     return _schedule(T, k, RANDOMIZED, rates, fail_prob)
 
 
 def _schedule(T: int, k: int, mode: str, rates: Callable, fail_prob: float | None = None) -> InstanceParams:
-    """The params of gamma = 1/(3 sqrt(T)) and (delta, d, norm_denom) =
-    rates(T, k, gamma), which checks the mode's own argument first, for
+    """The params of gamma = 1/(3 sqrt(T)) and (delta, d, norm_denom, fail_prob)
+    = rates(T, k, gamma), which checks the mode's own argument first, for
     positive integers T and k (see streams.as_integer). They are refused
     unless validate passes them, so a rate past the float range or a delta
     rounded to 0 fails closed; the refusal names k where T passes at k = 1,
@@ -142,7 +143,7 @@ def _schedule(T: int, k: int, mode: str, rates: Callable, fail_prob: float | Non
         raise ValueError("T and k must be positive integers")
     try:
         gamma = 1.0 / (3.0 * math.sqrt(T))
-        delta, d, norm_denom = rates(T, k, gamma)
+        delta, d, norm_denom, fail_prob = rates(T, k, gamma)
     except OverflowError:
         problems = ["its rates lie past the float range" + (f" at fail_prob = {fail_prob}" if fail_prob else "")]
     else:

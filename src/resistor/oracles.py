@@ -1,19 +1,19 @@
 """Stateful adversarial query protocols.
 
 Both modes share one query protocol: a query within the budget T is
-answered against an instance, recorded with its event margin, and
-finalize() replays the whole transcript against the final instance,
-re-answering every record and comparing bit for bit. The modes differ
-only in where a query's instance comes from and when its event margin
-is recorded. The adaptive oracle appends one affine piece per query and
-answers with respect to the pieces revealed so far. Every answer depends
-only on the query's contenders and T (see evaluator), and no later piece
-contends, so those answers are the completed instance's answers at the
-same points; finalize() backfills the margins and re-checks that as a
-runtime assertion instead of trusting it. The randomized oracle fixes a
-hidden random basis up front and records, at query time, how strongly
-each query correlates with the not-yet-relevant directions. A response's
-regime follows from its affine_index.
+answered against an instance and recorded, and finalize() replays the
+whole transcript against the final instance, re-answering every record
+and comparing bit for bit. The modes differ only in where a query's
+instance comes from. The adaptive oracle appends one affine piece per
+query and answers with respect to the pieces revealed so far. Every
+answer depends only on the query's contenders and T (see evaluator), and
+no later piece contends, so those answers are the completed instance's
+answers at the same points; the replay re-checks that as a runtime
+assertion instead of trusting it. The randomized oracle fixes a hidden
+random basis up front. In both modes the replay's piece values also give
+each record its event margin, how strongly the query correlates with
+the pieces it had not seen, so finalize() fills every margin. A
+response's regime follows from its affine_index.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class OracleExhaustedError(RuntimeError):
 class QueryRecord:
     """One query/response pair with its per-query flags.
 
-    event_e_margin is max_{j>=i} |a_j . x_i| in randomized mode
-    (recorded at query time); in deterministic mode pieces j > i do not
-    exist yet, so finalize() fills max_{j>i} |a_j . x_i| as a
-    cross-check (zero by construction, up to roundoff).
+    event_e_margin is None until finalize() fills it from the replay (see
+    ReplayEntry): max_{j>=i} |a_j . x_i| in randomized mode; in
+    deterministic mode max_{j>i} |a_j . x_i|, a cross-check that is zero
+    by construction, up to roundoff.
     """
 
     index: int
@@ -105,13 +105,14 @@ class Transcript:
 
 @dataclass
 class ReplayEntry:
-    """One replayed record; f_tilde is the replay instance's max of the
-    shifted pieces at the recorded query, computed once and shared with
-    its certificate."""
+    """One replayed record; f_tilde (shared with its certificate) and the
+    record's event_e_margin come from the replay instance's piece values
+    at the recorded query, computed once."""
 
     index: int
     reason: str
     f_tilde: float
+    event_e_margin: float
 
     @property
     def exact_equal(self) -> bool:
@@ -144,8 +145,11 @@ def replay_consistency(
     dispatch that answered it, on its query-time budget
     budget.child("mc", index), and the two answers must match bit for bit
     in every field, in either mode; the reason names the first that
-    differs (OracleResponse.mismatch).
+    differs (OracleResponse.mismatch). Each event margin is max |a_j . x_i|
+    over the pieces query i had not seen, j >= i in randomized mode and
+    j > i in deterministic mode, 0.0 where there is none.
     """
+    unseen = 1 if transcript.mode == RANDOMIZED else 0  # piece i is unseen too
     entries = []
     for rec in transcript.records:
         values, keep = affine_regime(instance, rec.x)
@@ -154,7 +158,8 @@ def replay_consistency(
         else:
             replayed = regime_answer(instance, rec.x, values, keep, budget.child("mc", rec.index)).scaled(rescale)
             reason = rec.response.mismatch(replayed)
-        entries.append(ReplayEntry(rec.index, reason, values.f_tilde))
+        margin = float(np.maximum.reduce(np.abs(values.linear[rec.index - unseen:]), initial=0.0))
+        entries.append(ReplayEntry(rec.index, reason, values.f_tilde, margin))
     return ConsistencyReport(
         all_equal=all(e.exact_equal for e in entries),
         partial=len(transcript) < transcript.params.T,
@@ -234,7 +239,10 @@ class _ResistingOracle:
         return response
 
     def _replay(self) -> tuple[HardInstance, ConsistencyReport]:
-        return self._instance, replay_consistency(self._instance, self.transcript, self.rescale, self.budget)
+        report = replay_consistency(self._instance, self.transcript, self.rescale, self.budget)
+        for rec, entry in zip(self.transcript.records, report.entries):
+            rec.event_e_margin = entry.event_e_margin
+        return self._instance, report
 
 
 class AdaptiveOracle(_ResistingOracle):
@@ -289,15 +297,8 @@ class AdaptiveOracle(_ResistingOracle):
         """Final instance plus the recorded-vs-replayed comparison.
 
         Early finalize (fewer than T queries) is permitted; the report
-        carries partial=True. Also backfills the deterministic-mode
-        event margins max_{j>i} |a_j . x_i|.
+        carries partial=True. The replay fills the margins max_{j>i} |a_j . x_i|.
         """
-        matrix = self._instance.piece_matrix
-        for rec in self.transcript.records:
-            later = matrix[rec.index:]
-            rec.event_e_margin = (
-                float(np.abs(later @ rec.x).max()) if len(later) else 0.0
-            )
         return self._replay()
 
 
@@ -310,8 +311,8 @@ class RandomizedOracle(_ResistingOracle):
     vectors of those T + 1 + T coordinates (see
     geometry.random_orthonormal_basis).
 
-    Records, per query i, the correlation margin max_{j>=i} |a_j . x_i|
-    that the low-correlation event bounds by 1/(20 T^1.5).
+    finalize() fills each query's margin max_{j>=i} |a_j . x_i|, which
+    the low-correlation event bounds by 1/(20 T^1.5).
     """
 
     def __init__(
@@ -332,13 +333,10 @@ class RandomizedOracle(_ResistingOracle):
 
     def query(self, x: np.ndarray) -> OracleResponse:
         x, i = self._next(x)
-        response = self._answer(self._instance, x, i)
-        # after the answer, which refuses a malformed x
-        margin = float(np.abs(self._instance.piece_matrix[i - 1:] @ x).max())
-        return self._record(i, x, response, margin)
+        return self._record(i, x, self._answer(self._instance, x, i), None)
 
     def finalize(self) -> tuple[HardInstance, ConsistencyReport]:
-        """The (fixed) instance plus a full replay of the transcript."""
+        """The (fixed) instance plus a full replay, which fills the margins."""
         return self._replay()
 
 
@@ -365,7 +363,7 @@ def event_e_check(transcript: Transcript, params: InstanceParams) -> EventECheck
     for rec in transcript.records:
         margin = rec.event_e_margin
         if margin is None:
-            raise ValueError(f"record {rec.index} is missing its event margin")
+            raise ValueError(f"record {rec.index} has no event margin yet: finalize() fills the margins")
         margins.append(margin)
         if not (margin <= threshold) and first is None:
             first = rec.index

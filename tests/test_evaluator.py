@@ -3,6 +3,8 @@ import functools
 import hashlib
 import json
 import math
+import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -575,6 +577,25 @@ def test_a_budget_short_of_a_large_order_is_refused_by_bit_length(plane_instance
         monte_carlo_answer(instance, x, MCBudget(100, 0), contender_frame_at(instance, x))
 
 
+def test_a_refused_order_builds_no_tensor_budget(plane_instance):
+    # the k - 1 tensor budgets were built before order k was refused:
+    # 0.6 s and 28 MB at k = 200000
+    params = dataclasses.replace(plane_instance.params, k=200_000)
+    instance = dataclasses.replace(plane_instance, params=params)
+    x = np.array([0.0, 0.05, 0.0])
+    frame = contender_frame_at(instance, x)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=r"needs n_samples >= 2\^200001 "):
+            monte_carlo_answer(instance, x, MCBudget(100, 0), frame)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2**20
+
+
 class TestSmoothedValue:
     def test_one_piece_unbiased(self):
         p = params_deterministic(4, 1)
@@ -978,7 +999,7 @@ def test_tie_client_answers_are_the_exact_tie():
 
 # SHA-256 of the tie client's transcript (_tie_client, then finalize),
 # written with every vector: the bytes of eight two-piece answers.
-PINNED_TIE_TRANSCRIPT = "f2a962f2f268c16ad2d0051348d3e2189691e2c3b201b42e40105050e915dd0d"
+PINNED_TIE_TRANSCRIPT = "f66587c4772eebe14190976554c5e93f6714194fa574303d50f2e5dc19d3ba29"
 # the same bytes with every event_e_margin value blanked (margins_masked)
 PINNED_TIE_TRANSCRIPT_MASKED = "5b21f8ed1a1098896529768b8dde6e0924b0a2616758a20f68da080a8205d08e"
 

@@ -154,24 +154,24 @@ class TestEmitReport:
 # here. Randomized agd at T = 100 has one answer with two contenders.
 PINNED_RUNS = {
     (DETERMINISTIC, 9, 1, "psg"): (
-        "e530ec4a5bb22818a17c59383abe2eebfff1c5ef81c4897282a41c9cf1d51804",
-        "346c0519e80cee5fcdb3898902555ab35f73145b4b6caf9c5e4abdc8276e20bf",
+        "ae74d789d5b5aded90d411d60f72e87c224f0a16d426477f0a4e54c792e701d0",
+        "4edaa9098ce4ad93faea2d9b0956d8a8a622a1c63e3b58ff3230463684ed1ee4",
     ),
     (DETERMINISTIC, 9, 2, "cubic"): (
-        "332466df48ddadb874b719ccc423645658b8df2045e15f4f360308747d470a8c",
-        "a6a80b6441fa29b298ba0c4e097086fba77f39a7f9a634df193b9eba95d35633",
+        "1e6a4e78cbb8d231f1a5c24a67ec4182b4fc439f06b0618810d6f8ed24f96402",
+        "89c6d4d7fd161133b08ae2b6d8116ad0691dd57b11bcea9c772141d0471b6172",
     ),
     (DETERMINISTIC, 16, 1, "agd"): (
-        "b75330d03788bd52216f512687f3ef2a2c69bbfa102275699212d787a896b398",
-        "e8a6d0c4ed57ff7e24337c5dccf86a0af18dcc9ed0206ed7f33741f2d33fba21",
+        "53fd30d0311837b000deb1c0dec47de3838225e13095ba9b3abbdb056af7f7a8",
+        "dac613593c1dc38adb99df7b79728111ccce035bd04dab6c52110ab059bf274c",
     ),
     (RANDOMIZED, 9, 1, "psg"): (
-        "1692dad9954169161a28388cbf9057b130adb5c65869a33a0e53d4d2a06e654d",
-        "61f4be34ba4905488ae69b1020208ebacf1395dc81dd451cc837f5e229724ac6",
+        "d0ea71bb26fcf88202f1eb34610e209758f7feceae33559eb04c6a38fc62f062",
+        "edaa38b66b36fa55c7a74adb7fa33dec57c5f3a37ca07a4b9411c2d3a1dc5b75",
     ),
     (RANDOMIZED, 100, 1, "agd"): (
-        "d306325eaddde4a55e4e7364a2fe69eba5079dc5101fd609795d789cf72cbb74",
-        "a48c4b1189e3c6d5d8e378b6f6fa4c3221bc8165582a44e6d151f4c495c60abb",
+        "29d5da7c8751b9dff78711dff8057f3e2f5a6b819d42d79ea6ad36e46770deac",
+        "1430f1ca7b2d240fa2d4f4982fd2c6cb4102f4dd813658100450007b5a8c1aad",
     ),
 }
 
@@ -231,8 +231,8 @@ def test_run_output_bytes_but_margins_are_pinned(tmp_path, cell):
 # --help texts at an 80-column terminal
 PINNED_VERIFY_STDOUT = "ce63928738c801e6b3c656102e4b199f6aee416878c724870b60a9d2f58e45d5"
 PINNED_JSON_REPORTS = {
-    "det": "e9a1172dd4fb37a6fc96e9578623252345dbf84c007cbeba0d8d96ea5cb60a42",
-    "rand": "c5a786e8898b77472ae5a31947183fdc17977900effa7222e4b8d43e5059e4b7",
+    "det": "1555a621d84852b22723c8127a6d60d7556d51bd50b6f5ffa81de045a0a15aff",
+    "rand": "870000c308d0b7bd2ef55fdeccd0aee51d0fe7e7b076e00190e73d1d93887397",
 }
 PINNED_JSON_REPORTS_MASKED = {  # the same with margins_masked
     "det": "c91f554663b5882f5e25e9b4797a49b34e72d9143aa75ad6495fd5bf84257847",

@@ -126,6 +126,20 @@ class TestRandomizedParams:
                 params_randomized(4, 1, bad)
         assert params_randomized(4, 1, Fraction(1, 5)).d == params_randomized(4, 1, 0.2).d
 
+    def test_fail_prob_is_kept_as_its_float(self):
+        # a Fraction gives the params of its float, so they serialize
+        assert params_randomized(4, 1, Fraction(1, 5)) == params_randomized(4, 1, 0.2)
+        # one in (0, 1) whose float rounds to 0 is refused as 0.0 is
+        with pytest.raises(ValueError, match="fail_prob must lie in"):
+            params_randomized(4, 1, Fraction(1, 10**400))
+
+    def test_instance_of_a_fraction_fail_prob_round_trips(self):
+        inst = RandomizedOracle(params_randomized(4, 1, Fraction(1, 5))).instance
+        back = from_json(to_json(inst))
+        assert back.params == inst.params and type(back.params.fail_prob) is float
+        assert back.piece_matrix.tobytes() == inst.piece_matrix.tobytes()
+        assert back.piece_shifts.tobytes() == inst.piece_shifts.tobytes()
+
 
 class TestShiftOf:
     def test_values(self):

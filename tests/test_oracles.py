@@ -34,6 +34,7 @@ from resistor.geometry import (
 )
 from resistor.instance import (
     QUERY_NORM_SLACK,
+    RANDOMIZED,
     HardInstance,
     params_deterministic,
     params_randomized,
@@ -420,6 +421,7 @@ class TestRandomizedOracle:
     def test_zero_query_margin_zero(self):
         oracle = RandomizedOracle(small_randomized_params(), seed=3)
         oracle.query(np.zeros(oracle.dim))
+        oracle.finalize()
         assert oracle.transcript.records[0].event_e_margin == 0.0
 
     def test_cheating_query_violates_event(self):
@@ -427,6 +429,7 @@ class TestRandomizedOracle:
         oracle = RandomizedOracle(p, seed=4)
         hidden = oracle.instance.pieces[-1].a
         oracle.query(hidden)
+        oracle.finalize()
         check = event_e_check(oracle.transcript, p)
         assert oracle.transcript.records[0].event_e_margin > 0.99
         assert not check.held and check.first_violation == 1
@@ -435,6 +438,7 @@ class TestRandomizedOracle:
         p = small_randomized_params()
         oracle = RandomizedOracle(p, seed=5)
         run_projected_subgradient(oracle)
+        oracle.finalize()
         check = event_e_check(oracle.transcript, p)
         assert check.held
         assert check.max_margin <= 1.0 / (20.0 * p.T**1.5)
@@ -731,6 +735,76 @@ class TestEventECheck:
         t = Transcript(p)
         with pytest.raises(ValueError, match="randomized"):
             event_e_check(t, p)
+
+
+def _as_randomized(transcript: Transcript) -> Transcript:
+    """The transcript with randomized-mode params, which event_e_check reads
+    whatever mode its records come from."""
+    return Transcript(dataclasses.replace(transcript.params, mode=RANDOMIZED), transcript.records)
+
+
+@pytest.mark.parametrize("cls", [AdaptiveOracle, RandomizedOracle], ids=lambda c: c.__name__)
+def test_margins_are_none_until_finalize_and_the_check_says_so(cls):
+    oracle = _protocol_oracle(cls)
+    oracle.query(np.zeros(oracle.dim))
+    oracle.query(0.5 * oracle.instance.piece_matrix[0])
+    assert [rec.event_e_margin for rec in oracle.transcript.records] == [None, None]
+    with pytest.raises(ValueError, match=r"^record 1 has no event margin yet: finalize\(\) fills the margins$"):
+        event_e_check(_as_randomized(oracle.transcript), oracle.params)
+    oracle.finalize()
+    assert all(type(rec.event_e_margin) is float for rec in oracle.transcript.records)
+    assert event_e_check(_as_randomized(oracle.transcript), oracle.params).held
+
+
+def _mixed_query(kind: str, oracle, previous: list, rng) -> np.ndarray:
+    """The origin, a combination of the pieces revealed so far, a fresh
+    direction or the last query again, inside the unit ball."""
+    revealed = oracle.instance.piece_matrix[: len(oracle.transcript)]
+    if kind == "repeat" and previous:
+        return previous[-1]
+    if kind == "fresh":
+        x = rng.standard_normal(oracle.dim)
+        return rng.uniform(0.1, 1.0) * x / np.linalg.norm(x)
+    if kind == "span" and len(revealed):
+        x = rng.uniform(-1.0, 1.0, len(revealed)) @ revealed
+        return x * rng.uniform(0.1, 0.9) / max(1.0, np.linalg.norm(x))
+    return np.zeros(oracle.dim)
+
+
+@given(
+    st.sampled_from([AdaptiveOracle, RandomizedOracle]),
+    st.integers(3, 12),
+    st.integers(1, 2),
+    st.integers(0, 2**31),
+    st.lists(st.sampled_from(["origin", "span", "fresh", "repeat"]), min_size=1, max_size=12),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_replay_margins_are_the_unseen_pieces_products(cls, T, k, seed, kinds):
+    # each margin is max |a_j . x_i| over the pieces query i had not seen
+    # (j >= i randomized, j > i deterministic), by np.vecdot bit for bit,
+    # 0.0 where there is none; the event verdict is the one of the
+    # per-record matrix products finalize took before, runs finished early
+    # included
+    params = params_deterministic(T, k) if cls is AdaptiveOracle else params_randomized(T, k, 0.2)
+    oracle = cls(params, seed=seed, mc_samples=16)
+    rng = np.random.default_rng(seed)
+    previous = []
+    for kind in kinds[:T]:
+        previous.append(_mixed_query(kind, oracle, previous, rng))
+        oracle.query(previous[-1])
+    final, report = oracle.finalize()
+    assert report.all_equal
+    unseen = 1 if cls is RandomizedOracle else 0
+    products = Transcript(params)
+    for rec in oracle.transcript.records:
+        rows = final.piece_matrix[rec.index - unseen:]
+        expected = float(np.abs(np.vecdot(rows, rec.x)).max()) if len(rows) else 0.0
+        assert np.float64(rec.event_e_margin).tobytes() == np.float64(expected).tobytes()
+        product = float(np.abs(rows @ rec.x).max()) if len(rows) else 0.0
+        products.records.append(dataclasses.replace(rec, event_e_margin=product))
+    verdict = event_e_check(_as_randomized(oracle.transcript), params)
+    before = event_e_check(_as_randomized(products), params)
+    assert (verdict.held, verdict.first_violation) == (before.held, before.first_violation)
 
 
 class TestTailResampling:
